@@ -86,14 +86,15 @@ exec::OperatorPtr MakePipeline(int64_t permille, bool sel_path,
                                std::shared_ptr<const std::vector<exec::Morsel>>
                                    morsels,
                                size_t instance, size_t total) {
-  auto scan = std::make_unique<exec::PlainScan>(&F().table,
-                                                std::vector<std::string>{
-                                                    "k", "v", "w"},
-                                                PredsFor(permille));
+  const Table* t = &F().table;
+  std::vector<exec::ScanSegment> segments =
+      morsels != nullptr
+          ? exec::CloneRowSegments(t, *morsels, instance, total)
+          : std::vector<exec::ScanSegment>{{t, 0, t->num_rows()}};
+  auto scan = std::make_unique<exec::SegmentScan>(
+      t, std::vector<std::string>{"k", "v", "w"}, PredsFor(permille),
+      std::move(segments));
   scan->EnableRowFilter(sel_path);
-  if (morsels != nullptr) {
-    scan->RestrictToMorsels(exec::MorselSet{morsels, instance, total});
-  }
   if (sel_path) return scan;  // predicates fully enforced inside the scan
   return std::make_unique<exec::Filter>(std::move(scan), RowExprFor(permille));
 }
@@ -139,9 +140,10 @@ void RunMicroFilter(benchmark::State& state, int64_t permille, bool sel_path,
 // one domain-max sentinel so zone maps can neither prune nor prove
 // all-match — the sweep measures span *evaluation*, not zone pruning
 // (micro_scan's zero-copy sweep covers the pruning story). Each table is
-// swept codec x selectivity x threads x EncodedEval mode — kDecode is the
-// flat-decode baseline the direct path (kAuto) is judged against — and
-// every config emits one JsonLine (BENCH_pr6.json commits the trajectory).
+// swept codec x selectivity x threads x mode — "flat" scans a copy of the
+// table built without encoded lanes, the baseline the direct path over the
+// encoded lanes is judged against — and every config emits one JsonLine
+// (BENCH_pr6.json commits the trajectory).
 
 constexpr uint64_t kCodecRows = 400000;
 constexpr int64_t kNarrowDomain = 1 << 20;
@@ -150,7 +152,8 @@ constexpr uint64_t kCodecZoneRows = 4096;
 
 struct CodecTable {
   const char* codec;
-  Table table;
+  Table table;  // with encoded lanes
+  Table flat;   // the same rows and zone maps, no encoded lanes
   bool string_key = false;
 };
 
@@ -169,8 +172,10 @@ std::vector<CodecTable>& CodecTables() {
       t.AddColumn("k", std::move(k)).AbortIfNotOK();
       t.AddColumn("w", std::move(w)).AbortIfNotOK();
       t.BuildZoneMaps(kCodecZoneRows);
+      Table flat = t.Clone();
+      flat.BuildZoneMaps(kCodecZoneRows);
       t.BuildEncodedLanes();
-      return CodecTable{name, std::move(t), string_key};
+      return CodecTable{name, std::move(t), std::move(flat), string_key};
     };
     out->push_back(build("raw", false, [](Column* k, Rng* rng,
                                           uint64_t zone_row) {
@@ -267,7 +272,7 @@ std::vector<exec::ScanPredicate> CodecPredsFor(const CodecTable& ct,
                            Value::Int32(static_cast<int32_t>(hi))}}};
 }
 
-uint64_t DrainCodecScan(const CodecTable& ct, int pct, exec::EncodedEval mode,
+uint64_t DrainCodecScan(const CodecTable& ct, int pct, bool flat,
                         std::shared_ptr<const std::vector<exec::Morsel>>
                             morsels,
                         size_t instance, size_t total) {
@@ -278,12 +283,14 @@ uint64_t DrainCodecScan(const CodecTable& ct, int pct, exec::EncodedEval mode,
   ctx.set_batch_size(kCodecZoneRows);
   // Scan only the filtered lane: emission cost is identical across modes,
   // so a narrow projection keeps the sweep focused on span evaluation.
-  exec::PlainScan scan(&ct.table, {"k"}, CodecPredsFor(ct, pct));
+  const Table* t = flat ? &ct.flat : &ct.table;
+  std::vector<exec::ScanSegment> segments =
+      morsels != nullptr
+          ? exec::CloneRowSegments(t, *morsels, instance, total)
+          : std::vector<exec::ScanSegment>{{t, 0, t->num_rows()}};
+  exec::SegmentScan scan(t, {"k"}, CodecPredsFor(ct, pct),
+                         std::move(segments));
   scan.EnableRowFilter(true);
-  scan.SetEncodedEval(mode);
-  if (morsels != nullptr) {
-    scan.RestrictToMorsels(exec::MorselSet{morsels, instance, total});
-  }
   scan.Open(&ctx).AbortIfNotOK();
   uint64_t sum = 0;
   while (true) {
@@ -304,11 +311,9 @@ void RunCodecSweep(int max_threads) {
       exec::MakeRowMorsels(kCodecRows, kCodecZoneRows, 8 * kCodecZoneRows));
   struct Mode {
     const char* name;
-    exec::EncodedEval mode;
+    bool flat;
   };
-  const Mode modes[] = {{"flat", exec::EncodedEval::kOff},
-                        {"decode", exec::EncodedEval::kDecode},
-                        {"direct", exec::EncodedEval::kAuto}};
+  const Mode modes[] = {{"flat", true}, {"direct", false}};
   for (const CodecTable& ct : CodecTables()) {
     for (int pct : {1, 10, 50}) {
       for (int threads : bdcc::bench::ThreadCounts(max_threads)) {
@@ -319,12 +324,12 @@ void RunCodecSweep(int max_threads) {
             auto t0 = std::chrono::steady_clock::now();
             uint64_t total = 0;
             if (threads == 1) {
-              total = DrainCodecScan(ct, pct, m.mode, nullptr, 0, 1);
+              total = DrainCodecScan(ct, pct, m.flat, nullptr, 0, 1);
             } else {
               std::vector<uint64_t> sums(threads, 0);
               common::TaskScheduler::Shared()->ParallelFor(
                   threads, [&](size_t i) {
-                    sums[i] = DrainCodecScan(ct, pct, m.mode, morsels, i,
+                    sums[i] = DrainCodecScan(ct, pct, m.flat, morsels, i,
                                              static_cast<size_t>(threads));
                   });
               for (uint64_t s : sums) total += s;

@@ -24,6 +24,7 @@
 #include "exec/parallel.h"
 #include "exec/sandwich_join.h"
 #include "exec/scan.h"
+#include "opt/planner.h"
 
 namespace {
 
@@ -130,10 +131,9 @@ Fixture& F() {
 exec::OperatorPtr GroupedScan(const BdccTable& bt,
                               std::vector<std::string> cols, int shared) {
   auto ranges = PlanScatterScan(bt, {0}).ValueOrDie();
-  return std::make_unique<exec::BdccScan>(
-      &bt, std::move(cols), std::move(ranges),
-      std::vector<exec::ScanPredicate>{},
-      std::vector<exec::GroupSpec>{{0, shared}});
+  return std::make_unique<exec::SegmentScan>(
+      &bt.data(), std::move(cols), std::vector<exec::ScanPredicate>{},
+      opt::GroupSegments(bt, std::move(ranges), {{0, shared}}));
 }
 
 // Sandwich alignment: both sides must tag with the same width, bounded by
@@ -148,12 +148,14 @@ void BM_HashJoin(benchmark::State& state) {
   uint64_t peak = 0;
   for (auto _ : state) {
     exec::ExecContext ctx(nullptr);
-    auto left = std::make_unique<exec::BdccScan>(
-        f.fact.get(), std::vector<std::string>{"fk", "payload"},
-        PlanNaturalScan(*f.fact));
-    auto right = std::make_unique<exec::BdccScan>(
-        f.dim.get(), std::vector<std::string>{"dk", "dval"},
-        PlanNaturalScan(*f.dim));
+    auto left = std::make_unique<exec::SegmentScan>(
+        &f.fact->data(), std::vector<std::string>{"fk", "payload"},
+        std::vector<exec::ScanPredicate>{},
+        opt::GroupSegments(*f.fact, PlanNaturalScan(*f.fact)));
+    auto right = std::make_unique<exec::SegmentScan>(
+        &f.dim->data(), std::vector<std::string>{"dk", "dval"},
+        std::vector<exec::ScanPredicate>{},
+        opt::GroupSegments(*f.dim, PlanNaturalScan(*f.dim)));
     exec::HashJoin join(std::move(left), std::move(right), {"fk"}, {"dk"},
                         exec::JoinType::kInner);
     auto out = exec::CollectAll(&join, &ctx).ValueOrDie();
@@ -188,16 +190,14 @@ BENCHMARK(BM_SandwichJoin)->Arg(2)->Arg(5)->Arg(8);
 exec::OperatorPtr GroupedScanChunk(const BdccTable& bt,
                                    std::vector<std::string> cols, int shared,
                                    int64_t gid_lo, int64_t gid_hi) {
-  std::vector<exec::GroupSpec> grouping{{0, shared}};
-  auto all = PlanScatterScan(bt, {0}).ValueOrDie();
-  std::vector<GroupRange> subset;
-  for (const GroupRange& r : all) {
-    int64_t g = exec::GroupIdForKey(bt, grouping, r.key);
-    if (g >= gid_lo && g <= gid_hi) subset.push_back(r);
+  std::vector<exec::ScanSegment> subset;
+  for (const exec::ScanSegment& s : opt::GroupSegments(
+           bt, PlanScatterScan(bt, {0}).ValueOrDie(), {{0, shared}})) {
+    if (s.group_id >= gid_lo && s.group_id <= gid_hi) subset.push_back(s);
   }
-  return std::make_unique<exec::BdccScan>(
-      &bt, std::move(cols), std::move(subset),
-      std::vector<exec::ScanPredicate>{}, grouping);
+  return std::make_unique<exec::SegmentScan>(
+      &bt.data(), std::move(cols), std::vector<exec::ScanPredicate>{},
+      std::move(subset));
 }
 
 // Group-id-chunked parallel sandwich join: each clone joins one contiguous
@@ -205,10 +205,10 @@ exec::OperatorPtr GroupedScanChunk(const BdccTable& bt,
 void RunSandwichJoinParallel(benchmark::State& state, int threads) {
   Fixture& f = F();
   int shared = ClampShared(f, 8);
-  std::vector<exec::GroupSpec> grouping{{0, shared}};
+  std::vector<GroupSpec> grouping{{0, shared}};
   std::vector<int64_t> gids;
   for (const GroupRange& r : PlanScatterScan(*f.fact, {0}).ValueOrDie()) {
-    gids.push_back(exec::GroupIdForKey(*f.fact, grouping, r.key));
+    gids.push_back(GroupIdForKey(*f.fact, grouping, r.key));
   }
   std::sort(gids.begin(), gids.end());
   gids.erase(std::unique(gids.begin(), gids.end()), gids.end());
@@ -252,17 +252,26 @@ void RunHashJoinParallelProbe(benchmark::State& state, int threads) {
     exec::ExecContext ctx(nullptr);
     exec::ChainFactory probe_factory =
         [&](size_t i, size_t n) -> Result<exec::OperatorPtr> {
-      auto scan = std::make_unique<exec::BdccScan>(
-          f.fact.get(), std::vector<std::string>{"fk", "payload"},
-          *probe_ranges);
-      scan->RestrictToMorsels(exec::MorselSet{morsels, i, n});
-      return exec::OperatorPtr(std::move(scan));
+      // This clone's strided morsels, each coalesced into segments.
+      std::vector<exec::ScanSegment> segments;
+      for (size_t m = i; m < morsels->size(); m += n) {
+        for (const exec::ScanSegment& s : opt::GroupSegments(
+                 *f.fact, std::vector<GroupRange>(
+                              probe_ranges->begin() + (*morsels)[m].begin,
+                              probe_ranges->begin() + (*morsels)[m].end))) {
+          segments.push_back(s);
+        }
+      }
+      return exec::OperatorPtr(std::make_unique<exec::SegmentScan>(
+          &f.fact->data(), std::vector<std::string>{"fk", "payload"},
+          std::vector<exec::ScanPredicate>{}, std::move(segments)));
     };
     exec::ParallelHashJoin join(
         probe_factory, threads,
-        std::make_unique<exec::BdccScan>(
-            f.dim.get(), std::vector<std::string>{"dk", "dval"},
-            PlanNaturalScan(*f.dim)),
+        std::make_unique<exec::SegmentScan>(
+            &f.dim->data(), std::vector<std::string>{"dk", "dval"},
+            std::vector<exec::ScanPredicate>{},
+            opt::GroupSegments(*f.dim, PlanNaturalScan(*f.dim))),
         {"fk"}, {"dk"}, exec::JoinType::kInner,
         common::TaskScheduler::Shared());
     auto out = exec::CollectAll(&join, &ctx).ValueOrDie();
@@ -328,24 +337,24 @@ void RunBuildSweep(int max_threads) {
           exec::ExecContext ctx(nullptr);
           exec::ChainFactory probe_factory =
               [&](size_t i, size_t n) -> Result<exec::OperatorPtr> {
-            auto scan = std::make_unique<exec::PlainScan>(
-                &probe_t, std::vector<std::string>{"fk", "pval"});
-            scan->RestrictToMorsels(exec::MorselSet{probe_morsels, i, n});
-            return exec::OperatorPtr(std::move(scan));
+            return exec::OperatorPtr(std::make_unique<exec::SegmentScan>(
+                &probe_t, std::vector<std::string>{"fk", "pval"},
+                std::vector<exec::ScanPredicate>{},
+                exec::CloneRowSegments(&probe_t, *probe_morsels, i, n)));
           };
           exec::ParallelHashJoin join(
               probe_factory, threads,
-              std::make_unique<exec::PlainScan>(
+              std::make_unique<exec::SegmentScan>(
                   &build_t, std::vector<std::string>{"bk", "bval"}),
               {"fk"}, {"bk"}, exec::JoinType::kInner,
               common::TaskScheduler::Shared());
           if (partitioned) {
             exec::ChainFactory build_factory =
                 [&](size_t i, size_t n) -> Result<exec::OperatorPtr> {
-              auto scan = std::make_unique<exec::PlainScan>(
-                  &build_t, std::vector<std::string>{"bk", "bval"});
-              scan->RestrictToMorsels(exec::MorselSet{build_morsels, i, n});
-              return exec::OperatorPtr(std::move(scan));
+              return exec::OperatorPtr(std::make_unique<exec::SegmentScan>(
+                  &build_t, std::vector<std::string>{"bk", "bval"},
+                  std::vector<exec::ScanPredicate>{},
+                  exec::CloneRowSegments(&build_t, *build_morsels, i, n)));
             };
             join.EnableParallelBuild(build_factory, bits);
           }

@@ -18,6 +18,7 @@
 #include "exec/filter.h"
 #include "exec/morsel.h"
 #include "exec/scan.h"
+#include "opt/planner.h"
 
 namespace {
 
@@ -82,7 +83,7 @@ void BM_PlainScanFiltered(benchmark::State& state) {
   int64_t hi = kDomain >> state.range(0);
   for (auto _ : state) {
     exec::ExecContext ctx(nullptr);
-    exec::PlainScan scan(
+    exec::SegmentScan scan(
         &f.plain, {"k", "v"},
         {{"k", ValueRange{Value::Int32(0),
                           Value::Int32(static_cast<int32_t>(hi - 1))}}});
@@ -113,10 +114,11 @@ void BM_BdccScanPruned(benchmark::State& state) {
     bt.BinRangeToGroupPrefix(0, lo_bin, hi_bin, &lo_prefix, &hi_prefix);
     auto ranges = FilterGroupsByPrefix(bt, PlanNaturalScan(bt), 0, lo_prefix,
                                        hi_prefix);
-    exec::BdccScan scan(&bt, {"k", "v"}, std::move(ranges),
-                        {{"k", ValueRange{Value::Int32(0),
-                                          Value::Int32(static_cast<int32_t>(
-                                              hi - 1))}}});
+    exec::SegmentScan scan(
+        &bt.data(), {"k", "v"},
+        {{"k", ValueRange{Value::Int32(0),
+                          Value::Int32(static_cast<int32_t>(hi - 1))}}},
+        opt::GroupSegments(bt, std::move(ranges)));
     scan.Open(&ctx).AbortIfNotOK();
     uint64_t matched = 0;
     while (true) {
@@ -144,12 +146,12 @@ void RunPlainScanParallel(benchmark::State& state, int threads) {
     std::vector<uint64_t> matched(threads, 0);
     common::TaskScheduler::Shared()->ParallelFor(threads, [&](size_t i) {
       exec::ExecContext ctx(nullptr);
-      exec::PlainScan scan(
+      exec::SegmentScan scan(
           &f.plain, {"k", "v"},
           {{"k", ValueRange{Value::Int32(0),
-                            Value::Int32(static_cast<int32_t>(hi - 1))}}});
-      scan.RestrictToMorsels(
-          exec::MorselSet{morsels, i, static_cast<size_t>(threads)});
+                            Value::Int32(static_cast<int32_t>(hi - 1))}}},
+          exec::CloneRowSegments(&f.plain, *morsels, i,
+                                 static_cast<size_t>(threads)));
       scan.Open(&ctx).AbortIfNotOK();
       while (true) {
         auto b = scan.Next(&ctx).ValueOrDie();
@@ -185,12 +187,21 @@ void RunBdccScanParallel(benchmark::State& state, int threads) {
     std::vector<uint64_t> matched(threads, 0);
     common::TaskScheduler::Shared()->ParallelFor(threads, [&](size_t i) {
       exec::ExecContext ctx(nullptr);
-      exec::BdccScan scan(
-          &bt, {"k", "v"}, *ranges,
+      // This clone's strided morsels, each coalesced into segments.
+      std::vector<exec::ScanSegment> segments;
+      for (size_t m = i; m < morsels->size(); m += threads) {
+        for (const exec::ScanSegment& s : opt::GroupSegments(
+                 bt, std::vector<GroupRange>(
+                         ranges->begin() + (*morsels)[m].begin,
+                         ranges->begin() + (*morsels)[m].end))) {
+          segments.push_back(s);
+        }
+      }
+      exec::SegmentScan scan(
+          &bt.data(), {"k", "v"},
           {{"k", ValueRange{Value::Int32(0),
-                            Value::Int32(static_cast<int32_t>(hi - 1))}}});
-      scan.RestrictToMorsels(
-          exec::MorselSet{morsels, i, static_cast<size_t>(threads)});
+                            Value::Int32(static_cast<int32_t>(hi - 1))}}},
+          std::move(segments));
       scan.Open(&ctx).AbortIfNotOK();
       while (true) {
         auto b = scan.Next(&ctx).ValueOrDie();
@@ -254,9 +265,8 @@ void RunZeroCopySweep() {
         // Every row satisfies this, so zone maps prove all-match per chunk.
         preds = {{"k", ValueRange{Value::Int32(0), Value::Int32(999)}}};
       }
-      exec::PlainScan scan(&t, {"k", "v", "w"}, preds);
+      exec::SegmentScan scan(&t, {"k", "v", "w"}, preds);
       scan.EnableRowFilter(c.filtered);
-      scan.SetEncodedEval(exec::EncodedEval::kAuto);
       scan.EnableZeroCopy(c.zero_copy);
       auto t0 = std::chrono::steady_clock::now();
       scan.Open(&ctx).AbortIfNotOK();

@@ -74,4 +74,19 @@ uint64_t GroupValueOfUse(const BdccTable& table, size_t use_idx,
   return bits::ExtractBits(group_key, table.ReducedMask(use_idx));
 }
 
+int64_t GroupIdForKey(const BdccTable& table,
+                      const std::vector<GroupSpec>& grouping, uint64_t key) {
+  if (grouping.empty()) return -1;
+  int64_t gid = 0;
+  for (const GroupSpec& g : grouping) {
+    uint64_t mask = table.ReducedMask(g.use_idx);
+    int own_bits = bits::Ones(mask);
+    uint64_t prefix = bits::ExtractBits(key, mask);
+    BDCC_CHECK(g.shared_bits <= own_bits);
+    gid = (gid << g.shared_bits) |
+          static_cast<int64_t>(prefix >> (own_bits - g.shared_bits));
+  }
+  return gid;
+}
+
 }  // namespace bdcc

@@ -45,6 +45,18 @@ std::vector<GroupRange> FilterGroupsByPrefix(const BdccTable& table,
 uint64_t GroupValueOfUse(const BdccTable& table, size_t use_idx,
                          uint64_t group_key);
 
+/// How a grouped scan tags batches for sandwich consumers: the group id
+/// concatenates the listed uses' aligned bin prefixes, major first.
+struct GroupSpec {
+  size_t use_idx = 0;
+  int shared_bits = 0;
+};
+
+/// Group id `key` maps to under `grouping` (-1 when grouping is empty): the
+/// concatenation of each use's top `shared_bits` bits, major first.
+int64_t GroupIdForKey(const BdccTable& table,
+                      const std::vector<GroupSpec>& grouping, uint64_t key);
+
 }  // namespace bdcc
 
 #endif  // BDCC_BDCC_SCATTER_SCAN_H_

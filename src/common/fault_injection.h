@@ -19,7 +19,7 @@
 // Point registry (keep src/exec/README.md in sync):
 //   memory.alloc     ExecContext::ChargeMemory — budget charge fails as if
 //                    the tracker denied it (ResourceExhausted).
-//   scan.decode      PlainScan/BdccScan chunk decode fails with IOError.
+//   scan.decode      SegmentScan chunk decode fails with IOError.
 //   scheduler.delay  TaskScheduler::RunTask sleeps briefly before the task
 //                    body, perturbing morsel interleavings.
 //   join.build       JoinHashTable partitioned build partition fails.

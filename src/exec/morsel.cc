@@ -20,6 +20,16 @@ std::vector<Morsel> MakeRowMorsels(uint64_t num_rows, uint32_t zone_rows,
   return out;
 }
 
+std::vector<ScanSegment> CloneRowSegments(const Table* table,
+                                          const std::vector<Morsel>& morsels,
+                                          size_t instance, size_t stride) {
+  std::vector<ScanSegment> out;
+  for (size_t i = instance; i < morsels.size(); i += stride) {
+    out.push_back(ScanSegment{table, morsels[i].begin, morsels[i].end});
+  }
+  return out;
+}
+
 std::vector<Morsel> MakeRangeMorsels(const std::vector<GroupRange>& ranges,
                                      uint64_t target_rows) {
   std::vector<Morsel> out;

@@ -1,20 +1,20 @@
 // Morsels: the work units of parallel scans.
 //
-// A morsel plan is computed once at plan time and shared (read-only) by all
-// scan clones of a pipeline. Each clone walks a deterministic strided subset
-// (clone i takes morsels i, i+stride, i+2*stride, ...), so the rows a clone
-// processes — and therefore per-clone aggregate partials — do not depend on
-// runtime scheduling. Morsels are aligned to zone boundaries for plain
-// tables and to GroupRange boundaries for BDCC tables, so zone skipping and
-// group pruning compose with parallel execution.
+// A morsel plan is computed once at plan time. Each scan clone of a pipeline
+// gets the segments (see exec/scan.h) of a deterministic strided subset of
+// it (clone i takes morsels i, i+stride, i+2*stride, ...), so the rows a
+// clone processes — and therefore per-clone aggregate partials — do not
+// depend on runtime scheduling. Morsels are aligned to zone boundaries for
+// plain tables and to GroupRange boundaries for BDCC tables, so zone
+// skipping and group pruning compose with parallel execution.
 #ifndef BDCC_EXEC_MORSEL_H_
 #define BDCC_EXEC_MORSEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bdcc/scatter_scan.h"
+#include "exec/scan.h"
 
 namespace bdcc {
 namespace exec {
@@ -26,20 +26,16 @@ struct Morsel {
   uint64_t end = 0;
 };
 
-/// \brief Immutable, shareable list of morsels plus the strided view a
-/// single scan clone walks.
-struct MorselSet {
-  std::shared_ptr<const std::vector<Morsel>> morsels;
-  size_t offset = 0;  // first morsel index for this clone
-  size_t stride = 1;  // step between this clone's morsels
-
-  bool valid() const { return morsels != nullptr; }
-};
-
 /// Row morsels of ~`target_rows`, aligned up to multiples of `zone_rows`
 /// (pass 0 when the table has no zone maps).
 std::vector<Morsel> MakeRowMorsels(uint64_t num_rows, uint32_t zone_rows,
                                    uint64_t target_rows);
+
+/// The segments clone `instance` of `stride` scans over `table`: its row
+/// morsels instance, instance + stride, ..., one segment each.
+std::vector<ScanSegment> CloneRowSegments(const Table* table,
+                                          const std::vector<Morsel>& morsels,
+                                          size_t instance, size_t stride);
 
 /// GroupRange-index morsels: consecutive ranges are packed until a morsel
 /// covers ~`target_rows` physical rows. Never splits a range.

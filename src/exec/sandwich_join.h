@@ -1,11 +1,12 @@
 // Sandwich hash join over pre-partitioned (co-clustered) inputs [3].
 //
 // Both children must emit batches tagged with ascending group ids — the
-// aligned shared-dimension prefixes produced by BdccScan. Because the join
-// key functionally determines the shared dimension bins, matches only occur
-// within equal group ids, so the join builds one small per-group hash table
-// at a time: the peak memory is the largest group's build side instead of
-// the whole build input. This is the paper's central memory result (Fig. 3).
+// aligned shared-dimension prefixes a grouped SegmentScan emits (see
+// opt::GroupSegments). Because the join key functionally determines the
+// shared dimension bins, matches only occur within equal group ids, so the
+// join builds one small per-group hash table at a time: the peak memory is
+// the largest group's build side instead of the whole build input. This is
+// the paper's central memory result (Fig. 3).
 #ifndef BDCC_EXEC_SANDWICH_JOIN_H_
 #define BDCC_EXEC_SANDWICH_JOIN_H_
 

@@ -1,10 +1,8 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "common/bits.h"
 #include "exec/kernels/kernels.h"
 #include "storage/compression/encoded_column.h"
 
@@ -82,12 +80,10 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
   for (const BoundRowPred& p : bound_) {
     if (none_pass) break;
     const Column& col = table.column(p.col);
-    // i32-backed lanes may carry an encoded mirror; honor the mode.
+    // i32-backed lanes may carry an encoded mirror.
     const EncodedLane* enc =
-        (encoded_eval_ != EncodedEval::kOff && p.type != TypeId::kInt64 &&
-         p.type != TypeId::kFloat64)
-            ? col.encoded()
-            : nullptr;
+        p.type != TypeId::kInt64 && p.type != TypeId::kFloat64 ? col.encoded()
+                                                               : nullptr;
     switch (p.type) {
       case TypeId::kInt64:
         kernels::RangeMaskI64(col.i64().data() + begin, n, p.lo_i64,
@@ -99,11 +95,7 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
         break;
       case TypeId::kString: {
         const uint8_t* ok = p.code_ok.data();
-        if (enc != nullptr && encoded_eval_ == EncodedEval::kDecode) {
-          decoded_.resize(n);
-          enc->DecodeSpan(col.i32().data(), begin, end, decoded_.data());
-          kernels::VerdictMaskI32(decoded_.data(), n, ok, mask_.data());
-        } else if (enc != nullptr) {
+        if (enc != nullptr) {
           EncodedLane::SpanVerdict v = enc->VerdictMask(
               col.i32().data(), begin, end, ok, p.code_ok.size(),
               mask_.data());
@@ -117,12 +109,7 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
         break;
       }
       default: {
-        if (enc != nullptr && encoded_eval_ == EncodedEval::kDecode) {
-          decoded_.resize(n);
-          enc->DecodeSpan(col.i32().data(), begin, end, decoded_.data());
-          kernels::RangeMaskI32(decoded_.data(), n, p.lo_i32, p.hi_i32,
-                                mask_.data());
-        } else if (enc != nullptr) {
+        if (enc != nullptr) {
           EncodedLane::SpanVerdict v =
               enc->RangeMask(col.i32().data(), begin, end, p.lo_i32,
                              p.hi_i32, mask_.data());
@@ -138,6 +125,16 @@ void ScanFilterState::EvalSpan(const Table& table, uint64_t begin,
   }
   rel_sel->clear();
   if (!none_pass) kernels::MaskToSel(mask_.data(), n, 0, rel_sel);
+}
+
+// Point `out`'s string columns at `table`'s dictionaries.
+static void WireDicts(const Table& table, const std::vector<int>& col_idx,
+                      Batch* out) {
+  for (size_t c = 0; c < col_idx.size(); ++c) {
+    if (table.column(col_idx[c]).type() == TypeId::kString) {
+      out->columns[c].dict = table.column(col_idx[c]).dict();
+    }
+  }
 }
 
 Batch ScanFilterState::TakeBatch(const Table& table,
@@ -159,11 +156,7 @@ Batch ScanFilterState::TakeBatch(const Table& table,
       out.columns.push_back(std::move(v));
     }
   }
-  for (size_t c = 0; c < col_idx.size(); ++c) {
-    if (table.column(col_idx[c]).type() == TypeId::kString) {
-      out.columns[c].dict = table.column(col_idx[c]).dict();
-    }
-  }
+  WireDicts(table, col_idx, &out);
   return out;
 }
 
@@ -335,104 +328,127 @@ size_t EmitChunk(const Table& table, const std::vector<int>& col_idx,
   return n;
 }
 
-Status ResolveScan(const Table& table, const std::vector<std::string>& names,
-                   const std::vector<ScanPredicate>& preds,
-                   std::vector<int>* col_idx,
-                   std::vector<std::pair<int, ValueRange>>* bound_preds,
-                   Schema* schema) {
-  col_idx->clear();
-  bound_preds->clear();
-  std::vector<Field> fields;
-  for (const std::string& name : names) {
-    BDCC_ASSIGN_OR_RETURN(int idx, table.ColumnIndex(name));
-    col_idx->push_back(idx);
-    fields.push_back(Field{name, table.column(idx).type()});
+// Zone-map verdict for `zone` of `table` under the pushed predicates.
+enum class ZoneVerdict { kNone, kSome, kAll };
+
+ZoneVerdict ZoneMatch(const Table& table, uint64_t zone,
+                      const std::vector<std::pair<int, ValueRange>>& preds) {
+  bool all = true;
+  for (const auto& [col, range] : preds) {
+    const ZoneMap& zm = table.zone_map(col);
+    if (!zm.MayMatch(zone, range)) return ZoneVerdict::kNone;
+    all = all && zm.AllMatch(zone, range);
   }
-  for (const ScanPredicate& p : preds) {
-    BDCC_ASSIGN_OR_RETURN(int idx, table.ColumnIndex(p.column));
-    bound_preds->push_back({idx, p.range});
-  }
-  *schema = Schema(std::move(fields));
-  return Status::OK();
+  return all ? ZoneVerdict::kAll : ZoneVerdict::kSome;
 }
 
 }  // namespace
 
-// ---------------- PlainScan ----------------
+SegmentScan::SegmentScan(const Table* table, std::vector<std::string> columns,
+                         std::vector<ScanPredicate> zone_predicates)
+    : SegmentScan(table, std::move(columns), std::move(zone_predicates),
+                  {ScanSegment{table, 0, table->num_rows()}}) {}
 
-PlainScan::PlainScan(const Table* table, std::vector<std::string> columns,
-                     std::vector<ScanPredicate> zone_predicates)
+SegmentScan::SegmentScan(const Table* table, std::vector<std::string> columns,
+                         std::vector<ScanPredicate> zone_predicates,
+                         std::vector<ScanSegment> segments,
+                         uint64_t pruned_groups,
+                         std::shared_ptr<const void> pin)
     : table_(table),
       col_names_(std::move(columns)),
-      preds_(std::move(zone_predicates)) {}
+      preds_(std::move(zone_predicates)),
+      segments_(std::move(segments)),
+      pruned_groups_(pruned_groups),
+      pin_(std::move(pin)) {}
 
-Status PlainScan::Open(ExecContext* ctx) {
-  cursor_ = 0;
-  morsel_idx_ = morsels_.offset;
-  last_zone_counted_ = ~uint64_t{0};
+Status SegmentScan::Open(ExecContext* ctx) {
+  seg_idx_ = 0;
+  entered_ = false;
+  bound_ = nullptr;
+  zone_table_ = nullptr;
   filter_.ClearRecycled();
-  filter_.set_encoded_eval(encoded_eval_);
+  ctx->stats()->groups_pruned += pruned_groups_;
   if (row_filter_) {
     BDCC_RETURN_NOT_OK(filter_.Bind(*table_, preds_));
+    bound_ = table_;
   }
-  return ResolveScan(*table_, col_names_, preds_, &col_idx_, &bound_preds_,
-                     &schema_);
+  col_idx_.clear();
+  bound_preds_.clear();
+  std::vector<Field> fields;
+  for (const std::string& name : col_names_) {
+    BDCC_ASSIGN_OR_RETURN(int idx, table_->ColumnIndex(name));
+    col_idx_.push_back(idx);
+    fields.push_back(Field{name, table_->column(idx).type()});
+  }
+  for (const ScanPredicate& p : preds_) {
+    BDCC_ASSIGN_OR_RETURN(int idx, table_->ColumnIndex(p.column));
+    bound_preds_.push_back({idx, p.range});
+  }
+  schema_ = Schema(std::move(fields));
+  return Status::OK();
 }
 
-bool PlainScan::ZoneAllowed(uint64_t zone) const {
-  if (!table_->HasZoneMaps()) return true;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!table_->zone_map(col).MayMatch(zone, range)) return false;
+Result<Batch> SegmentScan::Next(ExecContext* ctx) {
+  // The batch draws dictionaries from, and is tagged with, the segment its
+  // rows come from.
+  const Table* src = table_;
+  int64_t gid = -1;
+  if (seg_idx_ < segments_.size()) {
+    src = segments_[seg_idx_].table;
+    gid = segments_[seg_idx_].group_id;
   }
-  return true;
-}
-
-bool PlainScan::ZoneAllMatch(uint64_t zone) const {
-  if (!table_->HasZoneMaps()) return false;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!table_->zone_map(col).AllMatch(zone, range)) return false;
-  }
-  return true;
-}
-
-Result<Batch> PlainScan::Next(ExecContext* ctx) {
-  uint64_t rows = table_->num_rows();
-  uint32_t zone_rows = table_->HasZoneMaps() ? table_->zone_rows() : 0;
-  Batch out = filter_.TakeBatch(*table_, col_idx_, schema_, ctx->batch_size());
+  Batch out = filter_.TakeBatch(*src, col_idx_, schema_, ctx->batch_size());
   SelBuilder selb;
   std::vector<uint32_t> rel_scratch;
   size_t appended = 0;
-  while (appended < ctx->batch_size()) {
+  while (appended < ctx->batch_size() && seg_idx_ < segments_.size()) {
     BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
-    uint64_t limit = rows;
-    if (morsels_.valid()) {
-      // Walk this clone's strided morsels; a batch may span morsels.
-      while (morsel_idx_ < morsels_.morsels->size()) {
-        const Morsel& m = (*morsels_.morsels)[morsel_idx_];
-        if (cursor_ < m.begin) cursor_ = m.begin;
-        if (cursor_ < m.end) break;
-        morsel_idx_ += morsels_.stride;
+    const ScanSegment& seg = segments_[seg_idx_];
+    if (!entered_) {
+      // A batch never mixes tables or group ids.
+      if (appended > 0 && (seg.table != src || seg.group_id != gid)) break;
+      if (seg.table != src) {
+        src = seg.table;
+        internal::WireDicts(*src, col_idx_, &out);
       }
-      if (morsel_idx_ >= morsels_.morsels->size()) break;
-      limit = (*morsels_.morsels)[morsel_idx_].end;
-    } else if (cursor_ >= rows) {
-      break;
+      gid = seg.group_id;
+      if (row_filter_ && seg.table != bound_) {
+        // String verdicts are per dictionary: re-bind for the new table.
+        BDCC_RETURN_NOT_OK(filter_.Bind(*seg.table, preds_));
+        bound_ = seg.table;
+      }
+      ExecStats* stats = ctx->stats();
+      if (seg.kind == ScanSegment::Kind::kGroup) stats->groups_read += 1;
+      if (seg.kind == ScanSegment::Kind::kDelta) stats->delta_chunks += 1;
+      cursor_ = seg.row_begin;
+      entered_ = true;
     }
-    uint64_t end = std::min(limit, cursor_ + (ctx->batch_size() - appended));
+    if (cursor_ >= seg.row_end) {
+      ++seg_idx_;
+      entered_ = false;
+      continue;
+    }
+    const Table& table = *seg.table;
+    uint64_t end =
+        std::min(seg.row_end, cursor_ + (ctx->batch_size() - appended));
     bool zone_all_match = false;
-    if (zone_rows != 0) {
-      uint64_t zone = cursor_ / zone_rows;
-      if (!ZoneAllowed(zone)) {
-        ctx->stats()->zones_skipped += 1;
-        cursor_ = (zone + 1) * zone_rows;
+    if (table.HasZoneMaps()) {
+      uint64_t zone = cursor_ / table.zone_rows();
+      uint64_t zone_end = (zone + 1) * table.zone_rows();
+      bool entering = &table != zone_table_ || zone != zone_;
+      zone_table_ = &table;
+      zone_ = zone;
+      ZoneVerdict verdict = ZoneMatch(table, zone, bound_preds_);
+      if (verdict == ZoneVerdict::kNone) {
+        // No row of the zone matches, so its rows in this segment can go
+        // even when the segment covers only part of the zone.
+        if (entering) ctx->stats()->zones_skipped += 1;
+        cursor_ = std::min(zone_end, seg.row_end);
         continue;
       }
-      if (zone != last_zone_counted_) {
-        ctx->stats()->zones_read += 1;
-        last_zone_counted_ = zone;
-      }
-      end = std::min<uint64_t>(end, (zone + 1) * zone_rows);
-      zone_all_match = ZoneAllMatch(zone);
+      if (entering) ctx->stats()->zones_read += 1;
+      end = std::min(end, zone_end);
+      zone_all_match = verdict == ZoneVerdict::kAll;
     }
     bool filtering = row_filter_ && filter_.active();
     // Zone maps proving every row passes short-circuit the chunk past
@@ -440,296 +456,28 @@ Result<Batch> PlainScan::Next(ExecContext* ctx) {
     if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
     if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
       ctx->stats()->faults_injected += 1;
-      return Status::IOError("injected decode fault (PlainScan chunk)");
+      return Status::IOError("injected decode fault (scan chunk)");
     }
-    uint64_t n = end - cursor_;
-    if (zero_copy_ && appended == 0 && n >= kMinViewRows &&
+    if (seg.kind == ScanSegment::Kind::kDelta) {
+      ctx->stats()->delta_rows_scanned += end - cursor_;
+    }
+    if (zero_copy_ && appended == 0 && end - cursor_ >= kMinViewRows &&
         (!filtering || zone_all_match)) {
-      ChargeSpan(*table_, col_idx_, cursor_, end, ctx);
-      MakeViews(*table_, col_idx_, cursor_, end, &out);
+      ChargeSpan(table, col_idx_, cursor_, end, ctx);
+      MakeViews(table, col_idx_, cursor_, end, &out);
       ctx->stats()->chunks_zero_copy += 1;
       cursor_ = end;
+      out.group_id = gid;
       return out;  // single-chunk borrowed batch
     }
-    appended += EmitChunk(*table_, col_idx_, cursor_, end,
+    appended += EmitChunk(table, col_idx_, cursor_, end,
                           filtering && !zone_all_match, &filter_, ctx, &out,
                           &selb, &rel_scratch);
     cursor_ = end;
   }
   selb.Finish(&out);
+  out.group_id = appended > 0 ? gid : -1;
   return out;  // empty == end-of-stream
-}
-
-// ---------------- BdccScan ----------------
-
-BdccScan::BdccScan(const BdccTable* table, std::vector<std::string> columns,
-                   std::vector<GroupRange> ranges,
-                   std::vector<ScanPredicate> zone_predicates,
-                   std::vector<GroupSpec> grouping, uint64_t pruned_groups)
-    : table_(table),
-      col_names_(std::move(columns)),
-      ranges_(std::move(ranges)),
-      preds_(std::move(zone_predicates)),
-      grouping_(std::move(grouping)),
-      pruned_groups_(pruned_groups) {}
-
-Status BdccScan::Open(ExecContext* ctx) {
-  range_idx_ = 0;
-  cursor_ = 0;
-  morsel_pos_ = morsels_.offset;
-  delta_idx_ = 0;
-  delta_cursor_ = 0;
-  delta_bound_ = -1;
-  main_done_ = false;
-  filter_.ClearRecycled();
-  // Morsel restriction addresses ranges by index, so grouped scans (which
-  // sort/coalesce below) must use group-id chunking instead.
-  BDCC_CHECK(!morsels_.valid() || grouping_.empty());
-  // The delta is unclustered: grouped emission over it is impossible (the
-  // planner must not hand a grouped scan a delta leg).
-  BDCC_CHECK(delta_chunks_.empty() || grouping_.empty());
-  ctx->stats()->groups_pruned += pruned_groups_;
-  filter_.set_encoded_eval(encoded_eval_);
-  if (row_filter_) {
-    BDCC_RETURN_NOT_OK(filter_.Bind(table_->data(), preds_));
-  }
-  BDCC_RETURN_NOT_OK(ResolveScan(table_->data(), col_names_, preds_,
-                                 &col_idx_, &bound_preds_, &schema_));
-  // Grouped emission must present group ids in ascending order (sandwich
-  // operators align on them). Sort by the *emitted* id — the aligned shared
-  // prefix — not the full dimension bits; a stable sort keeps physical
-  // (key) order within each group for better coalescing below.
-  if (!grouping_.empty()) {
-    std::stable_sort(ranges_.begin(), ranges_.end(),
-                     [&](const GroupRange& a, const GroupRange& b) {
-                       return GroupIdOf(a.key) < GroupIdOf(b.key);
-                     });
-  }
-  // Coalesce physically contiguous ranges that share a group id so batches
-  // are not fragmented at count-table group boundaries (for an ungrouped
-  // scan every contiguous run merges into one span). Skipped under a morsel
-  // restriction, whose spans address the ranges by index.
-  if (!ranges_.empty() && !morsels_.valid()) {
-    std::vector<GroupRange> merged;
-    merged.reserve(ranges_.size());
-    int64_t last_gid = 0;
-    for (const GroupRange& r : ranges_) {
-      int64_t gid = GroupIdOf(r.key);
-      if (!merged.empty() && merged.back().row_end == r.row_begin &&
-          last_gid == gid) {
-        merged.back().row_end = r.row_end;
-      } else {
-        merged.push_back(r);
-        last_gid = gid;
-      }
-    }
-    ranges_ = std::move(merged);
-  }
-  return Status::OK();
-}
-
-bool BdccScan::ZoneAllowedIn(const Table& data, uint64_t zone) const {
-  if (!data.HasZoneMaps()) return true;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!data.zone_map(col).MayMatch(zone, range)) return false;
-  }
-  return true;
-}
-
-bool BdccScan::ZoneAllMatchIn(const Table& data, uint64_t zone) const {
-  if (!data.HasZoneMaps()) return false;
-  for (const auto& [col, range] : bound_preds_) {
-    if (!data.zone_map(col).AllMatch(zone, range)) return false;
-  }
-  return true;
-}
-
-bool BdccScan::ZoneAllowed(uint64_t zone) const {
-  return ZoneAllowedIn(table_->data(), zone);
-}
-
-bool BdccScan::ZoneAllMatch(uint64_t zone) const {
-  return ZoneAllMatchIn(table_->data(), zone);
-}
-
-int64_t GroupIdForKey(const BdccTable& table,
-                      const std::vector<GroupSpec>& grouping, uint64_t key) {
-  if (grouping.empty()) return -1;
-  int64_t gid = 0;
-  for (const GroupSpec& g : grouping) {
-    uint64_t mask = table.ReducedMask(g.use_idx);
-    int own_bits = bits::Ones(mask);
-    uint64_t prefix = bits::ExtractBits(key, mask);
-    BDCC_CHECK(g.shared_bits <= own_bits);
-    gid = (gid << g.shared_bits) |
-          static_cast<int64_t>(prefix >> (own_bits - g.shared_bits));
-  }
-  return gid;
-}
-
-int64_t BdccScan::GroupIdOf(uint64_t key) const {
-  return GroupIdForKey(*table_, grouping_, key);
-}
-
-Result<Batch> BdccScan::Next(ExecContext* ctx) {
-  if (main_done_) return NextDelta(ctx);
-  const Table& data = table_->data();
-  uint32_t zone_rows = data.HasZoneMaps() ? data.zone_rows() : 0;
-  Batch out = filter_.TakeBatch(data, col_idx_, schema_, ctx->batch_size());
-  SelBuilder selb;
-  std::vector<uint32_t> rel_scratch;
-  size_t appended = 0;
-  int64_t batch_gid = -2;  // unset sentinel
-  while (appended < ctx->batch_size()) {
-    BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
-    if (morsels_.valid()) {
-      // Walk this clone's strided morsels of range indices.
-      while (morsel_pos_ < morsels_.morsels->size()) {
-        const Morsel& m = (*morsels_.morsels)[morsel_pos_];
-        if (range_idx_ < m.begin) {
-          range_idx_ = m.begin;
-          cursor_ = 0;
-        }
-        if (range_idx_ < m.end) break;
-        morsel_pos_ += morsels_.stride;
-      }
-      if (morsel_pos_ >= morsels_.morsels->size()) break;
-    } else if (range_idx_ >= ranges_.size()) {
-      break;
-    }
-    const GroupRange& range = ranges_[range_idx_];
-    // A batch never mixes group ids (sandwich alignment contract); ranges
-    // are id-sorted, so we only ever cut at id boundaries.
-    int64_t gid = GroupIdOf(range.key);
-    if (batch_gid != -2 && gid != batch_gid) break;
-    if (cursor_ == 0) {
-      cursor_ = range.row_begin;
-      ctx->stats()->groups_read += 1;
-    }
-    if (cursor_ >= range.row_end) {
-      ++range_idx_;
-      cursor_ = 0;
-      continue;
-    }
-    uint64_t end =
-        std::min(range.row_end, cursor_ + (ctx->batch_size() - appended));
-    bool zone_all_match = false;
-    if (zone_rows != 0) {
-      uint64_t zone = cursor_ / zone_rows;
-      uint64_t zone_begin = zone * zone_rows;
-      uint64_t zone_end = (zone + 1) * zone_rows;
-      // Skip zones lying fully inside the range when MinMax excludes them.
-      if (zone_begin >= range.row_begin && zone_end <= range.row_end &&
-          !ZoneAllowed(zone)) {
-        ctx->stats()->zones_skipped += 1;
-        cursor_ = zone_end;
-        continue;
-      }
-      end = std::min(end, zone_end);
-      ctx->stats()->zones_read += 1;
-      zone_all_match = ZoneAllMatch(zone);
-    }
-    bool filtering = row_filter_ && filter_.active();
-    if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
-    if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
-      ctx->stats()->faults_injected += 1;
-      return Status::IOError("injected decode fault (BdccScan chunk)");
-    }
-    if (zero_copy_ && appended == 0 && end - cursor_ >= kMinViewRows &&
-        (!filtering || zone_all_match)) {
-      ChargeSpan(data, col_idx_, cursor_, end, ctx);
-      MakeViews(data, col_idx_, cursor_, end, &out);
-      ctx->stats()->chunks_zero_copy += 1;
-      cursor_ = end;
-      out.group_id = grouping_.empty() ? -1 : gid;
-      return out;  // single-chunk borrowed batch
-    }
-    size_t added =
-        EmitChunk(data, col_idx_, cursor_, end, filtering && !zone_all_match,
-                  &filter_, ctx, &out, &selb, &rel_scratch);
-    appended += added;
-    // Only chunks that contributed rows pin the batch's group id; a fully
-    // filtered group simply emits nothing (like a zone-skipped one).
-    if (added > 0) batch_gid = gid;
-    cursor_ = end;
-  }
-  selb.Finish(&out);
-  out.group_id = batch_gid == -2 ? -1 : batch_gid;
-  if (grouping_.empty()) out.group_id = -1;
-  if (out.num_rows == 0 && !delta_chunks_.empty()) {
-    // Clustered leg drained without producing a batch: hand off to the
-    // delta-side leg (never mixing legs inside one batch).
-    main_done_ = true;
-    filter_.Recycle(std::move(out), schema_);
-    return NextDelta(ctx);
-  }
-  return out;
-}
-
-Result<Batch> BdccScan::NextDelta(ExecContext* ctx) {
-  std::vector<uint32_t> rel_scratch;
-  while (delta_idx_ < delta_chunks_.size()) {
-    const Table& chunk = *delta_chunks_[delta_idx_];
-    uint64_t rows = chunk.num_rows();
-    if (rows == 0) {
-      ++delta_idx_;
-      delta_cursor_ = 0;
-      continue;
-    }
-    if (delta_bound_ != static_cast<int>(delta_idx_)) {
-      // Entering this chunk: re-bind string verdict tables to its private
-      // dictionaries (numeric bounds re-bind for free).
-      if (row_filter_) BDCC_RETURN_NOT_OK(filter_.Bind(chunk, preds_));
-      delta_bound_ = static_cast<int>(delta_idx_);
-      ctx->stats()->delta_chunks += 1;
-    }
-    // TakeBatch wires output dictionaries from `chunk`, and the batch ends
-    // at the chunk boundary — downstream never sees mixed dictionary
-    // sources inside one batch.
-    Batch out = filter_.TakeBatch(chunk, col_idx_, schema_, ctx->batch_size());
-    SelBuilder selb;
-    size_t appended = 0;
-    uint32_t zone_rows = chunk.HasZoneMaps() ? chunk.zone_rows() : 0;
-    while (appended < ctx->batch_size() && delta_cursor_ < rows) {
-      BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
-      uint64_t end =
-          std::min(rows, delta_cursor_ + (ctx->batch_size() - appended));
-      bool zone_all_match = false;
-      if (zone_rows != 0) {
-        uint64_t zone = delta_cursor_ / zone_rows;
-        if (!ZoneAllowedIn(chunk, zone)) {
-          ctx->stats()->zones_skipped += 1;
-          delta_cursor_ = std::min<uint64_t>(rows, (zone + 1) * zone_rows);
-          continue;
-        }
-        end = std::min<uint64_t>(end, (zone + 1) * zone_rows);
-        ctx->stats()->zones_read += 1;
-        zone_all_match = ZoneAllMatchIn(chunk, zone);
-      }
-      bool filtering = row_filter_ && filter_.active();
-      if (filtering && zone_all_match) ctx->stats()->decodes_skipped += 1;
-      if (BDCC_UNLIKELY(fault::ShouldFail(fault::kScanDecode))) {
-        ctx->stats()->faults_injected += 1;
-        return Status::IOError("injected decode fault (BdccScan delta chunk)");
-      }
-      ctx->stats()->delta_rows_scanned += end - delta_cursor_;
-      appended += EmitChunk(chunk, col_idx_, delta_cursor_, end,
-                            filtering && !zone_all_match, &filter_, ctx, &out,
-                            &selb, &rel_scratch);
-      delta_cursor_ = end;
-    }
-    if (delta_cursor_ >= rows) {
-      ++delta_idx_;
-      delta_cursor_ = 0;
-    }
-    if (selb.logical_rows() > 0 || appended > 0) {
-      selb.Finish(&out);
-      return out;
-    }
-    filter_.Recycle(std::move(out), schema_);  // fully filtered: next chunk
-  }
-  // End of stream: an empty batch typed per the schema (base dictionaries).
-  return filter_.TakeBatch(table_->data(), col_idx_, schema_, 0);
 }
 
 }  // namespace exec

@@ -1,11 +1,14 @@
-// Table scans: plain (zone-map pruned) and BDCC (group-pruned, optionally
-// group-ordered for sandwich consumers). Both charge simulated I/O through
-// the buffer pool when the table is registered with one.
+// Table scans. One operator, SegmentScan, reads a list of row segments: a
+// whole plain table, the (pruned, possibly group-ordered) group ranges of a
+// BDCC table, and the delta chunks of a live snapshot. Segments skip zones
+// their MinMax zone maps rule out, and every read charges simulated I/O
+// through the buffer pool when the table is registered with one.
 //
 // Scans optionally enforce their sargable predicates *row-level* (planner
 // pushdown): each zone-bounded chunk is evaluated with typed, branch-free
-// kernels directly over the storage lanes (string ranges pre-resolved to a
-// per-dictionary-code verdict table at Open), then
+// kernels directly over the storage lanes (over a column's encoded lane
+// when the table built one; string ranges pre-resolved to a
+// per-dictionary-code verdict table), then
 //  - fully-passing chunks bulk-append as before,
 //  - fully-failing chunks append nothing (no copy at all),
 //  - dense partial chunks bulk-append and attach a selection vector,
@@ -15,14 +18,13 @@
 #ifndef BDCC_EXEC_SCAN_H_
 #define BDCC_EXEC_SCAN_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bdcc/bdcc_table.h"
-#include "bdcc/scatter_scan.h"
-#include "exec/morsel.h"
 #include "exec/operator.h"
+#include "storage/table.h"
 #include "storage/zonemap.h"
 
 namespace bdcc {
@@ -34,15 +36,6 @@ struct ScanPredicate {
   std::string column;
   ValueRange range;
 };
-
-/// How scan predicates use a column's encoded mirror (Table::
-/// BuildEncodedLanes) when one exists:
-///  kAuto   — evaluate directly over the encoded blocks (one comparison per
-///            RLE run, unpack-compare for bit-packed spans);
-///  kOff    — ignore the encoding, evaluate over the flat lane;
-///  kDecode — decode the span to scratch first, then evaluate flat (the
-///            baseline the benches compare kAuto against).
-enum class EncodedEval { kAuto, kOff, kDecode };
 
 namespace internal {
 
@@ -66,16 +59,16 @@ struct BoundRowPred {
 /// and batch recycling.
 class ScanFilterState {
  public:
-  /// Resolve `preds` against `table`'s columns (call at Open).
+  /// Resolve `preds` against `table`'s columns (call at Open and whenever
+  /// the scanned table, and so its dictionaries, changes).
   Status Bind(const Table& table, const std::vector<ScanPredicate>& preds);
 
   bool active() const { return !bound_.empty(); }
 
-  void set_encoded_eval(EncodedEval mode) { encoded_eval_ = mode; }
-
-  /// Evaluate all predicates over storage rows [begin, end); selected
-  /// chunk-relative indices land in `rel_sel` (scratch reused across calls).
-  /// `ctx` takes the encoded-span stats.
+  /// Evaluate all predicates over storage rows [begin, end), over a
+  /// column's encoded lane when it has one; selected chunk-relative indices
+  /// land in `rel_sel` (scratch reused across calls). `ctx` takes the
+  /// encoded-span stats.
   void EvalSpan(const Table& table, uint64_t begin, uint64_t end,
                 ExecContext* ctx, std::vector<uint32_t>* rel_sel);
 
@@ -89,9 +82,7 @@ class ScanFilterState {
 
  private:
   std::vector<BoundRowPred> bound_;
-  EncodedEval encoded_eval_ = EncodedEval::kOff;
-  std::vector<uint8_t> mask_;      // scratch
-  std::vector<int32_t> decoded_;   // scratch (kDecode baseline)
+  std::vector<uint8_t> mask_;  // scratch
   std::vector<Batch> recycled_;
 };
 
@@ -103,7 +94,6 @@ class SelBuilder {
   void AddDense(size_t base, size_t n);
   /// Bulk-appended chunk of which only `rel` (chunk-relative) are selected.
   void AddPartial(size_t base, const std::vector<uint32_t>& rel);
-  size_t logical_rows() const { return logical_; }
   /// Install num_rows/sel on `out` (physical = rows actually appended).
   void Finish(Batch* out);
 
@@ -115,11 +105,44 @@ class SelBuilder {
 
 }  // namespace internal
 
-/// \brief Sequential scan over a plain table with MinMax zone skipping.
-class PlainScan : public Operator {
+/// A run of rows [row_begin, row_end) of one table that a scan reads.
+struct ScanSegment {
+  /// What entering the segment counts in ExecStats.
+  enum class Kind : uint8_t {
+    kRows,   // a plain table or a morsel of one: nothing
+    kGroup,  // BDCC group ranges: groups_read
+    kDelta,  // a live table's delta chunk: delta_chunks, delta_rows_scanned
+  };
+  const Table* table = nullptr;
+  uint64_t row_begin = 0;
+  uint64_t row_end = 0;
+  /// Tag for sandwich consumers (-1 = untagged).
+  int64_t group_id = -1;
+  Kind kind = Kind::kRows;
+};
+
+/// \brief Scan over a list of segments. A plain or PK table is one segment;
+/// a BDCC scan reads its pruned group ranges (see opt::GroupSegments); a
+/// live snapshot adds one segment per delta chunk.
+///
+/// Segments are read in order. A batch never mixes tables (string columns
+/// carry per-table dictionaries) or group ids, so grouped emission stays
+/// aligned for sandwich operators. Zones the zone maps rule out are skipped
+/// within each segment, and each zone entered counts once in zones_read or
+/// zones_skipped.
+class SegmentScan : public Operator {
  public:
-  PlainScan(const Table* table, std::vector<std::string> columns,
-            std::vector<ScanPredicate> zone_predicates = {});
+  /// Scan every row of `table`.
+  SegmentScan(const Table* table, std::vector<std::string> columns,
+              std::vector<ScanPredicate> zone_predicates = {});
+  /// Scan `segments`. `table` names the columns; segments over other
+  /// tables (delta chunks) must share its column schema. `pruned_groups`
+  /// is added to ExecStats::groups_pruned at Open, and `pin` keeps the
+  /// segments' tables (a live snapshot) alive for the scan's lifetime.
+  SegmentScan(const Table* table, std::vector<std::string> columns,
+              std::vector<ScanPredicate> zone_predicates,
+              std::vector<ScanSegment> segments, uint64_t pruned_groups = 0,
+              std::shared_ptr<const void> pin = nullptr);
 
   const Schema& schema() const override { return schema_; }
   Status Open(ExecContext* ctx) override;
@@ -133,140 +156,33 @@ class PlainScan : public Operator {
   /// selection vectors / gathered rows). Call before Open.
   void EnableRowFilter(bool on) { row_filter_ = on; }
 
-  /// Evaluate pushed predicates over encoded lanes per `mode` (when the
-  /// table has them; see EncodedEval). Call before Open.
-  void SetEncodedEval(EncodedEval mode) { encoded_eval_ = mode; }
-
   /// Emit zone-sized chunks the zone maps prove fully-passing (or any chunk
   /// when no filter is enforced) as zero-copy views over the storage lanes
   /// instead of copying. Call before Open; consumers must honor the
   /// ColumnVector view contract (see exec/batch.h).
   void EnableZeroCopy(bool on) { zero_copy_ = on; }
 
-  /// Restrict this scan to a strided subset of row morsels (parallel clone
-  /// path; see exec/morsel.h). Call before Open.
-  void RestrictToMorsels(MorselSet morsels) { morsels_ = std::move(morsels); }
-
  private:
-  bool ZoneAllowed(uint64_t zone) const;
-  bool ZoneAllMatch(uint64_t zone) const;
-
   const Table* table_;
   std::vector<std::string> col_names_;
   std::vector<ScanPredicate> preds_;
+  std::vector<ScanSegment> segments_;
+  uint64_t pruned_groups_ = 0;
+  std::shared_ptr<const void> pin_;
   std::vector<int> col_idx_;
   std::vector<std::pair<int, ValueRange>> bound_preds_;
   Schema schema_;
-  MorselSet morsels_;
-  size_t morsel_idx_ = 0;
-  uint64_t cursor_ = 0;
-  uint64_t last_zone_counted_ = ~uint64_t{0};
+  size_t seg_idx_ = 0;
+  bool entered_ = false;  // whether segments_[seg_idx_] has been entered
+  uint64_t cursor_ = 0;   // next row of the current segment
+  const Table* bound_ = nullptr;  // table the row filter is bound to
+  // Last zone entered, so a zone split by batches or segments counts once.
+  const Table* zone_table_ = nullptr;
+  uint64_t zone_ = 0;
   bool row_filter_ = false;
   bool zero_copy_ = false;
-  EncodedEval encoded_eval_ = EncodedEval::kOff;
   internal::ScanFilterState filter_;
 };
-
-/// How a BDCC scan should tag batches for sandwich consumers: group id is
-/// the concatenation of the listed uses' aligned bin prefixes.
-struct GroupSpec {
-  size_t use_idx = 0;
-  int shared_bits = 0;
-};
-
-/// \brief Scan over a BDCC table driven by (pruned, possibly reordered)
-/// group ranges from the scatter-scan planner.
-class BdccScan : public Operator {
- public:
-  BdccScan(const BdccTable* table, std::vector<std::string> columns,
-           std::vector<GroupRange> ranges,
-           std::vector<ScanPredicate> zone_predicates = {},
-           std::vector<GroupSpec> grouping = {}, uint64_t pruned_groups = 0);
-
-  const Schema& schema() const override { return schema_; }
-  Status Open(ExecContext* ctx) override;
-  Result<Batch> Next(ExecContext* ctx) override;
-  void Close(ExecContext* ctx) override { filter_.ClearRecycled(); }
-  void Recycle(Batch&& batch) override {
-    filter_.Recycle(std::move(batch), schema_);
-  }
-
-  /// Enforce the zone predicates row-level inside the scan. Call before
-  /// Open.
-  void EnableRowFilter(bool on) { row_filter_ = on; }
-
-  /// Evaluate pushed predicates over encoded lanes per `mode`. Call before
-  /// Open.
-  void SetEncodedEval(EncodedEval mode) { encoded_eval_ = mode; }
-
-  /// Emit provably fully-passing chunks as zero-copy views (see PlainScan::
-  /// EnableZeroCopy). Call before Open.
-  void EnableZeroCopy(bool on) { zero_copy_ = on; }
-
-  /// Group id a given reduced key maps to under `grouping`.
-  int64_t GroupIdOf(uint64_t key) const;
-
-  /// Restrict this scan to a strided subset of GroupRange-index morsels
-  /// (parallel clone path). Only valid for ungrouped scans — grouped scans
-  /// parallelize by group-id chunking instead. Call before Open.
-  void RestrictToMorsels(MorselSet morsels) { morsels_ = std::move(morsels); }
-
-  /// Attach the delta-side leg of a live-table snapshot: once the clustered
-  /// ranges drain, the scan walks `chunks` (sealed delta chunk tables in the
-  /// base data()'s column schema) under the same zone pruning and row-level
-  /// sarg filtering. Batches are cut at chunk boundaries and string verdicts
-  /// are re-bound per chunk — every chunk carries its own dictionaries (see
-  /// src/delta/delta_store.h). `pin` keeps the snapshot (base version +
-  /// chunks) alive for the scan's lifetime; `table` passed to the
-  /// constructor must be that snapshot's base. Only valid for ungrouped
-  /// scans (the delta is unclustered, so grouped emission is impossible —
-  /// the planner falls back to ungrouped plans while a delta is live). Call
-  /// before Open.
-  void AttachDelta(std::shared_ptr<const void> pin,
-                   std::vector<const Table*> chunks) {
-    delta_pin_ = std::move(pin);
-    delta_chunks_ = std::move(chunks);
-  }
-
- private:
-  bool ZoneAllowed(uint64_t zone) const;
-  bool ZoneAllMatch(uint64_t zone) const;
-  bool ZoneAllowedIn(const Table& data, uint64_t zone) const;
-  bool ZoneAllMatchIn(const Table& data, uint64_t zone) const;
-  Result<Batch> NextDelta(ExecContext* ctx);
-
-  const BdccTable* table_;
-  std::vector<std::string> col_names_;
-  std::vector<GroupRange> ranges_;
-  std::vector<ScanPredicate> preds_;
-  std::vector<GroupSpec> grouping_;
-  uint64_t pruned_groups_;
-  std::vector<int> col_idx_;
-  std::vector<std::pair<int, ValueRange>> bound_preds_;
-  Schema schema_;
-  MorselSet morsels_;
-  size_t morsel_pos_ = 0;
-  size_t range_idx_ = 0;
-  uint64_t cursor_ = 0;  // within current range
-  bool row_filter_ = false;
-  bool zero_copy_ = false;
-  EncodedEval encoded_eval_ = EncodedEval::kOff;
-  internal::ScanFilterState filter_;
-  // Delta-side leg (AttachDelta): snapshot pin, chunk walk state, and the
-  // chunk the filter's dictionary verdicts are currently bound to.
-  std::shared_ptr<const void> delta_pin_;
-  std::vector<const Table*> delta_chunks_;
-  size_t delta_idx_ = 0;
-  uint64_t delta_cursor_ = 0;
-  int delta_bound_ = -1;
-  bool main_done_ = false;
-};
-
-/// Group id `key` maps to under `grouping` (-1 when grouping is empty):
-/// the concatenation of each use's aligned bin prefix, major first. Shared
-/// by BdccScan and the planner's group-chunked parallel pipelines.
-int64_t GroupIdForKey(const BdccTable& table,
-                      const std::vector<GroupSpec>& grouping, uint64_t key);
 
 }  // namespace exec
 }  // namespace bdcc

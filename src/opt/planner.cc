@@ -35,6 +35,43 @@ const char* SchemeName(Scheme scheme) {
   return "?";
 }
 
+std::vector<exec::ScanSegment> GroupSegments(
+    const BdccTable& table, std::vector<GroupRange> ranges,
+    const std::vector<GroupSpec>& grouping) {
+  std::vector<std::pair<int64_t, GroupRange>> tagged;
+  tagged.reserve(ranges.size());
+  for (const GroupRange& r : ranges) {
+    tagged.emplace_back(GroupIdForKey(table, grouping, r.key), r);
+  }
+  if (!grouping.empty()) {
+    std::stable_sort(tagged.begin(), tagged.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+  }
+  std::vector<exec::ScanSegment> out;
+  for (const auto& [gid, r] : tagged) {
+    if (!out.empty() && out.back().row_end == r.row_begin &&
+        out.back().group_id == gid) {
+      out.back().row_end = r.row_end;
+    } else {
+      out.push_back(exec::ScanSegment{&table.data(), r.row_begin, r.row_end,
+                                      gid, exec::ScanSegment::Kind::kGroup});
+    }
+  }
+  return out;
+}
+
+std::vector<exec::ScanSegment> DeltaSegments(
+    const delta::TableSnapshot& snap) {
+  std::vector<exec::ScanSegment> out;
+  for (const auto& chunk : snap.chunks) {
+    out.push_back(exec::ScanSegment{&chunk->data(), 0, chunk->num_rows(), -1,
+                                    exec::ScanSegment::Kind::kDelta});
+  }
+  return out;
+}
+
 namespace {
 
 /// Drops the `shift` minor bits of the group tag so a (major..minor) grouped
@@ -68,12 +105,13 @@ struct AbsorbedTable {
 //
 // When PlannerOptions::num_threads > 1, scan chains additionally carry a
 // *leaf factory*: a closure that instantiates another copy of the chain
-// restricted to one clone's share of the work. Two restriction modes exist:
-//  - morsel mode (ungrouped scans): clone i walks a deterministic strided
-//    subset of the shared morsel plan;
-//  - group-id mode (grouped BDCC scans): the clone scans only the ranges
+// over one clone's share of the segments. Two ways of sharing exist:
+//  - morsel mode (ungrouped scans): clone i reads the segments of a
+//    deterministic strided subset of the morsel plan;
+//  - group-id mode (grouped BDCC scans): the clone reads only the segments
 //    whose group id falls in [gid_lo, gid_hi], so sandwich operators can be
 //    chunked with both sides aligned on the same group-id span.
+// Either way a live table's delta chunks are strided across the clones.
 
 /// Rows per morsel; zone-aligned for plain tables, a pack target for
 /// GroupRange morsels.
@@ -120,7 +158,7 @@ struct SubPlan {
   const LogicalNode* base_scan = nullptr;  // set for scan-chains
   std::string sorted_on;
   const BdccTable* grouped_base = nullptr;
-  std::vector<exec::GroupSpec> grouping;  // major..minor
+  std::vector<GroupSpec> grouping;  // major..minor
   std::vector<AbsorbedTable> absorbed;
 
   // Parallel-clone support (empty/0 unless num_threads > 1 and the subplan
@@ -133,7 +171,7 @@ struct SubPlan {
 
 struct GroupRequest {
   std::vector<size_t> order;  // scatter-scan use order (major first)
-  std::vector<exec::GroupSpec> specs;
+  std::vector<GroupSpec> specs;
 };
 
 // Chain of Filter nodes over a Scan?
@@ -278,38 +316,35 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
                                        [](const Sarg& s) {
                                          return s.row_expr == nullptr;
                                        });
-  exec::EncodedEval encoded_eval = opts_.enable_encoded_exec
-                                       ? exec::EncodedEval::kAuto
-                                       : exec::EncodedEval::kOff;
-  bool zero_copy = opts_.enable_zero_copy_views;
   std::vector<exec::ExprPtr> conjuncts;
   for (const Sarg& s : scan.sargs) {
     if (scan_filters_rows && s.row_expr == nullptr) continue;
     conjuncts.push_back(SargRowExpr(s));
   }
   if (scan.residual) conjuncts.push_back(scan.residual);
-  auto add_filter = [&conjuncts](exec::OperatorPtr op) -> exec::OperatorPtr {
-    if (conjuncts.empty()) return op;
-    return std::make_unique<exec::Filter>(std::move(op),
-                                          exec::AndAll(conjuncts));
-  };
 
   SubPlan out;
+  // The serial scan reads `segments` then `delta`; parallel clones read a
+  // strided share of `morsels` (ungrouped) or the segments whose group ids
+  // fall in their span (grouped), plus a strided share of `delta`.
+  std::vector<exec::ScanSegment> segments;
+  std::vector<exec::ScanSegment> delta;
+  std::vector<std::vector<exec::ScanSegment>> morsels;
+  std::shared_ptr<const delta::TableSnapshot> snap;
+  uint64_t pruned = 0;
+  bool parallel = opts_.num_threads > 1;
   const BdccTable* bt =
       db_.scheme() == Scheme::kBdcc ? db_.bdcc(scan.table) : nullptr;
   if (bt != nullptr) {
-    // Live table: pin the db's snapshot and collect the delta-side chunk
-    // tables. The pin (copied into every scan leaf) keeps the base version
-    // and chunks alive for the plan's whole lifetime.
-    std::shared_ptr<const delta::TableSnapshot> snap = db_.snapshot(scan.table);
-    std::vector<const Table*> delta_tables;
+    // Live table: pin the db's snapshot (the pin, copied into every scan
+    // leaf, keeps the base version and chunks alive for the plan's whole
+    // lifetime) and read its delta chunks after the clustered base.
+    snap = db_.snapshot(scan.table);
     if (snap != nullptr) {
       BDCC_CHECK(snap->base.get() == bt);  // snapshot()/bdcc() must agree
-      for (const auto& chunk : snap->chunks) {
-        delta_tables.push_back(&chunk->data());
-      }
+      delta = DeltaSegments(*snap);
     }
-    if (!delta_tables.empty() && req != nullptr) {
+    if (!delta.empty() && req != nullptr) {
       // Callers gate grouped requests on LiveDelta(); reaching here means a
       // sandwich site missed the gate.
       return Status::Internal("grouped scan requested over live table " +
@@ -335,124 +370,87 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
              bt->uses()[r.use_idx].dimension->name() + " (" + r.source + ")");
       }
     }
-    uint64_t pruned = before - ranges.size();
-    std::vector<exec::GroupSpec> grouping =
-        req != nullptr ? req->specs : std::vector<exec::GroupSpec>{};
-
-    if (opts_.num_threads > 1) {
-      auto shared_ranges =
-          std::make_shared<const std::vector<GroupRange>>(ranges);
-      out.leaf_rows = bt->data().num_rows();
-      std::shared_ptr<const std::vector<exec::Morsel>> morsels;
-      if (grouping.empty()) {
-        morsels = std::make_shared<const std::vector<exec::Morsel>>(
-            exec::MakeRangeMorsels(*shared_ranges, kMorselRows));
-      } else {
-        // Group-id mode: record the ascending distinct group ids so callers
-        // can chunk sandwich pipelines.
-        auto gids = std::make_shared<std::vector<int64_t>>();
-        for (const GroupRange& r : *shared_ranges) {
-          gids->push_back(exec::GroupIdForKey(*bt, grouping, r.key));
-        }
-        std::sort(gids->begin(), gids->end());
-        gids->erase(std::unique(gids->begin(), gids->end()), gids->end());
-        out.leaf_gids = std::move(gids);
-      }
-      out.leaf_factory = [bt, cols = scan.columns, shared_ranges, zone_preds,
-                          grouping, pruned, morsels, conjuncts,
-                          scan_filters_rows, encoded_eval, zero_copy, snap,
-                          delta_tables](
-                             const LeafClone& c) -> Result<exec::OperatorPtr> {
-        std::vector<GroupRange> clone_ranges;
-        if (c.gid_lo >= 0) {
-          for (const GroupRange& r : *shared_ranges) {
-            int64_t g = exec::GroupIdForKey(*bt, grouping, r.key);
-            if (g >= c.gid_lo && g <= c.gid_hi) clone_ranges.push_back(r);
-          }
-        } else {
-          BDCC_CHECK(grouping.empty());
-          clone_ranges = *shared_ranges;
-        }
-        auto scan_op = std::make_unique<exec::BdccScan>(
-            bt, cols, std::move(clone_ranges), zone_preds, grouping,
-            c.instance == 0 ? pruned : 0);
-        scan_op->EnableRowFilter(scan_filters_rows);
-        scan_op->SetEncodedEval(encoded_eval);
-        scan_op->EnableZeroCopy(zero_copy);
-        if (c.gid_lo < 0 && morsels != nullptr) {
-          scan_op->RestrictToMorsels(
-              exec::MorselSet{morsels, c.instance, c.total});
-        }
-        if (!delta_tables.empty()) {
-          // Stride whole chunks across clones: chunks are disjoint, so the
-          // union over clones covers the delta exactly once.
-          std::vector<const Table*> clone_chunks;
-          for (size_t i = c.instance; i < delta_tables.size(); i += c.total) {
-            clone_chunks.push_back(delta_tables[i]);
-          }
-          scan_op->AttachDelta(snap, std::move(clone_chunks));
-        }
-        exec::OperatorPtr op = std::move(scan_op);
-        if (!conjuncts.empty()) {
-          op = std::make_unique<exec::Filter>(std::move(op),
-                                              exec::AndAll(conjuncts));
-        }
-        return op;
-      };
-    }
-
-    auto bdcc_scan = std::make_unique<exec::BdccScan>(
-        bt, scan.columns, std::move(ranges), zone_preds, grouping, pruned);
-    bdcc_scan->EnableRowFilter(scan_filters_rows);
-    bdcc_scan->SetEncodedEval(encoded_eval);
-    bdcc_scan->EnableZeroCopy(zero_copy);
-    if (!delta_tables.empty()) {
-      bdcc_scan->AttachDelta(snap, delta_tables);
-      Note("delta leg: " + scan.table + " + " +
-           std::to_string(delta_tables.size()) + " chunk(s), " +
-           std::to_string(snap->delta_rows) + " rows @epoch " +
-           std::to_string(snap->epoch));
-    }
-    out.op = add_filter(std::move(bdcc_scan));
+    pruned = before - ranges.size();
     if (req != nullptr) {
       out.grouped_base = bt;
       out.grouping = req->specs;
     }
-  } else {
-    if (opts_.num_threads > 1) {
-      uint32_t zone_rows = storage->HasZoneMaps() ? storage->zone_rows() : 0;
-      auto morsels = std::make_shared<const std::vector<exec::Morsel>>(
-          exec::MakeRowMorsels(storage->num_rows(), zone_rows, kMorselRows));
-      out.leaf_rows = storage->num_rows();
-      out.leaf_factory = [storage, cols = scan.columns, zone_preds, morsels,
-                          conjuncts, scan_filters_rows, encoded_eval,
-                          zero_copy](
-                             const LeafClone& c) -> Result<exec::OperatorPtr> {
-        BDCC_CHECK(c.gid_lo < 0);  // plain scans have no group ids
-        auto scan_op =
-            std::make_unique<exec::PlainScan>(storage, cols, zone_preds);
-        scan_op->EnableRowFilter(scan_filters_rows);
-        scan_op->SetEncodedEval(encoded_eval);
-        scan_op->EnableZeroCopy(zero_copy);
-        scan_op->RestrictToMorsels(
-            exec::MorselSet{morsels, c.instance, c.total});
-        exec::OperatorPtr op = std::move(scan_op);
-        if (!conjuncts.empty()) {
-          op = std::make_unique<exec::Filter>(std::move(op),
-                                              exec::AndAll(conjuncts));
+    segments = GroupSegments(*bt, ranges, out.grouping);
+    if (parallel && req != nullptr) {
+      // Group-id mode: record the ascending distinct group ids so callers
+      // can chunk sandwich pipelines.
+      auto gids = std::make_shared<std::vector<int64_t>>();
+      for (const exec::ScanSegment& s : segments) {
+        if (gids->empty() || gids->back() != s.group_id) {
+          gids->push_back(s.group_id);
         }
-        return op;
-      };
+      }
+      out.leaf_gids = std::move(gids);
+    } else if (parallel) {
+      for (const exec::Morsel& m :
+           exec::MakeRangeMorsels(ranges, kMorselRows)) {
+        morsels.push_back(GroupSegments(
+            *bt, std::vector<GroupRange>(ranges.begin() + m.begin,
+                                         ranges.begin() + m.end)));
+      }
     }
-    auto plain_scan = std::make_unique<exec::PlainScan>(
-        storage, scan.columns, zone_preds);
-    plain_scan->EnableRowFilter(scan_filters_rows);
-    plain_scan->SetEncodedEval(encoded_eval);
-    plain_scan->EnableZeroCopy(zero_copy);
-    out.op = add_filter(std::move(plain_scan));
+    if (!delta.empty()) {
+      Note("delta leg: " + scan.table + " + " + std::to_string(delta.size()) +
+           " chunk(s), " + std::to_string(snap->delta_rows) + " rows @epoch " +
+           std::to_string(snap->epoch));
+    }
+  } else {
+    segments.push_back(exec::ScanSegment{storage, 0, storage->num_rows()});
+    if (parallel) {
+      uint32_t zone_rows = storage->HasZoneMaps() ? storage->zone_rows() : 0;
+      for (const exec::Morsel& m :
+           exec::MakeRowMorsels(storage->num_rows(), zone_rows, kMorselRows)) {
+        morsels.push_back({exec::ScanSegment{storage, m.begin, m.end}});
+      }
+    }
     out.sorted_on = db_.sorted_on(scan.table);
   }
 
+  const Table* table = bt != nullptr ? &bt->data() : storage;
+  auto make_scan = [table, cols = scan.columns, zone_preds, conjuncts,
+                    scan_filters_rows, snap](
+                       std::vector<exec::ScanSegment> segs,
+                       uint64_t pruned_groups) -> exec::OperatorPtr {
+    auto scan_op = std::make_unique<exec::SegmentScan>(
+        table, cols, zone_preds, std::move(segs), pruned_groups, snap);
+    scan_op->EnableRowFilter(scan_filters_rows);
+    scan_op->EnableZeroCopy(true);
+    if (conjuncts.empty()) return scan_op;
+    return std::make_unique<exec::Filter>(std::move(scan_op),
+                                          exec::AndAll(conjuncts));
+  };
+  if (parallel) {
+    out.leaf_rows = table->num_rows();
+    out.leaf_factory = [make_scan, segments, delta, morsels, pruned,
+                        grouped = req != nullptr](
+                           const LeafClone& c) -> Result<exec::OperatorPtr> {
+      BDCC_CHECK((c.gid_lo >= 0) == grouped);
+      std::vector<exec::ScanSegment> segs;
+      if (grouped) {
+        for (const exec::ScanSegment& s : segments) {
+          if (s.group_id >= c.gid_lo && s.group_id <= c.gid_hi) {
+            segs.push_back(s);
+          }
+        }
+      }
+      for (size_t i = c.instance; i < morsels.size(); i += c.total) {
+        segs.insert(segs.end(), morsels[i].begin(), morsels[i].end());
+      }
+      // Stride whole chunks across clones: chunks are disjoint, so the
+      // union over clones covers the delta exactly once.
+      for (size_t i = c.instance; i < delta.size(); i += c.total) {
+        segs.push_back(delta[i]);
+      }
+      return make_scan(std::move(segs), c.instance == 0 ? pruned : 0);
+    };
+  }
+  segments.insert(segments.end(), delta.begin(), delta.end());
+  out.op = make_scan(std::move(segments), pruned);
   out.base_scan = node.get();
   out.absorbed.push_back(AbsorbedTable{scan.table, {}});
   return out;
@@ -495,10 +493,10 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
             for (const SharedUse& s : shared) {
               left_req.order.push_back(s.probe_use);
               left_req.specs.push_back(
-                  exec::GroupSpec{s.probe_use, s.shared_bits});
+                  GroupSpec{s.probe_use, s.shared_bits});
               right_req.order.push_back(s.build_use);
               right_req.specs.push_back(
-                  exec::GroupSpec{s.build_use, s.shared_bits});
+                  GroupSpec{s.build_use, s.shared_bits});
               if (!dims.empty()) dims += ",";
               dims += bt_l->uses()[s.probe_use].dimension->name();
             }
@@ -581,7 +579,7 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
           size_t matched = 0;
           GroupRequest right_req;
           while (matched < left.grouping.size()) {
-            const exec::GroupSpec& g = left.grouping[matched];
+            const GroupSpec& g = left.grouping[matched];
             const SharedUse* hit = nullptr;
             for (const SharedUse& s : shared) {
               if (s.probe_use == g.use_idx && s.shared_bits >= g.shared_bits) {
@@ -592,7 +590,7 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
             if (hit == nullptr) break;
             right_req.order.push_back(hit->build_use);
             right_req.specs.push_back(
-                exec::GroupSpec{hit->build_use, g.shared_bits});
+                GroupSpec{hit->build_use, g.shared_bits});
             ++matched;
           }
           if (matched > 0) {
@@ -795,7 +793,7 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
         for (size_t u : uses) {
           req.order.push_back(u);
           req.specs.push_back(
-              exec::GroupSpec{u, bits::Ones(bt->ReducedMask(u))});
+              GroupSpec{u, bits::Ones(bt->ReducedMask(u))});
         }
         BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(child_l, &req));
         Note("sandwich aggregation on " + base->scan.table);
@@ -839,7 +837,7 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
     std::vector<size_t> det =
         determined_uses(child.grouped_base, child.absorbed);
     bool all_determined = !child.grouping.empty();
-    for (const exec::GroupSpec& g : child.grouping) {
+    for (const GroupSpec& g : child.grouping) {
       if (std::find(det.begin(), det.end(), g.use_idx) == det.end()) {
         all_determined = false;
         break;

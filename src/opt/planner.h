@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "bdcc/scatter_scan.h"
 #include "exec/operator.h"
+#include "exec/scan.h"
 #include "opt/logical_plan.h"
 #include "opt/physical_db.h"
 #include "opt/pushdown.h"
@@ -24,6 +26,10 @@ namespace bdcc {
 namespace common {
 class TaskScheduler;
 }  // namespace common
+
+namespace delta {
+struct TableSnapshot;
+}  // namespace delta
 
 namespace opt {
 
@@ -38,15 +44,6 @@ struct PlannerOptions {
   /// vectors) instead of a Filter over copied batches. Sargs with a custom
   /// row expression (e.g. LIKE) and residual predicates stay in the Filter.
   bool enable_scan_filter_pushdown = true;
-  /// All schemes: when the scanned table carries encoded lanes
-  /// (Table::BuildEncodedLanes), pushed range-exact sargs evaluate directly
-  /// over the encoded blocks — one comparison per RLE run, packed-domain
-  /// compares for bit-packed spans — instead of the flat lane.
-  bool enable_encoded_exec = true;
-  /// All schemes: scan chunks the zone maps prove fully-passing (or any
-  /// chunk when no predicate is enforced in the scan) are emitted as
-  /// zero-copy views borrowing the storage lanes instead of copying.
-  bool enable_zero_copy_views = true;
 
   /// Degree of intra-query parallelism. 1 (default) compiles the classic
   /// single-threaded pull plan; N > 1 splits eligible pipelines into N
@@ -76,6 +73,19 @@ struct CompiledQuery {
   /// the paper's "Detailed Analysis").
   std::vector<std::string> notes;
 };
+
+/// Scan segments over `table`'s group `ranges`: stably sorted by the group
+/// id each emits under `grouping` (so ids ascend for sandwich consumers and
+/// physical order holds within an id), with physically contiguous ranges of
+/// one id coalesced, and each tagged with its id (-1 when `grouping` is
+/// empty).
+std::vector<exec::ScanSegment> GroupSegments(
+    const BdccTable& table, std::vector<GroupRange> ranges,
+    const std::vector<GroupSpec>& grouping = {});
+
+/// One scan segment per delta chunk of `snap`, in append order.
+std::vector<exec::ScanSegment> DeltaSegments(
+    const delta::TableSnapshot& snap);
 
 /// Compile `plan` for `db`.
 Result<CompiledQuery> Compile(const NodePtr& plan, const PhysicalDb& db,

@@ -73,7 +73,7 @@ Result<exec::Batch> EvalScanAtPlanTime(const ScanNode& scan,
     }
   }
   exec::OperatorPtr op =
-      std::make_unique<exec::PlainScan>(table, cols);
+      std::make_unique<exec::SegmentScan>(table, cols);
   std::vector<exec::ExprPtr> conjuncts;
   for (const Sarg& s : scan.sargs) conjuncts.push_back(SargRowExpr(s));
   if (scan.residual) conjuncts.push_back(scan.residual);

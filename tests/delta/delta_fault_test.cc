@@ -13,6 +13,7 @@
 #include "common/fault_injection.h"
 #include "delta/live_table.h"
 #include "exec/scan.h"
+#include "opt/planner.h"
 #include "tests/delta/delta_fixture.h"
 
 namespace bdcc {
@@ -24,11 +25,13 @@ class DeltaFaultSweepTest : public DeltaFixture {
   static Result<uint64_t> ScanRows(LiveTable* live) {
     auto snap = live->OpenSnapshot();
     exec::ExecContext ctx(nullptr);
-    exec::BdccScan scan(snap->base.get(), {"f_d", "f_payload"},
-                        PlanNaturalScan(*snap->base));
-    std::vector<const Table*> chunks;
-    for (const auto& chunk : snap->chunks) chunks.push_back(&chunk->data());
-    scan.AttachDelta(snap, std::move(chunks));
+    std::vector<exec::ScanSegment> segments =
+        opt::GroupSegments(*snap->base, PlanNaturalScan(*snap->base));
+    for (const exec::ScanSegment& s : opt::DeltaSegments(*snap)) {
+      segments.push_back(s);
+    }
+    exec::SegmentScan scan(&snap->base->data(), {"f_d", "f_payload"}, {},
+                           std::move(segments), 0, snap);
     auto batch = exec::CollectAll(&scan, &ctx);
     if (!batch.ok()) return batch.status();
     return static_cast<uint64_t>(batch.value().num_rows);

@@ -1,8 +1,10 @@
-// Snapshot-consistent scans over a live table: the clustered leg plus the
-// delta leg must return exactly the rows of the pinned snapshot — equal to
-// a merged table's scan, under sarg filtering (including per-chunk string
-// dictionaries), and under concurrent append/merge/scan (the TSan suite).
+// Snapshot-consistent scans over a live table: the clustered segments plus
+// the delta chunk segments must return exactly the rows of the pinned
+// snapshot — equal to a merged table's scan, under sarg filtering (including
+// per-chunk string dictionaries), never mixing two tables in one batch, and
+// under concurrent append/merge/scan (the TSan suite).
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,12 +15,41 @@
 #include "delta/delta_merger.h"
 #include "delta/live_table.h"
 #include "exec/scan.h"
+#include "opt/planner.h"
 #include "tests/delta/delta_fixture.h"
 #include "tests/test_util.h"
 
 namespace bdcc {
 namespace delta {
 namespace {
+
+// Passes a scan's batches through and fails any whose rows do not all come
+// from the table whose dictionary the batch's tag column carries.
+class SourceCheck : public exec::Operator {
+ public:
+  SourceCheck(exec::Operator* scan,
+              std::map<int64_t, const Dictionary*> dict_of)
+      : scan_(scan), dict_of_(std::move(dict_of)) {}
+
+  const exec::Schema& schema() const override { return scan_->schema(); }
+  Status Open(exec::ExecContext* ctx) override { return scan_->Open(ctx); }
+  Result<exec::Batch> Next(exec::ExecContext* ctx) override {
+    BDCC_ASSIGN_OR_RETURN(exec::Batch b, scan_->Next(ctx));
+    for (size_t i = 0; i < b.num_rows; ++i) {
+      int64_t payload = b.columns[1].i64_data()[b.RowAt(i)];
+      if (dict_of_.at(payload) != b.columns[2].dict.get()) {
+        return Status::Internal("batch mixes segment tables");
+      }
+    }
+    return b;
+  }
+  void Close(exec::ExecContext* ctx) override { scan_->Close(ctx); }
+  void Recycle(exec::Batch&& b) override { scan_->Recycle(std::move(b)); }
+
+ private:
+  exec::Operator* scan_;
+  std::map<int64_t, const Dictionary*> dict_of_;
+};
 
 class LiveScanTest : public DeltaFixture {
  protected:
@@ -28,19 +59,35 @@ class LiveScanTest : public DeltaFixture {
         .ValueOrDie();
   }
 
-  // Scan a pinned snapshot: clustered ranges of its base version plus the
-  // delta leg over its chunks.
+  // Scan a pinned snapshot: clustered ranges of its base version, then one
+  // segment per delta chunk. Fails when a batch mixes rows of two segment
+  // tables (delta chunks carry private dictionaries).
   static Result<exec::Batch> ScanSnapshot(
       std::shared_ptr<const TableSnapshot> snap,
       std::vector<exec::ScanPredicate> preds, bool row_filter,
       exec::ExecContext* ctx) {
-    exec::BdccScan scan(snap->base.get(), {"f_d", "f_payload", "f_tag"},
-                        PlanNaturalScan(*snap->base), preds);
-    std::vector<const Table*> chunks;
-    for (const auto& chunk : snap->chunks) chunks.push_back(&chunk->data());
-    scan.AttachDelta(snap, std::move(chunks));
+    std::vector<exec::ScanSegment> segments =
+        opt::GroupSegments(*snap->base, PlanNaturalScan(*snap->base));
+    for (const exec::ScanSegment& s : opt::DeltaSegments(*snap)) {
+      segments.push_back(s);
+    }
+    // Payloads are unique per row: map each to its table's tag dictionary.
+    std::map<int64_t, const Dictionary*> dict_of;
+    for (const exec::ScanSegment& s : segments) {
+      const Table& t = *s.table;
+      const Column& payload = t.column(t.ColumnIndex("f_payload").value());
+      const Dictionary* dict =
+          t.column(t.ColumnIndex("f_tag").value()).dict().get();
+      for (uint64_t r = s.row_begin; r < s.row_end; ++r) {
+        dict_of[payload.i64()[r]] = dict;
+      }
+    }
+    exec::SegmentScan scan(&snap->base->data(),
+                           {"f_d", "f_payload", "f_tag"}, std::move(preds),
+                           std::move(segments), 0, snap);
     scan.EnableRowFilter(row_filter);
-    return exec::CollectAll(&scan, ctx);
+    SourceCheck check(&scan, std::move(dict_of));
+    return exec::CollectAll(&check, ctx);
   }
 
   std::unique_ptr<Resolver> resolver_;

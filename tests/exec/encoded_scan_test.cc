@@ -1,8 +1,9 @@
-// Direct execution over encoded lanes and zero-copy view emission: the
-// three EncodedEval modes (off / decode-baseline / direct) must produce
-// identical scan results, zero-copy scans must match copying scans, and the
-// new ExecStats counters (encoded_spans, decodes_skipped, chunks_zero_copy)
-// must fire exactly where the design says they do.
+// Direct execution over encoded lanes and zero-copy view emission: scans
+// evaluating over encoded lanes must produce the results of the same scan
+// over an identical table without them (flat evaluation), zero-copy scans
+// must match copying scans, and the ExecStats counters (encoded_spans,
+// decodes_skipped, chunks_zero_copy) must fire exactly where the design
+// says they do.
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +22,8 @@ namespace {
 
 // Clustered-ish table: k arrives in runs (RLE-friendly), c is a narrow
 // dict-coded tag column, v/w exercise the float and int64 kernel paths.
-Table RunsTable(uint64_t rows, uint32_t zone_rows, uint64_t seed = 5) {
+Table RunsTable(uint64_t rows, uint32_t zone_rows, bool encoded = true,
+                uint64_t seed = 5) {
   Rng rng(seed);
   Table t("T");
   Column k(TypeId::kInt32), v(TypeId::kFloat64), s(TypeId::kString),
@@ -45,7 +47,7 @@ Table RunsTable(uint64_t rows, uint32_t zone_rows, uint64_t seed = 5) {
   t.AddColumn("s", std::move(s)).AbortIfNotOK();
   t.AddColumn("w", std::move(w)).AbortIfNotOK();
   t.BuildZoneMaps(zone_rows);
-  t.BuildEncodedLanes();
+  if (encoded) t.BuildEncodedLanes();
   return t;
 }
 
@@ -55,11 +57,10 @@ struct ScanRun {
 };
 
 ScanRun RunScan(const Table& t, std::vector<ScanPredicate> preds,
-                EncodedEval mode, bool row_filter, bool zero_copy) {
+                bool row_filter, bool zero_copy) {
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k", "v", "s", "w"}, std::move(preds));
+  SegmentScan scan(&t, {"k", "v", "s", "w"}, std::move(preds));
   scan.EnableRowFilter(row_filter);
-  scan.SetEncodedEval(mode);
   scan.EnableZeroCopy(zero_copy);
   ScanRun out;
   out.result = CollectAll(&scan, &ctx).ValueOrDie();
@@ -73,27 +74,24 @@ std::vector<ScanPredicate> KRange(int32_t lo, int32_t hi) {
 
 TEST(EncodedScanTest, AllEvalModesAgree) {
   Table t = RunsTable(20000, 256);
+  Table flat_t = RunsTable(20000, 256, /*encoded=*/false);
   ASSERT_TRUE(t.HasEncodedLanes());
+  ASSERT_FALSE(flat_t.HasEncodedLanes());
   struct Case {
     int32_t lo, hi;
   } cases[] = {{0, 0}, {0, 49}, {100, 349}, {0, 899}, {0, 999}};
   for (const Case& c : cases) {
-    ScanRun off = RunScan(t, KRange(c.lo, c.hi), EncodedEval::kOff,
-                          /*row_filter=*/true, /*zero_copy=*/false);
-    ScanRun decode = RunScan(t, KRange(c.lo, c.hi), EncodedEval::kDecode,
-                             true, false);
-    ScanRun direct = RunScan(t, KRange(c.lo, c.hi), EncodedEval::kAuto,
-                             true, false);
+    ScanRun flat = RunScan(flat_t, KRange(c.lo, c.hi), /*row_filter=*/true,
+                           /*zero_copy=*/false);
+    ScanRun direct = RunScan(t, KRange(c.lo, c.hi), true, false);
     std::string label = "k in [" + std::to_string(c.lo) + "," +
                         std::to_string(c.hi) + "]";
-    testutil::ExpectBatchesEqual(off.result, decode.result,
-                                 label + " decode");
-    testutil::ExpectBatchesEqual(off.result, direct.result,
+    testutil::ExpectBatchesEqual(flat.result, direct.result,
                                  label + " direct");
-    EXPECT_EQ(off.stats.encoded_spans, 0u) << label;
-    // Direct mode must actually have gone through the encoded lane for
-    // every mixed span it evaluated (all-match zones skip evaluation, and
-    // supertight ranges may zone-prune the entire table).
+    EXPECT_EQ(flat.stats.encoded_spans, 0u) << label;
+    // Direct evaluation must actually have gone through the encoded lane
+    // for every mixed span it evaluated (all-match zones skip evaluation,
+    // and supertight ranges may zone-prune the entire table).
     if ((c.lo > 0 || c.hi < 999) && direct.stats.rows_scanned > 0) {
       EXPECT_GT(direct.stats.encoded_spans, 0u) << label;
     }
@@ -102,46 +100,44 @@ TEST(EncodedScanTest, AllEvalModesAgree) {
 
 TEST(EncodedScanTest, StringPredicateUsesEncodedVerdicts) {
   Table t = RunsTable(20000, 256);
+  Table flat_t = RunsTable(20000, 256, /*encoded=*/false);
   std::vector<ScanPredicate> preds = {
       {"s", ValueRange{Value::String("beta"), Value::String("delta")}}};
-  ScanRun off = RunScan(t, preds, EncodedEval::kOff, true, false);
-  ScanRun direct = RunScan(t, preds, EncodedEval::kAuto, true, false);
-  testutil::ExpectBatchesEqual(off.result, direct.result, "string verdicts");
+  ScanRun flat = RunScan(flat_t, preds, true, false);
+  ScanRun direct = RunScan(t, preds, true, false);
+  testutil::ExpectBatchesEqual(flat.result, direct.result, "string verdicts");
   EXPECT_GT(direct.stats.encoded_spans, 0u);
   EXPECT_GT(direct.result.num_rows, 0u);
 }
 
 TEST(EncodedScanTest, CombinedPredicatesAgreeAcrossModes) {
   Table t = RunsTable(20000, 256);
+  Table flat_t = RunsTable(20000, 256, /*encoded=*/false);
   std::vector<ScanPredicate> preds = {
       {"k", ValueRange{Value::Int32(100), Value::Int32(700)}},
       {"s", ValueRange{Value::String("beta"), Value::String("gamma")}},
       {"w", ValueRange{Value::Int64(1000), Value::Int64(15000)}}};
-  ScanRun off = RunScan(t, preds, EncodedEval::kOff, true, false);
-  ScanRun decode = RunScan(t, preds, EncodedEval::kDecode, true, false);
-  ScanRun direct = RunScan(t, preds, EncodedEval::kAuto, true, false);
-  testutil::ExpectBatchesEqual(off.result, decode.result, "combined decode");
-  testutil::ExpectBatchesEqual(off.result, direct.result, "combined direct");
+  ScanRun flat = RunScan(flat_t, preds, true, false);
+  ScanRun direct = RunScan(t, preds, true, false);
+  testutil::ExpectBatchesEqual(flat.result, direct.result, "combined direct");
 }
 
 TEST(EncodedScanTest, WorksWithoutEncodedLanes) {
-  // kAuto on a table that never built encodings silently evaluates flat.
+  // A table that never built encodings evaluates flat.
   Table t = RunsTable(5000, 256);
   Table plain = t.Clone();
   plain.BuildZoneMaps(256);  // zone maps but no encoded lanes
   ASSERT_FALSE(plain.HasEncodedLanes());
-  ScanRun off = RunScan(plain, KRange(100, 400), EncodedEval::kOff, true,
-                        false);
-  ScanRun direct = RunScan(plain, KRange(100, 400), EncodedEval::kAuto, true,
-                           false);
-  testutil::ExpectBatchesEqual(off.result, direct.result, "no encodings");
-  EXPECT_EQ(direct.stats.encoded_spans, 0u);
+  ScanRun flat = RunScan(plain, KRange(100, 400), true, false);
+  ScanRun direct = RunScan(t, KRange(100, 400), true, false);
+  testutil::ExpectBatchesEqual(flat.result, direct.result, "no encodings");
+  EXPECT_EQ(flat.stats.encoded_spans, 0u);
 }
 
 TEST(ZeroCopyScanTest, UnfilteredScanEmitsViews) {
   Table t = RunsTable(20000, 256);
-  ScanRun copy = RunScan(t, {}, EncodedEval::kOff, false, false);
-  ScanRun views = RunScan(t, {}, EncodedEval::kOff, false, true);
+  ScanRun copy = RunScan(t, {}, false, false);
+  ScanRun views = RunScan(t, {}, false, true);
   testutil::ExpectBatchesEqual(copy.result, views.result, "unfiltered views");
   EXPECT_EQ(copy.stats.chunks_zero_copy, 0u);
   EXPECT_GT(views.stats.chunks_zero_copy, 0u);
@@ -152,8 +148,8 @@ TEST(ZeroCopyScanTest, ZoneAllMatchShortCircuitsDecode) {
   Table t = RunsTable(20000, 256);
   // A predicate the whole table satisfies: every zone proves all-match, so
   // a filtered scan never evaluates a row and emits pure views.
-  ScanRun copy = RunScan(t, KRange(0, 999), EncodedEval::kAuto, true, false);
-  ScanRun views = RunScan(t, KRange(0, 999), EncodedEval::kAuto, true, true);
+  ScanRun copy = RunScan(t, KRange(0, 999), true, false);
+  ScanRun views = RunScan(t, KRange(0, 999), true, true);
   testutil::ExpectBatchesEqual(copy.result, views.result, "all-match views");
   EXPECT_GT(views.stats.decodes_skipped, 0u);
   EXPECT_GT(views.stats.chunks_zero_copy, 0u);
@@ -161,9 +157,9 @@ TEST(ZeroCopyScanTest, ZoneAllMatchShortCircuitsDecode) {
 
   // A selective predicate still filters correctly with zero-copy enabled
   // (partial chunks fall back to the copying path).
-  ScanRun sel_copy = RunScan(t, KRange(0, 99), EncodedEval::kAuto, true,
+  ScanRun sel_copy = RunScan(t, KRange(0, 99), true,
                              false);
-  ScanRun sel_views = RunScan(t, KRange(0, 99), EncodedEval::kAuto, true,
+  ScanRun sel_views = RunScan(t, KRange(0, 99), true,
                               true);
   testutil::ExpectBatchesEqual(sel_copy.result, sel_views.result,
                                "selective with zero-copy enabled");
@@ -172,7 +168,7 @@ TEST(ZeroCopyScanTest, ZoneAllMatchShortCircuitsDecode) {
 TEST(ZeroCopyScanTest, ViewBatchesCompactToOwnedLanes) {
   Table t = RunsTable(4096, 512);
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k", "v", "w"});
+  SegmentScan scan(&t, {"k", "v", "w"});
   scan.EnableZeroCopy(true);
   ASSERT_TRUE(scan.Open(&ctx).ok());
   bool saw_view = false;

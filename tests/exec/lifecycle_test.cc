@@ -131,7 +131,7 @@ TEST(MemoryBudgetTest, HashAggRefusesThenSucceedsWithoutLimit) {
   ExecContext ctx(nullptr);
   ctx.memory()->set_limit(4096);
   {
-    HashAgg agg(std::make_unique<PlainScan>(
+    HashAgg agg(std::make_unique<SegmentScan>(
                     &t, std::vector<std::string>{"k", "v"}),
                 {"k"}, std::vector<AggSpec>{AggSum(Col("v"), "sum_v")});
     auto result = CollectAll(&agg, &ctx);
@@ -145,7 +145,7 @@ TEST(MemoryBudgetTest, HashAggRefusesThenSucceedsWithoutLimit) {
   EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
   EXPECT_GE(ctx.stats()->budget_denials, 1u);
   ctx.memory()->set_limit(0);
-  HashAgg agg(std::make_unique<PlainScan>(
+  HashAgg agg(std::make_unique<SegmentScan>(
                   &t, std::vector<std::string>{"k", "v"}),
               {"k"}, std::vector<AggSpec>{AggSum(Col("v"), "sum_v")});
   auto result = CollectAll(&agg, &ctx);
@@ -158,8 +158,8 @@ TEST(MemoryBudgetTest, SortRefusesUnderTinyBudget) {
   Table t = MakeTable(20000);
   ExecContext ctx(nullptr);
   ctx.memory()->set_limit(4096);
-  Sort sort(std::make_unique<PlainScan>(&t,
-                                        std::vector<std::string>{"k", "v"}),
+  Sort sort(std::make_unique<SegmentScan>(&t,
+                                          std::vector<std::string>{"k", "v"}),
             {SortKey{"v", false}});
   auto result = CollectAll(&sort, &ctx);
   ASSERT_FALSE(result.ok());
@@ -176,9 +176,9 @@ TEST(MemoryBudgetTest, HashJoinBuildRefusesUnderTinyBudget) {
   ExecContext ctx(nullptr);
   ctx.memory()->set_limit(4096);
   HashJoin join(
-      std::make_unique<PlainScan>(&probe, std::vector<std::string>{"k"}),
-      std::make_unique<PlainScan>(&build,
-                                  std::vector<std::string>{"k", "v"}),
+      std::make_unique<SegmentScan>(&probe, std::vector<std::string>{"k"}),
+      std::make_unique<SegmentScan>(&build,
+                                    std::vector<std::string>{"k", "v"}),
       {"k"}, {"k"}, JoinType::kInner);
   auto result = CollectAll(&join, &ctx);
   ASSERT_FALSE(result.ok());
@@ -193,8 +193,8 @@ TEST(MemoryBudgetTest, TopNRefusesUnderTinyBudget) {
   Table t = MakeTable(20000);
   ExecContext ctx(nullptr);
   ctx.memory()->set_limit(256);
-  TopN topn(std::make_unique<PlainScan>(&t,
-                                        std::vector<std::string>{"k", "v"}),
+  TopN topn(std::make_unique<SegmentScan>(&t,
+                                          std::vector<std::string>{"k", "v"}),
             {SortKey{"v", false}}, 5000);
   auto result = CollectAll(&topn, &ctx);
   ASSERT_FALSE(result.ok());
@@ -211,7 +211,7 @@ TEST(MemoryBudgetTest, CancelledScanStopsWithinOneChunk) {
   Table t = MakeTable(20000);
   ExecContext ctx(nullptr);
   ctx.control()->RequestCancel();
-  PlainScan scan(&t, std::vector<std::string>{"k"});
+  SegmentScan scan(&t, std::vector<std::string>{"k"});
   auto result = CollectAll(&scan, &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
@@ -219,7 +219,7 @@ TEST(MemoryBudgetTest, CancelledScanStopsWithinOneChunk) {
   EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
   // Reset rearms the same context for a clean rerun.
   ctx.control()->Reset();
-  PlainScan again(&t, std::vector<std::string>{"k"});
+  SegmentScan again(&t, std::vector<std::string>{"k"});
   auto rerun = CollectAll(&again, &ctx);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_EQ(rerun.value().num_rows, t.num_rows());
@@ -230,7 +230,7 @@ TEST(MemoryBudgetTest, PastDeadlineStopsAggregation) {
   ExecContext ctx(nullptr);
   ctx.control()->SetDeadline(std::chrono::steady_clock::now() -
                              std::chrono::milliseconds(1));
-  HashAgg agg(std::make_unique<PlainScan>(
+  HashAgg agg(std::make_unique<SegmentScan>(
                   &t, std::vector<std::string>{"g", "v"}),
               {"g"}, std::vector<AggSpec>{AggSum(Col("v"), "sum_v")});
   auto result = CollectAll(&agg, &ctx);
@@ -266,10 +266,9 @@ ChainFactory MixedFactory(const Table* t,
       return OperatorPtr(std::make_unique<FailingSource>(
           Schema({{"k", TypeId::kInt32}})));
     }
-    auto scan =
-        std::make_unique<PlainScan>(t, std::vector<std::string>{"k"});
-    scan->RestrictToMorsels(MorselSet{morsels, i, n});
-    return OperatorPtr(std::move(scan));
+    return OperatorPtr(std::make_unique<SegmentScan>(
+        t, std::vector<std::string>{"k"}, std::vector<ScanPredicate>{},
+        CloneRowSegments(t, *morsels, i, n)));
   };
 }
 
@@ -305,10 +304,10 @@ TEST(ParallelLifecycleTest, CancelledParallelAggReturnsCancelled) {
   ctx.control()->RequestCancel();  // before the drain: deterministic
   ParallelHashAgg agg(
       [&t, morsels](size_t i, size_t n) -> Result<OperatorPtr> {
-        auto scan = std::make_unique<PlainScan>(
-            &t, std::vector<std::string>{"g", "v"});
-        scan->RestrictToMorsels(MorselSet{morsels, i, n});
-        return OperatorPtr(std::move(scan));
+        return OperatorPtr(std::make_unique<SegmentScan>(
+            &t, std::vector<std::string>{"g", "v"},
+            std::vector<ScanPredicate>{},
+            CloneRowSegments(&t, *morsels, i, n)));
       },
       4, {"g"}, std::vector<AggSpec>{AggSum(Col("v"), "sum_v")}, &scheduler);
   auto result = CollectAll(&agg, &ctx);
@@ -334,7 +333,7 @@ TEST(ParallelLifecycleTest, ConcurrentCancelIsCleanEitherWay) {
     });
     ParallelHashJoin join(
         MixedFactory(&t, morsels, 99), 4,
-        std::make_unique<PlainScan>(&t, std::vector<std::string>{"k", "v"}),
+        std::make_unique<SegmentScan>(&t, std::vector<std::string>{"k", "v"}),
         {"k"}, {"k"}, JoinType::kInner, &scheduler);
     auto result = CollectAll(&join, &ctx);
     canceller.join();

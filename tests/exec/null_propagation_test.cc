@@ -47,9 +47,9 @@ Table RightTable() {
 }
 
 OperatorPtr OuterJoinPlan(const Table& l, const Table& r) {
-  auto left = std::make_unique<PlainScan>(
+  auto left = std::make_unique<SegmentScan>(
       &l, std::vector<std::string>{"id", "grp"});
-  auto right = std::make_unique<PlainScan>(
+  auto right = std::make_unique<SegmentScan>(
       &r, std::vector<std::string>{"rid", "pay", "d"});
   return std::make_unique<HashJoin>(std::move(left), std::move(right),
                                     std::vector<std::string>{"id"},
@@ -163,12 +163,12 @@ TEST(NullPropagationTest, FilterOuterJoinAggChainWithSel) {
   auto run = [&](bool sel_enabled) {
     ExecContext ctx(nullptr);
     ctx.set_sel_enabled(sel_enabled);
-    auto left = std::make_unique<PlainScan>(
+    auto left = std::make_unique<SegmentScan>(
         &l, std::vector<std::string>{"id", "grp"},
         std::vector<ScanPredicate>{
             {"id", ValueRange{Value::Int32(2), std::nullopt}}});
     left->EnableRowFilter(true);
-    auto right = std::make_unique<PlainScan>(
+    auto right = std::make_unique<SegmentScan>(
         &r, std::vector<std::string>{"rid", "pay", "d"});
     auto join = std::make_unique<HashJoin>(
         std::move(left), std::move(right), std::vector<std::string>{"id"},
@@ -230,15 +230,17 @@ TEST(NullPropagationTest, ScanPushdownOutOfRangeBoundMatchesNothing) {
   c.AppendInt32(0);
   t.AddColumn("x", std::move(c)).AbortIfNotOK();
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"x"},
-                 {{"x", ValueRange{Value::Int64(3000000000LL), std::nullopt}}});
+  SegmentScan scan(
+      &t, {"x"},
+      {{"x", ValueRange{Value::Int64(3000000000LL), std::nullopt}}});
   scan.EnableRowFilter(true);
   Batch out = CollectAll(&scan, &ctx).ValueOrDie();
   EXPECT_EQ(out.num_rows, 0u);
 
   ExecContext ctx2(nullptr);
-  PlainScan scan2(&t, {"x"},
-                  {{"x", ValueRange{std::nullopt, Value::Int64(-3000000000LL)}}});
+  SegmentScan scan2(
+      &t, {"x"},
+      {{"x", ValueRange{std::nullopt, Value::Int64(-3000000000LL)}}});
   scan2.EnableRowFilter(true);
   Batch out2 = CollectAll(&scan2, &ctx2).ValueOrDie();
   EXPECT_EQ(out2.num_rows, 0u);

@@ -73,8 +73,7 @@ TEST(MorselTest, StridedPlainScanClonesCoverAllRowsOnce) {
   std::vector<int> seen(t.num_rows(), 0);
   for (size_t clone = 0; clone < 3; ++clone) {
     ExecContext ctx(nullptr);
-    PlainScan scan(&t, {"k"});
-    scan.RestrictToMorsels(MorselSet{morsels, clone, 3});
+    SegmentScan scan(&t, {"k"}, {}, CloneRowSegments(&t, *morsels, clone, 3));
     ASSERT_TRUE(scan.Open(&ctx).ok());
     while (true) {
       Batch b = scan.Next(&ctx).ValueOrDie();
@@ -92,9 +91,9 @@ ChainFactory ScanFactory(const Table* t,
                          std::vector<std::string> cols) {
   return [t, morsels, cols](size_t i,
                             size_t n) -> Result<OperatorPtr> {
-    auto scan = std::make_unique<PlainScan>(t, cols);
-    scan->RestrictToMorsels(MorselSet{morsels, i, n});
-    return OperatorPtr(std::move(scan));
+    return OperatorPtr(std::make_unique<SegmentScan>(
+        t, cols, std::vector<ScanPredicate>{},
+        CloneRowSegments(t, *morsels, i, n)));
   };
 }
 
@@ -111,7 +110,7 @@ TEST(ParallelHashAggTest, MatchesSerialGroupedAggregate) {
   specs.push_back(AggCountDistinct(Col("g"), "dist_g"));
 
   ExecContext serial_ctx(nullptr);
-  HashAgg serial(std::make_unique<PlainScan>(
+  HashAgg serial(std::make_unique<SegmentScan>(
                      &t, std::vector<std::string>{"k", "g", "v"}),
                  {"g"}, specs);
   Batch expect = CollectAll(&serial, &serial_ctx).ValueOrDie();
@@ -135,7 +134,7 @@ TEST(ParallelHashAggTest, MatchesSerialScalarAggregate) {
 
   ExecContext serial_ctx(nullptr);
   HashAgg serial(
-      std::make_unique<PlainScan>(&t, std::vector<std::string>{"v"}), {},
+      std::make_unique<SegmentScan>(&t, std::vector<std::string>{"v"}), {},
       specs);
   Batch expect = CollectAll(&serial, &serial_ctx).ValueOrDie();
 
@@ -171,7 +170,7 @@ TEST(ParallelHashAggTest, PartitionedMergeMatchesSerialManyGroups) {
   specs.push_back(AggMax(Col("v"), "max_v"));
 
   ExecContext serial_ctx(nullptr);
-  HashAgg serial(std::make_unique<PlainScan>(
+  HashAgg serial(std::make_unique<SegmentScan>(
                      &t, std::vector<std::string>{"g", "v"}),
                  {"g"}, specs);
   Batch expect = CollectAll(&serial, &serial_ctx).ValueOrDie();
@@ -238,10 +237,10 @@ TEST(ParallelHashJoinTest, MatchesSerialJoin) {
                         JoinType::kLeftSemi, JoinType::kLeftAnti}) {
     ExecContext serial_ctx(nullptr);
     HashJoin serial(
-        std::make_unique<PlainScan>(&probe,
-                                    std::vector<std::string>{"k", "g"}),
-        std::make_unique<PlainScan>(&build,
-                                    std::vector<std::string>{"bk", "bv"}),
+        std::make_unique<SegmentScan>(&probe,
+                                      std::vector<std::string>{"k", "g"}),
+        std::make_unique<SegmentScan>(&build,
+                                      std::vector<std::string>{"bk", "bv"}),
         {"g"}, {"bk"}, type);
     Batch expect = CollectAll(&serial, &serial_ctx).ValueOrDie();
 
@@ -249,8 +248,8 @@ TEST(ParallelHashJoinTest, MatchesSerialJoin) {
     ExecContext ctx(nullptr);
     ParallelHashJoin parallel(
         ScanFactory(&probe, morsels, {"k", "g"}), 4,
-        std::make_unique<PlainScan>(&build,
-                                    std::vector<std::string>{"bk", "bv"}),
+        std::make_unique<SegmentScan>(&build,
+                                      std::vector<std::string>{"bk", "bv"}),
         {"g"}, {"bk"}, type, &scheduler);
     Batch got = CollectAll(&parallel, &ctx).ValueOrDie();
     testutil::ExpectBatchesEqual(

@@ -7,6 +7,7 @@
 #include "common/bits.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "opt/planner.h"
 
 namespace bdcc {
 namespace exec {
@@ -44,7 +45,7 @@ Table SortedTable(uint64_t rows) {
 TEST(PlainScanTest, EmitsAllRows) {
   Table t = SortedTable(2500);
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k", "v"});
+  SegmentScan scan(&t, {"k", "v"});
   uint64_t rows = 0;
   int32_t expect = 0;
   ASSERT_TRUE(scan.Open(&ctx).ok());
@@ -64,8 +65,8 @@ TEST(PlainScanTest, EmitsAllRows) {
 TEST(PlainScanTest, ZoneSkipping) {
   Table t = SortedTable(1000);  // 10 zones of 100 sorted values
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k"},
-                 {{"k", ValueRange{Value::Int32(250), Value::Int32(349)}}});
+  SegmentScan scan(&t, {"k"},
+                   {{"k", ValueRange{Value::Int32(250), Value::Int32(349)}}});
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -85,7 +86,7 @@ TEST(PlainScanTest, ChargesBufferPoolIo) {
   io::BufferPool pool(&dev, 1ull << 30);
   t.RegisterWithBufferPool(&pool);
   ExecContext ctx(&pool);
-  PlainScan scan(&t, {"k", "v"});
+  SegmentScan scan(&t, {"k", "v"});
   ASSERT_TRUE(scan.Open(&ctx).ok());
   while (!scan.Next(&ctx).ValueOrDie().empty()) {
   }
@@ -93,7 +94,7 @@ TEST(PlainScanTest, ChargesBufferPoolIo) {
   // Pool-less context: no charges.
   io::IoStats before = dev.stats();
   ExecContext ctx2(nullptr);
-  PlainScan scan2(&t, {"k"});
+  SegmentScan scan2(&t, {"k"});
   ASSERT_TRUE(scan2.Open(&ctx2).ok());
   while (!scan2.Next(&ctx2).ValueOrDie().empty()) {
   }
@@ -130,7 +131,11 @@ class BdccScanTest : public ::testing::Test {
 
 TEST_F(BdccScanTest, NaturalScanCoversEverything) {
   ExecContext ctx(nullptr);
-  BdccScan scan(table_.get(), {"k", "v"}, PlanNaturalScan(*table_));
+  // Batches of 700 rows cut most 1024-row zones in two: each zone still
+  // counts once.
+  ctx.set_batch_size(700);
+  SegmentScan scan(&table_->data(), {"k", "v"}, {},
+                   opt::GroupSegments(*table_, PlanNaturalScan(*table_)));
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -140,6 +145,10 @@ TEST_F(BdccScanTest, NaturalScanCoversEverything) {
     rows += b.num_rows;
   }
   EXPECT_EQ(rows, 20000u);
+  const Table& data = table_->data();
+  EXPECT_EQ(ctx.stats()->zones_read,
+            (data.num_rows() + data.zone_rows() - 1) / data.zone_rows());
+  EXPECT_EQ(ctx.stats()->zones_skipped, 0u);
 }
 
 TEST_F(BdccScanTest, GroupedEmissionIsAlignedAndAscending) {
@@ -147,14 +156,16 @@ TEST_F(BdccScanTest, GroupedEmissionIsAlignedAndAscending) {
   ASSERT_GT(own_bits, 1);
   int shared = own_bits - 1;  // coarser than the table's own granularity
   ExecContext ctx(nullptr);
-  BdccScan scan(table_.get(), {"k"}, PlanNaturalScan(*table_), {},
-                {GroupSpec{0, shared}});
+  SegmentScan scan(
+      &table_->data(), {"k"}, {},
+      opt::GroupSegments(*table_, PlanNaturalScan(*table_), {{0, shared}}));
   ASSERT_TRUE(scan.Open(&ctx).ok());
   int64_t prev = -1;
   uint64_t rows = 0;
   while (true) {
     Batch b = scan.Next(&ctx).ValueOrDie();
     if (b.empty()) break;
+    ASSERT_GE(b.group_id, 0);     // tagged
     ASSERT_GE(b.group_id, prev);  // ascending; never mixes ids in a batch
     prev = b.group_id;
     // Every row's dimension bin prefix matches the batch's group id.
@@ -177,7 +188,8 @@ TEST_F(BdccScanTest, PrunedRangesSkipRows) {
   auto ranges =
       FilterGroupsByPrefix(*table_, PlanNaturalScan(*table_), 0, lo, hi);
   ExecContext ctx(nullptr);
-  BdccScan scan(table_.get(), {"k"}, std::move(ranges), {}, {}, 99);
+  SegmentScan scan(&table_->data(), {"k"}, {},
+                   opt::GroupSegments(*table_, std::move(ranges)), 99);
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -196,8 +208,9 @@ TEST_F(BdccScanTest, PrunedRangesSkipRows) {
 TEST_F(BdccScanTest, ZonePredicatesSkipWithinClustering) {
   // The table is clustered on k, so zones are selective for k-ranges.
   ExecContext ctx(nullptr);
-  BdccScan scan(table_.get(), {"k"}, PlanNaturalScan(*table_),
-                {{"k", ValueRange{Value::Int32(0), Value::Int32(99)}}});
+  SegmentScan scan(&table_->data(), {"k"},
+                   {{"k", ValueRange{Value::Int32(0), Value::Int32(99)}}},
+                   opt::GroupSegments(*table_, PlanNaturalScan(*table_)));
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -207,6 +220,30 @@ TEST_F(BdccScanTest, ZonePredicatesSkipWithinClustering) {
   }
   EXPECT_LT(rows, 5000u);  // most zones skipped
   EXPECT_GT(ctx.stats()->zones_skipped, 10u);
+
+  // Grouped on a coarse prefix, group boundaries fall inside zones. A zone
+  // the zone map rules out is skipped even where it straddles two group
+  // ranges, so exactly the zones that may match are read, each once.
+  const Table& data = table_->data();
+  ValueRange range{Value::Int32(0), Value::Int32(99)};
+  int k_col = data.ColumnIndex("k").ValueOrDie();
+  uint64_t may_zones = 0, may_rows = 0, zones = 0;
+  for (uint64_t begin = 0; begin < data.num_rows();
+       begin += data.zone_rows(), ++zones) {
+    if (!data.zone_map(k_col).MayMatch(zones, range)) continue;
+    may_zones += 1;
+    may_rows += std::min<uint64_t>(data.zone_rows(), data.num_rows() - begin);
+  }
+  int shared = bits::Ones(table_->ReducedMask(0)) - 1;
+  ExecContext grouped_ctx(nullptr);
+  grouped_ctx.set_batch_size(700);
+  SegmentScan grouped(
+      &data, {"k"}, {{"k", range}},
+      opt::GroupSegments(*table_, PlanNaturalScan(*table_), {{0, shared}}));
+  ASSERT_TRUE(CollectAll(&grouped, &grouped_ctx).ok());
+  EXPECT_EQ(grouped_ctx.stats()->rows_scanned, may_rows);
+  EXPECT_EQ(grouped_ctx.stats()->zones_read, may_zones);
+  EXPECT_EQ(grouped_ctx.stats()->zones_skipped, zones - may_zones);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "gtest/gtest.h"
+#include "opt/planner.h"
 #include "tests/test_util.h"
 
 namespace bdcc {
@@ -106,7 +107,7 @@ TEST(BatchSelTest, ExprLeavesDensifyUnderSel) {
 Batch LegacyScanFilter(const Table& t, int32_t lo, int32_t hi) {
   ExecContext ctx(nullptr);
   ctx.set_sel_enabled(false);
-  auto scan = std::make_unique<PlainScan>(
+  auto scan = std::make_unique<SegmentScan>(
       &t, std::vector<std::string>{"k", "v", "s", "w"},
       std::vector<ScanPredicate>{
           {"k", ValueRange{Value::Int32(lo), Value::Int32(hi)}}});
@@ -118,8 +119,8 @@ Batch LegacyScanFilter(const Table& t, int32_t lo, int32_t hi) {
 Batch PushdownScan(const Table& t, int32_t lo, int32_t hi, bool sel_enabled) {
   ExecContext ctx(nullptr);
   ctx.set_sel_enabled(sel_enabled);
-  PlainScan scan(&t, {"k", "v", "s", "w"},
-                 {{"k", ValueRange{Value::Int32(lo), Value::Int32(hi)}}});
+  SegmentScan scan(&t, {"k", "v", "s", "w"},
+                   {{"k", ValueRange{Value::Int32(lo), Value::Int32(hi)}}});
   scan.EnableRowFilter(true);
   return CollectAll(&scan, &ctx).ValueOrDie();
 }
@@ -143,9 +144,9 @@ TEST(ScanPushdownTest, MatchesLegacyFilterAcrossSelectivities) {
 TEST(ScanPushdownTest, StringPredicateBindsCodesOnce) {
   Table t = MixedTable(5000);
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"s", "w"},
-                 {{"s", ValueRange{Value::String("beta"),
-                                   Value::String("beta")}}});
+  SegmentScan scan(&t, {"s", "w"},
+                   {{"s", ValueRange{Value::String("beta"),
+                                     Value::String("beta")}}});
   scan.EnableRowFilter(true);
   Batch got = CollectAll(&scan, &ctx).ValueOrDie();
   uint64_t expect = 0;
@@ -174,7 +175,7 @@ TEST(ScanPushdownTest, FloatNaNMatchesLegacyComparatorSemantics) {
                  bool pushdown) {
     ExecContext ctx(nullptr);
     ctx.set_sel_enabled(pushdown);
-    auto scan = std::make_unique<PlainScan>(
+    auto scan = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"v"},
         std::vector<ScanPredicate>{{"v", ValueRange{lo, hi}}});
     scan->EnableRowFilter(pushdown);
@@ -197,8 +198,8 @@ TEST(ScanPushdownTest, FloatNaNMatchesLegacyComparatorSemantics) {
 TEST(ScanPushdownTest, FilteredRowsCountedInStats) {
   Table t = MixedTable(4000);
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k"},
-                 {{"k", ValueRange{Value::Int32(0), Value::Int32(99)}}});
+  SegmentScan scan(&t, {"k"},
+                   {{"k", ValueRange{Value::Int32(0), Value::Int32(99)}}});
   scan.EnableRowFilter(true);
   Batch got = CollectAll(&scan, &ctx).ValueOrDie();
   EXPECT_EQ(ctx.stats()->rows_scanned,
@@ -219,10 +220,11 @@ TEST(ScanPushdownTest, BdccScanPushdownMatchesLegacy) {
   auto run = [&](bool row_filter, bool sel_enabled) {
     ExecContext ctx(nullptr);
     ctx.set_sel_enabled(sel_enabled);
-    auto scan = std::make_unique<BdccScan>(
-        &bt, std::vector<std::string>{"k", "v", "w"}, PlanNaturalScan(bt),
+    auto scan = std::make_unique<SegmentScan>(
+        &bt.data(), std::vector<std::string>{"k", "v", "w"},
         std::vector<ScanPredicate>{
-            {"k", ValueRange{Value::Int32(120), Value::Int32(380)}}});
+            {"k", ValueRange{Value::Int32(120), Value::Int32(380)}}},
+        opt::GroupSegments(bt, PlanNaturalScan(bt)));
     scan->EnableRowFilter(row_filter);
     if (row_filter) {
       return CollectAll(scan.get(), &ctx).ValueOrDie();
@@ -247,7 +249,7 @@ TEST(FilterSelTest, ComposesWithScanSelection) {
   // Scan keeps k < 500 (densely selected -> sel batches); Filter keeps even
   // w. The two selections must compose.
   ExecContext ctx(nullptr);
-  auto scan = std::make_unique<PlainScan>(
+  auto scan = std::make_unique<SegmentScan>(
       &t, std::vector<std::string>{"k", "w"},
       std::vector<ScanPredicate>{
           {"k", ValueRange{Value::Int32(0), Value::Int32(499)}}});
@@ -272,7 +274,7 @@ TEST(FilterSelTest, DensityGateCompactsSparseBatches) {
   ExecContext ctx(nullptr);
   // ~1% selectivity: far below kCompactDensity, so emitted batches must be
   // compacted even with sel enabled.
-  auto scan = std::make_unique<PlainScan>(&t, std::vector<std::string>{"k"});
+  auto scan = std::make_unique<SegmentScan>(&t, std::vector<std::string>{"k"});
   Filter filter(std::move(scan), Lt(Col("k"), Lit(Value::Int32(10))));
   ASSERT_TRUE(filter.Open(&ctx).ok());
   while (true) {
@@ -284,7 +286,7 @@ TEST(FilterSelTest, DensityGateCompactsSparseBatches) {
 
   // ~90% selectivity: above the gate, batches carry a selection.
   ExecContext ctx2(nullptr);
-  auto scan2 = std::make_unique<PlainScan>(&t, std::vector<std::string>{"k"});
+  auto scan2 = std::make_unique<SegmentScan>(&t, std::vector<std::string>{"k"});
   Filter filter2(std::move(scan2), Lt(Col("k"), Lit(Value::Int32(900))));
   ASSERT_TRUE(filter2.Open(&ctx2).ok());
   bool saw_sel = false;
@@ -299,7 +301,7 @@ TEST(FilterSelTest, DensityGateCompactsSparseBatches) {
   // Legacy mode never emits selections.
   ExecContext ctx3(nullptr);
   ctx3.set_sel_enabled(false);
-  auto scan3 = std::make_unique<PlainScan>(&t, std::vector<std::string>{"k"});
+  auto scan3 = std::make_unique<SegmentScan>(&t, std::vector<std::string>{"k"});
   Filter filter3(std::move(scan3), Lt(Col("k"), Lit(Value::Int32(900))));
   ASSERT_TRUE(filter3.Open(&ctx3).ok());
   while (true) {
@@ -315,7 +317,7 @@ TEST(FilterSelTest, DensityGateCompactsSparseBatches) {
 TEST(RecycleTest, ScanReusesReturnedBatches) {
   Table t = MixedTable(10000);
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k", "v", "w"});
+  SegmentScan scan(&t, {"k", "v", "w"});
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   int64_t expect_w = 0;
@@ -334,7 +336,7 @@ TEST(RecycleTest, ScanReusesReturnedBatches) {
 TEST(RecycleTest, TypeMismatchedBatchesAreDropped) {
   Table t = MixedTable(100);
   ExecContext ctx(nullptr);
-  PlainScan scan(&t, {"k"});
+  SegmentScan scan(&t, {"k"});
   ASSERT_TRUE(scan.Open(&ctx).ok());
   Batch wrong;
   wrong.columns.emplace_back(TypeId::kFloat64);
@@ -352,7 +354,7 @@ TEST(SelAwareOperatorsTest, AggAndJoinAgreeWithCompactMode) {
   auto make_agg = [&](bool sel_enabled) {
     ExecContext ctx(nullptr);
     ctx.set_sel_enabled(sel_enabled);
-    auto scan = std::make_unique<PlainScan>(
+    auto scan = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"k", "v", "s"},
         std::vector<ScanPredicate>{
             {"k", ValueRange{Value::Int32(0), Value::Int32(599)}}});
@@ -370,12 +372,12 @@ TEST(SelAwareOperatorsTest, AggAndJoinAgreeWithCompactMode) {
   auto make_join = [&](bool sel_enabled) {
     ExecContext ctx(nullptr);
     ctx.set_sel_enabled(sel_enabled);
-    auto probe = std::make_unique<PlainScan>(
+    auto probe = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"k", "w"},
         std::vector<ScanPredicate>{
             {"k", ValueRange{Value::Int32(0), Value::Int32(499)}}});
     probe->EnableRowFilter(true);
-    auto build = std::make_unique<PlainScan>(
+    auto build = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"k", "v"},
         std::vector<ScanPredicate>{
             {"k", ValueRange{Value::Int32(300), Value::Int32(799)}}});
@@ -397,7 +399,7 @@ TEST(SelAwareOperatorsTest, AggAndJoinAgreeWithCompactMode) {
 TEST(SelAwareOperatorsTest, StringAndPackedGroupByCorrect) {
   Table t = MixedTable(5000);
   ExecContext ctx(nullptr);
-  auto scan = std::make_unique<PlainScan>(
+  auto scan = std::make_unique<SegmentScan>(
       &t, std::vector<std::string>{"k", "s", "w"});
   HashAgg agg(std::move(scan), {"s"}, {AggCountStar("n")});
   Batch got = CollectAll(&agg, &ctx).ValueOrDie();
@@ -415,7 +417,7 @@ TEST(SelAwareOperatorsTest, StringAndPackedGroupByCorrect) {
 
   // Packed (string, i32-bucket) pair.
   ExecContext ctx2(nullptr);
-  auto scan2 = std::make_unique<PlainScan>(
+  auto scan2 = std::make_unique<SegmentScan>(
       &t, std::vector<std::string>{"k", "s", "w"});
   auto bucketed = std::make_unique<Project>(
       std::move(scan2),
