@@ -265,7 +265,12 @@ void ColumnVector::AppendGather(const ColumnVector& other,
     }
   }
   // NULL-mask alignment first, so lane sizes and mask sizes stay in step.
-  if (!other.nulls.empty() || !nulls.empty()) {
+  // Like AppendFrom, a mask is only started once a NULL row is appended.
+  bool masked = !nulls.empty();
+  for (size_t i = 0; i < n && !masked && !other.nulls.empty(); ++i) {
+    masked = other.nulls[rows[i]] != 0;
+  }
+  if (masked) {
     if (nulls.empty()) nulls.assign(size(), 0);
     if (other.nulls.empty()) {
       nulls.resize(nulls.size() + n, 0);

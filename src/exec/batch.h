@@ -136,7 +136,8 @@ struct ColumnVector {
   /// scattered stretches a 4-wide unrolled gather.
   ColumnVector Gather(const std::vector<uint32_t>& sel) const;
   /// Append rows[0..n) of `other` (same type) to this vector: the bulk,
-  /// typed-loop counterpart of n AppendFrom calls. String vectors adopt
+  /// typed-loop counterpart of n AppendFrom calls (same values, same NULL
+  /// mask: one is started only when a NULL row arrives). String vectors adopt
   /// `other`'s dictionary when unset, copy codes when it matches, and fall
   /// back to per-row interning otherwise.
   void AppendGather(const ColumnVector& other, const uint32_t* rows, size_t n);

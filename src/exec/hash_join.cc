@@ -1,5 +1,7 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
+
 namespace bdcc {
 namespace exec {
 
@@ -65,6 +67,62 @@ Status HashJoin::Open(ExecContext* ctx) {
   return prober_.Bind(left_->schema(), left_keys_, &table_, type_);
 }
 
+template <typename Key>
+void HashJoinProber::CollectPairs(const Batch& in,
+                                  const std::vector<Key>& keys) const {
+  const JoinHashTable& table = *table_;
+  probe_rows_.clear();
+  build_parts_.clear();
+  build_rows_.clear();
+  bool emit_build = type_ == JoinType::kInner || type_ == JoinType::kLeftOuter;
+  for (size_t i = 0; i < in.num_rows; ++i) {
+    uint32_t probe_row = in.RowAt(i);
+    if (!emit_build) {
+      bool matched = valid_[i] && table.HasMatch(keys[i]);
+      if (matched == (type_ == JoinType::kLeftSemi)) {
+        probe_rows_.push_back(probe_row);
+      }
+      continue;
+    }
+    size_t before = probe_rows_.size();
+    if (valid_[i]) {
+      table.ForEachMatch(keys[i], [&](BuildRowRef build) {
+        probe_rows_.push_back(probe_row);
+        build_parts_.push_back(build.partition);
+        build_rows_.push_back(build.row);
+      });
+    }
+    if (type_ == JoinType::kLeftOuter && probe_rows_.size() == before) {
+      probe_rows_.push_back(probe_row);
+      build_parts_.push_back(0);
+      build_rows_.push_back(kNoMatch);
+    }
+  }
+}
+
+void HashJoinProber::GatherBuildColumn(size_t c, bool one_source,
+                                       bool null_slot,
+                                       ColumnVector* out) const {
+  if (one_source) {
+    out->AppendGather(table_->partition_columns(0)[c], build_rows_.data(),
+                      build_rows_.size());
+    return;
+  }
+  // Stage the matched values partition by partition (plus one trailing NULL
+  // for unmatched rows), then put them in output order with one gather.
+  size_t parts = table_->num_partitions();
+  staged_.type = out->type;
+  staged_.ClearKeepCapacity();
+  staged_.dict = table_->columns()[c].dict;
+  for (size_t p = 0; p < parts; ++p) {
+    staged_.AppendGather(table_->partition_columns(p)[c],
+                         grouped_rows_.data() + part_begin_[p],
+                         part_begin_[p + 1] - part_begin_[p]);
+  }
+  if (null_slot) staged_.AppendNull();
+  out->AppendGather(staged_, staged_pos_.data(), staged_pos_.size());
+}
+
 Result<Batch> HashJoinProber::ProbeBatch(const Batch& in, Batch scratch) const {
   const JoinHashTable& table = *table_;
   size_t left_width = in.columns.size();
@@ -84,79 +142,62 @@ Result<Batch> HashJoinProber::ProbeBatch(const Batch& in, Batch scratch) const {
       out.columns.emplace_back(f.type);
     }
   }
+  bool emit_build = type_ == JoinType::kInner || type_ == JoinType::kLeftOuter;
   // Pre-wire right-side dictionaries so empty results stay typed.
-  if (type_ == JoinType::kInner || type_ == JoinType::kLeftOuter) {
+  if (emit_build) {
     for (size_t c = 0; c < table.columns().size(); ++c) {
       out.columns[left_width + c].dict = table.columns()[c].dict;
     }
   }
 
-  // `left_row` below is a logical row; map through the probe batch's
-  // selection when materializing.
-  auto emit_match = [&](size_t left_row, BuildRowRef build) {
-    for (size_t c = 0; c < left_width; ++c) {
-      out.columns[c].AppendFrom(in.columns[c], in.RowAt(left_row));
-    }
-    for (size_t c = 0; c < build.columns->size(); ++c) {
-      out.columns[left_width + c].AppendFrom((*build.columns)[c], build.row);
-    }
-    ++out.num_rows;
-  };
-  auto emit_left_only = [&](size_t left_row, bool null_right) {
-    for (size_t c = 0; c < left_width; ++c) {
-      out.columns[c].AppendFrom(in.columns[c], in.RowAt(left_row));
-    }
-    if (null_right) {
-      for (size_t c = left_width; c < out.columns.size(); ++c) {
-        out.columns[c].AppendNull();
-      }
-    }
-    ++out.num_rows;
-  };
-
-  auto probe_row = [&](size_t i, auto&& key, bool valid) {
-    bool matched = false;
-    if (valid) {
-      switch (type_) {
-        case JoinType::kInner:
-        case JoinType::kLeftOuter:
-          table.ForEachMatch(key, [&](BuildRowRef build) {
-            emit_match(i, build);
-            matched = true;
-          });
-          break;
-        case JoinType::kLeftSemi:
-        case JoinType::kLeftAnti:
-          matched = table.HasMatch(key);
-          break;
-      }
-    }
-    switch (type_) {
-      case JoinType::kInner:
-        break;
-      case JoinType::kLeftOuter:
-        if (!matched) emit_left_only(i, /*null_right=*/true);
-        break;
-      case JoinType::kLeftSemi:
-        if (matched) emit_left_only(i, false);
-        break;
-      case JoinType::kLeftAnti:
-        if (!matched) emit_left_only(i, false);
-        break;
-    }
-  };
-
   if (encoder_.int_path()) {
-    std::vector<int64_t> keys;
-    std::vector<uint8_t> valid;
-    encoder_.EncodeInts(in, &keys, &valid);
-    for (size_t i = 0; i < in.num_rows; ++i) probe_row(i, keys[i], valid[i]);
+    encoder_.EncodeInts(in, &int_keys_, &valid_);
+    CollectPairs(in, int_keys_);
   } else {
-    std::vector<std::string> keys;
-    std::vector<uint8_t> valid;
-    encoder_.EncodeBytes(in, &keys, &valid);
-    for (size_t i = 0; i < in.num_rows; ++i) probe_row(i, keys[i], valid[i]);
+    encoder_.EncodeBytes(in, &byte_keys_, &valid_);
+    CollectPairs(in, byte_keys_);
   }
+  size_t n = probe_rows_.size();
+  for (size_t c = 0; c < left_width; ++c) {
+    out.columns[c].AppendGather(in.columns[c], probe_rows_.data(), n);
+  }
+  if (emit_build && n > 0) {
+    // Counting-sort the matched rows by partition. A serial build without
+    // unmatched rows gathers straight from its one partition instead.
+    size_t parts = table.num_partitions();
+    part_begin_.assign(parts + 1, 0);
+    size_t unmatched = 0;
+    for (size_t k = 0; k < n; ++k) {
+      if (build_rows_[k] == kNoMatch) {
+        ++unmatched;
+      } else {
+        ++part_begin_[build_parts_[k] + 1];
+      }
+    }
+    bool one_source = parts == 1 && unmatched == 0;
+    if (!one_source) {
+      for (size_t p = 0; p < parts; ++p) part_begin_[p + 1] += part_begin_[p];
+      uint32_t cursor[(size_t{1} << JoinHashTable::kMaxPartitionBits)];
+      std::copy(part_begin_.begin(), part_begin_.end() - 1, cursor);
+      uint32_t null_pos = part_begin_[parts];
+      grouped_rows_.resize(null_pos);
+      staged_pos_.resize(n);
+      for (size_t k = 0; k < n; ++k) {
+        if (build_rows_[k] == kNoMatch) {
+          staged_pos_[k] = null_pos;
+          continue;
+        }
+        uint32_t pos = cursor[build_parts_[k]]++;
+        grouped_rows_[pos] = build_rows_[k];
+        staged_pos_[k] = pos;
+      }
+    }
+    for (size_t c = 0; c < table.columns().size(); ++c) {
+      GatherBuildColumn(c, one_source, unmatched > 0,
+                        &out.columns[left_width + c]);
+    }
+  }
+  out.num_rows = n;
   return out;
 }
 

@@ -22,10 +22,19 @@ const char* JoinTypeName(JoinType t);
 
 /// \brief Probe-side logic of a hash join against a finished build table.
 ///
+/// ProbeBatch works a batch at a time: it first records every output row as
+/// a (probe row, build partition, build row) triple, in the order a
+/// row-at-a-time loop would emit them, then fills each output column with
+/// one AppendGather — probe columns straight through the batch's selection,
+/// build columns from their partitions (see GatherBuildColumn).
+///
 /// Thread-safety: ProbeBatch only reads the table, so any number of
-/// HashJoinProber instances (one per worker, each with its own encoder) may
-/// probe one shared JoinHashTable concurrently — the core of parallel probe
-/// pipelines. The table must not be mutated while probers exist.
+/// HashJoinProber instances (one per worker, each with its own encoder and
+/// scratch buffers) may probe one shared JoinHashTable concurrently — the
+/// core of parallel probe pipelines. One instance is single-threaded. The
+/// table must not be mutated while a ProbeBatch runs; between calls it may
+/// be cleared and refilled (SandwichHashJoin rebuilds it per group), since
+/// JoinHashTable::Clear keeps the encoder the prober is bound to.
 class HashJoinProber {
  public:
   Status Bind(const Schema& probe_schema,
@@ -42,10 +51,38 @@ class HashJoinProber {
   Result<Batch> ProbeBatch(const Batch& in, Batch scratch = Batch()) const;
 
  private:
+  /// Marks a left-outer output row without a build match.
+  static constexpr uint32_t kNoMatch = 0xFFFFFFFFu;
+
+  /// Record the output rows of `in` into the pair buffers below.
+  template <typename Key>
+  void CollectPairs(const Batch& in, const std::vector<Key>& keys) const;
+  /// Append build column `c` of every recorded pair to `out`: straight
+  /// from partition 0 when `one_source`, else through `staged_` (the
+  /// partition grouping below, plus a NULL slot when `null_slot`).
+  void GatherBuildColumn(size_t c, bool one_source, bool null_slot,
+                         ColumnVector* out) const;
+
   const JoinHashTable* table_ = nullptr;
   KeyEncoder encoder_;
   JoinType type_ = JoinType::kInner;
   Schema schema_;
+
+  // Per-batch scratch, reused across calls.
+  mutable std::vector<int64_t> int_keys_;
+  mutable std::vector<std::string> byte_keys_;
+  mutable std::vector<uint8_t> valid_;
+  // One entry per output row: physical probe row, build partition and
+  // build row (kNoMatch for a left-outer row without a match).
+  mutable std::vector<uint32_t> probe_rows_;
+  mutable std::vector<uint32_t> build_parts_;
+  mutable std::vector<uint32_t> build_rows_;
+  // Multi-source gathers: rows grouped by partition, each output row's
+  // position in that grouping, and the staged column values.
+  mutable std::vector<uint32_t> grouped_rows_;
+  mutable std::vector<uint32_t> part_begin_;
+  mutable std::vector<uint32_t> staged_pos_;
+  mutable ColumnVector staged_;
 };
 
 class HashJoin : public Operator {

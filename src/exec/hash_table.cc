@@ -1,5 +1,6 @@
 #include "exec/hash_table.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/fault_injection.h"
@@ -391,20 +392,34 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
 
 // ---------------- DenseKeyMap ----------------
 
-int64_t DenseKeyMap::Find(int64_t key) const {
-  auto it = int_map_.find(key);
-  return it == int_map_.end() ? -1 : it->second;
-}
-
 int64_t DenseKeyMap::Find(const std::string& key) const {
   auto it = bytes_map_.find(key);
   return it == bytes_map_.end() ? -1 : it->second;
 }
 
 int64_t DenseKeyMap::FindOrInsert(int64_t key, bool* out_inserted) {
-  auto [it, inserted] = int_map_.emplace(key, NextId());
-  *out_inserted = inserted;
-  return it->second;
+  if (slots_.empty()) Rehash(kMinSlots);
+  size_t i = HashKey64(static_cast<uint64_t>(key)) & mask_;
+  for (;; i = (i + 1) & mask_) {
+    const Slot& s = slots_[i];
+    if (s.id < 0) break;
+    if (s.key == key) {
+      *out_inserted = false;
+      return s.id;
+    }
+  }
+  // Miss: keep the load factor at or below 3/4, then claim the first empty
+  // slot on the key's (possibly re-homed) probe path.
+  if (OverLoaded(int_size_ + 1, slots_.size())) {
+    Rehash(slots_.size() * 2);
+    i = HashKey64(static_cast<uint64_t>(key)) & mask_;
+    while (slots_[i].id >= 0) i = (i + 1) & mask_;
+  }
+  int64_t id = NextId();
+  slots_[i] = Slot{key, id};
+  ++int_size_;
+  *out_inserted = true;
+  return id;
 }
 
 int64_t DenseKeyMap::FindOrInsert(const std::string& key, bool* out_inserted) {
@@ -414,8 +429,22 @@ int64_t DenseKeyMap::FindOrInsert(const std::string& key, bool* out_inserted) {
   return it->second;
 }
 
+void DenseKeyMap::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{0, -1});
+  mask_ = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.id < 0) continue;
+    size_t i = HashKey64(static_cast<uint64_t>(s.key)) & mask_;
+    while (slots_[i].id >= 0) i = (i + 1) & mask_;
+    slots_[i] = s;
+  }
+}
+
 void DenseKeyMap::Reserve(size_t n) {
-  int_map_.reserve(n);
+  size_t capacity = kMinSlots;
+  while (OverLoaded(n, capacity)) capacity *= 2;
+  if (capacity > slots_.size()) Rehash(capacity);
 }
 
 int64_t DenseKeyMap::NullId(bool* out_inserted) {
@@ -425,29 +454,21 @@ int64_t DenseKeyMap::NullId(bool* out_inserted) {
 }
 
 uint64_t DenseKeyMap::MemoryBytes() const {
-  // buckets + nodes (key, value, next pointer); int mode may additionally
-  // hold byte keys for NULL-bearing packed tuples.
-  return int_map_.bucket_count() * 8 + int_map_.size() * 32 +
-         bytes_map_.bucket_count() * 8 + bytes_map_.size() * 48 +
-         bytes_key_payload_;
+  // Slot array capacity; byte keys (the generic path, or NULL-bearing
+  // packed tuples in int mode) add buckets + nodes + key payload.
+  return slots_.capacity() * kSlotBytes + bytes_map_.bucket_count() * 8 +
+         bytes_map_.size() * 48 + bytes_key_payload_;
 }
 
 void DenseKeyMap::Clear() {
-  int_map_.clear();
+  if (int_size_ > 0) std::fill(slots_.begin(), slots_.end(), Slot{0, -1});
+  int_size_ = 0;
   bytes_map_.clear();
   null_id_ = -1;
   bytes_key_payload_ = 0;
 }
 
 // ---------------- JoinHashTable ----------------
-
-uint64_t HashKey64(uint64_t x) {
-  // splitmix64 finalizer: cheap, well-mixed high bits for radix routing.
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashKeyBytes(std::string_view s) {
   // FNV-1a, then one splitmix round so the *high* bits (the radix) mix.
@@ -478,12 +499,18 @@ Status JoinHashTable::Init(const Schema& build_schema,
 Status JoinHashTable::AddBatch(const Batch& batch) {
   BDCC_CHECK(part_bits_ == 0);  // serial mode only; partitioned uses Scatter
   Partition& part = parts_[0];
-  // Materialize the batch's (selected) rows.
-  for (size_t c = 0; c < part.columns.size(); ++c) {
-    const ColumnVector& src = batch.columns[c];
+  // Materialize the batch's logical rows: one bulk gather per column.
+  const uint32_t* rows = batch.sel.data();
+  std::vector<uint32_t> identity;
+  if (!batch.has_sel()) {
+    identity.resize(batch.num_rows);
     for (size_t r = 0; r < batch.num_rows; ++r) {
-      part.columns[c].AppendFrom(src, batch.RowAt(r));
+      identity[r] = static_cast<uint32_t>(r);
     }
+    rows = identity.data();
+  }
+  for (size_t c = 0; c < part.columns.size(); ++c) {
+    part.columns[c].AppendGather(batch.columns[c], rows, batch.num_rows);
   }
   // Chain rows under their keys.
   auto link = [&](int64_t id, size_t local_row) {
@@ -536,8 +563,11 @@ void JoinHashTable::BeginPartitionedBuild(int partition_bits,
   size_t n = size_t{1} << part_bits_;
   parts_.clear();
   parts_.resize(n);
-  for (Partition& p : parts_) {
-    for (const Field& f : schema_.fields()) p.columns.emplace_back(f.type);
+  for (size_t i = 0; i < n; ++i) {
+    parts_[i].index = static_cast<uint32_t>(i);
+    for (const Field& f : schema_.fields()) {
+      parts_[i].columns.emplace_back(f.type);
+    }
   }
   producers_.clear();
   producers_.resize(num_producers);

@@ -1,4 +1,4 @@
-// Key encoding and chained hash tables shared by hash join and aggregation.
+// Key encoding and the hash tables shared by hash join and aggregation.
 #ifndef BDCC_EXEC_HASH_TABLE_H_
 #define BDCC_EXEC_HASH_TABLE_H_
 
@@ -164,38 +164,88 @@ class KeyEncoder {
   mutable std::vector<TranslateCache> caches_;
 };
 
-/// \brief Chained hash table mapping keys to dense ids 0..n-1 (insertion
-/// order). Ids index the caller's payload arrays. An optional dedicated
-/// null-key id (NullId) shares the dense id space, so aggregations can
-/// keep SQL's "NULLs group together" semantics on the int fast paths; in
-/// int mode the byte-keyed overloads remain usable as an exact side
-/// channel for NULL-bearing composite tuples (both key spaces share the
-/// dense id sequence).
+/// Stable 64-bit mixers. Radix partitioning routes on the *high* bits of
+/// these and DenseKeyMap indexes its slots by the *low* bits, so a
+/// partition's keys still spread over its own table. Build and probe must
+/// agree bit-for-bit, so these are fixed functions, not std::hash.
+inline uint64_t HashKey64(uint64_t x) {
+  // splitmix64 finalizer: cheap and well mixed at both ends.
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+uint64_t HashKeyBytes(std::string_view s);
+
+/// \brief Hash map from keys to dense ids 0..n-1 (insertion order). Ids
+/// index the caller's payload arrays (join chain heads, aggregate states).
+///
+/// int64 keys live in one flat open-addressing array of 16-byte
+/// {key, id} slots: power-of-two capacity, linear probing from the low
+/// bits of HashKey64, id -1 marking an empty slot. The load factor stays
+/// at or below 3/4: a table costs 21-43 bytes per key, and a lookup is one
+/// hash and usually one or two adjacent cache lines.
+/// Byte-string keys (the generic encoder path) use a node map. Both key
+/// spaces and the optional dedicated NULL id (NullId, for SQL's "NULLs
+/// group together") share one dense id sequence, so an int-keyed
+/// aggregation can also hold exact byte keys for NULL-bearing composite
+/// tuples.
 class DenseKeyMap {
  public:
   /// Existing id or -1.
-  int64_t Find(int64_t key) const;
+  int64_t Find(int64_t key) const {
+    if (int_size_ == 0) return -1;
+    for (size_t i = HashKey64(static_cast<uint64_t>(key)) & mask_;;
+         i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id < 0) return -1;
+      if (s.key == key) return s.id;
+    }
+  }
   int64_t Find(const std::string& key) const;
   /// Existing id, or insert and return the fresh one (out_inserted flags it).
   int64_t FindOrInsert(int64_t key, bool* out_inserted);
   int64_t FindOrInsert(const std::string& key, bool* out_inserted);
-  /// Pre-size for ~n keys (partitioned builds know their row counts up
-  /// front; skips the incremental rehash storms a serial build pays).
+  /// Pre-size for ~n int keys, so n inserts never grow the slot array
+  /// (partitioned builds know their row counts up front). Never shrinks.
   void Reserve(size_t n);
   /// Dense id reserved for NULL keys (allocated on first use).
   int64_t NullId(bool* out_inserted);
 
   size_t size() const {
-    return int_map_.size() + bytes_map_.size() + (null_id_ >= 0 ? 1 : 0);
+    return int_size_ + bytes_map_.size() + (null_id_ >= 0 ? 1 : 0);
   }
-  /// Rough heap footprint for memory accounting.
+  /// Heap footprint for memory accounting: the whole slot array (its
+  /// capacity, not just the filled slots) plus the byte-key map.
   uint64_t MemoryBytes() const;
+  /// Forget every key; the slot array keeps its capacity for reuse.
   void Clear();
 
- private:
-  int64_t NextId() const { return static_cast<int64_t>(size()); }
+  /// Width of one int-key slot (MemoryBytes accounts capacity x this).
+  static constexpr size_t kSlotBytes = 16;
+  /// Slots in the int-key array (0 before the first int insert/Reserve).
+  size_t slot_capacity() const { return slots_.size(); }
 
-  std::unordered_map<int64_t, int64_t> int_map_;
+ private:
+  struct Slot {
+    int64_t key;
+    int64_t id;  // -1 = empty
+  };
+  static_assert(sizeof(Slot) == kSlotBytes, "slot layout");
+  static constexpr size_t kMinSlots = 8;
+
+  /// True when `keys` int keys would load `slots` slots past 3/4.
+  static bool OverLoaded(size_t keys, size_t slots) {
+    return keys * 4 > slots * 3;
+  }
+
+  int64_t NextId() const { return static_cast<int64_t>(size()); }
+  /// Re-home every int key into a `capacity`-slot array (power of two).
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;  // slots_.size() - 1 once allocated
+  size_t int_size_ = 0;
   std::unordered_map<std::string, int64_t> bytes_map_;
   int64_t null_id_ = -1;
   uint64_t bytes_key_payload_ = 0;
@@ -220,22 +270,22 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
                                std::vector<uint32_t>* group_of_row,
                                const std::function<void(size_t)>& on_new_group);
 
-/// Stable 64-bit mixers used to route keys to radix partitions. Build and
-/// probe must agree bit-for-bit, so these are fixed functions, not
-/// std::hash.
-uint64_t HashKey64(uint64_t x);
-uint64_t HashKeyBytes(std::string_view s);
-
-/// \brief One build row handed to ForEachMatch callbacks: the partition's
-/// materialized columns plus the row index within them. In serial
-/// (single-partition) mode `columns` is simply the whole build side.
+/// \brief One build row handed to ForEachMatch callbacks: its partition,
+/// that partition's materialized columns and the row index within them. In
+/// serial (single-partition) mode `partition` is 0 and `columns` is simply
+/// the whole build side.
 struct BuildRowRef {
   const std::vector<ColumnVector>* columns;
   uint32_t row;
+  uint32_t partition;
 };
 
-/// \brief Materialized build side of a hash join: all build columns plus a
-/// key -> row-chain index.
+/// \brief Materialized build side of a hash join: the build columns plus a
+/// key -> row-chain index. Each partition's DenseKeyMap gives a key's dense
+/// id; `heads[id]` is the newest row with that key and `next[row]` links to
+/// the next older one, so ForEachMatch walks duplicates newest first. Rows
+/// are copied in with one AppendGather per column (per input batch in a
+/// serial build, per pinned-batch run in a partitioned one).
 ///
 /// Two build modes share the probe interface:
 ///  - serial (Init + AddBatch): one partition, no routing on probe.
@@ -289,24 +339,19 @@ class JoinHashTable {
     return parts_.empty() ? empty_columns_ : parts_[0].columns;
   }
   const KeyEncoder& encoder() const { return encoder_; }
-
-  /// Iterate build rows matching an int64 key (newest insertion first).
-  template <typename Fn>
-  void ForEachMatch(int64_t key, Fn fn) const {
-    const Partition& p = PartitionFor(key);
-    int64_t id = p.key_ids.Find(key);
-    if (id < 0) return;
-    for (uint32_t row = p.heads[id]; row != kEnd; row = p.next[row]) {
-      fn(BuildRowRef{&p.columns, row});
-    }
+  /// Materialized columns of partition `p` (BuildRowRef::partition).
+  const std::vector<ColumnVector>& partition_columns(size_t p) const {
+    return parts_[p].columns;
   }
-  template <typename Fn>
-  void ForEachMatch(const std::string& key, Fn fn) const {
+
+  /// Iterate build rows matching a key (newest insertion first).
+  template <typename Key, typename Fn>
+  void ForEachMatch(const Key& key, Fn fn) const {
     const Partition& p = PartitionFor(key);
     int64_t id = p.key_ids.Find(key);
     if (id < 0) return;
     for (uint32_t row = p.heads[id]; row != kEnd; row = p.next[row]) {
-      fn(BuildRowRef{&p.columns, row});
+      fn(BuildRowRef{&p.columns, row, p.index});
     }
   }
   bool HasMatch(int64_t key) const {
@@ -333,6 +378,7 @@ class JoinHashTable {
     std::vector<uint32_t> next;   // per row: next row with same key
     std::vector<ColumnVector> columns;
     size_t num_rows = 0;
+    uint32_t index = 0;  // position in parts_
   };
 
   /// One producer's pending row refs for one partition (scatter phase).

@@ -28,7 +28,7 @@ Status SandwichAgg::Open(ExecContext* ctx) {
   for (const Field& f : core_.output_fields()) fields.push_back(f);
   schema_ = Schema(std::move(fields));
 
-  tracked_ = std::make_unique<TrackedMemory>(ctx->memory());
+  tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "sandwich-agg");
   key_map_.Clear();
   current_partition_ = -1;
   input_done_ = false;
@@ -37,9 +37,8 @@ Status SandwichAgg::Open(ExecContext* ctx) {
 }
 
 Status SandwichAgg::Consume(const Batch& batch) {
-  std::vector<uint32_t> group_of_row;
   const std::vector<int>& key_idx = encoder_.indices();
-  EncodeAndAssignGroups(encoder_, &key_map_, batch, &group_of_row,
+  EncodeAndAssignGroups(encoder_, &key_map_, batch, &group_of_row_,
                         [&](size_t row) {
                           for (size_t k = 0; k < key_idx.size(); ++k) {
                             key_store_[k].AppendInterning(
@@ -47,7 +46,7 @@ Status SandwichAgg::Consume(const Batch& batch) {
                           }
                         });
   core_.EnsureGroups(key_map_.size());
-  return core_.Update(batch, group_of_row);
+  return core_.Update(batch, group_of_row_);
 }
 
 void SandwichAgg::FlushPartition(ExecContext* ctx) {
@@ -85,8 +84,9 @@ Result<Batch> SandwichAgg::Next(ExecContext* ctx) {
       return Status::InvalidArgument(
           "sandwich aggregation input is not group-tagged");
     }
-    if (current_partition_ >= 0 && b.group_id != current_partition_) {
-      FlushPartition(ctx);
+    if (b.group_id != current_partition_) {
+      BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
+      if (current_partition_ >= 0) FlushPartition(ctx);
     }
     current_partition_ = b.group_id;
     BDCC_RETURN_NOT_OK(Consume(b));
@@ -95,7 +95,9 @@ Result<Batch> SandwichAgg::Next(ExecContext* ctx) {
     for (const ColumnVector& v : key_store_) {
       store_bytes += ColumnVectorBytes(v);
     }
-    tracked_->Set(key_map_.MemoryBytes() + store_bytes + core_.MemoryBytes());
+    BDCC_RETURN_NOT_OK(ctx->ChargeMemory(
+        tracked_.get(),
+        key_map_.MemoryBytes() + store_bytes + core_.MemoryBytes()));
   }
   if (ready_.empty()) return Batch::Empty();
   Batch out = std::move(ready_.front());

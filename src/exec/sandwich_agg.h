@@ -44,6 +44,7 @@ class SandwichAgg : public Operator {
   std::vector<ColumnVector> key_store_;
   AggregatorCore core_;
   std::unique_ptr<TrackedMemory> tracked_;
+  std::vector<uint32_t> group_of_row_;  // per-batch scratch for Consume
 
   int64_t current_partition_ = -1;
   bool input_done_ = false;

@@ -16,17 +16,13 @@ SandwichHashJoin::SandwichHashJoin(OperatorPtr left, OperatorPtr right,
 Status SandwichHashJoin::Open(ExecContext* ctx) {
   BDCC_RETURN_NOT_OK(left_->Open(ctx));
   BDCC_RETURN_NOT_OK(right_->Open(ctx));
-  tracked_ = std::make_unique<TrackedMemory>(ctx->memory());
+  tracked_ =
+      std::make_unique<TrackedMemory>(ctx->memory(), "sandwich-join build");
   BDCC_RETURN_NOT_OK(table_.Init(right_->schema(), right_keys_));
   // Per-group builds alternate with probes on this one thread, so sharing
-  // the build encoder's canonical string space is race-free.
-  BDCC_RETURN_NOT_OK(
-      probe_encoder_.BindProbe(left_->schema(), left_keys_, &table_.encoder()));
-  if (type_ == JoinType::kLeftSemi || type_ == JoinType::kLeftAnti) {
-    schema_ = left_->schema();
-  } else {
-    schema_ = Schema::Concat(left_->schema(), right_->schema());
-  }
+  // the build encoder's canonical string space is race-free; Clear() keeps
+  // that encoder, so the binding survives every group rebuild.
+  BDCC_RETURN_NOT_OK(prober_.Bind(left_->schema(), left_keys_, &table_, type_));
   have_pending_right_ = false;
   right_done_ = false;
   current_group_ = -1;
@@ -52,9 +48,10 @@ Status SandwichHashJoin::PullRight(ExecContext* ctx) {
 
 Status SandwichHashJoin::LoadRightGroupUpTo(int64_t target, ExecContext* ctx) {
   if (current_group_ >= target) return Status::OK();
+  BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
   // Discard the stale group.
   table_.Clear();
-  tracked_->Set(0);
+  tracked_->Clear();
   current_group_ = -1;
 
   // Skip right batches below the target group.
@@ -71,75 +68,12 @@ Status SandwichHashJoin::LoadRightGroupUpTo(int64_t target, ExecContext* ctx) {
     BDCC_RETURN_NOT_OK(table_.AddBatch(pending_right_));
     have_pending_right_ = false;
     right_->Recycle(std::move(pending_right_));
+    BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
     if (!right_done_) BDCC_RETURN_NOT_OK(PullRight(ctx));
   }
   current_group_ = group;
-  tracked_->Set(table_.MemoryBytes());
   ctx->stats()->sandwich_partitions += 1;
   return Status::OK();
-}
-
-Result<Batch> SandwichHashJoin::ProbeBatch(const Batch& in) {
-  size_t left_width = in.columns.size();
-  Batch out;
-  out.group_id = in.group_id;
-  for (const Field& f : schema_.fields()) out.columns.emplace_back(f.type);
-  if (type_ == JoinType::kInner || type_ == JoinType::kLeftOuter) {
-    for (size_t c = 0; c < table_.columns().size(); ++c) {
-      out.columns[left_width + c].dict = table_.columns()[c].dict;
-    }
-  }
-
-  // `left_row` is logical; map through the probe batch's selection.
-  auto emit_match = [&](size_t left_row, BuildRowRef build) {
-    for (size_t c = 0; c < left_width; ++c) {
-      out.columns[c].AppendFrom(in.columns[c], in.RowAt(left_row));
-    }
-    for (size_t c = 0; c < build.columns->size(); ++c) {
-      out.columns[left_width + c].AppendFrom((*build.columns)[c], build.row);
-    }
-    ++out.num_rows;
-  };
-  auto emit_left = [&](size_t left_row, bool null_right) {
-    for (size_t c = 0; c < left_width; ++c) {
-      out.columns[c].AppendFrom(in.columns[c], in.RowAt(left_row));
-    }
-    if (null_right) {
-      for (size_t c = left_width; c < out.columns.size(); ++c) {
-        out.columns[c].AppendNull();
-      }
-    }
-    ++out.num_rows;
-  };
-  auto probe_row = [&](size_t i, auto&& key, bool valid) {
-    bool matched = false;
-    if (valid) {
-      if (type_ == JoinType::kInner || type_ == JoinType::kLeftOuter) {
-        table_.ForEachMatch(key, [&](BuildRowRef build) {
-          emit_match(i, build);
-          matched = true;
-        });
-      } else {
-        matched = table_.HasMatch(key);
-      }
-    }
-    if (type_ == JoinType::kLeftOuter && !matched) emit_left(i, true);
-    if (type_ == JoinType::kLeftSemi && matched) emit_left(i, false);
-    if (type_ == JoinType::kLeftAnti && !matched) emit_left(i, false);
-  };
-
-  if (probe_encoder_.int_path()) {
-    std::vector<int64_t> keys;
-    std::vector<uint8_t> valid;
-    probe_encoder_.EncodeInts(in, &keys, &valid);
-    for (size_t i = 0; i < in.num_rows; ++i) probe_row(i, keys[i], valid[i]);
-  } else {
-    std::vector<std::string> keys;
-    std::vector<uint8_t> valid;
-    probe_encoder_.EncodeBytes(in, &keys, &valid);
-    for (size_t i = 0; i < in.num_rows; ++i) probe_row(i, keys[i], valid[i]);
-  }
-  return out;
 }
 
 Result<Batch> SandwichHashJoin::Next(ExecContext* ctx) {
@@ -156,7 +90,13 @@ Result<Batch> SandwichHashJoin::Next(ExecContext* ctx) {
     last_left_group_ = in.group_id;
     BDCC_RETURN_NOT_OK(LoadRightGroupUpTo(in.group_id, ctx));
     if (current_group_ == in.group_id) {
-      BDCC_ASSIGN_OR_RETURN(Batch out, ProbeBatch(in));
+      Batch scratch;
+      if (!recycled_.empty()) {
+        scratch = std::move(recycled_.back());
+        recycled_.pop_back();
+      }
+      BDCC_ASSIGN_OR_RETURN(Batch out,
+                            prober_.ProbeBatch(in, std::move(scratch)));
       left_->Recycle(std::move(in));  // probe output is freshly materialized
       if (out.num_rows > 0) return out;
       continue;
@@ -171,8 +111,8 @@ Result<Batch> SandwichHashJoin::Next(ExecContext* ctx) {
       out.num_rows = in.num_rows;
       out.columns = std::move(in.columns);
       for (size_t c = left_->schema().num_fields();
-           c < schema_.num_fields(); ++c) {
-        ColumnVector v(schema_.field(c).type);
+           c < schema().num_fields(); ++c) {
+        ColumnVector v(schema().field(c).type);
         for (size_t r = 0; r < out.num_rows; ++r) v.AppendNull();
         out.columns.push_back(std::move(v));
       }
@@ -181,10 +121,15 @@ Result<Batch> SandwichHashJoin::Next(ExecContext* ctx) {
   }
 }
 
+void SandwichHashJoin::Recycle(Batch&& batch) {
+  RecycleIntoFreeList(std::move(batch), schema(), &recycled_);
+}
+
 void SandwichHashJoin::Close(ExecContext* ctx) {
   left_->Close(ctx);
   right_->Close(ctx);
   table_.Clear();
+  recycled_.clear();
   if (tracked_) tracked_->Clear();
 }
 

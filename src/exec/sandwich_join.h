@@ -22,32 +22,35 @@ namespace bdcc {
 namespace exec {
 
 /// \brief Partition-wise hash join (inner / left-outer / left-semi /
-/// left-anti).
+/// left-anti). Probes go through one HashJoinProber bound to `table_` at
+/// Open; each group rebuild clears and refills the table in place.
 class SandwichHashJoin : public Operator {
  public:
   SandwichHashJoin(OperatorPtr left, OperatorPtr right,
                    std::vector<std::string> left_keys,
                    std::vector<std::string> right_keys, JoinType type);
 
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return prober_.schema(); }
   Status Open(ExecContext* ctx) override;
   Result<Batch> Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override;
+  /// Consumers hand fully-consumed join outputs back; their lane
+  /// allocations seed the next probe's output.
+  void Recycle(Batch&& batch) override;
 
  private:
   Status PullRight(ExecContext* ctx);
   /// Build the first right group with id >= target (skipping earlier ones).
   Status LoadRightGroupUpTo(int64_t target, ExecContext* ctx);
-  Result<Batch> ProbeBatch(const Batch& in);
 
   OperatorPtr left_, right_;
   std::vector<std::string> left_keys_, right_keys_;
   JoinType type_;
-  Schema schema_;
 
   JoinHashTable table_;
-  KeyEncoder probe_encoder_;
+  HashJoinProber prober_;
   std::unique_ptr<TrackedMemory> tracked_;
+  std::vector<Batch> recycled_;
 
   Batch pending_right_;
   bool have_pending_right_ = false;

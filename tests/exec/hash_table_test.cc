@@ -1,5 +1,12 @@
 #include "exec/hash_table.h"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.h"
 #include "gtest/gtest.h"
 
 namespace bdcc {
@@ -247,6 +254,188 @@ TEST(DenseKeyMapTest, BytesMode) {
   EXPECT_EQ(map.FindOrInsert(std::string("def"), &inserted), 1);
   EXPECT_EQ(map.Find(std::string("abc")), 0);
   EXPECT_GT(map.MemoryBytes(), 0u);
+}
+
+// Reference model of DenseKeyMap's contract on std::unordered_map: int keys,
+// byte keys and the NULL id draw from one dense id sequence.
+struct RefKeyMap {
+  std::unordered_map<int64_t, int64_t> ints;
+  std::unordered_map<std::string, int64_t> bytes;
+  int64_t null_id = -1;
+
+  int64_t size() const {
+    return static_cast<int64_t>(ints.size() + bytes.size()) +
+           (null_id >= 0 ? 1 : 0);
+  }
+  int64_t FindOrInsert(int64_t key, bool* inserted) {
+    auto [it, fresh] = ints.emplace(key, size());
+    *inserted = fresh;
+    return it->second;
+  }
+  int64_t FindOrInsert(const std::string& key, bool* inserted) {
+    auto [it, fresh] = bytes.emplace(key, size());
+    *inserted = fresh;
+    return it->second;
+  }
+  int64_t NullId(bool* inserted) {
+    *inserted = null_id < 0;
+    if (null_id < 0) null_id = size();
+    return null_id;
+  }
+};
+
+// Drives a DenseKeyMap and its reference through the same calls.
+class KeyMapDiff {
+ public:
+  void Insert(int64_t key) {
+    bool got_new, want_new;
+    int64_t got = map.FindOrInsert(key, &got_new);
+    int64_t want = ref.FindOrInsert(key, &want_new);
+    ASSERT_EQ(got, want) << "int key " << key;
+    ASSERT_EQ(got_new, want_new) << "int key " << key;
+  }
+  void Insert(const std::string& key) {
+    bool got_new, want_new;
+    int64_t got = map.FindOrInsert(key, &got_new);
+    int64_t want = ref.FindOrInsert(key, &want_new);
+    ASSERT_EQ(got, want) << "byte key " << key;
+    ASSERT_EQ(got_new, want_new) << "byte key " << key;
+  }
+  void Null() {
+    bool got_new, want_new;
+    ASSERT_EQ(map.NullId(&got_new), ref.NullId(&want_new));
+    ASSERT_EQ(got_new, want_new);
+  }
+  void ExpectFind(int64_t key) {
+    auto it = ref.ints.find(key);
+    ASSERT_EQ(map.Find(key), it == ref.ints.end() ? -1 : it->second)
+        << "int key " << key;
+  }
+  // Every reference key is found under its id; the slot array is a power
+  // of two at most 3/4 full and fully counted by MemoryBytes.
+  void ExpectConsistent() {
+    ASSERT_EQ(map.size(), static_cast<size_t>(ref.size()));
+    for (const auto& [key, id] : ref.ints) ASSERT_EQ(map.Find(key), id) << key;
+    for (const auto& [key, id] : ref.bytes) ASSERT_EQ(map.Find(key), id);
+    size_t cap = map.slot_capacity();
+    if (!ref.ints.empty()) {
+      ASSERT_GT(cap, 0u);
+    }
+    EXPECT_EQ(cap & (cap - 1), 0u) << "capacity " << cap;
+    EXPECT_LE(ref.ints.size() * 4, cap * 3);
+    EXPECT_GE(map.MemoryBytes(), cap * DenseKeyMap::kSlotBytes);
+  }
+
+  DenseKeyMap map;
+  RefKeyMap ref;
+};
+
+std::vector<int64_t> EdgeKeys() {
+  std::vector<int64_t> keys = {std::numeric_limits<int64_t>::min(),
+                               std::numeric_limits<int64_t>::max(),
+                               0,
+                               -1,
+                               std::numeric_limits<int64_t>::min() + 1,
+                               std::numeric_limits<int64_t>::max() - 1,
+                               1};
+  // Keys differing only in their high bits, then only in their low bits.
+  for (uint64_t i = 1; i < 256; ++i) {
+    keys.push_back(static_cast<int64_t>(i << 56));
+    keys.push_back(static_cast<int64_t>((i << 40) | 0x1234));
+  }
+  for (uint64_t i = 0; i < 256; ++i) {
+    keys.push_back(static_cast<int64_t>(0xABCD000000000000ull | i));
+    keys.push_back(static_cast<int64_t>(0xFFFFFFFF00000000ull | (i << 8)));
+  }
+  return keys;
+}
+
+TEST(DenseKeyMapTest, MatchesUnorderedMapDifferential) {
+  Rng rng(1409);
+  KeyMapDiff diff;
+  // Edge keys (twice: the second pass must hit), interleaved with byte
+  // keys and the NULL id in one dense sequence.
+  std::vector<int64_t> edges = EdgeKeys();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < edges.size(); ++i) {
+      diff.Insert(edges[i]);
+      if (i % 97 == 0) diff.Insert("edge-" + std::to_string(i));
+      if (i == 300) diff.Null();
+    }
+  }
+  diff.ExpectConsistent();
+  // >= 1M inserts through many growths: fresh random keys, a repeating
+  // small domain, and the edge keys again.
+  for (int op = 0; op < 1200000; ++op) {
+    uint64_t r = rng.Next64();
+    switch (r % 16) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4:
+        diff.Insert(static_cast<int64_t>(rng.Next64()));
+        break;
+      case 5:
+        diff.Insert(edges[rng.Uniform(0, static_cast<int64_t>(edges.size()) -
+                                             1)]);
+        break;
+      case 6:
+        diff.ExpectFind(static_cast<int64_t>(rng.Next64()));
+        break;
+      case 7:
+        diff.ExpectFind(rng.Uniform(-300000, 300000));
+        break;
+      default:
+        diff.Insert(rng.Uniform(-300000, 300000));
+        break;
+    }
+    if (op % 50000 == 0) {
+      diff.Insert("byte-" + std::to_string(op % 7));
+      diff.Null();
+    }
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(diff.ref.ints.size(), size_t{500000});
+  diff.ExpectConsistent();
+
+  // Reserve never shrinks and keeps every key.
+  size_t cap = diff.map.slot_capacity();
+  diff.map.Reserve(10);
+  EXPECT_EQ(diff.map.slot_capacity(), cap);
+  diff.map.Reserve(diff.ref.ints.size() * 2);
+  EXPECT_GT(diff.map.slot_capacity(), cap);
+  diff.ExpectConsistent();
+
+  // Clear, then reuse: ids restart at 0, old keys are gone, the slot array
+  // keeps its capacity (and its bytes stay accounted).
+  cap = diff.map.slot_capacity();
+  diff.map.Clear();
+  EXPECT_EQ(diff.map.size(), 0u);
+  EXPECT_EQ(diff.map.slot_capacity(), cap);
+  EXPECT_GE(diff.map.MemoryBytes(), cap * DenseKeyMap::kSlotBytes);
+  for (int64_t key : edges) EXPECT_EQ(diff.map.Find(key), -1);
+  diff.ref = RefKeyMap{};
+  diff.Null();
+  for (int64_t key : edges) {
+    diff.Insert(key);
+    diff.Insert(std::to_string(key));
+  }
+  diff.ExpectConsistent();
+  EXPECT_EQ(diff.map.Find(edges[0]), 1);  // after the NULL id
+}
+
+TEST(DenseKeyMapTest, ReserveAvoidsGrowth) {
+  DenseKeyMap map;
+  map.Reserve(100000);
+  size_t cap = map.slot_capacity();
+  EXPECT_GE(cap * 3, size_t{400000});
+  bool inserted;
+  for (int64_t k = 0; k < 100000; ++k) {
+    ASSERT_EQ(map.FindOrInsert(k * 7919, &inserted), k);
+  }
+  EXPECT_EQ(map.slot_capacity(), cap);
+  EXPECT_GE(map.MemoryBytes(), cap * DenseKeyMap::kSlotBytes);
 }
 
 TEST(JoinHashTableTest, ChainsDuplicates) {

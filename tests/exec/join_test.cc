@@ -1,6 +1,9 @@
 // Hash, merge, and sandwich join tests, including the key equivalence
 // property: all join strategies produce the same result multiset.
+#include <memory>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "exec/hash_join.h"
@@ -287,6 +290,297 @@ TEST(JoinEquivalenceTest, SandwichMatchesHashJoinProperty) {
                                    std::string("trial ") +
                                        std::to_string(trial) + " " +
                                        JoinTypeName(type));
+    }
+  }
+}
+
+// ------------------------------------------------ batch-at-a-time probing
+
+// Random column of `n` rows: int32 keys in [lo, hi], int64 payloads or
+// floats derived from the key, each NULL with probability `null_p`.
+ColumnVector RandomInts(Rng* rng, TypeId type, size_t n, int64_t lo,
+                        int64_t hi, double null_p) {
+  ColumnVector v(type);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->Chance(null_p)) {
+      v.AppendNull();
+    } else if (type == TypeId::kInt32) {
+      v.i32.push_back(static_cast<int32_t>(rng->Uniform(lo, hi)));
+      if (v.HasNulls()) v.nulls.push_back(0);
+    } else {
+      v.i64.push_back(rng->Uniform(lo, hi));
+      if (v.HasNulls()) v.nulls.push_back(0);
+    }
+  }
+  return v;
+}
+
+// Second key column: a float derived from the first key (NULL-free), so the
+// two-key join takes the byte-key path and still matches a subset.
+ColumnVector KeyFloats(const ColumnVector& keys) {
+  ColumnVector v(TypeId::kFloat64);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    v.f64.push_back(static_cast<double>(keys.i32[i] % 3) * 0.5);
+  }
+  return v;
+}
+
+ColumnVector RandomStrings(Rng* rng, std::shared_ptr<Dictionary> dict,
+                           const std::string& prefix, size_t n) {
+  ColumnVector v(TypeId::kString);
+  v.dict = std::move(dict);
+  for (size_t i = 0; i < n; ++i) {
+    v.i32.push_back(
+        v.dict->GetOrAdd(prefix + std::to_string(rng->Uniform(0, 30))));
+  }
+  return v;
+}
+
+Schema ProbeSideSchema() {
+  return Schema({{"pk", TypeId::kInt32},
+                 {"pf", TypeId::kFloat64},
+                 {"pv", TypeId::kInt64},
+                 {"ps", TypeId::kString}});
+}
+Schema BuildSideSchema() {
+  return Schema({{"bk", TypeId::kInt32},
+                 {"bf", TypeId::kFloat64},
+                 {"bv", TypeId::kInt64},
+                 {"bs", TypeId::kString}});
+}
+
+// Three build batches: the second has a selection and a string dictionary
+// foreign to the first and third.
+std::vector<Batch> ProbeTestBuildBatches(Rng* rng) {
+  auto d1 = std::make_shared<Dictionary>();
+  auto d2 = std::make_shared<Dictionary>();
+  std::vector<Batch> batches;
+  for (int b = 0; b < 3; ++b) {
+    size_t n = 300;
+    Batch batch;
+    ColumnVector k = RandomInts(rng, TypeId::kInt32, n, 0, 40, 0.1);
+    ColumnVector f = KeyFloats(k);
+    batch.columns = {std::move(k), std::move(f),
+                     RandomInts(rng, TypeId::kInt64, n, -1000, 1000, 0.2),
+                     RandomStrings(rng, b == 1 ? d2 : d1,
+                                   b == 1 ? "s" : "t", n)};
+    batch.num_rows = n;
+    if (b == 1) {
+      for (uint32_t r = 0; r < n; ++r) {
+        if (r % 3 != 0) batch.sel.push_back(r);
+      }
+      batch.num_rows = batch.sel.size();
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+Batch CopyBatch(const Batch& b) {
+  Batch out;
+  out.columns = b.columns;
+  out.num_rows = b.num_rows;
+  out.sel = b.sel;
+  out.group_id = b.group_id;
+  return out;
+}
+
+// The row-at-a-time probe loop ProbeBatch replaced: per probe row, every
+// match newest first (or one NULL-extended row), one AppendFrom per value.
+Batch ReferenceProbe(const JoinHashTable& table,
+                     const std::vector<std::string>& probe_keys,
+                     JoinType type, const Batch& in) {
+  KeyEncoder enc;
+  EXPECT_TRUE(
+      enc.BindProbe(ProbeSideSchema(), probe_keys, &table.encoder()).ok());
+  bool emit_build = type == JoinType::kInner || type == JoinType::kLeftOuter;
+  Schema schema = emit_build
+                      ? Schema::Concat(ProbeSideSchema(), table.schema())
+                      : ProbeSideSchema();
+  Batch out;
+  for (const Field& f : schema.fields()) out.columns.emplace_back(f.type);
+  size_t width = in.columns.size();
+  if (emit_build) {
+    for (size_t c = 0; c < table.columns().size(); ++c) {
+      out.columns[width + c].dict = table.columns()[c].dict;
+    }
+  }
+  auto emit = [&](size_t i, const BuildRowRef* build) {
+    for (size_t c = 0; c < width; ++c) {
+      out.columns[c].AppendFrom(in.columns[c], in.RowAt(i));
+    }
+    for (size_t c = 0; emit_build && c < table.columns().size(); ++c) {
+      if (build == nullptr) {
+        out.columns[width + c].AppendNull();
+      } else {
+        out.columns[width + c].AppendFrom((*build->columns)[c], build->row);
+      }
+    }
+    ++out.num_rows;
+  };
+  auto probe_row = [&](size_t i, const auto& key, bool valid) {
+    bool matched = false;
+    if (valid && emit_build) {
+      table.ForEachMatch(key, [&](BuildRowRef build) {
+        emit(i, &build);
+        matched = true;
+      });
+    } else if (valid) {
+      matched = table.HasMatch(key);
+    }
+    if ((type == JoinType::kLeftOuter && !matched) ||
+        (type == JoinType::kLeftSemi && matched) ||
+        (type == JoinType::kLeftAnti && !matched)) {
+      emit(i, nullptr);
+    }
+  };
+  std::vector<uint8_t> valid;
+  if (enc.int_path()) {
+    std::vector<int64_t> keys;
+    enc.EncodeInts(in, &keys, &valid);
+    for (size_t i = 0; i < in.num_rows; ++i) probe_row(i, keys[i], valid[i]);
+  } else {
+    std::vector<std::string> keys;
+    enc.EncodeBytes(in, &keys, &valid);
+    for (size_t i = 0; i < in.num_rows; ++i) probe_row(i, keys[i], valid[i]);
+  }
+  return out;
+}
+
+// Inner-join output size by nested loops over the build batches' logical
+// rows — independent of the hash table.
+size_t NestedLoopMatches(const std::vector<Batch>& build, const Batch& in,
+                         size_t num_keys) {
+  size_t matches = 0;
+  for (size_t i = 0; i < in.num_rows; ++i) {
+    uint32_t p = in.RowAt(i);
+    if (in.columns[0].IsNull(p)) continue;
+    for (const Batch& b : build) {
+      for (size_t j = 0; j < b.num_rows; ++j) {
+        uint32_t r = b.RowAt(j);
+        if (b.columns[0].IsNull(r)) continue;
+        if (b.columns[0].i32_data()[r] != in.columns[0].i32_data()[p]) {
+          continue;
+        }
+        if (num_keys == 2 &&
+            b.columns[1].f64_data()[r] != in.columns[1].f64_data()[p]) {
+          continue;
+        }
+        ++matches;
+      }
+    }
+  }
+  return matches;
+}
+
+// Same rows, order, values and NULL masks (values under a NULL are
+// placeholders and not compared).
+void ExpectIdenticalBatches(const Batch& got, const Batch& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.num_rows, want.num_rows) << label;
+  ASSERT_FALSE(got.has_sel()) << label;
+  ASSERT_EQ(got.columns.size(), want.columns.size()) << label;
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    const ColumnVector& g = got.columns[c];
+    const ColumnVector& w = want.columns[c];
+    ASSERT_EQ(g.size(), w.size()) << label << " column " << c;
+    EXPECT_EQ(g.nulls, w.nulls) << label << " null mask of column " << c;
+    for (size_t r = 0; r < w.size(); ++r) {
+      if (w.IsNull(r)) continue;
+      ASSERT_EQ(g.GetValue(r).ToString(), w.GetValue(r).ToString())
+          << label << " column " << c << " row " << r;
+    }
+  }
+}
+
+TEST(ProbeBatchTest, MatchesRowAtATimeReference) {
+  Rng rng(77);
+  std::vector<Batch> build = ProbeTestBuildBatches(&rng);
+
+  // Probe batches: owned lanes with NULLs, and zero-copy views (views carry
+  // no NULLs) over lanes kept alive here.
+  const size_t n = 500;
+  auto probe_dict = std::make_shared<Dictionary>();
+  Batch owned;
+  {
+    ColumnVector k = RandomInts(&rng, TypeId::kInt32, n, -5, 50, 0.1);
+    ColumnVector f = KeyFloats(k);
+    owned.columns = {std::move(k), std::move(f),
+                     RandomInts(&rng, TypeId::kInt64, n, 0, 99, 0.15),
+                     RandomStrings(&rng, probe_dict, "p", n)};
+    owned.num_rows = n;
+  }
+  ColumnVector view_src_k = RandomInts(&rng, TypeId::kInt32, n, -5, 50, 0);
+  ColumnVector view_src_f = KeyFloats(view_src_k);
+  ColumnVector view_src_v = RandomInts(&rng, TypeId::kInt64, n, 0, 99, 0);
+  ColumnVector view_src_s = RandomStrings(&rng, probe_dict, "p", n);
+  Batch views;
+  views.columns.resize(4);
+  views.columns[0] = ColumnVector(TypeId::kInt32);
+  views.columns[0].SetView(view_src_k.i32.data(), n);
+  views.columns[1] = ColumnVector(TypeId::kFloat64);
+  views.columns[1].SetView(view_src_f.f64.data(), n);
+  views.columns[2] = ColumnVector(TypeId::kInt64);
+  views.columns[2].SetView(view_src_v.i64.data(), n);
+  views.columns[3] = ColumnVector(TypeId::kString);
+  views.columns[3].dict = probe_dict;
+  views.columns[3].SetView(view_src_s.i32.data(), n);
+  views.num_rows = n;
+
+  std::vector<uint32_t> sel;
+  for (uint32_t r = 0; r < n; ++r) {
+    if (rng.Chance(0.6)) sel.push_back(r);
+  }
+
+  const std::vector<std::pair<std::vector<std::string>,
+                              std::vector<std::string>>>
+      key_sets = {{{"pk"}, {"bk"}}, {{"pk", "pf"}, {"bk", "bf"}}};
+  for (const auto& [probe_keys, build_keys] : key_sets) {
+    for (bool partitioned : {false, true}) {
+      JoinHashTable table;
+      ASSERT_TRUE(table.Init(BuildSideSchema(), build_keys).ok());
+      if (partitioned) {
+        table.BeginPartitionedBuild(2, 2);
+        for (size_t b = 0; b < build.size(); ++b) {
+          ASSERT_TRUE(table.ScatterBatch(b % 2, CopyBatch(build[b])).ok());
+        }
+        ASSERT_TRUE(table.FinishPartitionedBuild(nullptr).ok());
+        ASSERT_EQ(table.num_partitions(), 4u);
+      } else {
+        for (const Batch& b : build) ASSERT_TRUE(table.AddBatch(b).ok());
+      }
+      for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                            JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+        HashJoinProber prober;
+        ASSERT_TRUE(
+            prober.Bind(ProbeSideSchema(), probe_keys, &table, type).ok());
+        for (bool use_views : {false, true}) {
+          for (bool with_sel : {false, true}) {
+            Batch in = CopyBatch(use_views ? views : owned);
+            if (with_sel) {
+              in.sel = sel;
+              in.num_rows = sel.size();
+            }
+            std::string label =
+                std::string(JoinTypeName(type)) + " keys=" +
+                std::to_string(probe_keys.size()) +
+                (partitioned ? " partitioned" : " serial") +
+                (use_views ? " views" : " owned") +
+                (with_sel ? " sel" : " dense");
+            Batch want = ReferenceProbe(table, probe_keys, type, in);
+            Batch got = prober.ProbeBatch(in).ValueOrDie();
+            ExpectIdenticalBatches(got, want, label);
+            // A recycled output batch as scratch gives the same result.
+            Batch again = prober.ProbeBatch(in, std::move(got)).ValueOrDie();
+            ExpectIdenticalBatches(again, want, label + " recycled");
+            if (type == JoinType::kInner) {
+              EXPECT_EQ(want.num_rows,
+                        NestedLoopMatches(build, in, probe_keys.size()))
+                  << label;
+            }
+          }
+        }
+      }
     }
   }
 }

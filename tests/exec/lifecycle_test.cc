@@ -17,6 +17,8 @@
 #include "exec/morsel.h"
 #include "exec/parallel.h"
 #include "exec/query_control.h"
+#include "exec/sandwich_agg.h"
+#include "exec/sandwich_join.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "exec/topn.h"
@@ -202,6 +204,52 @@ TEST(MemoryBudgetTest, TopNRefusesUnderTinyBudget) {
       << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("top-n heap"),
             std::string::npos);
+  EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
+}
+
+// Two group-tagged segments over `t` (rows split in half), the input shape
+// sandwich operators require.
+OperatorPtr GroupedScan(const Table* t, std::vector<std::string> cols) {
+  uint64_t half = t->num_rows() / 2;
+  std::vector<ScanSegment> segments = {
+      {t, 0, half, 0, ScanSegment::Kind::kGroup},
+      {t, half, t->num_rows(), 1, ScanSegment::Kind::kGroup}};
+  return std::make_unique<SegmentScan>(t, std::move(cols),
+                                       std::vector<ScanPredicate>{},
+                                       std::move(segments));
+}
+
+TEST(MemoryBudgetTest, SandwichJoinBuildRefusesUnderTinyBudget) {
+  Table probe = MakeTable(100);
+  Table build = MakeTable(20000);
+  ExecContext ctx(nullptr);
+  ctx.memory()->set_limit(1);
+  SandwichHashJoin join(GroupedScan(&probe, {"k"}),
+                        GroupedScan(&build, {"k", "v"}), {"k"}, {"k"},
+                        JoinType::kInner);
+  auto result = CollectAll(&join, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("sandwich-join build"),
+            std::string::npos);
+  EXPECT_GE(ctx.stats()->budget_denials, 1u);
+  EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
+}
+
+TEST(MemoryBudgetTest, SandwichAggRefusesUnderTinyBudget) {
+  Table t = MakeTable(20000);
+  ExecContext ctx(nullptr);
+  ctx.memory()->set_limit(1);
+  SandwichAgg agg(GroupedScan(&t, {"k", "v"}), {"k"},
+                  std::vector<AggSpec>{AggSum(Col("v"), "sum_v")});
+  auto result = CollectAll(&agg, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("sandwich-agg"),
+            std::string::npos);
+  EXPECT_GE(ctx.stats()->budget_denials, 1u);
   EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
 }
 
