@@ -83,7 +83,6 @@ class Column {
   void BuildEncoded(uint32_t block_rows);
   /// Encoded mirror, or nullptr when absent.
   const compression::EncodedLane* encoded() const { return encoded_.get(); }
-  void DropEncoded() { encoded_.reset(); }
 
  private:
   TypeId type_;

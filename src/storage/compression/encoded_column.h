@@ -1,15 +1,21 @@
-// Per-block encoded mirror of an int32 storage lane, built for *direct
-// execution*: range/equality sargs evaluate over the encoded form (one
-// comparison per RLE run, unpack-compare in registers for bit-packed
-// blocks, per-code verdict tables over dict-code lanes) without ever
-// decoding the chunk to a flat scratch buffer.
+// The compression stack ("automatic compression" in the paper's setup):
+// a per-block encoded mirror of an int32 storage lane, and the footprint
+// accounting read off it.
+//
+// Every block of block_rows values takes one codec from {raw, RLE,
+// FOR-bitpack}, whichever encodes it in the fewest bytes; one function in
+// encoded_column.cc makes that choice, for both readers of it:
+//  - direct execution: range/equality sargs evaluate over the encoded form
+//    (one comparison per RLE run, unpack-compare in registers for
+//    bit-packed blocks, per-code verdict tables over dict-code lanes)
+//    without ever decoding the chunk to a flat scratch buffer;
+//  - footprint: FootprintBytes reports what a column costs compressed,
+//    which is how the paper's "BDCC does not inflate storage" claim is
+//    checked (bench/compression_ablation).
 //
 // The flat lane stays the source of truth for row emission and gathers —
-// an EncodedLane is an auxiliary access path, like a zone map, chosen
-// per block from {raw, RLE, FOR-bitpack} by encoded size (codec.h's
-// estimator made executable). Raw blocks store nothing and evaluate over
-// the flat lane the caller passes in; delta-varint has no direct-eval
-// story and is never chosen here.
+// an EncodedLane is an auxiliary access path, like a zone map. Raw blocks
+// store nothing and evaluate over the flat lane the caller passes in.
 //
 // Build after the table layout is final (like BuildZoneMaps); mutating the
 // column afterwards leaves the encoding stale.
@@ -20,10 +26,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "storage/compression/codec.h"
-
 namespace bdcc {
+
+class Column;
+
 namespace compression {
+
+enum class Codec : uint8_t { kRaw = 0, kRle = 1, kBitPack = 2 };
+inline constexpr int kNumCodecs = 3;
 
 class EncodedLane {
  public:
@@ -85,15 +95,31 @@ class EncodedLane {
   };
 
   template <typename Eval>
-  SpanVerdict EvalBlocks(const int32_t* flat, uint64_t begin, uint64_t end,
-                         uint8_t* mask, Eval&& eval) const;
+  SpanVerdict EvalBlocks(uint64_t begin, uint64_t end, uint8_t* mask,
+                         Eval&& eval) const;
+
+  /// fn(offset, length, value) for each RLE run of `b` clipped to rows
+  /// [s, e); offsets are relative to s.
+  template <typename Fn>
+  static void ForEachRun(const Block& b, uint64_t s, uint64_t e, Fn&& fn);
 
   uint64_t rows_ = 0;
   uint32_t block_rows_ = kDefaultBlockRows;
-  uint64_t blocks_by_codec_[4] = {0, 0, 0, 0};
+  uint64_t blocks_by_codec_[kNumCodecs] = {0, 0, 0};
   uint64_t encoded_bytes_ = 0;
   std::vector<Block> blocks_;
 };
+
+/// \brief Compressed footprint of `column` under the per-block chooser.
+///
+/// An i32-backed column with an encoded lane contributes the lane's
+/// encoded_bytes(); a string column adds its dictionary payload once. A
+/// column without a lane (int64, or an i32 lane never encoded) is sized by
+/// the same rule over blocks of `block_rows` values without building
+/// anything. float64 has no codec and counts raw. Never exceeds
+/// column.DiskBytes().
+uint64_t FootprintBytes(const Column& column,
+                        uint32_t block_rows = EncodedLane::kDefaultBlockRows);
 
 }  // namespace compression
 }  // namespace bdcc

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "storage/compression/codec.h"
-
 namespace bdcc {
 namespace tpch {
 

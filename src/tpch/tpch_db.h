@@ -58,8 +58,9 @@ class TpchDb {
   /// Drop cached pages & I/O stats of every scheme (cold-run setup).
   void ResetIo();
 
-  /// Total uncompressed / best-codec-compressed bytes of a scheme's tables
-  /// (the paper: "all three schemes take roughly 55GB").
+  /// Total uncompressed bytes of a scheme's tables (Table::DiskBytes; the
+  /// buffer pool's page counts are derived from the same figure). The
+  /// compressed footprint is compression::FootprintBytes per column.
   uint64_t DiskBytes(opt::Scheme scheme) const;
 
  private:

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -140,31 +141,64 @@ TEST(EncodedLaneTest, CodecChoiceMatchesLaneShape) {
   }
 }
 
+// Decodes the whole lane and random unaligned spans (including empty ones)
+// and checks each against the flat lane, and that nothing past the span is
+// written.
+void CheckDecodeSpans(const std::string& name,
+                      const std::vector<int32_t>& lane, uint32_t block,
+                      Rng* rng) {
+  EncodedLane enc = EncodedLane::Build(lane.data(), lane.size(), block);
+  ASSERT_EQ(enc.rows(), lane.size()) << name;
+  uint64_t rows = lane.size();
+  std::vector<std::pair<uint64_t, uint64_t>> spans = {{0, rows}};
+  for (int s = 0; s < 12 && rows > 0; ++s) {
+    uint64_t a = rng->Uniform(0, rows - 1);
+    uint64_t b = rng->Uniform(0, rows);
+    spans.push_back({std::min(a, b), std::max(a, b)});
+  }
+  for (auto [begin, end] : spans) {
+    std::vector<int32_t> out(end - begin + 1, -12345);
+    enc.DecodeSpan(lane.data(), begin, end, out.data());
+    for (uint64_t i = begin; i < end; ++i) {
+      ASSERT_EQ(out[i - begin], lane[i])
+          << name << " block=" << block << " span=[" << begin << "," << end
+          << ") row=" << i;
+    }
+    EXPECT_EQ(out[end - begin], -12345) << name << ": overwrote past n";
+  }
+}
+
 TEST(EncodedLaneTest, DecodeSpanRoundTrips) {
   Rng rng(53);
   for (const NamedLane& nl : AdversarialLanes()) {
     for (uint32_t block : {64u, 1024u}) {
-      EncodedLane enc =
-          EncodedLane::Build(nl.lane.data(), nl.lane.size(), block);
-      ASSERT_EQ(enc.rows(), nl.lane.size()) << nl.name;
-      uint64_t rows = nl.lane.size();
-      // Whole lane, plus random unaligned spans (including empty).
-      std::vector<std::pair<uint64_t, uint64_t>> spans = {{0, rows}};
-      for (int s = 0; s < 12 && rows > 0; ++s) {
-        uint64_t a = rng.Uniform(0, rows - 1);
-        uint64_t b = rng.Uniform(0, rows);
-        spans.push_back({std::min(a, b), std::max(a, b)});
-      }
-      for (auto [begin, end] : spans) {
-        std::vector<int32_t> out(end - begin + 1, -12345);
-        enc.DecodeSpan(nl.lane.data(), begin, end, out.data());
-        for (uint64_t i = begin; i < end; ++i) {
-          ASSERT_EQ(out[i - begin], nl.lane[i])
-              << nl.name << " block=" << block << " span=[" << begin << ","
-              << end << ") row=" << i;
-        }
-        EXPECT_EQ(out[end - begin], -12345) << nl.name << ": overwrote past n";
-      }
+      CheckDecodeSpans(nl.name, nl.lane, block, &rng);
+    }
+  }
+}
+
+// Every FOR-bitpack width: each 64-row block spans exactly
+// [base, base + 2^width - 1] (base negative for odd widths), so every block
+// packs at that width and must decode back to the flat lane.
+TEST(BitPackTest, RoundTripAcrossWidths) {
+  Rng rng(4);
+  for (int width = 1; width <= EncodedLane::kMaxPackWidth; ++width) {
+    const int64_t span = (int64_t{1} << width) - 1;
+    const int32_t base = static_cast<int32_t>(width % 2 ? -span / 2 : 7);
+    std::vector<int32_t> lane(64 * 5 + 9);
+    for (size_t i = 0; i < lane.size(); ++i) {
+      int64_t off = i % 64 == 0   ? 0
+                    : i % 64 == 1 ? span
+                                  : rng.Uniform(0, span);
+      lane[i] = static_cast<int32_t>(base + off);
+    }
+    for (uint32_t block : {64u, 1024u}) {
+      EncodedLane enc = EncodedLane::Build(lane.data(), lane.size(), block);
+      EXPECT_EQ(enc.blocks_by_codec()[static_cast<int>(Codec::kBitPack)],
+                (lane.size() + block - 1) / block)
+          << "width " << width << " block=" << block;
+      CheckDecodeSpans("for_width_" + std::to_string(width), lane, block,
+                       &rng);
     }
   }
 }
