@@ -133,7 +133,7 @@ exec::OperatorPtr GroupedScan(const BdccTable& bt,
   auto ranges = PlanScatterScan(bt, {0}).ValueOrDie();
   return std::make_unique<exec::SegmentScan>(
       &bt.data(), std::move(cols), std::vector<exec::ScanPredicate>{},
-      opt::GroupSegments(bt, std::move(ranges), {{0, shared}}));
+      opt::GroupSegments(bt, {{&bt.data(), std::move(ranges)}}, {{0, shared}}));
 }
 
 // Sandwich alignment: both sides must tag with the same width, bounded by
@@ -151,11 +151,13 @@ void BM_HashJoin(benchmark::State& state) {
     auto left = std::make_unique<exec::SegmentScan>(
         &f.fact->data(), std::vector<std::string>{"fk", "payload"},
         std::vector<exec::ScanPredicate>{},
-        opt::GroupSegments(*f.fact, PlanNaturalScan(*f.fact)));
+        opt::GroupSegments(*f.fact,
+                           {{&f.fact->data(), PlanNaturalScan(*f.fact)}}));
     auto right = std::make_unique<exec::SegmentScan>(
         &f.dim->data(), std::vector<std::string>{"dk", "dval"},
         std::vector<exec::ScanPredicate>{},
-        opt::GroupSegments(*f.dim, PlanNaturalScan(*f.dim)));
+        opt::GroupSegments(*f.dim,
+                           {{&f.dim->data(), PlanNaturalScan(*f.dim)}}));
     exec::HashJoin join(std::move(left), std::move(right), {"fk"}, {"dk"},
                         exec::JoinType::kInner);
     auto out = exec::CollectAll(&join, &ctx).ValueOrDie();
@@ -192,7 +194,8 @@ exec::OperatorPtr GroupedScanChunk(const BdccTable& bt,
                                    int64_t gid_lo, int64_t gid_hi) {
   std::vector<exec::ScanSegment> subset;
   for (const exec::ScanSegment& s : opt::GroupSegments(
-           bt, PlanScatterScan(bt, {0}).ValueOrDie(), {{0, shared}})) {
+           bt, {{&bt.data(), PlanScatterScan(bt, {0}).ValueOrDie()}},
+           {{0, shared}})) {
     if (s.group_id >= gid_lo && s.group_id <= gid_hi) subset.push_back(s);
   }
   return std::make_unique<exec::SegmentScan>(
@@ -256,9 +259,11 @@ void RunHashJoinParallelProbe(benchmark::State& state, int threads) {
       std::vector<exec::ScanSegment> segments;
       for (size_t m = i; m < morsels->size(); m += n) {
         for (const exec::ScanSegment& s : opt::GroupSegments(
-                 *f.fact, std::vector<GroupRange>(
-                              probe_ranges->begin() + (*morsels)[m].begin,
-                              probe_ranges->begin() + (*morsels)[m].end))) {
+                 *f.fact,
+                 {{&f.fact->data(),
+                   std::vector<GroupRange>(
+                       probe_ranges->begin() + (*morsels)[m].begin,
+                       probe_ranges->begin() + (*morsels)[m].end)}})) {
           segments.push_back(s);
         }
       }
@@ -271,7 +276,8 @@ void RunHashJoinParallelProbe(benchmark::State& state, int threads) {
         std::make_unique<exec::SegmentScan>(
             &f.dim->data(), std::vector<std::string>{"dk", "dval"},
             std::vector<exec::ScanPredicate>{},
-            opt::GroupSegments(*f.dim, PlanNaturalScan(*f.dim))),
+            opt::GroupSegments(*f.dim,
+                               {{&f.dim->data(), PlanNaturalScan(*f.dim)}})),
         {"fk"}, {"dk"}, exec::JoinType::kInner,
         common::TaskScheduler::Shared());
     auto out = exec::CollectAll(&join, &ctx).ValueOrDie();

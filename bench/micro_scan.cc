@@ -118,7 +118,7 @@ void BM_BdccScanPruned(benchmark::State& state) {
         &bt.data(), {"k", "v"},
         {{"k", ValueRange{Value::Int32(0),
                           Value::Int32(static_cast<int32_t>(hi - 1))}}},
-        opt::GroupSegments(bt, std::move(ranges)));
+        opt::GroupSegments(bt, {{&bt.data(), std::move(ranges)}}));
     scan.Open(&ctx).AbortIfNotOK();
     uint64_t matched = 0;
     while (true) {
@@ -191,9 +191,10 @@ void RunBdccScanParallel(benchmark::State& state, int threads) {
       std::vector<exec::ScanSegment> segments;
       for (size_t m = i; m < morsels->size(); m += threads) {
         for (const exec::ScanSegment& s : opt::GroupSegments(
-                 bt, std::vector<GroupRange>(
-                         ranges->begin() + (*morsels)[m].begin,
-                         ranges->begin() + (*morsels)[m].end))) {
+                 bt, {{&bt.data(),
+                       std::vector<GroupRange>(
+                           ranges->begin() + (*morsels)[m].begin,
+                           ranges->begin() + (*morsels)[m].end)}})) {
           segments.push_back(s);
         }
       }

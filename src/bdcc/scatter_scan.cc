@@ -12,8 +12,7 @@ std::vector<GroupRange> PlanNaturalScan(const BdccTable& table) {
   out.reserve(ct.num_groups());
   for (size_t i = 0; i < ct.num_groups(); ++i) {
     const CountEntry& e = ct.entry(i);
-    out.push_back(GroupRange{e.key, e.row_begin, e.row_begin + e.count,
-                             static_cast<uint32_t>(i)});
+    out.push_back(GroupRange{e.key, e.row_begin, e.row_begin + e.count});
   }
   return out;
 }

@@ -21,7 +21,6 @@ struct GroupRange {
   uint64_t key = 0;        // reduced-granularity _bdcc_ value
   uint64_t row_begin = 0;  // physical rows [row_begin, row_end)
   uint64_t row_end = 0;
-  uint32_t entry_index = 0;  // index into the count table
 };
 
 /// \brief Groups in natural (key-ascending) order — a sequential scan.

@@ -103,7 +103,7 @@ Status DeltaChunk::Seal(const BdccTable& base,
     BDCC_CHECK(i == 0 || keys[i - 1] <= keys[i]);
     uint64_t reduced = keys[i] >> shift;
     if (groups_.empty() || groups_.back().key != reduced) {
-      groups_.push_back(GroupSlice{reduced, i, i + 1});
+      groups_.push_back(GroupRange{reduced, i, i + 1});
     } else {
       groups_.back().row_end = i + 1;
     }

@@ -5,15 +5,18 @@
 // paths (bdcc/append.cc's key computation — Definition 4 makes a new tuple's
 // key independent of old data), sorted by that key, zone-mapped at the base
 // table's granularity, and pre-bucketed into per-group row slices at the
-// count-table granularity so the background merger can pick dirty groups
-// without rescanning. Chunks are immutable after Build, which is what makes
-// concurrent scan/merge/append safe without read-side locking: readers pin
-// a snapshot (see live_table.h) whose chunk set never mutates.
+// count-table granularity. The slices are GroupRanges in the base's key
+// space: the background merger picks dirty groups from them without
+// rescanning, and scans prune and group-tag them exactly like the base's
+// ranges (see opt::GroupSegments). Chunks are immutable after Build, which
+// is what makes concurrent scan/merge/append safe without read-side
+// locking: readers pin a snapshot (see live_table.h) whose chunk set never
+// mutates.
 //
 // Chunk string columns carry their *own* dictionaries — sharing the base
 // table's would mean interning into a dictionary concurrent readers are
-// decoding. Scan batches therefore never mix clustered and delta rows (the
-// delta-side scan leg cuts batches at chunk boundaries).
+// decoding. Scan batches therefore never mix clustered and delta rows (a
+// segment scan cuts batches wherever the segment's table changes).
 //
 // Memory: every chunk charges its footprint to the store's MemoryTracker on
 // Build and releases it on destruction (when the last snapshot holding the
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "bdcc/bdcc_table.h"
+#include "bdcc/scatter_scan.h"
 #include "common/result.h"
 #include "exec/memory_tracker.h"
 #include "storage/table.h"
@@ -37,13 +41,6 @@ namespace delta {
 /// \brief One immutable, sealed batch of appended rows.
 class DeltaChunk {
  public:
-  /// Rows of one count-table-granularity group inside data() (half-open).
-  struct GroupSlice {
-    uint64_t key = 0;  // reduced-granularity _bdcc_ value
-    uint64_t row_begin = 0;
-    uint64_t row_end = 0;
-  };
-
   /// \brief Seal `rows` (source schema, the table's name) into a chunk:
   /// compute keys via `base`'s uses, sort, zone-map, bucket. Fails without
   /// side effects on schema mismatch, key-computation errors, a fired
@@ -72,8 +69,9 @@ class DeltaChunk {
   const Table& data() const { return data_; }
   uint64_t num_rows() const { return data_.num_rows(); }
 
-  /// Key-ascending per-group slices at the count-table granularity.
-  const std::vector<GroupSlice>& groups() const { return groups_; }
+  /// Key-ascending per-group slices of data() at the count-table
+  /// granularity: the same key space as the base's group ranges.
+  const std::vector<GroupRange>& groups() const { return groups_; }
 
   /// Bytes charged to the delta memory tracker.
   uint64_t bytes() const { return bytes_; }
@@ -87,7 +85,7 @@ class DeltaChunk {
               uint32_t zone_rows, exec::MemoryTracker* memory);
 
   Table data_;
-  std::vector<GroupSlice> groups_;
+  std::vector<GroupRange> groups_;
   uint64_t bytes_ = 0;
   exec::MemoryTracker* memory_ = nullptr;
 };

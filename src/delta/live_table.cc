@@ -120,7 +120,7 @@ Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
   for (uint32_t ci = 0; ci < snap->chunks.size(); ++ci) {
     const DeltaChunk& chunk = *snap->chunks[ci];
     const auto& lane = chunk.data().column(bdcc_col).i64();
-    for (const DeltaChunk::GroupSlice& slice : chunk.groups()) {
+    for (const GroupRange& slice : chunk.groups()) {
       std::vector<DeltaRowRef>& rows = dirty[slice.key];
       for (uint64_t r = slice.row_begin; r < slice.row_end; ++r) {
         rows.push_back(DeltaRowRef{static_cast<uint64_t>(lane[r]), ci, r});

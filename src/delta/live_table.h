@@ -20,8 +20,8 @@
 // serial AppendToBdccTable of the same rows would produce — base rows keep
 // their order, delta rows sort in stably after them (append order across
 // chunks, key order within) — so scans over {merged base} and {old base +
-// delta legs} return identical multisets, and sandwich plans become valid
-// again the moment the delta drains.
+// delta chunks} return identical multisets, and a grouped scan reads each
+// group's rows in the same base-then-delta order before and after.
 #ifndef BDCC_DELTA_LIVE_TABLE_H_
 #define BDCC_DELTA_LIVE_TABLE_H_
 

@@ -48,7 +48,9 @@ struct ExecStats {
   // Rows read from the unclustered delta region of a live table (pre-filter,
   // like rows_scanned which also includes them).
   uint64_t delta_rows_scanned = 0;
-  // Delta chunks a scan's delta-side leg entered.
+  // Delta chunks among a scan's segments, counted at Open: a serial scan
+  // counts each chunk it reads once, and parallel clones each count the
+  // chunks they touch.
   uint64_t delta_chunks = 0;
   // Background merge passes that published a new snapshot epoch.
   uint64_t merges_completed = 0;

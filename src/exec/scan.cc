@@ -368,6 +368,14 @@ Status SegmentScan::Open(ExecContext* ctx) {
   zone_table_ = nullptr;
   filter_.ClearRecycled();
   ctx->stats()->groups_pruned += pruned_groups_;
+  // A delta chunk counts once, however many of its slices are segments.
+  std::vector<const Table*> chunks;
+  for (const ScanSegment& s : segments_) {
+    if (s.kind == ScanSegment::Kind::kDelta) chunks.push_back(s.table);
+  }
+  std::sort(chunks.begin(), chunks.end());
+  ctx->stats()->delta_chunks +=
+      std::unique(chunks.begin(), chunks.end()) - chunks.begin();
   if (row_filter_) {
     BDCC_RETURN_NOT_OK(filter_.Bind(*table_, preds_));
     bound_ = table_;
@@ -417,9 +425,7 @@ Result<Batch> SegmentScan::Next(ExecContext* ctx) {
         BDCC_RETURN_NOT_OK(filter_.Bind(*seg.table, preds_));
         bound_ = seg.table;
       }
-      ExecStats* stats = ctx->stats();
-      if (seg.kind == ScanSegment::Kind::kGroup) stats->groups_read += 1;
-      if (seg.kind == ScanSegment::Kind::kDelta) stats->delta_chunks += 1;
+      if (seg.kind == ScanSegment::Kind::kGroup) ctx->stats()->groups_read++;
       cursor_ = seg.row_begin;
       entered_ = true;
     }

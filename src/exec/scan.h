@@ -1,8 +1,9 @@
 // Table scans. One operator, SegmentScan, reads a list of row segments: a
-// whole plain table, the (pruned, possibly group-ordered) group ranges of a
-// BDCC table, and the delta chunks of a live snapshot. Segments skip zones
-// their MinMax zone maps rule out, and every read charges simulated I/O
-// through the buffer pool when the table is registered with one.
+// whole plain table, or the (pruned, possibly group-ordered) group ranges of
+// a BDCC table, among which a live snapshot's delta chunks contribute their
+// group slices like any other range. Segments skip zones their MinMax zone
+// maps rule out, and every read charges simulated I/O through the buffer
+// pool when the table is registered with one.
 //
 // Scans optionally enforce their sargable predicates *row-level* (planner
 // pushdown): each zone-bounded chunk is evaluated with typed, branch-free
@@ -111,7 +112,8 @@ struct ScanSegment {
   enum class Kind : uint8_t {
     kRows,   // a plain table or a morsel of one: nothing
     kGroup,  // BDCC group ranges: groups_read
-    kDelta,  // a live table's delta chunk: delta_chunks, delta_rows_scanned
+    kDelta,  // slices of a live table's delta chunk: delta_rows_scanned
+             // (and, once per chunk at Open, delta_chunks)
   };
   const Table* table = nullptr;
   uint64_t row_begin = 0;
@@ -122,8 +124,8 @@ struct ScanSegment {
 };
 
 /// \brief Scan over a list of segments. A plain or PK table is one segment;
-/// a BDCC scan reads its pruned group ranges (see opt::GroupSegments); a
-/// live snapshot adds one segment per delta chunk.
+/// a BDCC scan reads its pruned group ranges (see opt::GroupSegments), and
+/// over a live snapshot also the pruned group slices of its delta chunks.
 ///
 /// Segments are read in order. A batch never mixes tables (string columns
 /// carry per-table dictionaries) or group ids, so grouped emission stays

@@ -50,8 +50,8 @@ class PhysicalDb {
   /// Pinned snapshot of `table` when it is live (taking online appends);
   /// null for static tables (the default). When non-null, bdcc(table) and
   /// storage(table) must return the snapshot's base version, and the
-  /// planner adds a delta-side scan leg over the snapshot's chunks (see
-  /// src/delta/snapshot_db.h). Compiled plans copy the returned shared_ptr
+  /// planner scans the chunks' group slices beside the base's group ranges
+  /// (see src/delta/snapshot_db.h). Compiled plans copy the returned shared_ptr
   /// into their scan leaves, so they stay consistent even if the db is
   /// refreshed to a newer epoch while they run.
   virtual std::shared_ptr<const delta::TableSnapshot> snapshot(

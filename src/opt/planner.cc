@@ -36,38 +36,37 @@ const char* SchemeName(Scheme scheme) {
 }
 
 std::vector<exec::ScanSegment> GroupSegments(
-    const BdccTable& table, std::vector<GroupRange> ranges,
+    const BdccTable& table, const std::vector<TableRanges>& parts,
     const std::vector<GroupSpec>& grouping) {
-  std::vector<std::pair<int64_t, GroupRange>> tagged;
-  tagged.reserve(ranges.size());
-  for (const GroupRange& r : ranges) {
-    tagged.emplace_back(GroupIdForKey(table, grouping, r.key), r);
+  struct Tagged {
+    int64_t gid;
+    const Table* data;
+    GroupRange range;
+  };
+  std::vector<Tagged> tagged;
+  for (const TableRanges& p : parts) {
+    for (const GroupRange& r : p.ranges) {
+      tagged.push_back(
+          Tagged{GroupIdForKey(table, grouping, r.key), p.table, r});
+    }
   }
   if (!grouping.empty()) {
     std::stable_sort(tagged.begin(), tagged.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
+                     [](const Tagged& a, const Tagged& b) {
+                       return a.gid < b.gid;
                      });
   }
   std::vector<exec::ScanSegment> out;
-  for (const auto& [gid, r] : tagged) {
-    if (!out.empty() && out.back().row_end == r.row_begin &&
-        out.back().group_id == gid) {
+  for (const auto& [gid, data, r] : tagged) {
+    if (!out.empty() && out.back().table == data &&
+        out.back().row_end == r.row_begin && out.back().group_id == gid) {
       out.back().row_end = r.row_end;
     } else {
-      out.push_back(exec::ScanSegment{&table.data(), r.row_begin, r.row_end,
-                                      gid, exec::ScanSegment::Kind::kGroup});
+      out.push_back(exec::ScanSegment{
+          data, r.row_begin, r.row_end, gid,
+          data == &table.data() ? exec::ScanSegment::Kind::kGroup
+                                : exec::ScanSegment::Kind::kDelta});
     }
-  }
-  return out;
-}
-
-std::vector<exec::ScanSegment> DeltaSegments(
-    const delta::TableSnapshot& snap) {
-  std::vector<exec::ScanSegment> out;
-  for (const auto& chunk : snap.chunks) {
-    out.push_back(exec::ScanSegment{&chunk->data(), 0, chunk->num_rows(), -1,
-                                    exec::ScanSegment::Kind::kDelta});
   }
   return out;
 }
@@ -111,7 +110,9 @@ struct AbsorbedTable {
 //  - group-id mode (grouped BDCC scans): the clone reads only the segments
 //    whose group id falls in [gid_lo, gid_hi], so sandwich operators can be
 //    chunked with both sides aligned on the same group-id span.
-// Either way a live table's delta chunks are strided across the clones.
+// A live table's delta chunks are more group ranges of the same layout: a
+// grouped clone takes their segments within its span like the base's, and
+// in morsel mode each chunk is one more morsel.
 
 /// Rows per morsel; zone-aligned for plain tables, a pack target for
 /// GroupRange morsels.
@@ -214,18 +215,6 @@ class PlannerImpl {
       const catalog::ForeignKey* fk,
       const std::vector<std::string>& probe_prefix, bool fk_from_probe_side);
 
-  // True when `table` currently has unmerged delta rows. Grouped (sandwich)
-  // plans are skipped for such tables: the delta is unclustered, so a scan
-  // cannot emit it under the group-id contract. This only disables the
-  // grouping/pruning *optimizations* — predicates stay enforced row-level
-  // by scan sargs, Filters and joins, so results are unchanged; the
-  // sandwich paths light back up once the background merger drains the
-  // delta.
-  bool LiveDelta(const std::string& table) const {
-    std::shared_ptr<const delta::TableSnapshot> snap = db_.snapshot(table);
-    return snap != nullptr && !snap->chunks.empty();
-  }
-
   const PhysicalDb& db_;
   PlannerOptions opts_;
   PushdownAnalysis analysis_;
@@ -324,11 +313,10 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
   if (scan.residual) conjuncts.push_back(scan.residual);
 
   SubPlan out;
-  // The serial scan reads `segments` then `delta`; parallel clones read a
-  // strided share of `morsels` (ungrouped) or the segments whose group ids
-  // fall in their span (grouped), plus a strided share of `delta`.
+  // The serial scan reads `segments`; parallel clones read a strided share
+  // of `morsels` (ungrouped) or the segments whose group ids fall in their
+  // span (grouped).
   std::vector<exec::ScanSegment> segments;
-  std::vector<exec::ScanSegment> delta;
   std::vector<std::vector<exec::ScanSegment>> morsels;
   std::shared_ptr<const delta::TableSnapshot> snap;
   uint64_t pruned = 0;
@@ -336,27 +324,24 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
   const BdccTable* bt =
       db_.scheme() == Scheme::kBdcc ? db_.bdcc(scan.table) : nullptr;
   if (bt != nullptr) {
-    // Live table: pin the db's snapshot (the pin, copied into every scan
-    // leaf, keeps the base version and chunks alive for the plan's whole
-    // lifetime) and read its delta chunks after the clustered base.
+    // The base's group ranges, then (live table) each delta chunk's slices
+    // in append order. The pin, copied into every scan leaf, keeps the
+    // snapshot's base version and chunks alive for the plan's lifetime.
+    std::vector<TableRanges> parts(1);
+    parts[0].table = &bt->data();
+    if (req != nullptr && !req->order.empty()) {
+      BDCC_ASSIGN_OR_RETURN(parts[0].ranges, PlanScatterScan(*bt, req->order));
+    } else {
+      parts[0].ranges = PlanNaturalScan(*bt);
+    }
     snap = db_.snapshot(scan.table);
     if (snap != nullptr) {
       BDCC_CHECK(snap->base.get() == bt);  // snapshot()/bdcc() must agree
-      delta = DeltaSegments(*snap);
+      for (const auto& chunk : snap->chunks) {
+        parts.push_back(TableRanges{&chunk->data(), chunk->groups()});
+      }
     }
-    if (!delta.empty() && req != nullptr) {
-      // Callers gate grouped requests on LiveDelta(); reaching here means a
-      // sandwich site missed the gate.
-      return Status::Internal("grouped scan requested over live table " +
-                              scan.table + " with unmerged delta rows");
-    }
-    std::vector<GroupRange> ranges;
-    if (req != nullptr && !req->order.empty()) {
-      BDCC_ASSIGN_OR_RETURN(ranges, PlanScatterScan(*bt, req->order));
-    } else {
-      ranges = PlanNaturalScan(*bt);
-    }
-    uint64_t before = ranges.size();
+    uint64_t before = parts[0].ranges.size();
     if (opts_.enable_group_pruning) {
       for (const UseRestriction& r : analysis_.restrictions) {
         if (r.scan != node.get()) continue;
@@ -365,17 +350,20 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
                                        &hi)) {
           continue;
         }
-        ranges = FilterGroupsByPrefix(*bt, std::move(ranges), r.use_idx, lo, hi);
+        for (TableRanges& p : parts) {
+          p.ranges = FilterGroupsByPrefix(*bt, std::move(p.ranges), r.use_idx,
+                                          lo, hi);
+        }
         Note("pushdown: " + scan.table + " groups via " +
              bt->uses()[r.use_idx].dimension->name() + " (" + r.source + ")");
       }
     }
-    pruned = before - ranges.size();
+    pruned = before - parts[0].ranges.size();
     if (req != nullptr) {
       out.grouped_base = bt;
       out.grouping = req->specs;
     }
-    segments = GroupSegments(*bt, ranges, out.grouping);
+    segments = GroupSegments(*bt, parts, out.grouping);
     if (parallel && req != nullptr) {
       // Group-id mode: record the ascending distinct group ids so callers
       // can chunk sandwich pipelines.
@@ -387,16 +375,21 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
       }
       out.leaf_gids = std::move(gids);
     } else if (parallel) {
-      for (const exec::Morsel& m :
-           exec::MakeRangeMorsels(ranges, kMorselRows)) {
+      const std::vector<GroupRange>& base = parts[0].ranges;
+      for (const exec::Morsel& m : exec::MakeRangeMorsels(base, kMorselRows)) {
         morsels.push_back(GroupSegments(
-            *bt, std::vector<GroupRange>(ranges.begin() + m.begin,
-                                         ranges.begin() + m.end)));
+            *bt, {TableRanges{&bt->data(),
+                              std::vector<GroupRange>(base.begin() + m.begin,
+                                                      base.begin() + m.end)}}));
+      }
+      for (size_t i = 1; i < parts.size(); ++i) {
+        morsels.push_back(GroupSegments(*bt, {parts[i]}));
       }
     }
-    if (!delta.empty()) {
-      Note("delta leg: " + scan.table + " + " + std::to_string(delta.size()) +
-           " chunk(s), " + std::to_string(snap->delta_rows) + " rows @epoch " +
+    if (snap != nullptr && !snap->chunks.empty()) {
+      Note("delta: " + scan.table + " + " +
+           std::to_string(snap->chunks.size()) + " chunk(s), " +
+           std::to_string(snap->delta_rows) + " rows @epoch " +
            std::to_string(snap->epoch));
     }
   } else {
@@ -426,7 +419,7 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
   };
   if (parallel) {
     out.leaf_rows = table->num_rows();
-    out.leaf_factory = [make_scan, segments, delta, morsels, pruned,
+    out.leaf_factory = [make_scan, segments, morsels, pruned,
                         grouped = req != nullptr](
                            const LeafClone& c) -> Result<exec::OperatorPtr> {
       BDCC_CHECK((c.gid_lo >= 0) == grouped);
@@ -441,15 +434,9 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
       for (size_t i = c.instance; i < morsels.size(); i += c.total) {
         segs.insert(segs.end(), morsels[i].begin(), morsels[i].end());
       }
-      // Stride whole chunks across clones: chunks are disjoint, so the
-      // union over clones covers the delta exactly once.
-      for (size_t i = c.instance; i < delta.size(); i += c.total) {
-        segs.push_back(delta[i]);
-      }
       return make_scan(std::move(segs), c.instance == 0 ? pruned : 0);
     };
   }
-  segments.insert(segments.end(), delta.begin(), delta.end());
   out.op = make_scan(std::move(segments), pruned);
   out.base_scan = node.get();
   out.absorbed.push_back(AbsorbedTable{scan.table, {}});
@@ -475,11 +462,7 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
     if (left_base != nullptr && right_base != nullptr) {
       const BdccTable* bt_l = db_.bdcc(left_base->scan.table);
       const BdccTable* bt_r = db_.bdcc(right_base->scan.table);
-      // Unmerged delta rows on either side rule out grouped emission (the
-      // hash-join fallback below still sees them via the delta scan leg).
-      if (bt_l != nullptr && bt_r != nullptr &&
-          !LiveDelta(left_base->scan.table) &&
-          !LiveDelta(right_base->scan.table)) {
+      if (bt_l != nullptr && bt_r != nullptr) {
         bool fk_from_left = fk->from_table == left_base->scan.table &&
                             fk->to_table == right_base->scan.table;
         bool fk_from_right = fk->from_table == right_base->scan.table &&
@@ -560,7 +543,6 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
       BDCC_ASSIGN_OR_RETURN(SubPlan left, Compile(left_l, nullptr));
       const BdccTable* bt_r = db_.bdcc(right_base->scan.table);
       if (left.grouped_base != nullptr && bt_r != nullptr &&
-          !LiveDelta(right_base->scan.table) &&
           fk->to_table == right_base->scan.table) {
         // FK chain from the probe base to the FK's from-table.
         const std::vector<std::string>* prefix = nullptr;
@@ -785,7 +767,7 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
   if (db_.scheme() == Scheme::kBdcc && opts_.enable_sandwich &&
       base != nullptr && !an.group_cols.empty()) {
     const BdccTable* bt = db_.bdcc(base->scan.table);
-    if (bt != nullptr && !LiveDelta(base->scan.table)) {
+    if (bt != nullptr) {
       std::vector<AbsorbedTable> self{{base->scan.table, {}}};
       std::vector<size_t> uses = determined_uses(bt, self);
       if (!uses.empty()) {
@@ -853,7 +835,7 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
   }
 
   // ---- Ordered aggregation when the input is sorted on the single key ----
-  if (opts_.enable_stream_agg && an.group_cols.size() == 1 &&
+  if (an.group_cols.size() == 1 &&
       !child.sorted_on.empty() && child.sorted_on == an.group_cols[0]) {
     Note("streaming aggregation on " + an.group_cols[0]);
     SubPlan out;

@@ -27,10 +27,6 @@ namespace common {
 class TaskScheduler;
 }  // namespace common
 
-namespace delta {
-struct TableSnapshot;
-}  // namespace delta
-
 namespace opt {
 
 struct PlannerOptions {
@@ -38,7 +34,6 @@ struct PlannerOptions {
   bool enable_group_pruning = true; // BDCC: bin-range group pruning
   bool enable_zonemaps = true;      // all schemes: MinMax zone skipping
   bool enable_merge_join = true;    // PK: merge joins on sorted keys
-  bool enable_stream_agg = true;    // PK: ordered aggregation
   /// All schemes: enforce range-exact sargs row-level inside the scan
   /// (branch-free kernels over the storage lanes emitting selection
   /// vectors) instead of a Filter over copied batches. Sargs with a custom
@@ -74,18 +69,22 @@ struct CompiledQuery {
   std::vector<std::string> notes;
 };
 
-/// Scan segments over `table`'s group `ranges`: stably sorted by the group
-/// id each emits under `grouping` (so ids ascend for sandwich consumers and
-/// physical order holds within an id), with physically contiguous ranges of
-/// one id coalesced, and each tagged with its id (-1 when `grouping` is
-/// empty).
-std::vector<exec::ScanSegment> GroupSegments(
-    const BdccTable& table, std::vector<GroupRange> ranges,
-    const std::vector<GroupSpec>& grouping = {});
+/// Group ranges of one table a BDCC scan reads: the clustered base, or a
+/// delta chunk of a live snapshot, whose slices share the base's key space.
+struct TableRanges {
+  const Table* table = nullptr;
+  std::vector<GroupRange> ranges;
+};
 
-/// One scan segment per delta chunk of `snap`, in append order.
-std::vector<exec::ScanSegment> DeltaSegments(
-    const delta::TableSnapshot& snap);
+/// Scan segments over `parts` (the base `table.data()` and any delta
+/// chunks): stably sorted by the group id each range emits under `grouping`
+/// (so ids ascend for sandwich consumers, and within an id the parts keep
+/// their order and each part its range order), with physically
+/// contiguous ranges of one table and id coalesced, and each tagged with
+/// its id (-1 when `grouping` is empty, which leaves the parts in order).
+std::vector<exec::ScanSegment> GroupSegments(
+    const BdccTable& table, const std::vector<TableRanges>& parts,
+    const std::vector<GroupSpec>& grouping = {});
 
 /// Compile `plan` for `db`.
 Result<CompiledQuery> Compile(const NodePtr& plan, const PhysicalDb& db,

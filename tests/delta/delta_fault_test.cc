@@ -25,13 +25,13 @@ class DeltaFaultSweepTest : public DeltaFixture {
   static Result<uint64_t> ScanRows(LiveTable* live) {
     auto snap = live->OpenSnapshot();
     exec::ExecContext ctx(nullptr);
-    std::vector<exec::ScanSegment> segments =
-        opt::GroupSegments(*snap->base, PlanNaturalScan(*snap->base));
-    for (const exec::ScanSegment& s : opt::DeltaSegments(*snap)) {
-      segments.push_back(s);
+    const BdccTable& base = *snap->base;
+    std::vector<opt::TableRanges> parts{{&base.data(), PlanNaturalScan(base)}};
+    for (const auto& chunk : snap->chunks) {
+      parts.push_back({&chunk->data(), chunk->groups()});
     }
-    exec::SegmentScan scan(&snap->base->data(), {"f_d", "f_payload"}, {},
-                           std::move(segments), 0, snap);
+    exec::SegmentScan scan(&base.data(), {"f_d", "f_payload"}, {},
+                           opt::GroupSegments(base, parts), 0, snap);
     auto batch = exec::CollectAll(&scan, &ctx);
     if (!batch.ok()) return batch.status();
     return static_cast<uint64_t>(batch.value().num_rows);

@@ -48,7 +48,7 @@ TEST_F(DeltaStoreTest, SealedChunkIsSortedBucketedAndSchemaAligned) {
   int shift = base.full_bits() - base.count_bits();
   uint64_t covered = 0, prev_key = 0;
   bool first = true;
-  for (const DeltaChunk::GroupSlice& g : chunk->groups()) {
+  for (const GroupRange& g : chunk->groups()) {
     ASSERT_EQ(g.row_begin, covered);
     ASSERT_LT(g.row_begin, g.row_end);
     for (uint64_t r = g.row_begin; r < g.row_end; ++r) {

@@ -1,16 +1,19 @@
-// Snapshot-consistent scans over a live table: the clustered segments plus
-// the delta chunk segments must return exactly the rows of the pinned
-// snapshot — equal to a merged table's scan, under sarg filtering (including
-// per-chunk string dictionaries), never mixing two tables in one batch, and
-// under concurrent append/merge/scan (the TSan suite).
+// Snapshot-consistent scans over a live table: the clustered group ranges
+// plus the delta chunks' group slices must return exactly the rows of the
+// pinned snapshot — equal to a merged table's scan, ungrouped and grouped,
+// under sarg filtering (including per-chunk string dictionaries), never
+// mixing two tables in one batch, and under concurrent append/merge/scan
+// (the TSan suite).
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bdcc/scatter_scan.h"
+#include "common/bits.h"
 #include "common/task_scheduler.h"
 #include "delta/delta_merger.h"
 #include "delta/live_table.h"
@@ -24,7 +27,8 @@ namespace delta {
 namespace {
 
 // Passes a scan's batches through and fails any whose rows do not all come
-// from the table whose dictionary the batch's tag column carries.
+// from the table whose dictionary the batch's tag column carries, or whose
+// group id is below an earlier batch's.
 class SourceCheck : public exec::Operator {
  public:
   SourceCheck(exec::Operator* scan,
@@ -41,6 +45,12 @@ class SourceCheck : public exec::Operator {
         return Status::Internal("batch mixes segment tables");
       }
     }
+    if (!b.empty()) {
+      if (b.group_id < last_gid_) {
+        return Status::Internal("group ids descend");
+      }
+      last_gid_ = b.group_id;
+    }
     return b;
   }
   void Close(exec::ExecContext* ctx) override { scan_->Close(ctx); }
@@ -49,6 +59,7 @@ class SourceCheck : public exec::Operator {
  private:
   exec::Operator* scan_;
   std::map<int64_t, const Dictionary*> dict_of_;
+  int64_t last_gid_ = -1;
 };
 
 class LiveScanTest : public DeltaFixture {
@@ -59,18 +70,34 @@ class LiveScanTest : public DeltaFixture {
         .ValueOrDie();
   }
 
-  // Scan a pinned snapshot: clustered ranges of its base version, then one
-  // segment per delta chunk. Fails when a batch mixes rows of two segment
-  // tables (delta chunks carry private dictionaries).
+  // Grouping on the fixture's one dimension at its full reduced width.
+  static std::vector<GroupSpec> ByDimension(const BdccTable& base) {
+    return {{0, bits::Ones(base.ReducedMask(0))}};
+  }
+
+  // Scan a pinned snapshot: the group ranges of its base version and the
+  // group slices of its delta chunks, ordered by `grouping`'s ids (none:
+  // the base, then each chunk). Fails when a batch mixes rows of two
+  // segment tables (delta chunks carry private dictionaries) or group ids
+  // descend.
   static Result<exec::Batch> ScanSnapshot(
       std::shared_ptr<const TableSnapshot> snap,
       std::vector<exec::ScanPredicate> preds, bool row_filter,
-      exec::ExecContext* ctx) {
-    std::vector<exec::ScanSegment> segments =
-        opt::GroupSegments(*snap->base, PlanNaturalScan(*snap->base));
-    for (const exec::ScanSegment& s : opt::DeltaSegments(*snap)) {
-      segments.push_back(s);
+      exec::ExecContext* ctx, const std::vector<GroupSpec>& grouping = {}) {
+    const BdccTable& base = *snap->base;
+    std::vector<opt::TableRanges> parts{{&base.data(), PlanNaturalScan(base)}};
+    for (const auto& chunk : snap->chunks) {
+      parts.push_back({&chunk->data(), chunk->groups()});
     }
+    return ScanSegments(snap, opt::GroupSegments(base, parts, grouping),
+                        std::move(preds), row_filter, ctx);
+  }
+
+  static Result<exec::Batch> ScanSegments(
+      std::shared_ptr<const TableSnapshot> snap,
+      std::vector<exec::ScanSegment> segments,
+      std::vector<exec::ScanPredicate> preds, bool row_filter,
+      exec::ExecContext* ctx) {
     // Payloads are unique per row: map each to its table's tag dictionary.
     std::map<int64_t, const Dictionary*> dict_of;
     for (const exec::ScanSegment& s : segments) {
@@ -98,20 +125,72 @@ TEST_F(LiveScanTest, LiveScanEqualsMergedScan) {
   ASSERT_TRUE(live->Append(MakeRows(1, 700)).ok());
   ASSERT_TRUE(live->Append(MakeRows(2, 500)).ok());
 
-  exec::ExecContext live_ctx(nullptr);
   auto snap = live->OpenSnapshot();
-  exec::Batch with_delta =
-      ScanSnapshot(snap, {}, /*row_filter=*/false, &live_ctx).ValueOrDie();
-  EXPECT_EQ(with_delta.num_rows, 5000u + 1200u);
-  EXPECT_EQ(live_ctx.stats()->delta_rows_scanned, 1200u);
-  EXPECT_EQ(live_ctx.stats()->delta_chunks, 2u);
+  const std::vector<GroupSpec> grouped = ByDimension(*snap->base);
+  std::vector<exec::Batch> with_delta;
+  for (const std::vector<GroupSpec>& grouping : {std::vector<GroupSpec>{},
+                                                  grouped}) {
+    // Grouped, each chunk's slices interleave with the base's ranges, yet
+    // every chunk counts once.
+    exec::ExecContext live_ctx(nullptr);
+    with_delta.push_back(ScanSnapshot(snap, {}, /*row_filter=*/false,
+                                      &live_ctx, grouping)
+                             .ValueOrDie());
+    EXPECT_EQ(with_delta.back().num_rows, 5000u + 1200u);
+    EXPECT_EQ(live_ctx.stats()->delta_rows_scanned, 1200u);
+    EXPECT_EQ(live_ctx.stats()->delta_chunks, 2u);
+  }
 
   ASSERT_TRUE(live->Merge().ok());
   exec::ExecContext merged_ctx(nullptr);
   exec::Batch merged =
       ScanSnapshot(live->OpenSnapshot(), {}, false, &merged_ctx).ValueOrDie();
   EXPECT_EQ(merged_ctx.stats()->delta_rows_scanned, 0u);
-  testutil::ExpectBatchesEqual(with_delta, merged, "live-vs-merged ");
+  testutil::ExpectBatchesEqual(with_delta[0], merged, "live-vs-merged ");
+  testutil::ExpectBatchesEqual(with_delta[1], merged,
+                               "grouped live-vs-merged ");
+}
+
+// A base range ending at row N and a delta slice starting at row N under
+// one group id are two segments: fusing them would read base rows in place
+// of the delta's.
+TEST_F(LiveScanTest, CoalescingKeepsBaseAndDeltaRangesApart) {
+  auto live = MakeLive();
+  ASSERT_TRUE(live->Append(MakeRows(1, 700)).ok());
+  auto snap = live->OpenSnapshot();
+  const BdccTable& base = *snap->base;
+  const DeltaChunk& chunk = *snap->chunks.at(0);
+  const GroupRange first = PlanNaturalScan(base).at(0);
+  const uint64_t n = first.row_end;
+  ASSERT_LE(n + 10, chunk.num_rows());
+  std::vector<exec::ScanSegment> segments = opt::GroupSegments(
+      base,
+      {{&base.data(), {first}},
+       {&chunk.data(), {GroupRange{first.key, n, n + 10}}}},
+      ByDimension(base));
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].table, &base.data());
+  EXPECT_EQ(segments[1].table, &chunk.data());
+  EXPECT_EQ(segments[0].group_id, segments[1].group_id);
+
+  exec::ExecContext ctx(nullptr);
+  exec::Batch got =
+      ScanSegments(snap, segments, {}, false, &ctx).ValueOrDie();
+  std::multiset<int64_t> expect;
+  const int payload = base.data().ColumnIndex("f_payload").value();
+  for (uint64_t r = first.row_begin; r < n; ++r) {
+    expect.insert(base.data().column(payload).i64()[r]);
+  }
+  for (uint64_t r = n; r < n + 10; ++r) {
+    expect.insert(chunk.data().column(payload).i64()[r]);
+  }
+  std::multiset<int64_t> payloads;
+  for (size_t i = 0; i < got.num_rows; ++i) {
+    payloads.insert(got.columns[1].i64_data()[got.RowAt(i)]);
+  }
+  EXPECT_EQ(payloads, expect);
+  EXPECT_EQ(ctx.stats()->delta_rows_scanned, 10u);
+  EXPECT_EQ(ctx.stats()->delta_chunks, 1u);
 }
 
 TEST_F(LiveScanTest, SargFilteringCoversBothLegs) {
@@ -126,10 +205,16 @@ TEST_F(LiveScanTest, SargFilteringCoversBothLegs) {
       {"f_tag", ValueRange{Value::String("tag_0_0"), Value::String("tag_1_3")}},
   };
 
+  auto snap = live->OpenSnapshot();
   exec::ExecContext live_ctx(nullptr);
   exec::Batch with_delta =
-      ScanSnapshot(live->OpenSnapshot(), preds, /*row_filter=*/true, &live_ctx)
-          .ValueOrDie();
+      ScanSnapshot(snap, preds, /*row_filter=*/true, &live_ctx).ValueOrDie();
+  // Grouped, the scan alternates between the base and the chunks, so the
+  // string range is re-bound at nearly every segment.
+  exec::ExecContext grouped_ctx(nullptr);
+  exec::Batch grouped = ScanSnapshot(snap, preds, true, &grouped_ctx,
+                                     ByDimension(*snap->base))
+                            .ValueOrDie();
 
   ASSERT_TRUE(live->Merge().ok());
   exec::ExecContext merged_ctx(nullptr);
@@ -138,6 +223,8 @@ TEST_F(LiveScanTest, SargFilteringCoversBothLegs) {
           .ValueOrDie();
   ASSERT_GT(merged.num_rows, 0u);
   testutil::ExpectBatchesEqual(with_delta, merged, "filtered live-vs-merged ");
+  testutil::ExpectBatchesEqual(grouped, merged,
+                               "grouped filtered live-vs-merged ");
 }
 
 TEST_F(LiveScanTest, PinnedSnapshotScansAreRepeatableAcrossMutation) {

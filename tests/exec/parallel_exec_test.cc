@@ -52,7 +52,7 @@ TEST(MorselTest, RowMorselsPartitionAndAlign) {
 TEST(MorselTest, RangeMorselsNeverSplitARange) {
   std::vector<GroupRange> ranges;
   for (uint64_t i = 0; i < 57; ++i) {
-    ranges.push_back(GroupRange{i, i * 100, i * 100 + 100, 0});
+    ranges.push_back(GroupRange{i, i * 100, i * 100 + 100});
   }
   std::vector<Morsel> morsels = MakeRangeMorsels(ranges, 1000);
   uint64_t expect = 0;

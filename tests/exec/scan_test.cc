@@ -134,8 +134,10 @@ TEST_F(BdccScanTest, NaturalScanCoversEverything) {
   // Batches of 700 rows cut most 1024-row zones in two: each zone still
   // counts once.
   ctx.set_batch_size(700);
-  SegmentScan scan(&table_->data(), {"k", "v"}, {},
-                   opt::GroupSegments(*table_, PlanNaturalScan(*table_)));
+  SegmentScan scan(
+      &table_->data(), {"k", "v"}, {},
+      opt::GroupSegments(*table_,
+                         {{&table_->data(), PlanNaturalScan(*table_)}}));
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -158,7 +160,8 @@ TEST_F(BdccScanTest, GroupedEmissionIsAlignedAndAscending) {
   ExecContext ctx(nullptr);
   SegmentScan scan(
       &table_->data(), {"k"}, {},
-      opt::GroupSegments(*table_, PlanNaturalScan(*table_), {{0, shared}}));
+      opt::GroupSegments(*table_, {{&table_->data(), PlanNaturalScan(*table_)}},
+                         {{0, shared}}));
   ASSERT_TRUE(scan.Open(&ctx).ok());
   int64_t prev = -1;
   uint64_t rows = 0;
@@ -189,7 +192,9 @@ TEST_F(BdccScanTest, PrunedRangesSkipRows) {
       FilterGroupsByPrefix(*table_, PlanNaturalScan(*table_), 0, lo, hi);
   ExecContext ctx(nullptr);
   SegmentScan scan(&table_->data(), {"k"}, {},
-                   opt::GroupSegments(*table_, std::move(ranges)), 99);
+                   opt::GroupSegments(*table_,
+                                      {{&table_->data(), std::move(ranges)}}),
+                   99);
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -208,9 +213,11 @@ TEST_F(BdccScanTest, PrunedRangesSkipRows) {
 TEST_F(BdccScanTest, ZonePredicatesSkipWithinClustering) {
   // The table is clustered on k, so zones are selective for k-ranges.
   ExecContext ctx(nullptr);
-  SegmentScan scan(&table_->data(), {"k"},
-                   {{"k", ValueRange{Value::Int32(0), Value::Int32(99)}}},
-                   opt::GroupSegments(*table_, PlanNaturalScan(*table_)));
+  SegmentScan scan(
+      &table_->data(), {"k"},
+      {{"k", ValueRange{Value::Int32(0), Value::Int32(99)}}},
+      opt::GroupSegments(*table_,
+                         {{&table_->data(), PlanNaturalScan(*table_)}}));
   ASSERT_TRUE(scan.Open(&ctx).ok());
   uint64_t rows = 0;
   while (true) {
@@ -239,7 +246,8 @@ TEST_F(BdccScanTest, ZonePredicatesSkipWithinClustering) {
   grouped_ctx.set_batch_size(700);
   SegmentScan grouped(
       &data, {"k"}, {{"k", range}},
-      opt::GroupSegments(*table_, PlanNaturalScan(*table_), {{0, shared}}));
+      opt::GroupSegments(*table_, {{&table_->data(), PlanNaturalScan(*table_)}},
+                         {{0, shared}}));
   ASSERT_TRUE(CollectAll(&grouped, &grouped_ctx).ok());
   EXPECT_EQ(grouped_ctx.stats()->rows_scanned, may_rows);
   EXPECT_EQ(grouped_ctx.stats()->zones_read, may_zones);

@@ -224,7 +224,7 @@ TEST(ScanPushdownTest, BdccScanPushdownMatchesLegacy) {
         &bt.data(), std::vector<std::string>{"k", "v", "w"},
         std::vector<ScanPredicate>{
             {"k", ValueRange{Value::Int32(120), Value::Int32(380)}}},
-        opt::GroupSegments(bt, PlanNaturalScan(bt)));
+        opt::GroupSegments(bt, {{&bt.data(), PlanNaturalScan(bt)}}));
     scan->EnableRowFilter(row_filter);
     if (row_filter) {
       return CollectAll(scan.get(), &ctx).ValueOrDie();

@@ -1,9 +1,12 @@
-// TPC-H over a live (appending) lineitem: Q1 and Q6 run through a
+// TPC-H over a live (appending) lineitem: all 22 queries run through a
 // SnapshotDb overlay whose lineitem is a LiveTable rebuilt from a row
 // subset, with the remainder appended as delta. Results must match the
-// fully-clustered database at every base/delta split, before and after the
-// background merge drains the delta — the layout (and the ungrouped plans
-// the planner falls back to while a delta is live) must never show through.
+// fully-clustered database at every base/delta split and thread count, and
+// again after the merge drains the delta. The delta chunks' group slices
+// are ordinary grouped scan segments, so the live plans keep the clustered
+// plan shape: Q12 stays a sandwich join, and Q3's date pushdown prunes the
+// delta's slices as well as the base's groups.
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,8 +51,14 @@ class TpchDeltaScanTest : public ::testing::TestWithParam<int> {
     options.build_pk = false;
     db_ = TpchDb::Create(options).ValueOrDie();
     resolver_ = std::make_unique<PlainResolver>(db_.get());
+    for (int q = 1; q <= kNumTpchQueries; ++q) {
+      exec::ExecContext exec_ctx(nullptr);
+      reference_[q] =
+          Run(q, &db_->bdcc(), /*num_threads=*/1, &exec_ctx).ValueOrDie();
+    }
   }
   static void TearDownTestSuite() {
+    reference_.clear();
     resolver_.reset();
     db_.reset();
   }
@@ -85,25 +94,36 @@ class TpchDeltaScanTest : public ::testing::TestWithParam<int> {
   }
 
   static Result<exec::Batch> Run(int q, const opt::PhysicalDb* db,
-                                 int num_threads,
-                                 exec::ExecContext* exec_ctx) {
+                                 int num_threads, exec::ExecContext* exec_ctx,
+                                 std::vector<std::string>* notes = nullptr) {
     QueryContext ctx;
     ctx.db = db;
     ctx.exec = exec_ctx;
+    ctx.notes = notes;
     ctx.scale_factor = db_->options().scale_factor;
     ctx.planner.num_threads = num_threads;
     return RunTpchQuery(q, ctx);
   }
 
+  static bool HasNote(const std::vector<std::string>& notes,
+                      const std::string& needle) {
+    return std::any_of(notes.begin(), notes.end(), [&](const std::string& n) {
+      return n.find(needle) != std::string::npos;
+    });
+  }
+
   static std::unique_ptr<TpchDb> db_;
   static std::unique_ptr<PlainResolver> resolver_;
+  // Every query's result over the fully-clustered database.
+  static std::map<int, exec::Batch> reference_;
 };
 
 std::unique_ptr<TpchDb> TpchDeltaScanTest::db_;
 std::unique_ptr<PlainResolver> TpchDeltaScanTest::resolver_;
+std::map<int, exec::Batch> TpchDeltaScanTest::reference_;
 
 // Param: delta percentage of lineitem rows (0, 10, 50).
-TEST_P(TpchDeltaScanTest, Q1AndQ6AgreeAtEverySplitAndAfterMerge) {
+TEST_P(TpchDeltaScanTest, AllQueriesKeepGroupedPlansAndAgreeAcrossMerge) {
   const int delta_pct = GetParam();
   const uint64_t total = db_->plain().storage("LINEITEM")->num_rows();
   const uint64_t base_rows = total - total * delta_pct / 100;
@@ -124,54 +144,55 @@ TEST_P(TpchDeltaScanTest, Q1AndQ6AgreeAtEverySplitAndAfterMerge) {
 
   delta::SnapshotDb overlay(&db_->bdcc());
   overlay.AddLiveTable(live.get());
+  const uint64_t delta_rows = overlay.snapshot("LINEITEM")->delta_rows;
+  ASSERT_EQ(delta_rows, total - base_rows);
 
-  // References over the fully-clustered database, then the live phase for
-  // both queries — the merge must stay AFTER both, or Q6 would see an
-  // already-drained delta.
-  std::map<int, exec::Batch> reference;
-  for (int q : {1, 6}) {
-    exec::ExecContext exec_ctx(nullptr);
-    auto full = Run(q, &db_->bdcc(), /*num_threads=*/1, &exec_ctx);
-    ASSERT_TRUE(full.ok()) << "Q" << q << ": " << full.status().ToString();
-    reference[q] = std::move(full).value();
-  }
-
-  for (int q : {1, 6}) {
+  for (int q = 1; q <= kNumTpchQueries; ++q) {
     std::string label =
         "Q" + std::to_string(q) + " delta=" + std::to_string(delta_pct) + "% ";
     for (int threads : {1, 4}) {
+      std::string run = label + "threads=" + std::to_string(threads) + " ";
       exec::ExecContext exec_ctx(nullptr);
-      auto result = Run(q, &overlay, threads, &exec_ctx);
-      ASSERT_TRUE(result.ok())
-          << label << "threads=" << threads << ": "
-          << result.status().ToString();
-      testutil::ExpectBatchesEqual(reference[q], result.value(),
-                                   label + "live (threads=" +
-                                       std::to_string(threads) + ") ");
-      if (delta_pct > 0) {
-        // The delta leg really ran (merged across parallel clones).
-        EXPECT_GT(exec_ctx.stats()->delta_rows_scanned, 0u)
-            << label << "threads=" << threads;
-        EXPECT_GT(exec_ctx.stats()->delta_chunks, 0u);
-      } else {
-        EXPECT_EQ(exec_ctx.stats()->delta_rows_scanned, 0u);
+      std::vector<std::string> notes;
+      auto result = Run(q, &overlay, threads, &exec_ctx, &notes);
+      ASSERT_TRUE(result.ok()) << run << result.status().ToString();
+      testutil::ExpectBatchesEqual(reference_.at(q), result.value(),
+                                   run + "live ");
+      const exec::ExecStats& stats = *exec_ctx.stats();
+      if (delta_pct == 0) {
+        EXPECT_EQ(stats.delta_rows_scanned, 0u) << run;
+        continue;
+      }
+      if (q == 1 || q == 6) {
+        // Unpruned lineitem scans: the delta really ran (merged across
+        // parallel clones).
+        EXPECT_GT(stats.delta_rows_scanned, 0u) << run;
+        EXPECT_GT(stats.delta_chunks, 0u) << run;
+      }
+      if (q == 12) {
+        EXPECT_TRUE(HasNote(notes, "sandwich join LINEITEM⋈ORDERS")) << run;
+      }
+      if (q == 3) {
+        EXPECT_TRUE(HasNote(notes, "pushdown: LINEITEM groups via D_DATE"))
+            << run;
+        EXPECT_GT(stats.delta_rows_scanned, 0u) << run;
+        EXPECT_LT(stats.delta_rows_scanned, delta_rows) << run;
       }
     }
   }
 
-  // Drain the delta; the overlay re-pins, plans re-gain grouped paths, and
-  // results still agree.
+  // Drain the delta; the overlay re-pins, and results still agree.
   ASSERT_TRUE(live->Merge().ok());
   overlay.Refresh();
-  for (int q : {1, 6}) {
+  for (int q = 1; q <= kNumTpchQueries; ++q) {
     std::string label =
         "Q" + std::to_string(q) + " delta=" + std::to_string(delta_pct) + "% ";
     exec::ExecContext exec_ctx(nullptr);
     auto merged = Run(q, &overlay, /*num_threads=*/1, &exec_ctx);
     ASSERT_TRUE(merged.ok()) << label << merged.status().ToString();
-    testutil::ExpectBatchesEqual(reference[q], merged.value(),
+    testutil::ExpectBatchesEqual(reference_.at(q), merged.value(),
                                  label + "post-merge ");
-    EXPECT_EQ(exec_ctx.stats()->delta_rows_scanned, 0u);
+    EXPECT_EQ(exec_ctx.stats()->delta_rows_scanned, 0u) << label;
   }
 }
 
