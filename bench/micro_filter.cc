@@ -143,7 +143,7 @@ void RunMicroFilter(benchmark::State& state, int64_t permille, bool sel_path,
 // swept codec x selectivity x threads x mode — "flat" scans a copy of the
 // table built without encoded lanes, the baseline the direct path over the
 // encoded lanes is judged against — and every config emits one JsonLine
-// (BENCH_pr6.json commits the trajectory).
+// (BENCH_pr18.json commits the trajectory).
 
 constexpr uint64_t kCodecRows = 400000;
 constexpr int64_t kNarrowDomain = 1 << 20;

@@ -293,7 +293,7 @@ void RunHashJoinParallelProbe(benchmark::State& state, int threads) {
 // Times the hash-join *build* phase separately from the probe phase, for
 // the serial build vs. the radix-partitioned parallel build, across build
 // cardinalities and thread counts. One JsonLine row per config feeds the
-// BENCH_pr5.json perf-trajectory baseline and the CI bench-regression diff.
+// BENCH_pr18.json perf-trajectory baseline and the CI bench-regression diff.
 void RunBuildSweep(int max_threads) {
   const uint64_t kProbeRows = 1u << 20;
   uint64_t max_build = 1u << 20;

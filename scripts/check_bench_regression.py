@@ -2,7 +2,7 @@
 """Warn-only benchmark regression check over well-formed inputs.
 
 Compares the JSON lines emitted by the CI bench smoke run against the
-committed perf-trajectory baselines (BENCH_pr5.json). Rows are matched on
+committed perf-trajectory baseline (BENCH_pr18.json). Rows are matched on
 their config keys (bench/mode/build_rows/threads, and any other non-metric
 fields); for each matched row, every *throughput* metric (keys ending in
 "_per_s") that dropped more than the threshold, and every *tail-latency*

@@ -39,10 +39,11 @@ Status HashAgg::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status HashAgg::BindMergeOnly(const Schema& input) {
+Status HashAgg::BindChildless(const Schema& input) {
   BDCC_CHECK(child_ == nullptr);
   BDCC_RETURN_NOT_OK(Bind(input));
-  // Nothing to consume: Next() emits whatever partitions merge in.
+  if (group_cols_.empty()) core_.EnsureGroups(1);
+  // Nothing to drain: Next() emits whatever is fed or merged in.
   consumed_ = true;
   return Status::OK();
 }
@@ -50,15 +51,14 @@ Status HashAgg::BindMergeOnly(const Schema& input) {
 const Schema& HashAgg::input_schema() const { return input_schema_; }
 
 Status HashAgg::Consume(const Batch& batch) {
-  std::vector<uint32_t> group_of_row(batch.num_rows);
   if (group_cols_.empty()) {
     core_.EnsureGroups(1);
-    std::fill(group_of_row.begin(), group_of_row.end(), 0);
+    group_of_row_.assign(batch.num_rows, 0);
   } else {
     const std::vector<int>& key_idx = encoder_.indices();
     // A fresh group stores its key values from the source row (NULL key
     // parts append as NULLs); AppendInterning resolves through RowAt.
-    EncodeAndAssignGroups(encoder_, &key_map_, batch, &group_of_row,
+    EncodeAndAssignGroups(encoder_, &key_map_, batch, &group_of_row_,
                           [&](size_t row) {
                             for (size_t k = 0; k < key_idx.size(); ++k) {
                               key_store_[k].AppendInterning(
@@ -67,7 +67,15 @@ Status HashAgg::Consume(const Batch& batch) {
                           });
     core_.EnsureGroups(key_map_.size());
   }
-  return core_.Update(batch, group_of_row);
+  return core_.Update(batch, group_of_row_);
+}
+
+void HashAgg::ClearGroups() {
+  BDCC_CHECK(child_ == nullptr && !group_cols_.empty());
+  key_map_.Clear();
+  for (ColumnVector& ks : key_store_) ks = ColumnVector(ks.type);
+  core_.Reset();
+  emit_cursor_ = 0;
 }
 
 uint64_t HashAgg::MemoryBytes() const {
@@ -90,31 +98,6 @@ Status HashAgg::ConsumeAll(ExecContext* ctx) {
   }
   if (group_cols_.empty()) core_.EnsureGroups(1);  // scalar agg: one row
   consumed_ = true;
-  return Status::OK();
-}
-
-Status HashAgg::MergePartial(HashAgg* other) {
-  BDCC_CHECK(consumed_ && other->consumed_);
-  if (group_cols_.empty()) {
-    core_.MergeFrom(other->core_, {0});
-    return Status::OK();
-  }
-  size_t other_groups = other->key_map_.size();
-  if (other_groups == 0) return Status::OK();
-  // Re-encode the partial's group keys (its key store is one row per group)
-  // through *this* aggregate's encoder, so string keys land in the same
-  // canonical code space — and NULL-bearing groups fold into the matching
-  // null/byte-fallback groups — as the keys consumed directly.
-  const std::vector<ColumnVector>& keys = other->key_store_;
-  std::vector<uint32_t> group_map;
-  EncodeAndAssignGroupsCols(encoder_, &key_map_, keys, other_groups,
-                            &group_map, [&](size_t row) {
-                              for (size_t k = 0; k < key_store_.size(); ++k) {
-                                key_store_[k].AppendInterning(keys[k], row);
-                              }
-                            });
-  core_.EnsureGroups(key_map_.size());
-  core_.MergeFrom(other->core_, group_map);
   return Status::OK();
 }
 
@@ -151,7 +134,11 @@ std::vector<uint32_t> HashAgg::PartitionGroups(int bits) const {
 Status HashAgg::MergePartialPartition(const HashAgg& other,
                                       const std::vector<uint32_t>& part_of_group,
                                       uint32_t partition) {
-  BDCC_CHECK(consumed_ && other.consumed_ && !group_cols_.empty());
+  BDCC_CHECK(consumed_ && other.consumed_);
+  if (group_cols_.empty()) {
+    core_.MergeFrom(other.core_, {0});
+    return Status::OK();
+  }
   size_t other_groups = other.key_map_.size();
   if (other_groups == 0) return Status::OK();
   // Gather only the owned groups' key rows, then encode just that subset:

@@ -29,19 +29,23 @@ class HashAgg : public Operator {
   /// thread-local consume phase of morsel-parallel aggregation.
   Status ConsumeAll(ExecContext* ctx);
 
-  /// Fold `other`'s consumed-but-unemitted partial state into this
-  /// aggregate; `other` must share this aggregate's group columns and specs.
-  /// Called serially (merge phase) after the parallel consume phase.
-  Status MergePartial(HashAgg* other);
+  /// Bind as a child-less aggregate over batches of `input`: the caller
+  /// feeds it batches (Consume) or merges partials in
+  /// (MergePartialPartition), and Next emits whatever was folded in. A
+  /// scalar aggregate starts with its one group.
+  Status BindChildless(const Schema& input);
 
-  /// Bind as a merge-only target (no child operator): `input` is the schema
-  /// the partials consumed. Afterwards only MergePartial/
-  /// MergePartialPartition, Next (emission) and Close are valid — Next
-  /// emits whatever was merged in.
-  Status BindMergeOnly(const Schema& input);
+  /// Fold one batch into a child-less aggregate (BindChildless).
+  Status Consume(const Batch& batch);
+
+  /// Drop every group so a grouped child-less aggregate can start over (a
+  /// sandwich partition reset): fresh key-store columns, the key map
+  /// cleared but keeping its slots, the accumulators reset. The key encoder
+  /// and its string space stay bound.
+  void ClearGroups();
 
   /// Schema of the child this aggregate consumed (valid once Open ran);
-  /// what merge-only peers must be bound with.
+  /// what child-less merge targets must be bound with.
   const Schema& input_schema() const;
 
   size_t num_groups() const { return key_map_.size(); }
@@ -57,7 +61,8 @@ class HashAgg : public Operator {
   std::vector<uint32_t> PartitionGroups(int bits) const;
 
   /// Fold only the groups of `other` whose part_of_group[g] == partition
-  /// into this aggregate. Read-only on `other`: distinct targets may merge
+  /// into this aggregate (a scalar aggregate folds its one group whatever
+  /// the partition). Read-only on `other`: distinct targets may merge
   /// disjoint slices of one partial concurrently.
   Status MergePartialPartition(const HashAgg& other,
                                const std::vector<uint32_t>& part_of_group,
@@ -65,9 +70,8 @@ class HashAgg : public Operator {
 
  private:
   Status Bind(const Schema& in);
-  Status Consume(const Batch& batch);
 
-  OperatorPtr child_;  // null for merge-only instances (BindMergeOnly)
+  OperatorPtr child_;  // null for child-less instances (BindChildless)
   std::vector<std::string> group_cols_;
   std::vector<AggSpec> spec_templates_;
   Schema schema_;
@@ -77,6 +81,7 @@ class HashAgg : public Operator {
   DenseKeyMap key_map_;
   std::vector<ColumnVector> key_store_;  // one row per group
   AggregatorCore core_;
+  std::vector<uint32_t> group_of_row_;  // per-batch scratch for Consume
   std::unique_ptr<TrackedMemory> tracked_;
   size_t emit_cursor_ = 0;
   bool consumed_ = false;

@@ -19,15 +19,6 @@ const char* JoinTypeName(JoinType t) {
   return "?";
 }
 
-HashJoin::HashJoin(OperatorPtr left, OperatorPtr right,
-                   std::vector<std::string> left_keys,
-                   std::vector<std::string> right_keys, JoinType type)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)),
-      type_(type) {}
-
 Status HashJoinProber::Bind(const Schema& probe_schema,
                             const std::vector<std::string>& probe_keys,
                             const JoinHashTable* table, JoinType type) {
@@ -43,28 +34,6 @@ Status HashJoinProber::Bind(const Schema& probe_schema,
     schema_ = Schema::Concat(probe_schema, table->schema());
   }
   return Status::OK();
-}
-
-Status HashJoin::Open(ExecContext* ctx) {
-  BDCC_RETURN_NOT_OK(left_->Open(ctx));
-  BDCC_RETURN_NOT_OK(right_->Open(ctx));
-  if (left_keys_.size() != right_keys_.size() || left_keys_.empty()) {
-    return Status::InvalidArgument("join key arity mismatch");
-  }
-  tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");
-
-  // Build.
-  BDCC_RETURN_NOT_OK(table_.Init(right_->schema(), right_keys_));
-  while (true) {
-    BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
-    BDCC_ASSIGN_OR_RETURN(Batch b, right_->Next(ctx));
-    if (b.empty()) break;
-    BDCC_RETURN_NOT_OK(table_.AddBatch(b));
-    right_->Recycle(std::move(b));
-    BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
-  }
-
-  return prober_.Bind(left_->schema(), left_keys_, &table_, type_);
 }
 
 template <typename Key>
@@ -201,9 +170,45 @@ Result<Batch> HashJoinProber::ProbeBatch(const Batch& in, Batch scratch) const {
   return out;
 }
 
-Result<Batch> HashJoin::Next(ExecContext* ctx) {
+Status BuildHashTable(Operator* build, const std::vector<std::string>& keys,
+                      ExecContext* ctx, JoinHashTable* table,
+                      TrackedMemory* tracked) {
+  BDCC_RETURN_NOT_OK(build->Open(ctx));
+  BDCC_RETURN_NOT_OK(table->Init(build->schema(), keys));
   while (true) {
-    BDCC_ASSIGN_OR_RETURN(Batch in, left_->Next(ctx));
+    BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
+    BDCC_ASSIGN_OR_RETURN(Batch b, build->Next(ctx));
+    if (b.empty()) return Status::OK();
+    BDCC_RETURN_NOT_OK(table->AddBatch(b));
+    build->Recycle(std::move(b));
+    BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked, table->MemoryBytes()));
+  }
+}
+
+HashJoinProbe::HashJoinProbe(OperatorPtr probe, const JoinHashTable* table,
+                             std::vector<std::string> keys, JoinType type)
+    : probe_(std::move(probe)),
+      table_(table),
+      keys_(std::move(keys)),
+      type_(type) {}
+
+Status HashJoinProbe::Open(ExecContext* ctx) {
+  BDCC_RETURN_NOT_OK(OpenProbe(ctx));
+  return Bind();
+}
+
+Status HashJoinProbe::OpenProbe(ExecContext* ctx) { return probe_->Open(ctx); }
+
+Status HashJoinProbe::Bind() {
+  if (keys_.empty() || keys_.size() != table_->encoder().num_keys()) {
+    return Status::InvalidArgument("join key arity mismatch");
+  }
+  return prober_.Bind(probe_->schema(), keys_, table_, type_);
+}
+
+Result<Batch> HashJoinProbe::Next(ExecContext* ctx) {
+  while (true) {
+    BDCC_ASSIGN_OR_RETURN(Batch in, probe_->Next(ctx));
     if (in.empty()) return Batch::Empty();
     Batch scratch;
     if (!recycled_.empty()) {
@@ -212,20 +217,39 @@ Result<Batch> HashJoin::Next(ExecContext* ctx) {
     }
     BDCC_ASSIGN_OR_RETURN(Batch out,
                           prober_.ProbeBatch(in, std::move(scratch)));
-    left_->Recycle(std::move(in));  // probe output is freshly materialized
+    probe_->Recycle(std::move(in));  // probe output is freshly materialized
     if (out.num_rows > 0) return out;
   }
 }
 
-void HashJoin::Recycle(Batch&& batch) {
+void HashJoinProbe::Recycle(Batch&& batch) {
   RecycleIntoFreeList(std::move(batch), schema(), &recycled_);
 }
 
+void HashJoinProbe::Close(ExecContext* ctx) {
+  probe_->Close(ctx);
+  recycled_.clear();
+}
+
+HashJoin::HashJoin(OperatorPtr left, OperatorPtr right,
+                   std::vector<std::string> left_keys,
+                   std::vector<std::string> right_keys, JoinType type)
+    : right_(std::move(right)),
+      right_keys_(std::move(right_keys)),
+      probe_(std::move(left), &table_, std::move(left_keys), type) {}
+
+Status HashJoin::Open(ExecContext* ctx) {
+  BDCC_RETURN_NOT_OK(probe_.OpenProbe(ctx));
+  tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");
+  BDCC_RETURN_NOT_OK(
+      BuildHashTable(right_.get(), right_keys_, ctx, &table_, tracked_.get()));
+  return probe_.Bind();
+}
+
 void HashJoin::Close(ExecContext* ctx) {
-  left_->Close(ctx);
+  probe_.Close(ctx);
   right_->Close(ctx);
   table_.Clear();
-  recycled_.clear();
   if (tracked_) tracked_->Clear();
 }
 

@@ -85,13 +85,25 @@ class HashJoinProber {
   mutable ColumnVector staged_;
 };
 
-class HashJoin : public Operator {
+/// Open `build`, initialise `table` over its schema and `keys`, and drain
+/// it into the table, charging the table's bytes to `tracked` after every
+/// batch: the serial build of HashJoin and ParallelHashJoin.
+Status BuildHashTable(Operator* build, const std::vector<std::string>& keys,
+                      ExecContext* ctx, JoinHashTable* table,
+                      TrackedMemory* tracked);
+
+/// \brief Probe pipeline of a hash join: streams `probe` through one
+/// HashJoinProber against a finished table it does not own.
+///
+/// HashJoin runs one over its own table; ParallelHashJoin runs one per
+/// probe clone under a ParallelUnion, all against one shared table.
+class HashJoinProbe : public Operator {
  public:
-  HashJoin(OperatorPtr left, OperatorPtr right,
-           std::vector<std::string> left_keys,
-           std::vector<std::string> right_keys, JoinType type);
+  HashJoinProbe(OperatorPtr probe, const JoinHashTable* table,
+                std::vector<std::string> keys, JoinType type);
 
   const Schema& schema() const override { return prober_.schema(); }
+  /// OpenProbe, then Bind.
   Status Open(ExecContext* ctx) override;
   Result<Batch> Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override;
@@ -99,14 +111,41 @@ class HashJoin : public Operator {
   /// allocations seed the next ProbeBatch's output.
   void Recycle(Batch&& batch) override;
 
+  /// Open the probe child only. HashJoin opens its probe side before its
+  /// build side, as it always has: a nested join in the probe subtree
+  /// builds its table inside Open, and that order fixes the query's memory
+  /// peak and I/O sequence.
+  Status OpenProbe(ExecContext* ctx);
+  /// Bind the prober to the opened probe child and the table (past Init).
+  Status Bind();
+
  private:
-  OperatorPtr left_, right_;
-  std::vector<std::string> left_keys_, right_keys_;
+  OperatorPtr probe_;
+  const JoinHashTable* table_;
+  std::vector<std::string> keys_;
   JoinType type_;
-  JoinHashTable table_;
   HashJoinProber prober_;
-  std::unique_ptr<TrackedMemory> tracked_;
   std::vector<Batch> recycled_;
+};
+
+class HashJoin : public Operator {
+ public:
+  HashJoin(OperatorPtr left, OperatorPtr right,
+           std::vector<std::string> left_keys,
+           std::vector<std::string> right_keys, JoinType type);
+
+  const Schema& schema() const override { return probe_.schema(); }
+  Status Open(ExecContext* ctx) override;
+  Result<Batch> Next(ExecContext* ctx) override { return probe_.Next(ctx); }
+  void Close(ExecContext* ctx) override;
+  void Recycle(Batch&& batch) override { probe_.Recycle(std::move(batch)); }
+
+ private:
+  OperatorPtr right_;
+  std::vector<std::string> right_keys_;
+  JoinHashTable table_;
+  HashJoinProbe probe_;  // the left child against table_
+  std::unique_ptr<TrackedMemory> tracked_;
 };
 
 }  // namespace exec

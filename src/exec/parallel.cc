@@ -169,30 +169,24 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
     total_groups += partials_[i]->num_groups();
   }
 
-  if (group_cols_.empty() || total_groups < kMinPartitionedMergeGroups) {
-    // Scalar aggregates and small group sets: the pairwise chain is cheap.
-    // Merge in clone order: deterministic for a fixed clone count because
-    // each clone's morsel subset is a deterministic stride.
-    for (size_t i = 1; i < partials_.size(); ++i) {
-      BDCC_RETURN_NOT_OK(partials_[0]->MergePartial(partials_[i].get()));
-    }
-    merged_ = true;
-    return Status::OK();
-  }
-
   // Radix-partitioned merge: hash-partition every partial's groups by key
   // value, then fold each partition with an independent task into its own
   // merge-only aggregate. Each task reads the (now immutable) partials and
   // writes only its own merger — no shared mutable state, no atomics.
-  int bits = 1;
-  while ((size_t{1} << bits) < partials_.size() * 4 &&
-         bits < JoinHashTable::kMaxPartitionBits) {
-    ++bits;
+  // Scalar aggregates and small group sets take one partition.
+  int bits = 0;
+  if (!group_cols_.empty() && total_groups >= kMinPartitionedMergeGroups) {
+    bits = 1;
+    while ((size_t{1} << bits) < partials_.size() * 4 &&
+           bits < JoinHashTable::kMaxPartitionBits) {
+      ++bits;
+    }
   }
   size_t num_partitions = size_t{1} << bits;
   std::vector<std::vector<uint32_t>> part_of(partials_.size());
   scheduler_->ParallelFor(partials_.size(), [&](size_t i) {
-    part_of[i] = partials_[i]->PartitionGroups(bits);
+    part_of[i] = bits == 0 ? std::vector<uint32_t>(partials_[i]->num_groups())
+                           : partials_[i]->PartitionGroups(bits);
   });
 
   mergers_.clear();
@@ -202,7 +196,7 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
   for (size_t p = 0; p < num_partitions; ++p) {
     auto merger =
         std::make_unique<HashAgg>(nullptr, group_cols_, spec_templates_);
-    BDCC_RETURN_NOT_OK(merger->BindMergeOnly(partials_[0]->input_schema()));
+    BDCC_RETURN_NOT_OK(merger->BindChildless(partials_[0]->input_schema()));
     mergers_.push_back(std::move(merger));
     merger_mem_.push_back(
         std::make_unique<TrackedMemory>(ctx->memory(), "hash-agg merge"));
@@ -246,8 +240,7 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
 
 Result<Batch> ParallelHashAgg::Next(ExecContext* ctx) {
   if (!merged_) BDCC_RETURN_NOT_OK(MergeAll(ctx));
-  if (mergers_.empty()) return partials_[0]->Next(child_ctxs_[0].get());
-  // Partitioned merge ran: emit partitions in order.
+  // Emit partitions in order.
   while (emit_merger_ < mergers_.size()) {
     BDCC_ASSIGN_OR_RETURN(Batch b,
                           mergers_[emit_merger_]->Next(child_ctxs_[0].get()));
@@ -277,15 +270,19 @@ ParallelHashJoin::ParallelHashJoin(ChainFactory probe_factory,
                                    std::vector<std::string> build_keys,
                                    JoinType type,
                                    common::TaskScheduler* scheduler)
-    : probe_factory_(std::move(probe_factory)),
-      num_clones_(num_clones),
+    : num_clones_(num_clones),
       build_(std::move(build)),
-      probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)),
-      type_(type),
-      scheduler_(SchedulerOrShared(scheduler)) {
-  BDCC_CHECK(num_clones_ > 0);
-}
+      scheduler_(SchedulerOrShared(scheduler)),
+      probes_(
+          [this, probe_factory = std::move(probe_factory),
+           probe_keys = std::move(probe_keys),
+           type](size_t i, size_t n) -> Result<OperatorPtr> {
+            BDCC_ASSIGN_OR_RETURN(OperatorPtr probe, probe_factory(i, n));
+            return OperatorPtr(std::make_unique<HashJoinProbe>(
+                std::move(probe), &table_, probe_keys, type));
+          },
+          num_clones, scheduler_) {}
 
 void ParallelHashJoin::EnableParallelBuild(ChainFactory build_factory,
                                            int partition_bits) {
@@ -308,21 +305,6 @@ int ChoosePartitionBits(uint64_t estimated_rows, size_t threads) {
     ++bits;
   }
   return bits;
-}
-
-// Serial build: one operator drained on the coordinating thread.
-Status ParallelHashJoin::OpenBuildSerial(ExecContext* ctx) {
-  BDCC_RETURN_NOT_OK(build_->Open(ctx));
-  BDCC_RETURN_NOT_OK(table_.Init(build_->schema(), build_keys_));
-  while (true) {
-    BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
-    BDCC_ASSIGN_OR_RETURN(Batch b, build_->Next(ctx));
-    if (b.empty()) break;
-    BDCC_RETURN_NOT_OK(table_.AddBatch(b));
-    build_->Recycle(std::move(b));
-    BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
-  }
-  return Status::OK();
 }
 
 // Partitioned parallel build: N build chains scatter into radix partitions,
@@ -404,90 +386,14 @@ Status ParallelHashJoin::OpenBuildPartitioned(ExecContext* ctx) {
 }
 
 Status ParallelHashJoin::Open(ExecContext* ctx) {
-  probes_.clear();
-  probers_.clear();
-  child_ctxs_.clear();
-  ran_ = false;
-  ready_.clear();
-  if (probe_keys_.size() != build_keys_.size() || probe_keys_.empty()) {
-    return Status::InvalidArgument("join key arity mismatch");
-  }
   tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");
-
   if (build_factory_ != nullptr) {
     BDCC_RETURN_NOT_OK(OpenBuildPartitioned(ctx));
   } else {
-    BDCC_RETURN_NOT_OK(OpenBuildSerial(ctx));
+    BDCC_RETURN_NOT_OK(BuildHashTable(build_.get(), build_keys_, ctx, &table_,
+                                      tracked_.get()));
   }
-
-  probers_.resize(num_clones_);
-  for (size_t i = 0; i < num_clones_; ++i) {
-    BDCC_ASSIGN_OR_RETURN(OperatorPtr probe, probe_factory_(i, num_clones_));
-    child_ctxs_.push_back(std::make_unique<ExecContext>(*ctx));
-    BDCC_RETURN_NOT_OK(probe->Open(child_ctxs_.back().get()));
-    BDCC_RETURN_NOT_OK(
-        probers_[i].Bind(probe->schema(), probe_keys_, &table_, type_));
-    probes_.push_back(std::move(probe));
-  }
-  schema_ = probers_[0].schema();
-  return Status::OK();
-}
-
-Status ParallelHashJoin::RunAll(ExecContext* ctx) {
-  std::vector<std::vector<Batch>> outputs(probes_.size());
-  std::vector<std::unique_ptr<TrackedMemory>> clone_mem;
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    clone_mem.push_back(std::make_unique<TrackedMemory>(
-        ctx->memory(), "hash-join probe buffer"));
-  }
-  QueryControl* control = ctx->control();
-  Status run_status = scheduler_->ParallelForStatus(
-      probes_.size(), [&](size_t i) {
-        Operator* probe = probes_[i].get();
-        ExecContext* cctx = child_ctxs_[i].get();
-        Status s = [&]() -> Status {
-          uint64_t bytes = 0;
-          while (true) {
-            BDCC_RETURN_NOT_OK(cctx->CheckLifecycle());
-            BDCC_ASSIGN_OR_RETURN(Batch in, probe->Next(cctx));
-            if (in.empty()) return Status::OK();
-            BDCC_ASSIGN_OR_RETURN(Batch out, probers_[i].ProbeBatch(in));
-            probe->Recycle(std::move(in));
-            if (out.num_rows > 0) {
-              bytes += BatchBytes(out);
-              BDCC_RETURN_NOT_OK(cctx->ChargeMemory(clone_mem[i].get(), bytes));
-              outputs[i].push_back(std::move(out));
-            }
-          }
-        }();
-        if (BDCC_UNLIKELY(!s.ok())) control->ReportError(s);
-        return s;
-      });
-  for (size_t i = 0; i < probes_.size(); ++i) ctx->MergeStats(*child_ctxs_[i]);
-  BDCC_RETURN_NOT_OK(run_status);
-  ready_bytes_ = 0;
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    clone_mem[i]->Clear();
-    for (Batch& b : outputs[i]) {
-      ready_bytes_ += BatchBytes(b);
-      ready_.push_back(std::move(b));
-    }
-  }
-  tracked_ready_ = std::make_unique<TrackedMemory>(ctx->memory(),
-                                                   "hash-join probe output");
-  BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_ready_.get(), ready_bytes_));
-  ran_ = true;
-  return Status::OK();
-}
-
-Result<Batch> ParallelHashJoin::Next(ExecContext* ctx) {
-  if (!ran_) BDCC_RETURN_NOT_OK(RunAll(ctx));
-  if (ready_.empty()) return Batch::Empty();
-  Batch out = std::move(ready_.front());
-  ready_.pop_front();
-  ready_bytes_ -= BatchBytes(out);
-  tracked_ready_->Set(ready_bytes_);
-  return out;
+  return probes_.Open(ctx);
 }
 
 void ParallelHashJoin::Close(ExecContext* ctx) {
@@ -495,18 +401,11 @@ void ParallelHashJoin::Close(ExecContext* ctx) {
   for (size_t i = 0; i < builds_.size(); ++i) {
     builds_[i]->Close(build_ctxs_[i].get());
   }
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    probes_[i]->Close(child_ctxs_[i].get());
-  }
+  probes_.Close(ctx);
   builds_.clear();
   build_ctxs_.clear();
-  probes_.clear();
-  probers_.clear();
-  child_ctxs_.clear();
   table_.Clear();
-  ready_.clear();
   if (tracked_) tracked_->Clear();
-  if (tracked_ready_) tracked_ready_->Clear();
 }
 
 }  // namespace exec

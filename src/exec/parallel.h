@@ -9,10 +9,12 @@
 //    preserves the ascending-group-id contract for downstream sandwich
 //    consumers.
 //  - ParallelHashAgg: each clone aggregates its morsels into a thread-local
-//    HashAgg; partial hash tables are merged serially, in clone order, so
-//    results are deterministic for a fixed clone count.
-//  - ParallelHashJoin: the build side is materialized once, then per-clone
-//    probe pipelines probe the shared read-only table concurrently.
+//    HashAgg; the partials' groups are then merged by radix partition into
+//    merge-only HashAggs, in clone order within each partition, so results
+//    are deterministic for a fixed clone count.
+//  - ParallelHashJoin: the build side is materialized once, then a
+//    ParallelUnion of HashJoinProbe clones probes the shared read-only
+//    table concurrently.
 //
 // Each clone runs on a child ExecContext (shared buffer pool and memory
 // tracker, private stats — see exec_context.h); clones are constructed and
@@ -80,8 +82,8 @@ class ParallelUnion : public Operator {
 /// dictionaries) and folds each partition with an independent task into its
 /// own merge-only HashAgg — no lock-step pairwise MergeFrom chain. Group
 /// sums still accumulate in clone order within each partition, so float
-/// results are bitwise deterministic for a fixed clone count. Small group
-/// counts skip the partitioned machinery and merge serially.
+/// results are bitwise deterministic for a fixed clone count. Scalar
+/// aggregates and small group counts merge as one partition.
 class ParallelHashAgg : public Operator {
  public:
   ParallelHashAgg(ChainFactory child_factory, size_t num_clones,
@@ -94,8 +96,8 @@ class ParallelHashAgg : public Operator {
   Result<Batch> Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override;
 
-  /// Total groups across partials below which the merge stays serial (the
-  /// partitioned merge's task overhead would dominate).
+  /// Total groups across partials below which the merge uses one partition
+  /// (more partitions' task overhead would dominate).
   static constexpr size_t kMinPartitionedMergeGroups = 4096;
 
  private:
@@ -107,9 +109,8 @@ class ParallelHashAgg : public Operator {
   std::vector<AggSpec> spec_templates_;
   common::TaskScheduler* scheduler_;
   std::vector<std::unique_ptr<HashAgg>> partials_;
-  // Partitioned-merge targets (one per radix partition); empty when the
-  // serial merge path ran (scalar aggregate or few groups). Each merger's
-  // budget charge is owned by the single worker that merged the partition.
+  // Merge targets, one per radix partition. Each merger's budget charge is
+  // owned by the single worker that merged the partition.
   std::vector<std::unique_ptr<HashAgg>> mergers_;
   std::vector<std::unique_ptr<TrackedMemory>> merger_mem_;
   size_t emit_merger_ = 0;
@@ -128,14 +129,16 @@ int ChoosePartitionBits(uint64_t estimated_rows, size_t threads);
 
 /// \brief Hash join with a shared build table and parallel probe clones.
 ///
-/// By default the build side is one operator drained serially. With
-/// EnableParallelBuild the build side becomes N chain clones feeding a
-/// two-phase partitioned build (JoinHashTable::ScatterBatch /
-/// FinishPartitionedBuild): clones radix-partition their batches into
-/// producer-local buffers — fully parallel when the key encoding is
-/// read-only, with a serial scatter fallback for string-keyed encoders —
-/// then one task per partition builds an unshared sub-table. Probe clones
-/// route by the same radix bits inside the shared table.
+/// By default the build side is one operator drained serially
+/// (BuildHashTable). With EnableParallelBuild the build side becomes N
+/// chain clones feeding a two-phase partitioned build
+/// (JoinHashTable::ScatterBatch / FinishPartitionedBuild): clones
+/// radix-partition their batches into producer-local buffers — fully
+/// parallel when the key encoding is read-only, with a serial scatter
+/// fallback for string-keyed encoders — then one task per partition builds
+/// an unshared sub-table. The probe phase is a ParallelUnion whose chain i
+/// is a HashJoinProbe over probe clone i; probes route by the same radix
+/// bits inside the shared table.
 class ParallelHashJoin : public Operator {
  public:
   ParallelHashJoin(ChainFactory probe_factory, size_t num_clones,
@@ -148,37 +151,26 @@ class ParallelHashJoin : public Operator {
   /// operator passed to the constructor is ignored (may be null).
   void EnableParallelBuild(ChainFactory build_factory, int partition_bits);
 
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return probes_.schema(); }
   Status Open(ExecContext* ctx) override;
-  Result<Batch> Next(ExecContext* ctx) override;
+  Result<Batch> Next(ExecContext* ctx) override { return probes_.Next(ctx); }
   void Close(ExecContext* ctx) override;
 
  private:
-  Status OpenBuildSerial(ExecContext* ctx);
   Status OpenBuildPartitioned(ExecContext* ctx);
-  Status RunAll(ExecContext* ctx);
 
-  ChainFactory probe_factory_;
   size_t num_clones_;
   OperatorPtr build_;
   ChainFactory build_factory_;
   int partition_bits_ = 0;
-  std::vector<std::string> probe_keys_, build_keys_;
-  JoinType type_;
+  std::vector<std::string> build_keys_;
   common::TaskScheduler* scheduler_;
 
   JoinHashTable table_;
   std::vector<OperatorPtr> builds_;
-  std::vector<OperatorPtr> probes_;
-  std::vector<HashJoinProber> probers_;
-  std::vector<std::unique_ptr<ExecContext>> child_ctxs_;
   std::vector<std::unique_ptr<ExecContext>> build_ctxs_;
   std::unique_ptr<TrackedMemory> tracked_;
-  Schema schema_;
-  bool ran_ = false;
-  std::deque<Batch> ready_;
-  std::unique_ptr<TrackedMemory> tracked_ready_;
-  uint64_t ready_bytes_ = 0;
+  ParallelUnion probes_;  // HashJoinProbe clones against table_
 };
 
 }  // namespace exec

@@ -4,7 +4,8 @@
 // (e.g. Q18's GROUP BY l_orderkey under orderkey-derived clustering): a key
 // then never spans two partitions, so the hash table can be flushed after
 // every partition — the aggregation state peaks at the largest partition,
-// not the whole key domain.
+// not the whole key domain. The hash table is an ordinary child-less
+// HashAgg, fed one partition at a time and reset between partitions.
 #ifndef BDCC_EXEC_SANDWICH_AGG_H_
 #define BDCC_EXEC_SANDWICH_AGG_H_
 
@@ -12,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/aggregate.h"
-#include "exec/hash_table.h"
+#include "exec/hash_agg.h"
 #include "exec/memory_tracker.h"
 #include "exec/operator.h"
 
@@ -25,26 +25,19 @@ class SandwichAgg : public Operator {
   SandwichAgg(OperatorPtr child, std::vector<std::string> group_cols,
               std::vector<AggSpec> specs);
 
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return agg_.schema(); }
   Status Open(ExecContext* ctx) override;
   Result<Batch> Next(ExecContext* ctx) override;
   void Close(ExecContext* ctx) override;
 
  private:
-  Status Consume(const Batch& batch);
-  void FlushPartition(ExecContext* ctx);
+  /// Move the finished partition's groups into ready_ and reset agg_.
+  Status DrainPartition(ExecContext* ctx);
 
   OperatorPtr child_;
-  std::vector<std::string> group_cols_;
-  std::vector<AggSpec> spec_templates_;
-  Schema schema_;
-
-  KeyEncoder encoder_;
-  DenseKeyMap key_map_;
-  std::vector<ColumnVector> key_store_;
-  AggregatorCore core_;
+  bool grouped_;
+  HashAgg agg_;  // child-less: one partition's groups at a time
   std::unique_ptr<TrackedMemory> tracked_;
-  std::vector<uint32_t> group_of_row_;  // per-batch scratch for Consume
 
   int64_t current_partition_ = -1;
   bool input_done_ = false;

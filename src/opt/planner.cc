@@ -135,6 +135,14 @@ struct LeafClone {
 using LeafFactory =
     std::function<Result<exec::OperatorPtr>(const LeafClone&)>;
 
+/// Morsel-mode chain clones of `leaf`: clone i of n reads the leaf's i-th
+/// strided share of morsels.
+exec::ChainFactory MorselClones(LeafFactory leaf) {
+  return [leaf = std::move(leaf)](size_t i, size_t n) {
+    return leaf(LeafClone{i, n});
+  };
+}
+
 /// Contiguous chunk of the ascending distinct-group-id universe.
 struct GidSpan {
   int64_t lo = 0;
@@ -663,37 +671,23 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
   // so PK chains that may feed merge/stream consumers stay serial.
   if (opts_.num_threads > 1 && left.leaf_factory && left.grouping.empty() &&
       left.sorted_on.empty() && left.leaf_rows >= kMinParallelRows) {
-    LeafFactory inner = left.leaf_factory;
-    exec::ChainFactory probe_factory = [inner](size_t i, size_t n) {
-      LeafClone c;
-      c.instance = i;
-      c.total = n;
-      return inner(c);
-    };
     Note("parallel hash join probe x" + std::to_string(opts_.num_threads));
     // Parallel partitioned build when the build side is itself a clonable
     // scan chain of useful size: partition count follows the estimated
     // build cardinality (base-table rows; filters only shrink it). The
     // serial build operator is not compiled into the plan in that case.
-    bool partitioned_build = opts_.enable_parallel_build &&
-                             right.leaf_factory &&
+    bool partitioned_build = right.leaf_factory &&
                              right.leaf_gids == nullptr &&
                              right.leaf_rows >= kMinParallelBuildRows;
     auto pj = std::make_unique<exec::ParallelHashJoin>(
-        std::move(probe_factory), static_cast<size_t>(opts_.num_threads),
+        MorselClones(left.leaf_factory),
+        static_cast<size_t>(opts_.num_threads),
         partitioned_build ? nullptr : std::move(right.op), jn.left_keys,
         jn.right_keys, jn.type, opts_.scheduler);
     if (partitioned_build) {
-      LeafFactory build_inner = right.leaf_factory;
-      exec::ChainFactory build_factory = [build_inner](size_t i, size_t n) {
-        LeafClone c;
-        c.instance = i;
-        c.total = n;
-        return build_inner(c);
-      };
       int bits = exec::ChoosePartitionBits(
           right.leaf_rows, static_cast<size_t>(opts_.num_threads));
-      pj->EnableParallelBuild(std::move(build_factory), bits);
+      pj->EnableParallelBuild(MorselClones(right.leaf_factory), bits);
       Note("parallel partitioned hash join build x" +
            std::to_string(opts_.num_threads) + " (" +
            std::to_string(size_t{1} << bits) + " partitions)");
@@ -848,16 +842,10 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
   SubPlan out;
   if (opts_.num_threads > 1 && child.leaf_factory && child.grouping.empty() &&
       child.leaf_rows >= kMinParallelRows) {
-    LeafFactory inner = child.leaf_factory;
-    exec::ChainFactory factory = [inner](size_t i, size_t n) {
-      LeafClone c;
-      c.instance = i;
-      c.total = n;
-      return inner(c);
-    };
     Note("parallel hash aggregation x" + std::to_string(opts_.num_threads));
     out.op = std::make_unique<exec::ParallelHashAgg>(
-        std::move(factory), static_cast<size_t>(opts_.num_threads),
+        MorselClones(child.leaf_factory),
+        static_cast<size_t>(opts_.num_threads),
         an.group_cols, an.specs, opts_.scheduler);
   } else {
     out.op = std::make_unique<exec::HashAgg>(std::move(child.op),

@@ -43,14 +43,12 @@ struct PlannerOptions {
   /// Degree of intra-query parallelism. 1 (default) compiles the classic
   /// single-threaded pull plan; N > 1 splits eligible pipelines into N
   /// morsel-driven clones at blocking operators (hash aggregation, hash-join
-  /// probe, sandwich join/aggregate). Results are identical either way
-  /// (modulo float summation order); plans too small to benefit stay serial.
+  /// probe, sandwich join/aggregate). A hash join whose build side is a
+  /// clonable scan chain of at least a few thousand rows also builds in
+  /// parallel, into a radix-partitioned table. Results are identical either
+  /// way (modulo float summation order); plans too small to benefit stay
+  /// serial.
   int num_threads = 1;
-  /// With num_threads > 1: build the hash-join build side with N parallel
-  /// chains feeding a radix-partitioned table (partition count derived from
-  /// the estimated build cardinality), instead of one serial drain. Only
-  /// applies when the build side is a scan chain the planner can clone.
-  bool enable_parallel_build = true;
   /// Worker pool used when num_threads > 1; nullptr = the process-wide
   /// TaskScheduler::Shared().
   common::TaskScheduler* scheduler = nullptr;

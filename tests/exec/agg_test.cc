@@ -164,6 +164,20 @@ TEST(SandwichAggTest, RejectsUntaggedInput) {
   EXPECT_FALSE(agg.Next(&ctx).ok());
 }
 
+TEST(SandwichAggTest, RejectsDescendingGroups) {
+  // Partition 0 comes back after partition 4: its keys would be emitted a
+  // second time, so the operator must refuse instead.
+  ExecContext ctx(nullptr);
+  SandwichAgg agg(Src({B({1, 2}, {1, 2}, 0), B({1}, {5}, 4),
+                       B({2}, {7}, 0)}),
+                  {"k"}, {AggSum(Col("v"), "s")});
+  auto result = CollectAll(&agg, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal)
+      << result.status().ToString();
+  EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
+}
+
 TEST(AggEquivalenceTest, StrategiesAgreeProperty) {
   Rng rng(55);
   for (int trial = 0; trial < 8; ++trial) {
@@ -205,18 +219,23 @@ TEST(AggEquivalenceTest, StrategiesAgreeProperty) {
     }
     shuffled_batches = sorted_batches;  // hash agg order-insensitive anyway
 
-    std::vector<AggSpec> specs = AllSpecs();
-    ExecContext ctx(nullptr);
-    HashAgg hash(Src(shuffled_batches), {"k"}, specs);
-    Batch a = CollectAll(&hash, &ctx).ValueOrDie();
-    StreamAgg stream(Src(sorted_batches), {"k"}, AllSpecs());
-    Batch b = CollectAll(&stream, &ctx).ValueOrDie();
-    SandwichAgg sandwich(Src(grouped_batches), {"k"}, AllSpecs());
-    Batch c = CollectAll(&sandwich, &ctx).ValueOrDie();
-    testutil::ExpectBatchesEqual(a, b, "hash-vs-stream t" +
-                                           std::to_string(trial));
-    testutil::ExpectBatchesEqual(a, c, "hash-vs-sandwich t" +
-                                           std::to_string(trial));
+    // The default batch size emits each sandwich partition as one batch;
+    // a batch size of 3 makes partitions span several output batches.
+    for (size_t batch_size : {size_t{0}, size_t{3}}) {
+      std::vector<AggSpec> specs = AllSpecs();
+      ExecContext ctx(nullptr);
+      if (batch_size > 0) ctx.set_batch_size(batch_size);
+      std::string label = " t" + std::to_string(trial) + " batch " +
+                          std::to_string(ctx.batch_size());
+      HashAgg hash(Src(shuffled_batches), {"k"}, specs);
+      Batch a = CollectAll(&hash, &ctx).ValueOrDie();
+      StreamAgg stream(Src(sorted_batches), {"k"}, AllSpecs());
+      Batch b = CollectAll(&stream, &ctx).ValueOrDie();
+      SandwichAgg sandwich(Src(grouped_batches), {"k"}, AllSpecs());
+      Batch c = CollectAll(&sandwich, &ctx).ValueOrDie();
+      testutil::ExpectBatchesEqual(a, b, "hash-vs-stream" + label);
+      testutil::ExpectBatchesEqual(a, c, "hash-vs-sandwich" + label);
+    }
   }
 }
 

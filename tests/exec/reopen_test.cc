@@ -173,6 +173,62 @@ TEST(ReopenTest, ParallelHashAggReopensAfterBudgetUnwind) {
   EXPECT_EQ(retried.value().num_rows, 8192u);
 }
 
+// Strided share of 0..n-1 as one batch: clone i of `total` holds the keys
+// k with k % total == i.
+OperatorPtr StridedKeys(int n, size_t i, size_t total) {
+  std::vector<int32_t> keys;
+  std::vector<double> vals;
+  for (int k = static_cast<int>(i); k < n; k += static_cast<int>(total)) {
+    keys.push_back(k);
+    vals.push_back(static_cast<double>(k));
+  }
+  std::vector<Batch> batches;
+  batches.push_back(B(std::move(keys), std::move(vals)));
+  return std::make_unique<VectorSource>(S(), std::move(batches));
+}
+
+TEST(ReopenTest, ParallelHashJoinReopensAfterBudgetUnwind) {
+  common::TaskScheduler scheduler(2);
+  ExecContext ref_ctx(nullptr);
+  HashJoin reference(StridedKeys(256, 0, 1), StridedKeys(256, 0, 1), {"k"},
+                     {"k"}, JoinType::kInner);
+  Batch expect = CollectAll(&reference, &ref_ctx).ValueOrDie();
+  ASSERT_EQ(expect.num_rows, 256u);
+
+  auto probe_factory = [](size_t i, size_t n) -> Result<OperatorPtr> {
+    return StridedKeys(256, i, n);
+  };
+  for (bool partitioned : {false, true}) {
+    SCOPED_TRACE(partitioned ? "partitioned build" : "serial build");
+    ParallelHashJoin join(probe_factory, /*num_clones=*/2,
+                          partitioned ? nullptr : StridedKeys(256, 0, 1),
+                          {"k"}, {"k"}, JoinType::kInner, &scheduler);
+    if (partitioned) {
+      join.EnableParallelBuild(
+          [](size_t i, size_t n) -> Result<OperatorPtr> {
+            return StridedKeys(256, i, n);
+          },
+          /*partition_bits=*/1);
+    }
+
+    ExecContext ctx(nullptr);
+    ctx.memory()->set_limit(1);
+    auto capped = CollectAll(&join, &ctx);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_TRUE(capped.status().IsResourceExhausted())
+        << capped.status().ToString();
+    EXPECT_EQ(ctx.memory()->current_bytes(), 0u)
+        << "budget unwind leaked tracked memory";
+
+    ctx.PrepareRerun(0);
+    auto retried = CollectAll(&join, &ctx);
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    // Probe clones emit in clone order, so compare as row sets.
+    testutil::ExpectBatchesEqual(expect, retried.value(), "parallel join");
+    EXPECT_EQ(ctx.memory()->current_bytes(), 0u);
+  }
+}
+
 // Regression: schema() after Close. An empty input leaves the aggregate
 // with zero groups, so CollectAll's typed-empty path reads op->schema()
 // *after* op->Close() cleared the partials; before the schema was cached

@@ -97,7 +97,7 @@ TEST_F(PlannerTest, BdccSchemePushdownPropagation) {
   EXPECT_TRUE(HasNote(notes, "pushdown: LINEITEM groups via D_NATION"));
 }
 
-TEST_F(PlannerTest, ParallelPartitionedBuildPlannedAndToggleable) {
+TEST_F(PlannerTest, ParallelPartitionedBuildPlannedForLargeBuildSides) {
   // Plain scheme, threads=4: the probe parallelizes and — because the
   // build side is itself a clonable scan chain of useful size — the build
   // goes partitioned. (Q12 under plain: probe LINEITEM, build ORDERS.)
@@ -107,9 +107,9 @@ TEST_F(PlannerTest, ParallelPartitionedBuildPlannedAndToggleable) {
   EXPECT_TRUE(HasNote(notes, "parallel hash join probe x4"));
   EXPECT_TRUE(HasNote(notes, "parallel partitioned hash join build x4"));
 
-  PlannerOptions no_par_build = par;
-  no_par_build.enable_parallel_build = false;
-  notes = NotesFor(12, db_->plain(), no_par_build);
+  // Q14 under plain: probe LINEITEM, build PART, whose 1000 rows fall
+  // below the partitioned-build floor, so the build stays one serial drain.
+  notes = NotesFor(14, db_->plain(), par);
   EXPECT_TRUE(HasNote(notes, "parallel hash join probe x4"));
   EXPECT_FALSE(HasNote(notes, "parallel partitioned hash join build"));
 }
