@@ -1,10 +1,7 @@
-// Selectivity sweep for the scan->filter pipeline: the selection-vector
-// path (scan-level predicate pushdown, late materialization) vs the legacy
-// compact path (full batch copy out of the scan, then a Filter that
-// re-copies survivors with Gather). Swept 0.1% -> 99% selectivity and over
-// --threads=N; one JSON row per (path, selectivity, threads) config lands
-// in --benchmark_out, so speedup curves are directly plottable
-// (BENCH_pr3.json commits the sel-vs-legacy trajectory for this PR).
+// Selectivity sweep for the scan-level predicate pushdown (selection
+// vectors, late materialization). Swept 0.1% -> 99% selectivity and over
+// --threads=N; one JSON row per (selectivity, threads) config lands in
+// --benchmark_out, so speedup curves are directly plottable.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -16,8 +13,6 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/task_scheduler.h"
-#include "exec/expr.h"
-#include "exec/filter.h"
 #include "exec/morsel.h"
 #include "exec/scan.h"
 
@@ -58,13 +53,7 @@ std::vector<exec::ScanPredicate> PredsFor(int64_t permille) {
                            Value::Int32(static_cast<int32_t>(hi - 1))}}};
 }
 
-exec::ExprPtr RowExprFor(int64_t permille) {
-  int64_t hi = std::max<int64_t>(1, kDomain * permille / 1000);
-  return exec::Le(exec::Col("k"), exec::Lit(Value::Int32(
-                                      static_cast<int32_t>(hi - 1))));
-}
-
-// Drain one scan->filter pipeline clone, consuming selected rows sel-aware
+// Drain one scan pipeline clone, consuming selected rows sel-aware
 // (the way downstream operators do).
 uint64_t DrainPipeline(exec::Operator* op, exec::ExecContext* ctx) {
   op->Open(ctx).AbortIfNotOK();
@@ -80,9 +69,9 @@ uint64_t DrainPipeline(exec::Operator* op, exec::ExecContext* ctx) {
   return sum;
 }
 
-// One clone of the measured pipeline. `sel_path` selects between the scan
-// pushdown + selection vectors and the seed's copy-then-Gather shape.
-exec::OperatorPtr MakePipeline(int64_t permille, bool sel_path,
+// One clone of the measured pipeline: the predicates are fully enforced
+// inside the scan.
+exec::OperatorPtr MakePipeline(int64_t permille,
                                std::shared_ptr<const std::vector<exec::Morsel>>
                                    morsels,
                                size_t instance, size_t total) {
@@ -94,13 +83,11 @@ exec::OperatorPtr MakePipeline(int64_t permille, bool sel_path,
   auto scan = std::make_unique<exec::SegmentScan>(
       t, std::vector<std::string>{"k", "v", "w"}, PredsFor(permille),
       std::move(segments));
-  scan->EnableRowFilter(sel_path);
-  if (sel_path) return scan;  // predicates fully enforced inside the scan
-  return std::make_unique<exec::Filter>(std::move(scan), RowExprFor(permille));
+  scan->EnableRowFilter(true);
+  return scan;
 }
 
-void RunMicroFilter(benchmark::State& state, int64_t permille, bool sel_path,
-                    int threads) {
+void RunMicroFilter(benchmark::State& state, int64_t permille, int threads) {
   auto morsels =
       threads > 1
           ? std::make_shared<const std::vector<exec::Morsel>>(
@@ -110,15 +97,13 @@ void RunMicroFilter(benchmark::State& state, int64_t permille, bool sel_path,
     uint64_t total = 0;
     if (threads == 1) {
       exec::ExecContext ctx(nullptr);
-      ctx.set_sel_enabled(sel_path);
-      auto op = MakePipeline(permille, sel_path, nullptr, 0, 1);
+      auto op = MakePipeline(permille, nullptr, 0, 1);
       total = DrainPipeline(op.get(), &ctx);
     } else {
       std::vector<uint64_t> sums(threads, 0);
       common::TaskScheduler::Shared()->ParallelFor(threads, [&](size_t i) {
         exec::ExecContext ctx(nullptr);
-        ctx.set_sel_enabled(sel_path);
-        auto op = MakePipeline(permille, sel_path, morsels, i,
+        auto op = MakePipeline(permille, morsels, i,
                                static_cast<size_t>(threads));
         sums[i] = DrainPipeline(op.get(), &ctx);
       });
@@ -128,7 +113,6 @@ void RunMicroFilter(benchmark::State& state, int64_t permille, bool sel_path,
   }
   state.counters["threads"] = threads;
   state.counters["sel_permille"] = static_cast<double>(permille);
-  state.counters["sel_path"] = sel_path ? 1 : 0;
 }
 
 // ---- Per-codec direct-execution sweep ----
@@ -277,7 +261,6 @@ uint64_t DrainCodecScan(const CodecTable& ct, int pct, bool flat,
                             morsels,
                         size_t instance, size_t total) {
   exec::ExecContext ctx(nullptr);
-  ctx.set_sel_enabled(true);
   // Whole-zone chunks: direct mode evaluates sargs one encoded span at a
   // time, so batches smaller than a zone just multiply per-span setup cost.
   ctx.set_batch_size(kCodecZoneRows);
@@ -368,16 +351,11 @@ int main(int argc, char** argv) {
   const int64_t permilles[] = {1, 10, 100, 500, 990};  // 0.1% .. 99%
   for (int t : bdcc::bench::ThreadCounts(max_threads)) {
     for (int64_t p : permilles) {
-      for (bool sel : {false, true}) {
-        std::string name = std::string("BM_MicroFilter/") +
-                           (sel ? "sel" : "legacy") +
-                           "/permille:" + std::to_string(p) +
-                           "/threads:" + std::to_string(t);
-        benchmark::RegisterBenchmark(
-            name.c_str(), [p, sel, t](benchmark::State& s) {
-              RunMicroFilter(s, p, sel, t);
-            });
-      }
+      std::string name = "BM_MicroFilter/permille:" + std::to_string(p) +
+                         "/threads:" + std::to_string(t);
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [p, t](benchmark::State& s) { RunMicroFilter(s, p, t); });
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace bdcc {
 namespace catalog {
@@ -20,6 +21,19 @@ Result<TypeId> TableDef::ColumnType(const std::string& col) const {
 Status Catalog::AddTable(TableDef def) {
   if (table_by_name_.count(def.name)) {
     return Status::AlreadyExists("table " + def.name);
+  }
+  std::unordered_set<std::string> names;
+  for (const ColumnDef& c : def.columns) {
+    if (!names.insert(c.name).second) {
+      return Status::InvalidArgument("table " + def.name +
+                                     ": duplicate column " + c.name);
+    }
+  }
+  for (const std::string& c : def.primary_key) {
+    if (!names.count(c)) {
+      return Status::InvalidArgument("table " + def.name +
+                                     ": primary key names no column " + c);
+    }
   }
   table_by_name_[def.name] = tables_.size();
   tables_.push_back(std::move(def));
@@ -64,10 +78,6 @@ Status Catalog::AddIndex(IndexHint idx) {
   }
   indexes_.push_back(std::move(idx));
   return Status::OK();
-}
-
-bool Catalog::HasTable(const std::string& name) const {
-  return table_by_name_.count(name) > 0;
 }
 
 Result<const TableDef*> Catalog::GetTable(const std::string& name) const {

@@ -51,7 +51,6 @@ class Catalog {
   Status AddForeignKey(ForeignKey fk);
   Status AddIndex(IndexHint idx);
 
-  bool HasTable(const std::string& name) const;
   Result<const TableDef*> GetTable(const std::string& name) const;
   Result<const ForeignKey*> GetForeignKey(const std::string& id) const;
 

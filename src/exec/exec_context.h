@@ -93,8 +93,7 @@ class ExecContext {
   explicit ExecContext(ExecContext& parent)
       : pool_(parent.pool_),
         parent_(&parent),
-        batch_size_(parent.batch_size_),
-        sel_enabled_(parent.sel_enabled_) {}
+        batch_size_(parent.batch_size_) {}
 
   MemoryTracker* memory() {
     return parent_ != nullptr ? parent_->memory() : &memory_;
@@ -153,12 +152,6 @@ class ExecContext {
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) { batch_size_ = n; }
 
-  /// When false, batches are compacted eagerly wherever a selection vector
-  /// would otherwise be attached — the legacy copy path, kept selectable for
-  /// benchmarking and sel-vs-compact equality tests.
-  bool sel_enabled() const { return sel_enabled_; }
-  void set_sel_enabled(bool on) { sel_enabled_ = on; }
-
  private:
   io::BufferPool* pool_;
   ExecContext* parent_ = nullptr;
@@ -166,7 +159,6 @@ class ExecContext {
   QueryControl control_;
   ExecStats stats_;
   size_t batch_size_ = 2048;
-  bool sel_enabled_ = true;
 };
 
 }  // namespace exec

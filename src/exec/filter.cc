@@ -30,12 +30,12 @@ Result<Batch> Filter::Next(ExecContext* ctx) {
     out.group_id = in.group_id;
     double density =
         static_cast<double>(sel.size()) / static_cast<double>(in.physical_rows());
-    if (ctx->sel_enabled() && density >= ExecContext::kCompactDensity) {
+    if (density >= ExecContext::kCompactDensity) {
       // Late materialization: share the columns, narrow the selection.
       out.columns = std::move(in.columns);
       out.sel = std::move(sel);
     } else {
-      // Sparse (or legacy mode): compact now and recycle the input buffers.
+      // Sparse: compact now and recycle the input buffers.
       out.columns.reserve(in.columns.size());
       for (const ColumnVector& c : in.columns) {
         out.columns.push_back(c.Gather(sel));

@@ -316,7 +316,7 @@ size_t EmitChunk(const Table& table, const std::vector<int>& col_idx,
     return n;
   }
   double density = static_cast<double>(k) / static_cast<double>(n);
-  if (!ctx->sel_enabled() || density < ExecContext::kCompactDensity) {
+  if (density < ExecContext::kCompactDensity) {
     // Sparse: gather just the qualifying rows from storage.
     AppendSelectedRows(table, col_idx, begin, *rel_scratch, out);
     selb->AddDense(base, k);

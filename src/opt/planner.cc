@@ -307,8 +307,7 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
   // itself (selection-vector kernels); sargs with a custom row expression
   // (whose range over-approximates, e.g. prefix LIKE) and residuals keep a
   // Filter on top.
-  bool scan_filters_rows = opts_.enable_scan_filter_pushdown &&
-                           opts_.enable_zonemaps &&
+  bool scan_filters_rows = opts_.enable_zonemaps &&
                            std::any_of(scan.sargs.begin(), scan.sargs.end(),
                                        [](const Sarg& s) {
                                          return s.row_expr == nullptr;

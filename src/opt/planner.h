@@ -32,13 +32,12 @@ namespace opt {
 struct PlannerOptions {
   bool enable_sandwich = true;      // BDCC: sandwich joins/aggregates
   bool enable_group_pruning = true; // BDCC: bin-range group pruning
-  bool enable_zonemaps = true;      // all schemes: MinMax zone skipping
+  /// All schemes: MinMax zone skipping. The scan also enforces the same
+  /// range-exact sargs row-level (branch-free kernels over the storage
+  /// lanes emitting selection vectors); sargs with a custom row expression
+  /// (e.g. LIKE) and residual predicates stay in a Filter above the scan.
+  bool enable_zonemaps = true;
   bool enable_merge_join = true;    // PK: merge joins on sorted keys
-  /// All schemes: enforce range-exact sargs row-level inside the scan
-  /// (branch-free kernels over the storage lanes emitting selection
-  /// vectors) instead of a Filter over copied batches. Sargs with a custom
-  /// row expression (e.g. LIKE) and residual predicates stay in the Filter.
-  bool enable_scan_filter_pushdown = true;
 
   /// Degree of intra-query parallelism. 1 (default) compiles the classic
   /// single-threaded pull plan; N > 1 splits eligible pipelines into N

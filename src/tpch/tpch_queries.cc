@@ -6,6 +6,7 @@ namespace bdcc {
 namespace tpch {
 
 Result<exec::Batch> RunPlan(const opt::NodePtr& plan, QueryContext& ctx) {
+  if (ctx.run_plan) return ctx.run_plan(plan);
   ctx.exec->memory()->set_limit(ctx.planner.memory_limit_bytes);
   BDCC_ASSIGN_OR_RETURN(opt::CompiledQuery compiled,
                         opt::Compile(plan, *ctx.db, ctx.planner));
@@ -84,57 +85,6 @@ Result<exec::Batch> RunTpchQuery(int number, QueryContext& ctx) {
       return RunQ22(ctx);
     default:
       return Status::InvalidArgument("TPC-H query number must be 1..22");
-  }
-}
-
-const char* TpchQueryTitle(int number) {
-  switch (number) {
-    case 1:
-      return "pricing summary report";
-    case 2:
-      return "minimum cost supplier";
-    case 3:
-      return "shipping priority";
-    case 4:
-      return "order priority checking";
-    case 5:
-      return "local supplier volume";
-    case 6:
-      return "forecasting revenue change";
-    case 7:
-      return "volume shipping";
-    case 8:
-      return "national market share";
-    case 9:
-      return "product type profit";
-    case 10:
-      return "returned item reporting";
-    case 11:
-      return "important stock identification";
-    case 12:
-      return "shipping modes and priority";
-    case 13:
-      return "customer distribution";
-    case 14:
-      return "promotion effect";
-    case 15:
-      return "top supplier";
-    case 16:
-      return "parts/supplier relationship";
-    case 17:
-      return "small-quantity-order revenue";
-    case 18:
-      return "large volume customers";
-    case 19:
-      return "discounted revenue";
-    case 20:
-      return "potential part promotion";
-    case 21:
-      return "suppliers who kept orders waiting";
-    case 22:
-      return "global sales opportunity";
-    default:
-      return "?";
   }
 }
 

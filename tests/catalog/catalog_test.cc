@@ -2,6 +2,7 @@
 
 #include "catalog/ddl_parser.h"
 #include "catalog/schema_graph.h"
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "tpch/tpch_schema.h"
 
@@ -22,6 +23,23 @@ TEST(CatalogTest, TableAndFkValidation) {
   EXPECT_FALSE(cat.GetForeignKey("NOPE").ok());
   EXPECT_EQ(cat.ForeignKeysFrom("B").size(), 1u);
   EXPECT_EQ(cat.ForeignKeysTo("A").size(), 1u);
+}
+
+TEST(CatalogTest, RejectsUndeclaredKeyAndDuplicateColumns) {
+  Catalog cat;
+  EXPECT_TRUE(cat.AddTable({"P", {{"a", TypeId::kInt32}}, {"b"}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      cat.AddTable({"D", {{"a", TypeId::kInt32}, {"a", TypeId::kDate}}, {}})
+          .IsInvalidArgument());
+  EXPECT_TRUE(ParseDdl("CREATE TABLE t (a INT, PRIMARY KEY (b));", &cat)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseDdl("CREATE TABLE u (a INT, a BIGINT);", &cat)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(cat.tables().empty());  // nothing rejected was registered
+  EXPECT_TRUE(ParseDdl("CREATE TABLE v (a INT, b INT, PRIMARY KEY (b, a));",
+                       &cat)
+                  .ok());
 }
 
 TEST(CatalogTest, IndexHintsAndFkMatching) {
@@ -71,6 +89,62 @@ TEST(DdlParserTest, SyntaxErrors) {
   Catalog cat2;
   EXPECT_FALSE(
       ParseDdl("CREATE INDEX i ON missing (a);", &cat2).ok());
+}
+
+// Seeded byte-level mutations of the TPC-H DDL (deletions, duplications,
+// swaps and truncations): every parse must return a Status rather than
+// crash, and a catalog that parses OK must only name declared key columns.
+TEST(DdlParserTest, SeededMutationsReturnStatus) {
+  const std::string ddl = tpch::TpchTableDdl();
+  Rng rng(20240917);
+  int parsed_ok = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string m = ddl;
+    for (int edits = static_cast<int>(rng.Uniform(1, 3)); edits > 0;
+         --edits) {
+      size_t at = static_cast<size_t>(rng.Uniform(0, m.size() - 1));
+      size_t len = static_cast<size_t>(rng.Uniform(1, 8));
+      switch (rng.Uniform(0, 3)) {
+        case 0:  // delete a short run
+          m.erase(at, len);
+          break;
+        case 1:  // duplicate a short run in place
+          m.insert(at, m.substr(at, len));
+          break;
+        case 2: {  // swap two bytes
+          size_t other = static_cast<size_t>(rng.Uniform(0, m.size() - 1));
+          std::swap(m[at], m[other]);
+          break;
+        }
+        default:  // truncate
+          m.resize(at);
+          break;
+      }
+      if (m.empty()) break;
+    }
+    Catalog cat;
+    Status st = ParseDdl(m, &cat);
+    if (!st.ok()) continue;
+    ++parsed_ok;
+    for (const TableDef& t : cat.tables()) {
+      for (const std::string& c : t.primary_key) {
+        EXPECT_TRUE(t.HasColumn(c)) << t.name << " pk " << c << "\n" << m;
+      }
+    }
+    for (const ForeignKey& fk : cat.foreign_keys()) {
+      const TableDef* from = cat.GetTable(fk.from_table).ValueOrDie();
+      const TableDef* to = cat.GetTable(fk.to_table).ValueOrDie();
+      for (const std::string& c : fk.from_columns) {
+        EXPECT_TRUE(from->HasColumn(c)) << fk.id << " " << c << "\n" << m;
+      }
+      for (const std::string& c : fk.to_columns) {
+        EXPECT_TRUE(to->HasColumn(c)) << fk.id << " " << c << "\n" << m;
+      }
+    }
+  }
+  // Truncations at statement boundaries and edits inside comments or
+  // names leave valid DDL behind, so some mutants must parse.
+  EXPECT_GT(parsed_ok, 0);
 }
 
 TEST(DdlParserTest, CommentsAndCase) {

@@ -1,7 +1,8 @@
 // Selection vectors & late materialization: the Batch::sel contract, scan
 // predicate pushdown (selection emission, sparse gathering, zone-map
 // composition), Filter selection composition and the density gate, batch
-// recycling, and sel-path vs compact-path result equality.
+// recycling, and sel-carrying inputs through aggregation and join — each
+// checked against a hand-computed row loop over the table.
 #include <limits>
 #include <map>
 #include <memory>
@@ -101,29 +102,29 @@ TEST(BatchSelTest, ExprLeavesDensifyUnderSel) {
   EXPECT_EQ(out.i64[1], 105);
 }
 
+// Hand-computed reference: the `cols` of every row of `t` that `keep`
+// accepts, in storage order.
+template <typename Keep>
+Batch RowLoop(const Table& t, const std::vector<std::string>& cols,
+              Keep keep) {
+  Batch out;
+  std::vector<const Column*> src;
+  for (const std::string& c : cols) {
+    src.push_back(&t.ColumnByName(c));
+    out.columns.emplace_back(src.back()->type());
+    out.columns.back().dict = src.back()->dict();
+  }
+  for (uint64_t r = 0; r < t.num_rows(); ++r) {
+    if (!keep(r)) continue;
+    for (size_t c = 0; c < src.size(); ++c) {
+      out.columns[c].AppendFromStorage(*src[c], r);
+    }
+    ++out.num_rows;
+  }
+  return out;
+}
+
 // ---------------- Scan pushdown ----------------
-
-// Reference: scan without pushdown + Filter, fully compacted (seed shape).
-Batch LegacyScanFilter(const Table& t, int32_t lo, int32_t hi) {
-  ExecContext ctx(nullptr);
-  ctx.set_sel_enabled(false);
-  auto scan = std::make_unique<SegmentScan>(
-      &t, std::vector<std::string>{"k", "v", "s", "w"},
-      std::vector<ScanPredicate>{
-          {"k", ValueRange{Value::Int32(lo), Value::Int32(hi)}}});
-  Filter filter(std::move(scan),
-                Between(Col("k"), Lit(Value::Int32(lo)), Lit(Value::Int32(hi))));
-  return CollectAll(&filter, &ctx).ValueOrDie();
-}
-
-Batch PushdownScan(const Table& t, int32_t lo, int32_t hi, bool sel_enabled) {
-  ExecContext ctx(nullptr);
-  ctx.set_sel_enabled(sel_enabled);
-  SegmentScan scan(&t, {"k", "v", "s", "w"},
-                   {{"k", ValueRange{Value::Int32(lo), Value::Int32(hi)}}});
-  scan.EnableRowFilter(true);
-  return CollectAll(&scan, &ctx).ValueOrDie();
-}
 
 TEST(ScanPushdownTest, MatchesLegacyFilterAcrossSelectivities) {
   Table t = MixedTable(10000);
@@ -131,13 +132,17 @@ TEST(ScanPushdownTest, MatchesLegacyFilterAcrossSelectivities) {
     int32_t lo, hi;
   } cases[] = {{0, 0}, {0, 9}, {100, 349}, {0, 899}, {0, 999}};
   for (const Case& c : cases) {
-    Batch legacy = LegacyScanFilter(t, c.lo, c.hi);
-    Batch sel = PushdownScan(t, c.lo, c.hi, /*sel_enabled=*/true);
-    Batch compact = PushdownScan(t, c.lo, c.hi, /*sel_enabled=*/false);
-    testutil::ExpectBatchesEqual(legacy, sel, "sel path lo=" +
-                                                  std::to_string(c.lo));
-    testutil::ExpectBatchesEqual(legacy, compact,
-                                 "compact path lo=" + std::to_string(c.lo));
+    ExecContext ctx(nullptr);
+    SegmentScan scan(
+        &t, {"k", "v", "s", "w"},
+        {{"k", ValueRange{Value::Int32(c.lo), Value::Int32(c.hi)}}});
+    scan.EnableRowFilter(true);
+    Batch expect = RowLoop(t, {"k", "v", "s", "w"}, [&](uint64_t r) {
+      int32_t k = t.column(0).i32()[r];
+      return k >= c.lo && k <= c.hi;
+    });
+    testutil::ExpectBatchesEqual(expect, CollectAll(&scan, &ctx).ValueOrDie(),
+                                 "lo=" + std::to_string(c.lo));
   }
 }
 
@@ -161,8 +166,8 @@ TEST(ScanPushdownTest, StringPredicateBindsCodesOnce) {
 }
 
 TEST(ScanPushdownTest, FloatNaNMatchesLegacyComparatorSemantics) {
-  // NaN must behave identically in the pushdown kernel and the legacy
-  // Filter comparator (where NaN compares as "greater"): it passes
+  // NaN must behave identically in the pushdown kernel and the Filter
+  // comparator (where NaN compares as "greater"): it passes
   // lower-bound-only predicates and fails predicates with an upper bound.
   Table t("F");
   Column v(TypeId::kFloat64);
@@ -174,7 +179,6 @@ TEST(ScanPushdownTest, FloatNaNMatchesLegacyComparatorSemantics) {
   auto run = [&](std::optional<Value> lo, std::optional<Value> hi,
                  bool pushdown) {
     ExecContext ctx(nullptr);
-    ctx.set_sel_enabled(pushdown);
     auto scan = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"v"},
         std::vector<ScanPredicate>{{"v", ValueRange{lo, hi}}});
@@ -186,13 +190,15 @@ TEST(ScanPushdownTest, FloatNaNMatchesLegacyComparatorSemantics) {
     Filter filter(std::move(scan), AndAll(conjuncts));
     return CollectAll(&filter, &ctx).ValueOrDie();
   };
-  // Lower bound only: both paths keep NaN (legacy comparator quirk).
-  EXPECT_EQ(run(Value::Float64(0.1), std::nullopt, true).num_rows,
-            run(Value::Float64(0.1), std::nullopt, false).num_rows);
-  // Upper bound present: both paths drop NaN.
-  EXPECT_EQ(run(Value::Float64(0.1), Value::Float64(3.0), true).num_rows,
-            run(Value::Float64(0.1), Value::Float64(3.0), false).num_rows);
-  EXPECT_EQ(run(Value::Float64(0.1), Value::Float64(3.0), true).num_rows, 2u);
+  for (bool pushdown : {true, false}) {
+    // Lower bound only: 0.5, NaN and 2.0 pass (the comparator quirk).
+    EXPECT_EQ(run(Value::Float64(0.1), std::nullopt, pushdown).num_rows, 3u)
+        << "pushdown=" << pushdown;
+    // Upper bound present: 0.5 and 2.0 pass; NaN is dropped.
+    EXPECT_EQ(
+        run(Value::Float64(0.1), Value::Float64(3.0), pushdown).num_rows, 2u)
+        << "pushdown=" << pushdown;
+  }
 }
 
 TEST(ScanPushdownTest, FilteredRowsCountedInStats) {
@@ -217,9 +223,8 @@ TEST(ScanPushdownTest, BdccScanPushdownMatchesLegacy) {
   BdccTable bt =
       BuildBdccTable(std::move(copy), uses, resolver, {}).ValueOrDie();
 
-  auto run = [&](bool row_filter, bool sel_enabled) {
+  auto run = [&](bool row_filter) {
     ExecContext ctx(nullptr);
-    ctx.set_sel_enabled(sel_enabled);
     auto scan = std::make_unique<SegmentScan>(
         &bt.data(), std::vector<std::string>{"k", "v", "w"},
         std::vector<ScanPredicate>{
@@ -234,12 +239,13 @@ TEST(ScanPushdownTest, BdccScanPushdownMatchesLegacy) {
                           Lit(Value::Int32(380))));
     return CollectAll(&filter, &ctx).ValueOrDie();
   };
-  Batch legacy = run(false, false);
-  Batch sel = run(true, true);
-  Batch compact = run(true, false);
-  ASSERT_GT(legacy.num_rows, 0u);
-  testutil::ExpectBatchesEqual(legacy, sel, "bdcc sel");
-  testutil::ExpectBatchesEqual(legacy, compact, "bdcc compact");
+  Batch expect = RowLoop(t, {"k", "v", "w"}, [&](uint64_t r) {
+    int32_t k = t.column(0).i32()[r];
+    return k >= 120 && k <= 380;
+  });
+  ASSERT_GT(expect.num_rows, 0u);
+  testutil::ExpectBatchesEqual(expect, run(true), "bdcc pushdown");
+  testutil::ExpectBatchesEqual(expect, run(false), "bdcc filter");
 }
 
 // ---------------- Filter selection composition ----------------
@@ -297,19 +303,6 @@ TEST(FilterSelTest, DensityGateCompactsSparseBatches) {
   }
   filter2.Close(&ctx2);
   EXPECT_TRUE(saw_sel);
-
-  // Legacy mode never emits selections.
-  ExecContext ctx3(nullptr);
-  ctx3.set_sel_enabled(false);
-  auto scan3 = std::make_unique<SegmentScan>(&t, std::vector<std::string>{"k"});
-  Filter filter3(std::move(scan3), Lt(Col("k"), Lit(Value::Int32(900))));
-  ASSERT_TRUE(filter3.Open(&ctx3).ok());
-  while (true) {
-    Batch b = filter3.Next(&ctx3).ValueOrDie();
-    if (b.empty()) break;
-    EXPECT_FALSE(b.has_sel());
-  }
-  filter3.Close(&ctx3);
 }
 
 // ---------------- Recycling ----------------
@@ -347,13 +340,13 @@ TEST(RecycleTest, TypeMismatchedBatchesAreDropped) {
 
 // ---------------- Sel-aware blocking operators ----------------
 
-// Aggregation and join over sel-carrying inputs must agree with the same
-// pipeline in legacy (compact) mode.
+// Aggregation and join over sel-carrying inputs must return the
+// hand-computed answer.
 TEST(SelAwareOperatorsTest, AggAndJoinAgreeWithCompactMode) {
   Table t = MixedTable(8000);
-  auto make_agg = [&](bool sel_enabled) {
+  const std::vector<int32_t>& k = t.column(0).i32();
+  {
     ExecContext ctx(nullptr);
-    ctx.set_sel_enabled(sel_enabled);
     auto scan = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"k", "v", "s"},
         std::vector<ScanPredicate>{
@@ -362,16 +355,41 @@ TEST(SelAwareOperatorsTest, AggAndJoinAgreeWithCompactMode) {
     HashAgg agg(std::move(scan), {"s"},
                 {AggSum(Col("v"), "sv"), AggCountStar("n"),
                  AggMin(Col("k"), "mn"), AggMax(Col("k"), "mx")});
-    return CollectAll(&agg, &ctx).ValueOrDie();
-  };
-  Batch a = make_agg(true);
-  Batch b = make_agg(false);
-  ASSERT_GT(a.num_rows, 0u);
-  testutil::ExpectBatchesEqual(a, b, "agg sel-vs-compact");
+    Batch got = CollectAll(&agg, &ctx).ValueOrDie();
+    struct Group {
+      double sv = 0;
+      int64_t n = 0;
+      int32_t mn = 1 << 30, mx = -1;
+    };
+    std::map<std::string, Group> groups;
+    for (uint64_t r = 0; r < t.num_rows(); ++r) {
+      if (k[r] > 599) continue;
+      Group& g = groups[std::string(t.column(2).GetString(r))];
+      g.sv += t.column(1).f64()[r];
+      ++g.n;
+      g.mn = std::min(g.mn, k[r]);
+      g.mx = std::max(g.mx, k[r]);
+    }
+    Batch expect;
+    expect.columns = {ColumnVector(TypeId::kString),
+                      ColumnVector(TypeId::kFloat64),
+                      ColumnVector(TypeId::kInt64),
+                      ColumnVector(TypeId::kInt32),
+                      ColumnVector(TypeId::kInt32)};
+    for (const auto& [s, g] : groups) {
+      expect.columns[0].i32.push_back(expect.columns[0].InternString(s));
+      expect.columns[1].f64.push_back(g.sv);
+      expect.columns[2].i64.push_back(g.n);
+      expect.columns[3].i32.push_back(g.mn);
+      expect.columns[4].i32.push_back(g.mx);
+    }
+    expect.num_rows = groups.size();
+    ASSERT_GT(expect.num_rows, 0u);
+    testutil::ExpectBatchesEqual(expect, got, "agg");
+  }
 
-  auto make_join = [&](bool sel_enabled) {
+  {
     ExecContext ctx(nullptr);
-    ctx.set_sel_enabled(sel_enabled);
     auto probe = std::make_unique<SegmentScan>(
         &t, std::vector<std::string>{"k", "w"},
         std::vector<ScanPredicate>{
@@ -386,12 +404,31 @@ TEST(SelAwareOperatorsTest, AggAndJoinAgreeWithCompactMode) {
         Project::Rename(std::move(build), {{"k", "bk"}, {"v", "bv"}});
     HashJoin join(std::move(probe), std::move(build_renamed), {"k"}, {"bk"},
                   JoinType::kInner);
-    return CollectAll(&join, &ctx).ValueOrDie();
-  };
-  Batch ja = make_join(true);
-  Batch jb = make_join(false);
-  ASSERT_GT(ja.num_rows, 0u);
-  testutil::ExpectBatchesEqual(ja, jb, "join sel-vs-compact");
+    Batch got = CollectAll(&join, &ctx).ValueOrDie();
+    // Output: probe (k, w) ++ build (bk, bv) for every equal-key pair.
+    Batch expect;
+    expect.columns = {ColumnVector(TypeId::kInt32),
+                      ColumnVector(TypeId::kInt64),
+                      ColumnVector(TypeId::kInt32),
+                      ColumnVector(TypeId::kFloat64)};
+    std::multimap<int32_t, uint64_t> build_rows;
+    for (uint64_t r = 0; r < t.num_rows(); ++r) {
+      if (k[r] >= 300 && k[r] <= 799) build_rows.emplace(k[r], r);
+    }
+    for (uint64_t p = 0; p < t.num_rows(); ++p) {
+      if (k[p] > 499) continue;
+      auto [lo, hi] = build_rows.equal_range(k[p]);
+      for (auto it = lo; it != hi; ++it) {
+        expect.columns[0].i32.push_back(k[p]);
+        expect.columns[1].i64.push_back(t.column(3).i64()[p]);
+        expect.columns[2].i32.push_back(k[it->second]);
+        expect.columns[3].f64.push_back(t.column(1).f64()[it->second]);
+        ++expect.num_rows;
+      }
+    }
+    ASSERT_GT(expect.num_rows, 0u);
+    testutil::ExpectBatchesEqual(expect, got, "join");
+  }
 }
 
 // String group-by via the dict-code path and packed two-column keys must

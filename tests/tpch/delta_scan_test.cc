@@ -1,7 +1,8 @@
 // TPC-H over a live (appending) lineitem: all 22 queries run through a
 // SnapshotDb overlay whose lineitem is a LiveTable rebuilt from a row
 // subset, with the remainder appended as delta. Results must match the
-// fully-clustered database at every base/delta split and thread count, and
+// reference answer (tests/reference_eval.h over the plain tables, which
+// hold the same rows) at every base/delta split and thread count, and
 // again after the merge drains the delta. The delta chunks' group slices
 // are ordinary grouped scan segments, so the live plans keep the clustered
 // plan shape: Q12 stays a sandwich join, and Q3's date pushdown prunes the
@@ -15,6 +16,7 @@
 #include "delta/live_table.h"
 #include "delta/snapshot_db.h"
 #include "gtest/gtest.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 #include "tpch/tpch_db.h"
 #include "tpch/tpch_queries.h"
@@ -51,10 +53,11 @@ class TpchDeltaScanTest : public ::testing::TestWithParam<int> {
     options.build_pk = false;
     db_ = TpchDb::Create(options).ValueOrDie();
     resolver_ = std::make_unique<PlainResolver>(db_.get());
+    QueryContext ctx;
+    ctx.scale_factor = options.scale_factor;
+    ctx.run_plan = testutil::ReferenceRunner(db_->plain());
     for (int q = 1; q <= kNumTpchQueries; ++q) {
-      exec::ExecContext exec_ctx(nullptr);
-      reference_[q] =
-          Run(q, &db_->bdcc(), /*num_threads=*/1, &exec_ctx).ValueOrDie();
+      reference_[q] = RunTpchQuery(q, ctx).ValueOrDie();
     }
   }
   static void TearDownTestSuite() {
@@ -114,7 +117,7 @@ class TpchDeltaScanTest : public ::testing::TestWithParam<int> {
 
   static std::unique_ptr<TpchDb> db_;
   static std::unique_ptr<PlainResolver> resolver_;
-  // Every query's result over the fully-clustered database.
+  // Every query's reference answer.
   static std::map<int, exec::Batch> reference_;
 };
 
