@@ -291,7 +291,8 @@ void RunHashJoinParallelProbe(benchmark::State& state, int threads) {
 // ---- Build-side cardinality x threads sweep (plain JSON rows) ----------
 //
 // Times the hash-join *build* phase separately from the probe phase, for
-// the serial build vs. the radix-partitioned parallel build, across build
+// a serial build scan vs. N build-scan clones drained through a
+// ParallelUnion (the inserts are serial either way), across build
 // cardinalities and thread counts. One JsonLine row per config feeds the
 // BENCH_pr18.json perf-trajectory baseline and the CI bench-regression diff.
 void RunBuildSweep(int max_threads) {
@@ -335,8 +336,7 @@ void RunBuildSweep(int max_threads) {
         exec::MakeRowMorsels(kProbeRows, 0, 16384));
 
     for (int threads : bdcc::bench::ThreadCounts(max_threads)) {
-      for (bool partitioned : {false, true}) {
-        int bits = exec::ChoosePartitionBits(build_rows, threads);
+      for (bool union_build : {false, true}) {
         double best_build_ms = 0, best_probe_ms = 0;
         uint64_t out_rows = 0;
         for (int rep = 0; rep < 3; ++rep) {
@@ -348,13 +348,8 @@ void RunBuildSweep(int max_threads) {
                 std::vector<exec::ScanPredicate>{},
                 exec::CloneRowSegments(&probe_t, *probe_morsels, i, n)));
           };
-          exec::ParallelHashJoin join(
-              probe_factory, threads,
-              std::make_unique<exec::SegmentScan>(
-                  &build_t, std::vector<std::string>{"bk", "bval"}),
-              {"fk"}, {"bk"}, exec::JoinType::kInner,
-              common::TaskScheduler::Shared());
-          if (partitioned) {
+          exec::OperatorPtr build;
+          if (union_build) {
             exec::ChainFactory build_factory =
                 [&](size_t i, size_t n) -> Result<exec::OperatorPtr> {
               return exec::OperatorPtr(std::make_unique<exec::SegmentScan>(
@@ -362,8 +357,15 @@ void RunBuildSweep(int max_threads) {
                   std::vector<exec::ScanPredicate>{},
                   exec::CloneRowSegments(&build_t, *build_morsels, i, n)));
             };
-            join.EnableParallelBuild(build_factory, bits);
+            build = std::make_unique<exec::ParallelUnion>(
+                build_factory, threads, common::TaskScheduler::Shared());
+          } else {
+            build = std::make_unique<exec::SegmentScan>(
+                &build_t, std::vector<std::string>{"bk", "bval"});
           }
+          exec::ParallelHashJoin join(probe_factory, threads, std::move(build),
+                                      {"fk"}, {"bk"}, exec::JoinType::kInner,
+                                      common::TaskScheduler::Shared());
           auto t0 = std::chrono::steady_clock::now();
           join.Open(&ctx).AbortIfNotOK();
           auto t1 = std::chrono::steady_clock::now();
@@ -384,14 +386,13 @@ void RunBuildSweep(int max_threads) {
           out_rows = rows;
         }
         bdcc::bench::JsonLine("micro_join_build_sweep")
-            .Str("mode", partitioned ? "partitioned" : "serial")
+            .Str("mode", union_build ? "union" : "serial")
             // Wall-clock speedups need real cores; recording the host's
             // count keeps cross-machine baseline diffs interpretable.
             .Num("host_cpus", std::thread::hardware_concurrency())
             .Num("build_rows", static_cast<double>(build_rows))
             .Num("probe_rows", static_cast<double>(kProbeRows))
             .Num("threads", threads)
-            .Num("partitions", partitioned ? (1 << bits) : 1)
             .Num("build_ms", best_build_ms)
             .Num("probe_ms", best_probe_ms)
             .Num("build_mrows_per_s",

@@ -22,7 +22,6 @@
 //   scan.decode      SegmentScan chunk decode fails with IOError.
 //   scheduler.delay  TaskScheduler::RunTask sleeps briefly before the task
 //                    body, perturbing morsel interleavings.
-//   join.build       JoinHashTable partitioned build partition fails.
 //   agg.merge        ParallelHashAgg partitioned merge partition fails.
 //   scheduler.inject serve::QueryRunner dispatch — an admitted query fails
 //                    as if its first budget charge was denied
@@ -49,7 +48,6 @@ namespace fault {
 inline constexpr const char* kAlloc = "memory.alloc";
 inline constexpr const char* kScanDecode = "scan.decode";
 inline constexpr const char* kTaskDelay = "scheduler.delay";
-inline constexpr const char* kJoinBuild = "join.build";
 inline constexpr const char* kAggMerge = "agg.merge";
 inline constexpr const char* kSchedulerInject = "scheduler.inject";
 inline constexpr const char* kDeltaAppend = "delta.append";

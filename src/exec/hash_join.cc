@@ -41,7 +41,6 @@ void HashJoinProber::CollectPairs(const Batch& in,
                                   const std::vector<Key>& keys) const {
   const JoinHashTable& table = *table_;
   probe_rows_.clear();
-  build_parts_.clear();
   build_rows_.clear();
   bool emit_build = type_ == JoinType::kInner || type_ == JoinType::kLeftOuter;
   for (size_t i = 0; i < in.num_rows; ++i) {
@@ -55,40 +54,32 @@ void HashJoinProber::CollectPairs(const Batch& in,
     }
     size_t before = probe_rows_.size();
     if (valid_[i]) {
-      table.ForEachMatch(keys[i], [&](BuildRowRef build) {
+      table.ForEachMatch(keys[i], [&](uint32_t build_row) {
         probe_rows_.push_back(probe_row);
-        build_parts_.push_back(build.partition);
-        build_rows_.push_back(build.row);
+        build_rows_.push_back(build_row);
       });
     }
     if (type_ == JoinType::kLeftOuter && probe_rows_.size() == before) {
       probe_rows_.push_back(probe_row);
-      build_parts_.push_back(0);
       build_rows_.push_back(kNoMatch);
     }
   }
 }
 
-void HashJoinProber::GatherBuildColumn(size_t c, bool one_source,
-                                       bool null_slot,
+void HashJoinProber::GatherBuildColumn(size_t c, bool null_slot,
                                        ColumnVector* out) const {
-  if (one_source) {
-    out->AppendGather(table_->partition_columns(0)[c], build_rows_.data(),
-                      build_rows_.size());
+  const ColumnVector& src = table_->columns()[c];
+  if (!null_slot) {
+    out->AppendGather(src, build_rows_.data(), build_rows_.size());
     return;
   }
-  // Stage the matched values partition by partition (plus one trailing NULL
-  // for unmatched rows), then put them in output order with one gather.
-  size_t parts = table_->num_partitions();
+  // Stage the matched values plus one trailing NULL for unmatched rows,
+  // then put them in output order with one gather.
   staged_.type = out->type;
   staged_.ClearKeepCapacity();
-  staged_.dict = table_->columns()[c].dict;
-  for (size_t p = 0; p < parts; ++p) {
-    staged_.AppendGather(table_->partition_columns(p)[c],
-                         grouped_rows_.data() + part_begin_[p],
-                         part_begin_[p + 1] - part_begin_[p]);
-  }
-  if (null_slot) staged_.AppendNull();
+  staged_.dict = src.dict;
+  staged_.AppendGather(src, matched_rows_.data(), matched_rows_.size());
+  staged_.AppendNull();
   out->AppendGather(staged_, staged_pos_.data(), staged_pos_.size());
 }
 
@@ -131,39 +122,23 @@ Result<Batch> HashJoinProber::ProbeBatch(const Batch& in, Batch scratch) const {
     out.columns[c].AppendGather(in.columns[c], probe_rows_.data(), n);
   }
   if (emit_build && n > 0) {
-    // Counting-sort the matched rows by partition. A serial build without
-    // unmatched rows gathers straight from its one partition instead.
-    size_t parts = table.num_partitions();
-    part_begin_.assign(parts + 1, 0);
-    size_t unmatched = 0;
-    for (size_t k = 0; k < n; ++k) {
-      if (build_rows_[k] == kNoMatch) {
-        ++unmatched;
-      } else {
-        ++part_begin_[build_parts_[k] + 1];
-      }
-    }
-    bool one_source = parts == 1 && unmatched == 0;
-    if (!one_source) {
-      for (size_t p = 0; p < parts; ++p) part_begin_[p + 1] += part_begin_[p];
-      uint32_t cursor[(size_t{1} << JoinHashTable::kMaxPartitionBits)];
-      std::copy(part_begin_.begin(), part_begin_.end() - 1, cursor);
-      uint32_t null_pos = part_begin_[parts];
-      grouped_rows_.resize(null_pos);
+    size_t unmatched = static_cast<size_t>(
+        std::count(build_rows_.begin(), build_rows_.end(), kNoMatch));
+    if (unmatched > 0) {
+      matched_rows_.clear();
       staged_pos_.resize(n);
+      uint32_t null_pos = static_cast<uint32_t>(n - unmatched);
       for (size_t k = 0; k < n; ++k) {
         if (build_rows_[k] == kNoMatch) {
           staged_pos_[k] = null_pos;
           continue;
         }
-        uint32_t pos = cursor[build_parts_[k]]++;
-        grouped_rows_[pos] = build_rows_[k];
-        staged_pos_[k] = pos;
+        staged_pos_[k] = static_cast<uint32_t>(matched_rows_.size());
+        matched_rows_.push_back(build_rows_[k]);
       }
     }
     for (size_t c = 0; c < table.columns().size(); ++c) {
-      GatherBuildColumn(c, one_source, unmatched > 0,
-                        &out.columns[left_width + c]);
+      GatherBuildColumn(c, unmatched > 0, &out.columns[left_width + c]);
     }
   }
   out.num_rows = n;

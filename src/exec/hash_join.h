@@ -23,10 +23,10 @@ const char* JoinTypeName(JoinType t);
 /// \brief Probe-side logic of a hash join against a finished build table.
 ///
 /// ProbeBatch works a batch at a time: it first records every output row as
-/// a (probe row, build partition, build row) triple, in the order a
-/// row-at-a-time loop would emit them, then fills each output column with
-/// one AppendGather — probe columns straight through the batch's selection,
-/// build columns from their partitions (see GatherBuildColumn).
+/// a (probe row, build row) pair, in the order a row-at-a-time loop would
+/// emit them, then fills each output column with one AppendGather — probe
+/// columns straight through the batch's selection, build columns from the
+/// table (see GatherBuildColumn).
 ///
 /// Thread-safety: ProbeBatch only reads the table, so any number of
 /// HashJoinProber instances (one per worker, each with its own encoder and
@@ -58,10 +58,9 @@ class HashJoinProber {
   template <typename Key>
   void CollectPairs(const Batch& in, const std::vector<Key>& keys) const;
   /// Append build column `c` of every recorded pair to `out`: straight
-  /// from partition 0 when `one_source`, else through `staged_` (the
-  /// partition grouping below, plus a NULL slot when `null_slot`).
-  void GatherBuildColumn(size_t c, bool one_source, bool null_slot,
-                         ColumnVector* out) const;
+  /// from the table, or through `staged_` when `null_slot` (the batch has
+  /// left-outer rows without a match).
+  void GatherBuildColumn(size_t c, bool null_slot, ColumnVector* out) const;
 
   const JoinHashTable* table_ = nullptr;
   KeyEncoder encoder_;
@@ -72,22 +71,21 @@ class HashJoinProber {
   mutable std::vector<int64_t> int_keys_;
   mutable std::vector<std::string> byte_keys_;
   mutable std::vector<uint8_t> valid_;
-  // One entry per output row: physical probe row, build partition and
-  // build row (kNoMatch for a left-outer row without a match).
+  // One entry per output row: physical probe row and build row (kNoMatch
+  // for a left-outer row without a match).
   mutable std::vector<uint32_t> probe_rows_;
-  mutable std::vector<uint32_t> build_parts_;
   mutable std::vector<uint32_t> build_rows_;
-  // Multi-source gathers: rows grouped by partition, each output row's
-  // position in that grouping, and the staged column values.
-  mutable std::vector<uint32_t> grouped_rows_;
-  mutable std::vector<uint32_t> part_begin_;
+  // NULL-slot gathers: the matched build rows, each output row's position
+  // among them (or the trailing NULL slot), and the staged column values.
+  mutable std::vector<uint32_t> matched_rows_;
   mutable std::vector<uint32_t> staged_pos_;
   mutable ColumnVector staged_;
 };
 
 /// Open `build`, initialise `table` over its schema and `keys`, and drain
 /// it into the table, charging the table's bytes to `tracked` after every
-/// batch: the serial build of HashJoin and ParallelHashJoin.
+/// batch: the one hash-join build, shared by HashJoin and ParallelHashJoin
+/// (whose parallel build side is a ParallelUnion of scan clones).
 Status BuildHashTable(Operator* build, const std::vector<std::string>& keys,
                       ExecContext* ctx, JoinHashTable* table,
                       TrackedMemory* tracked);

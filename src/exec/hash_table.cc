@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/fault_injection.h"
-#include "common/task_scheduler.h"
-#include "exec/kernels/kernels.h"
-#include "exec/query_control.h"
 
 namespace bdcc {
 namespace exec {
@@ -441,12 +437,6 @@ void DenseKeyMap::Rehash(size_t capacity) {
   }
 }
 
-void DenseKeyMap::Reserve(size_t n) {
-  size_t capacity = kMinSlots;
-  while (OverLoaded(n, capacity)) capacity *= 2;
-  if (capacity > slots_.size()) Rehash(capacity);
-}
-
 int64_t DenseKeyMap::NullId(bool* out_inserted) {
   *out_inserted = null_id_ < 0;
   if (null_id_ < 0) null_id_ = NextId();
@@ -484,21 +474,13 @@ Status JoinHashTable::Init(const Schema& build_schema,
                            const std::vector<std::string>& key_cols) {
   schema_ = build_schema;
   BDCC_RETURN_NOT_OK(encoder_.Bind(build_schema, key_cols));
-  parts_.clear();
-  parts_.resize(1);
-  for (const Field& f : build_schema.fields()) {
-    parts_[0].columns.emplace_back(f.type);
-  }
-  num_rows_ = 0;
-  part_bits_ = 0;
-  producers_.clear();
-  column_bytes_ = 0;
+  columns_.clear();
+  for (const Field& f : build_schema.fields()) columns_.emplace_back(f.type);
+  Clear();
   return Status::OK();
 }
 
 Status JoinHashTable::AddBatch(const Batch& batch) {
-  BDCC_CHECK(part_bits_ == 0);  // serial mode only; partitioned uses Scatter
-  Partition& part = parts_[0];
   // Materialize the batch's logical rows: one bulk gather per column.
   const uint32_t* rows = batch.sel.data();
   std::vector<uint32_t> identity;
@@ -509,296 +491,55 @@ Status JoinHashTable::AddBatch(const Batch& batch) {
     }
     rows = identity.data();
   }
-  for (size_t c = 0; c < part.columns.size(); ++c) {
-    part.columns[c].AppendGather(batch.columns[c], rows, batch.num_rows);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendGather(batch.columns[c], rows, batch.num_rows);
   }
-  // Chain rows under their keys.
-  auto link = [&](int64_t id, size_t local_row) {
-    uint32_t row = static_cast<uint32_t>(part.num_rows + local_row);
-    if (static_cast<size_t>(id) >= part.heads.size()) {
-      part.heads.resize(id + 1, kEnd);
+  // Chain rows under their keys; NULL keys never match.
+  auto link_all = [&](const auto& keys, const std::vector<uint8_t>& valid) {
+    for (size_t r = 0; r < batch.num_rows; ++r) {
+      uint32_t row = static_cast<uint32_t>(next_.size());
+      if (!valid[r]) {
+        next_.push_back(kEnd);
+        continue;
+      }
+      bool inserted;
+      int64_t id = key_ids_.FindOrInsert(keys[r], &inserted);
+      if (static_cast<size_t>(id) >= heads_.size()) {
+        heads_.resize(id + 1, kEnd);
+      }
+      next_.push_back(heads_[id]);
+      heads_[id] = row;
     }
-    part.next.push_back(part.heads[id]);
-    part.heads[id] = row;
   };
+  std::vector<uint8_t> valid;
   if (encoder_.int_path()) {
     std::vector<int64_t> keys;
-    std::vector<uint8_t> valid;
     encoder_.EncodeInts(batch, &keys, &valid);
-    for (size_t r = 0; r < batch.num_rows; ++r) {
-      if (!valid[r]) {
-        part.next.push_back(kEnd);  // NULL keys never match
-        continue;
-      }
-      bool inserted;
-      link(part.key_ids.FindOrInsert(keys[r], &inserted), r);
-    }
+    link_all(keys, valid);
   } else {
     std::vector<std::string> keys;
-    std::vector<uint8_t> valid;
     encoder_.EncodeBytes(batch, &keys, &valid);
-    for (size_t r = 0; r < batch.num_rows; ++r) {
-      if (!valid[r]) {
-        part.next.push_back(kEnd);
-        continue;
-      }
-      bool inserted;
-      link(part.key_ids.FindOrInsert(keys[r], &inserted), r);
-    }
+    link_all(keys, valid);
   }
-  part.num_rows += batch.num_rows;
-  num_rows_ += batch.num_rows;
   column_bytes_ = 0;
-  for (const ColumnVector& c : part.columns) {
-    column_bytes_ += ColumnVectorBytes(c);
-  }
+  for (const ColumnVector& c : columns_) column_bytes_ += ColumnVectorBytes(c);
   return Status::OK();
-}
-
-void JoinHashTable::BeginPartitionedBuild(int partition_bits,
-                                          size_t num_producers) {
-  BDCC_CHECK(partition_bits >= 1 && partition_bits <= kMaxPartitionBits);
-  BDCC_CHECK(num_rows_ == 0 && num_producers >= 1);
-  part_bits_ = partition_bits;
-  size_t n = size_t{1} << part_bits_;
-  parts_.clear();
-  parts_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    parts_[i].index = static_cast<uint32_t>(i);
-    for (const Field& f : schema_.fields()) {
-      parts_[i].columns.emplace_back(f.type);
-    }
-  }
-  producers_.clear();
-  producers_.resize(num_producers);
-  for (ProducerState& ps : producers_) ps.parts.resize(n);
-}
-
-Status JoinHashTable::ScatterBatch(size_t producer, Batch batch) {
-  BDCC_CHECK(part_bits_ > 0 && producer < producers_.size());
-  ProducerState& ps = producers_[producer];
-  uint64_t batch_ref = static_cast<uint64_t>(ps.pinned.size()) << 32;
-  if (encoder_.int_path()) {
-    std::vector<int64_t> keys;
-    std::vector<uint8_t> valid;
-    encoder_.EncodeInts(batch, &keys, &valid);
-    // NULL keys never match; the kernel parks them in partition 0 so row
-    // counts (and memory accounting) agree with a serial build.
-    std::vector<uint32_t> part_ids(batch.num_rows);
-    kernels::PartitionIdsFromKeys(
-        reinterpret_cast<const uint64_t*>(keys.data()), valid.data(),
-        batch.num_rows, part_bits_, part_ids.data());
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      RowBuffer& rb = ps.parts[part_ids[i]];
-      rb.refs.push_back(batch_ref | batch.RowAt(i));
-      rb.int_keys.push_back(keys[i]);
-      rb.valid.push_back(valid[i]);
-    }
-  } else {
-    std::vector<std::string> keys;
-    std::vector<uint8_t> valid;
-    encoder_.EncodeBytes(batch, &keys, &valid);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      RowBuffer& rb = ps.parts[valid[i] ? PartOf(keys[i]) : 0];
-      rb.refs.push_back(batch_ref | batch.RowAt(i));
-      rb.byte_keys.push_back(std::move(keys[i]));
-      rb.valid.push_back(valid[i]);
-    }
-  }
-  ps.pinned.push_back(std::move(batch));
-  return Status::OK();
-}
-
-void JoinHashTable::BuildPartition(size_t p) {
-  Partition& part = parts_[p];
-  size_t total = 0;
-  for (const ProducerState& ps : producers_) total += ps.parts[p].refs.size();
-  for (ColumnVector& c : part.columns) c.Reserve(total);
-  part.next.reserve(total);
-  part.heads.reserve(total);
-  bool int_path = encoder_.int_path();
-  if (int_path) part.key_ids.Reserve(total);
-  auto link = [&part](int64_t id, uint32_t row) {
-    if (static_cast<size_t>(id) >= part.heads.size()) {
-      part.heads.resize(id + 1, kEnd);
-    }
-    part.next.push_back(part.heads[id]);
-    part.heads[id] = row;
-  };
-  // Merge producers in producer order: per-key chain contents are then
-  // deterministic for a fixed producer count, and identical to a serial
-  // build when there is a single producer.
-  std::vector<uint32_t> run_rows;
-  for (ProducerState& ps : producers_) {
-    RowBuffer& rb = ps.parts[p];
-    size_t n = rb.refs.size();
-    // Materialize: refs arrive in batch order, so each same-batch run
-    // bulk-gathers with the typed fast path.
-    size_t i = 0;
-    while (i < n) {
-      uint32_t bidx = static_cast<uint32_t>(rb.refs[i] >> 32);
-      size_t run = i + 1;
-      while (run < n && static_cast<uint32_t>(rb.refs[run] >> 32) == bidx) {
-        ++run;
-      }
-      run_rows.resize(run - i);
-      for (size_t j = i; j < run; ++j) {
-        run_rows[j - i] = static_cast<uint32_t>(rb.refs[j]);
-      }
-      const Batch& src = ps.pinned[bidx];
-      for (size_t c = 0; c < part.columns.size(); ++c) {
-        part.columns[c].AppendGather(src.columns[c], run_rows.data(),
-                                     run_rows.size());
-      }
-      i = run;
-    }
-    // Chain the rows under their pre-encoded keys.
-    for (size_t r = 0; r < n; ++r) {
-      if (!rb.valid[r]) {
-        part.next.push_back(kEnd);
-        continue;
-      }
-      bool inserted;
-      int64_t id = int_path ? part.key_ids.FindOrInsert(rb.int_keys[r],
-                                                        &inserted)
-                            : part.key_ids.FindOrInsert(rb.byte_keys[r],
-                                                        &inserted);
-      link(id, static_cast<uint32_t>(part.num_rows + r));
-    }
-    part.num_rows += n;
-    rb = RowBuffer{};  // free the refs/keys as soon as they are merged
-  }
-}
-
-Status JoinHashTable::FinishPartitionedBuild(common::TaskScheduler* scheduler,
-                                             QueryControl* control) {
-  BDCC_CHECK(part_bits_ > 0);
-  size_t n = parts_.size();
-  // Lifecycle/fault gate between partitions: a cancelled query (or an
-  // injected build fault) stops inserting and leaves the table for the
-  // caller to Clear().
-  auto build_range = [this, control, n](size_t first, size_t stride) -> Status {
-    for (size_t p = first; p < n; p += stride) {
-      if (control != nullptr) BDCC_RETURN_NOT_OK(control->Check());
-      if (BDCC_UNLIKELY(fault::ShouldFail(fault::kJoinBuild))) {
-        return Status::IOError("injected join-build fault");
-      }
-      BuildPartition(p);
-    }
-    return Status::OK();
-  };
-  // Dictionary homogeneity: every partition must end up sharing one
-  // dictionary per string column (probe emit pre-wires partition 0's dict
-  // and bulk-copies codes). With a single dictionary across all pinned
-  // batches (the overwhelmingly common case) the parallel per-partition
-  // gather adopts it and never interns; with mixed dictionaries we build
-  // serially into fresh unified dictionaries instead, because interning
-  // from partition tasks would mutate a shared Dictionary concurrently.
-  bool dict_mix = false;
-  for (size_t c = 0; c < schema_.num_fields() && !dict_mix; ++c) {
-    if (schema_.field(c).type != TypeId::kString) continue;
-    const Dictionary* first = nullptr;
-    for (const ProducerState& ps : producers_) {
-      for (const Batch& b : ps.pinned) {
-        const Dictionary* d = b.columns[c].dict.get();
-        if (d == nullptr) continue;
-        if (first == nullptr) {
-          first = d;
-        } else if (first != d) {
-          dict_mix = true;
-          break;
-        }
-      }
-      if (dict_mix) break;
-    }
-  }
-  if (dict_mix) {
-    for (size_t c = 0; c < schema_.num_fields(); ++c) {
-      if (schema_.field(c).type != TypeId::kString) continue;
-      auto unified = std::make_shared<Dictionary>();
-      for (Partition& part : parts_) part.columns[c].dict = unified;
-    }
-    BDCC_RETURN_NOT_OK(build_range(0, 1));
-  } else if (scheduler != nullptr) {
-    // One strided worker per producer (== build clone): the insert phase's
-    // concurrency stays bounded by the requested build parallelism, not by
-    // the shared pool's width. All stripes go through the group so a failed
-    // stripe skips the ones not yet started; the coordinator helps inside
-    // WaitStatus.
-    size_t workers = std::min(n, std::max<size_t>(1, producers_.size()));
-    common::TaskScheduler::TaskGroup group(scheduler);
-    for (size_t w = 0; w < workers; ++w) {
-      group.SubmitFallible(
-          [&build_range, w, workers] { return build_range(w, workers); });
-    }
-    BDCC_RETURN_NOT_OK(group.WaitStatus());
-  } else {
-    BDCC_RETURN_NOT_OK(build_range(0, 1));
-  }
-  // Homogeneous-path partitions each adopted the (single) source dict; make
-  // empty partitions agree so columns() pre-wiring stays canonical.
-  for (size_t c = 0; c < schema_.num_fields(); ++c) {
-    if (schema_.field(c).type != TypeId::kString) continue;
-    std::shared_ptr<Dictionary> common_dict;
-    for (Partition& part : parts_) {
-      if (part.columns[c].dict != nullptr) {
-        common_dict = part.columns[c].dict;
-        break;
-      }
-    }
-    for (Partition& part : parts_) {
-      if (part.columns[c].dict == nullptr) part.columns[c].dict = common_dict;
-    }
-  }
-  producers_.clear();
-  num_rows_ = 0;
-  column_bytes_ = 0;
-  for (const Partition& part : parts_) {
-    num_rows_ += part.num_rows;
-    for (const ColumnVector& c : part.columns) {
-      column_bytes_ += ColumnVectorBytes(c);
-    }
-  }
-  return Status::OK();
-}
-
-uint64_t JoinHashTable::PartitionBytes(const Partition& p) const {
-  return p.heads.capacity() * 4 + p.next.capacity() * 4 +
-         p.key_ids.MemoryBytes();
 }
 
 uint64_t JoinHashTable::MemoryBytes() const {
-  uint64_t total = column_bytes_;
-  for (const Partition& p : parts_) total += PartitionBytes(p);
-  // In-flight scatter state (between Begin and Finish). Callers must not
-  // race this walk with concurrent ScatterBatch producers.
-  for (const ProducerState& ps : producers_) {
-    for (const Batch& b : ps.pinned) {
-      for (const ColumnVector& c : b.columns) total += ColumnVectorBytes(c);
-    }
-    for (const RowBuffer& rb : ps.parts) {
-      total += rb.refs.capacity() * 8 + rb.int_keys.capacity() * 8 +
-               rb.valid.capacity();
-      for (const std::string& k : rb.byte_keys) total += k.capacity();
-    }
-  }
-  return total;
+  return column_bytes_ + heads_.capacity() * 4 + next_.capacity() * 4 +
+         key_ids_.MemoryBytes();
 }
 
 void JoinHashTable::Clear() {
-  // Keep the single-partition shape (and dictionaries) so a cleared serial
-  // table can be refilled; partitioned state resets to serial.
-  std::vector<ColumnVector> fresh_cols;
-  for (const Field& f : schema_.fields()) fresh_cols.emplace_back(f.type);
-  for (size_t c = 0; c < fresh_cols.size(); ++c) {
-    if (!parts_.empty()) fresh_cols[c].dict = parts_[0].columns[c].dict;
+  for (ColumnVector& c : columns_) {
+    ColumnVector fresh(c.type);
+    fresh.dict = std::move(c.dict);
+    c = std::move(fresh);
   }
-  parts_.clear();
-  parts_.resize(1);
-  parts_[0].columns = std::move(fresh_cols);
-  num_rows_ = 0;
-  part_bits_ = 0;
-  producers_.clear();
+  key_ids_ = DenseKeyMap();
+  heads_ = std::vector<uint32_t>();
+  next_ = std::vector<uint32_t>();
   column_bytes_ = 0;
 }
 

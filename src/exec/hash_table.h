@@ -13,12 +13,7 @@
 #include "exec/batch.h"
 
 namespace bdcc {
-namespace common {
-class TaskScheduler;
-}  // namespace common
 namespace exec {
-
-class QueryControl;
 
 /// \brief Normalizes one or more key columns per row into either an int64
 /// (fast paths, see below) or a byte string. All encoders are sel-aware:
@@ -164,10 +159,10 @@ class KeyEncoder {
   mutable std::vector<TranslateCache> caches_;
 };
 
-/// Stable 64-bit mixers. Radix partitioning routes on the *high* bits of
-/// these and DenseKeyMap indexes its slots by the *low* bits, so a
-/// partition's keys still spread over its own table. Build and probe must
-/// agree bit-for-bit, so these are fixed functions, not std::hash.
+/// Stable 64-bit mixers. ParallelHashAgg's radix merge routes on the
+/// *high* bits of these and DenseKeyMap indexes its slots by the *low*
+/// bits, so a partition's keys still spread over its own table. Every clone
+/// must agree bit-for-bit, so these are fixed functions, not std::hash.
 inline uint64_t HashKey64(uint64_t x) {
   // splitmix64 finalizer: cheap and well mixed at both ends.
   x += 0x9e3779b97f4a7c15ull;
@@ -206,9 +201,6 @@ class DenseKeyMap {
   /// Existing id, or insert and return the fresh one (out_inserted flags it).
   int64_t FindOrInsert(int64_t key, bool* out_inserted);
   int64_t FindOrInsert(const std::string& key, bool* out_inserted);
-  /// Pre-size for ~n int keys, so n inserts never grow the slot array
-  /// (partitioned builds know their row counts up front). Never shrinks.
-  void Reserve(size_t n);
   /// Dense id reserved for NULL keys (allocated on first use).
   int64_t NullId(bool* out_inserted);
 
@@ -223,7 +215,7 @@ class DenseKeyMap {
 
   /// Width of one int-key slot (MemoryBytes accounts capacity x this).
   static constexpr size_t kSlotBytes = 16;
-  /// Slots in the int-key array (0 before the first int insert/Reserve).
+  /// Slots in the int-key array (0 before the first int insert).
   size_t slot_capacity() const { return slots_.size(); }
 
  private:
@@ -270,39 +262,15 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
                                std::vector<uint32_t>* group_of_row,
                                const std::function<void(size_t)>& on_new_group);
 
-/// \brief One build row handed to ForEachMatch callbacks: its partition,
-/// that partition's materialized columns and the row index within them. In
-/// serial (single-partition) mode `partition` is 0 and `columns` is simply
-/// the whole build side.
-struct BuildRowRef {
-  const std::vector<ColumnVector>* columns;
-  uint32_t row;
-  uint32_t partition;
-};
-
 /// \brief Materialized build side of a hash join: the build columns plus a
-/// key -> row-chain index. Each partition's DenseKeyMap gives a key's dense
-/// id; `heads[id]` is the newest row with that key and `next[row]` links to
+/// key -> row-chain index. The DenseKeyMap gives a key's dense id;
+/// `heads_[id]` is the newest row with that key and `next_[row]` links to
 /// the next older one, so ForEachMatch walks duplicates newest first. Rows
-/// are copied in with one AppendGather per column (per input batch in a
-/// serial build, per pinned-batch run in a partitioned one).
+/// are copied in with one AppendGather per column per input batch.
 ///
-/// Two build modes share the probe interface:
-///  - serial (Init + AddBatch): one partition, no routing on probe.
-///  - partitioned parallel (Init + BeginPartitionedBuild + per-producer
-///    ScatterBatch + FinishPartitionedBuild): rows are radix-partitioned by
-///    a stable hash of the *encoded* key into 2^bits partitions, each an
-///    unshared sub-table (own DenseKeyMap, chains, and columns) built by an
-///    independent task with no atomics on the insert path. Probe lookups
-///    route by the same radix bits inside ForEachMatch/HasMatch.
-///
-/// Thread-safety (partitioned build): ScatterBatch(producer, ...) may run
-/// concurrently across distinct producer slots iff
-/// encoder().concurrent_encode_safe() — otherwise encoding mutates the
-/// encoder's canonical string space and producers must scatter serially.
-/// FinishPartitionedBuild runs one task per partition on the scheduler
-/// (falling back to a serial merge when producers saw heterogeneous
-/// dictionaries, which would otherwise force cross-thread interning).
+/// The build is serial (Init + AddBatch); a parallel build side is a
+/// ParallelUnion of scan clones drained into one table (BuildHashTable).
+/// A finished table is read-only, so any number of probers may share it.
 class JoinHashTable {
  public:
   Status Init(const Schema& build_schema,
@@ -310,120 +278,40 @@ class JoinHashTable {
 
   Status AddBatch(const Batch& batch);
 
-  /// Switch to partitioned-build mode: 2^partition_bits partitions
-  /// (1 <= bits <= kMaxPartitionBits), `num_producers` scatter slots.
-  void BeginPartitionedBuild(int partition_bits, size_t num_producers);
-  /// Route `batch`'s rows into producer-local partition buffers: the batch
-  /// is pinned (moved in) and only (batch, row) refs plus encoded keys are
-  /// recorded per partition — materialization happens once, inside the
-  /// parallel per-partition insert of FinishPartitionedBuild. Sel-aware.
-  /// See class comment for when distinct producers may call this
-  /// concurrently.
-  Status ScatterBatch(size_t producer, Batch batch);
-  /// Build every partition's sub-table from the scattered buffers: one
-  /// task per partition when `scheduler` is non-null and dictionaries were
-  /// homogeneous, serial otherwise. A non-null `control` is polled between
-  /// partitions so a cancelled query stops building (on error the table is
-  /// left partially built — callers must Clear()).
-  Status FinishPartitionedBuild(common::TaskScheduler* scheduler,
-                                QueryControl* control = nullptr);
-
-  size_t num_rows() const { return num_rows_; }
-  size_t num_partitions() const { return parts_.size(); }
+  size_t num_rows() const { return next_.size(); }
   const Schema& schema() const { return schema_; }
-  /// Partition 0's columns. After a finished build every partition shares
-  /// the same dictionary per string column, so this is the correct source
-  /// for pre-wiring output dictionaries; row data of other partitions must
-  /// go through ForEachMatch's BuildRowRef.
-  const std::vector<ColumnVector>& columns() const {
-    return parts_.empty() ? empty_columns_ : parts_[0].columns;
-  }
+  const std::vector<ColumnVector>& columns() const { return columns_; }
   const KeyEncoder& encoder() const { return encoder_; }
-  /// Materialized columns of partition `p` (BuildRowRef::partition).
-  const std::vector<ColumnVector>& partition_columns(size_t p) const {
-    return parts_[p].columns;
-  }
 
-  /// Iterate build rows matching a key (newest insertion first).
+  /// Call fn(row) for each build row matching a key (newest insertion
+  /// first); `row` indexes columns().
   template <typename Key, typename Fn>
   void ForEachMatch(const Key& key, Fn fn) const {
-    const Partition& p = PartitionFor(key);
-    int64_t id = p.key_ids.Find(key);
+    int64_t id = key_ids_.Find(key);
     if (id < 0) return;
-    for (uint32_t row = p.heads[id]; row != kEnd; row = p.next[row]) {
-      fn(BuildRowRef{&p.columns, row, p.index});
-    }
+    for (uint32_t row = heads_[id]; row != kEnd; row = next_[row]) fn(row);
   }
-  bool HasMatch(int64_t key) const {
-    return PartitionFor(key).key_ids.Find(key) >= 0;
-  }
+  bool HasMatch(int64_t key) const { return key_ids_.Find(key) >= 0; }
   bool HasMatch(const std::string& key) const {
-    return PartitionFor(key).key_ids.Find(key) >= 0;
+    return key_ids_.Find(key) >= 0;
   }
 
-  /// Heap bytes held (columns + chains + key maps) for memory accounting;
-  /// includes scatter buffers while a partitioned build is in flight.
+  /// Heap bytes held (columns + chains + key map) for memory accounting.
   uint64_t MemoryBytes() const;
+  /// Drop every row; the encoder and the columns' dictionaries stay, so the
+  /// table can be refilled.
   void Clear();
-
-  static constexpr int kMaxPartitionBits = 6;  // <= 64 partitions
 
  private:
   static constexpr uint32_t kEnd = 0xFFFFFFFFu;
 
-  /// One unshared sub-table; in serial mode there is exactly one.
-  struct Partition {
-    DenseKeyMap key_ids;
-    std::vector<uint32_t> heads;  // per key id: first row in chain
-    std::vector<uint32_t> next;   // per row: next row with same key
-    std::vector<ColumnVector> columns;
-    size_t num_rows = 0;
-    uint32_t index = 0;  // position in parts_
-  };
-
-  /// One producer's pending row refs for one partition (scatter phase).
-  struct RowBuffer {
-    // Pinned-batch refs, batch_index << 32 | physical_row, in arrival
-    // order (so refs of one batch form a contiguous ascending-batch run —
-    // BuildPartition bulk-gathers per run).
-    std::vector<uint64_t> refs;
-    std::vector<int64_t> int_keys;
-    std::vector<std::string> byte_keys;
-    std::vector<uint8_t> valid;
-  };
-  /// Everything one producer scattered: its pinned input batches plus one
-  /// RowBuffer per partition. Touched only by that producer until
-  /// FinishPartitionedBuild, then read-only.
-  struct ProducerState {
-    std::vector<Batch> pinned;
-    std::vector<RowBuffer> parts;
-  };
-
-  size_t PartOf(int64_t key) const {
-    return HashKey64(static_cast<uint64_t>(key)) >> (64 - part_bits_);
-  }
-  size_t PartOf(const std::string& key) const {
-    return HashKeyBytes(key) >> (64 - part_bits_);
-  }
-  const Partition& PartitionFor(int64_t key) const {
-    return part_bits_ == 0 ? parts_[0] : parts_[PartOf(key)];
-  }
-  const Partition& PartitionFor(const std::string& key) const {
-    return part_bits_ == 0 ? parts_[0] : parts_[PartOf(key)];
-  }
-
-  void BuildPartition(size_t p);
-  uint64_t PartitionBytes(const Partition& p) const;
-
   Schema schema_;
   KeyEncoder encoder_;
-  std::vector<Partition> parts_;
-  size_t num_rows_ = 0;
-  int part_bits_ = 0;  // 0 = serial single-partition mode
-  // Per-producer scatter state; cleared by FinishPartitionedBuild.
-  std::vector<ProducerState> producers_;
+  DenseKeyMap key_ids_;
+  std::vector<uint32_t> heads_;  // per key id: first row in chain
+  std::vector<uint32_t> next_;   // per row: next row with same key
+  std::vector<ColumnVector> columns_;
   uint64_t column_bytes_ = 0;
-  std::vector<ColumnVector> empty_columns_;
 };
 
 /// Heap bytes of one ColumnVector (accounting helper).

@@ -89,24 +89,11 @@ void GatherScatterScalar(const T* src, const uint32_t* sel, size_t n,
   for (; j < n; ++j) dst[j] = src[sel[j]];
 }
 
-inline uint64_t SplitMix64(uint64_t x) {
-  // Must agree bit-for-bit with exec::HashKey64 (radix routing contract).
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-void HashKeys64Scalar(const uint64_t* keys, size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = SplitMix64(keys[i]);
-}
-
 const KernelTable kScalarTable = {
     RangeMaskI32Scalar,    RangeMaskI64Scalar,
     RangeMaskF64Scalar,    VerdictMaskI32Scalar,
     MaskToSelScalar,       GatherScatterScalar<int32_t>,
     GatherScatterScalar<int64_t>, GatherScatterScalar<double>,
-    HashKeys64Scalar,
 };
 
 }  // namespace
@@ -155,7 +142,6 @@ const KernelTable& Active() {
       if (wide->gather_scatter_f64) {
         r.t.gather_scatter_f64 = wide->gather_scatter_f64;
       }
-      if (wide->hash_keys64) r.t.hash_keys64 = wide->hash_keys64;
     }
     r.tier = tier;
   }
@@ -260,33 +246,6 @@ void GatherU8(const uint8_t* src, const uint32_t* sel, size_t n,
                 uint8_t* d) {
                for (size_t j = 0; j < m; ++j) d[j] = s[idx[j]];
              });
-}
-
-void HashKeys64(const uint64_t* keys, size_t n, uint64_t* out) {
-  Active().hash_keys64(keys, n, out);
-}
-
-void PartitionIdsFromKeys(const uint64_t* keys, const uint8_t* valid,
-                          size_t n, int part_bits, uint32_t* parts) {
-  constexpr size_t kChunk = 256;
-  uint64_t hashes[kChunk];
-  const int shift = 64 - part_bits;
-  auto hash_fn = Active().hash_keys64;
-  for (size_t at = 0; at < n; at += kChunk) {
-    size_t m = n - at < kChunk ? n - at : kChunk;
-    hash_fn(keys + at, m, hashes);
-    if (valid == nullptr) {
-      for (size_t i = 0; i < m; ++i) {
-        parts[at + i] = static_cast<uint32_t>(hashes[i] >> shift);
-      }
-    } else {
-      for (size_t i = 0; i < m; ++i) {
-        parts[at + i] = valid[at + i]
-                            ? static_cast<uint32_t>(hashes[i] >> shift)
-                            : 0;
-      }
-    }
-  }
 }
 
 }  // namespace kernels

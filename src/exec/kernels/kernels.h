@@ -1,7 +1,6 @@
 // Tier-dispatched data-parallel kernels behind the hot scan/filter/probe
 // loops: typed range predicates over byte masks, verdict-table lookups,
-// mask-to-selection conversion, gathers, and the radix hash routing used by
-// partitioned hash builds.
+// mask-to-selection conversion and gathers.
 //
 // Dispatch contract (see src/exec/README.md for the full rules):
 //  * Every kernel has a scalar reference implementation; wider tiers
@@ -62,15 +61,6 @@ void GatherF64(const double* src, const uint32_t* sel, size_t n, double* dst);
 void GatherU8(const uint8_t* src, const uint32_t* sel, size_t n,
               uint8_t* dst);
 
-// ---- Hash routing (must agree bit-for-bit with exec::HashKey64) ----
-/// out[i] = splitmix64-finalized hash of keys[i].
-void HashKeys64(const uint64_t* keys, size_t n, uint64_t* out);
-/// Radix partition ids: parts[i] = hash(keys[i]) >> (64 - part_bits), or 0
-/// for rows whose key is NULL (valid[i] == 0; valid may be null = all
-/// valid). part_bits must be in [1, 32].
-void PartitionIdsFromKeys(const uint64_t* keys, const uint8_t* valid,
-                          size_t n, int part_bits, uint32_t* parts);
-
 namespace internal {
 
 /// One tier's function table. Wider tiers may leave entries null to
@@ -92,7 +82,6 @@ struct KernelTable {
                              int64_t*) = nullptr;
   void (*gather_scatter_f64)(const double*, const uint32_t*, size_t,
                              double*) = nullptr;
-  void (*hash_keys64)(const uint64_t*, size_t, uint64_t*) = nullptr;
 };
 
 /// Tier tables: defined in their own translation units (the AVX2 one is

@@ -174,46 +174,12 @@ void GatherScatterF64Avx2(const double* src, const uint32_t* sel, size_t n,
   for (; i < n; ++i) dst[i] = src[sel[i]];
 }
 
-// 64x64 -> low 64 multiply from 32-bit partial products (AVX2 has no
-// _mm256_mullo_epi64).
-inline __m256i Mullo64(__m256i a, __m256i b) {
-  __m256i ah = _mm256_srli_epi64(a, 32);
-  __m256i bh = _mm256_srli_epi64(b, 32);
-  __m256i ll = _mm256_mul_epu32(a, b);
-  __m256i lh = _mm256_mul_epu32(a, bh);
-  __m256i hl = _mm256_mul_epu32(ah, b);
-  __m256i cross = _mm256_add_epi64(lh, hl);
-  return _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32));
-}
-
-void HashKeys64Avx2(const uint64_t* keys, size_t n, uint64_t* out) {
-  const __m256i c0 = _mm256_set1_epi64x(0x9e3779b97f4a7c15ull);
-  const __m256i c1 = _mm256_set1_epi64x(0xbf58476d1ce4e5b9ull);
-  const __m256i c2 = _mm256_set1_epi64x(0x94d049bb133111ebull);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    x = _mm256_add_epi64(x, c0);
-    x = Mullo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), c1);
-    x = Mullo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), c2);
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-  }
-  for (; i < n; ++i) {
-    uint64_t x = keys[i] + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    out[i] = x ^ (x >> 31);
-  }
-}
-
 const KernelTable kAvx2Table = {
     RangeMaskI32Avx2,  RangeMaskI64Avx2, RangeMaskF64Avx2,
     nullptr,  // verdict table lookups stay scalar (byte gathers would
               // over-read the table; the scalar loop is load-bound anyway)
     MaskToSelAvx2,     GatherScatterI32Avx2, GatherScatterI64Avx2,
-    GatherScatterF64Avx2, HashKeys64Avx2,
+    GatherScatterF64Avx2,
 };
 
 }  // namespace

@@ -66,7 +66,6 @@ const KernelTable kNeonTable = {
     nullptr,  // gathers: scalar (no hardware gather on NEON)
     nullptr,
     nullptr,
-    nullptr,  // hash: scalar
 };
 
 }  // namespace

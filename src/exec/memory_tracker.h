@@ -122,7 +122,10 @@ class MemoryTracker {
     }
   }
 
-#ifndef NDEBUG
+  // Debug builds count in-flight mutations so Reset can assert it does not
+  // race them. The member exists in every build: the layout must not depend
+  // on NDEBUG, or code compiled with a different NDEBUG than the library
+  // would read the other fields at the wrong offsets.
   struct MutationGuard {
     explicit MutationGuard(MemoryTracker* t) : t(t) {
       t->mutators_.fetch_add(1, std::memory_order_acq_rel);
@@ -131,7 +134,6 @@ class MemoryTracker {
     MemoryTracker* t;
   };
   std::atomic<int> mutators_{0};
-#endif
 
   std::atomic<uint64_t> current_{0};
   std::atomic<uint64_t> peak_{0};

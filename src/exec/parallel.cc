@@ -1,6 +1,9 @@
 #include "exec/parallel.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "common/fault_injection.h"
 
 namespace bdcc {
 namespace exec {
@@ -178,7 +181,7 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
   if (!group_cols_.empty() && total_groups >= kMinPartitionedMergeGroups) {
     bits = 1;
     while ((size_t{1} << bits) < partials_.size() * 4 &&
-           bits < JoinHashTable::kMaxPartitionBits) {
+           bits < kMaxMergeBits) {
       ++bits;
     }
   }
@@ -270,10 +273,8 @@ ParallelHashJoin::ParallelHashJoin(ChainFactory probe_factory,
                                    std::vector<std::string> build_keys,
                                    JoinType type,
                                    common::TaskScheduler* scheduler)
-    : num_clones_(num_clones),
-      build_(std::move(build)),
+    : build_(std::move(build)),
       build_keys_(std::move(build_keys)),
-      scheduler_(SchedulerOrShared(scheduler)),
       probes_(
           [this, probe_factory = std::move(probe_factory),
            probe_keys = std::move(probe_keys),
@@ -282,128 +283,18 @@ ParallelHashJoin::ParallelHashJoin(ChainFactory probe_factory,
             return OperatorPtr(std::make_unique<HashJoinProbe>(
                 std::move(probe), &table_, probe_keys, type));
           },
-          num_clones, scheduler_) {}
-
-void ParallelHashJoin::EnableParallelBuild(ChainFactory build_factory,
-                                           int partition_bits) {
-  BDCC_CHECK(partition_bits >= 1 &&
-             partition_bits <= JoinHashTable::kMaxPartitionBits);
-  build_factory_ = std::move(build_factory);
-  partition_bits_ = partition_bits;
-}
-
-int ChoosePartitionBits(uint64_t estimated_rows, size_t threads) {
-  // At least one partition per insert task; beyond that, aim for
-  // sub-tables of ~64K rows so per-partition key maps stay cache-friendly.
-  int bits = 1;
-  while ((size_t{1} << bits) < threads &&
-         bits < JoinHashTable::kMaxPartitionBits) {
-    ++bits;
-  }
-  while ((estimated_rows >> bits) > 65536 &&
-         bits < JoinHashTable::kMaxPartitionBits) {
-    ++bits;
-  }
-  return bits;
-}
-
-// Partitioned parallel build: N build chains scatter into radix partitions,
-// then one insert task per partition (see JoinHashTable).
-Status ParallelHashJoin::OpenBuildPartitioned(ExecContext* ctx) {
-  builds_.clear();
-  build_ctxs_.clear();
-  for (size_t i = 0; i < num_clones_; ++i) {
-    BDCC_ASSIGN_OR_RETURN(OperatorPtr chain, build_factory_(i, num_clones_));
-    build_ctxs_.push_back(std::make_unique<ExecContext>(*ctx));
-    BDCC_RETURN_NOT_OK(chain->Open(build_ctxs_.back().get()));
-    builds_.push_back(std::move(chain));
-  }
-  BDCC_RETURN_NOT_OK(table_.Init(builds_[0]->schema(), build_keys_));
-  table_.BeginPartitionedBuild(partition_bits_, num_clones_);
-
-  QueryControl* control = ctx->control();
-  // Per-clone budget charge for the batches each clone pins/drains: the
-  // table's own MemoryBytes cannot be read while producers scatter, so the
-  // clones charge what they have seen and the pinned total is re-accounted
-  // on tracked_ once the parallel phase quiesces.
-  std::vector<std::unique_ptr<TrackedMemory>> clone_mem;
-  for (size_t i = 0; i < builds_.size(); ++i) {
-    clone_mem.push_back(
-        std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build"));
-  }
-  Status run_status;
-  std::vector<std::vector<Batch>> drained(builds_.size());
-  if (table_.encoder().concurrent_encode_safe()) {
-    // Fused drain + scatter: each clone encodes and routes its own batches.
-    // Batches are pinned inside the table until FinishPartitionedBuild
-    // materializes them, so they cannot be recycled to the scans.
-    run_status = scheduler_->ParallelForStatus(
-        builds_.size(), [&](size_t i) {
-          ExecContext* cctx = build_ctxs_[i].get();
-          Status s = [&]() -> Status {
-            uint64_t bytes = 0;
-            while (true) {
-              BDCC_RETURN_NOT_OK(cctx->CheckLifecycle());
-              BDCC_ASSIGN_OR_RETURN(Batch b, builds_[i]->Next(cctx));
-              if (b.empty()) return Status::OK();
-              bytes += BatchBytes(b);
-              BDCC_RETURN_NOT_OK(cctx->ChargeMemory(clone_mem[i].get(), bytes));
-              BDCC_RETURN_NOT_OK(table_.ScatterBatch(i, std::move(b)));
-            }
-          }();
-          if (BDCC_UNLIKELY(!s.ok())) control->ReportError(s);
-          return s;
-        });
-  } else {
-    // String-keyed encoders intern into a shared canonical space: drain the
-    // chains in parallel (scan work still scales), scatter serially.
-    run_status = scheduler_->ParallelForStatus(
-        builds_.size(), [&](size_t i) {
-          Status s = DrainChain(builds_[i].get(), build_ctxs_[i].get(),
-                                &drained[i], clone_mem[i].get());
-          if (BDCC_UNLIKELY(!s.ok())) control->ReportError(s);
-          return s;
-        });
-  }
-  for (size_t i = 0; i < builds_.size(); ++i) {
-    ctx->MergeStats(*build_ctxs_[i]);
-  }
-  BDCC_RETURN_NOT_OK(run_status);
-  for (size_t i = 0; i < builds_.size(); ++i) {
-    for (Batch& b : drained[i]) {
-      BDCC_RETURN_NOT_OK(table_.ScatterBatch(i, std::move(b)));
-    }
-    drained[i].clear();
-  }
-  // Peak of the build: pinned batches + refs/keys, still held while the
-  // partition tables materialize. Re-account on tracked_ (dropping the
-  // per-clone charges first so the budget is not billed twice).
-  for (size_t i = 0; i < builds_.size(); ++i) clone_mem[i]->Clear();
-  BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
-  BDCC_RETURN_NOT_OK(table_.FinishPartitionedBuild(scheduler_, control));
-  BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
-  return Status::OK();
-}
+          num_clones, scheduler) {}
 
 Status ParallelHashJoin::Open(ExecContext* ctx) {
   tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");
-  if (build_factory_ != nullptr) {
-    BDCC_RETURN_NOT_OK(OpenBuildPartitioned(ctx));
-  } else {
-    BDCC_RETURN_NOT_OK(BuildHashTable(build_.get(), build_keys_, ctx, &table_,
-                                      tracked_.get()));
-  }
+  BDCC_RETURN_NOT_OK(BuildHashTable(build_.get(), build_keys_, ctx, &table_,
+                                    tracked_.get()));
   return probes_.Open(ctx);
 }
 
 void ParallelHashJoin::Close(ExecContext* ctx) {
-  if (build_ != nullptr && builds_.empty()) build_->Close(ctx);
-  for (size_t i = 0; i < builds_.size(); ++i) {
-    builds_[i]->Close(build_ctxs_[i].get());
-  }
+  build_->Close(ctx);
   probes_.Close(ctx);
-  builds_.clear();
-  build_ctxs_.clear();
   table_.Clear();
   if (tracked_) tracked_->Clear();
 }

@@ -12,7 +12,8 @@
 //    HashAgg; the partials' groups are then merged by radix partition into
 //    merge-only HashAggs, in clone order within each partition, so results
 //    are deterministic for a fixed clone count.
-//  - ParallelHashJoin: the build side is materialized once, then a
+//  - ParallelHashJoin: the build side is drained serially into one table
+//    (a large build side is itself a ParallelUnion of scan clones), then a
 //    ParallelUnion of HashJoinProbe clones probes the shared read-only
 //    table concurrently.
 //
@@ -99,6 +100,8 @@ class ParallelHashAgg : public Operator {
   /// Total groups across partials below which the merge uses one partition
   /// (more partitions' task overhead would dominate).
   static constexpr size_t kMinPartitionedMergeGroups = 4096;
+  /// Cap on the merge's radix bits (<= 64 partitions).
+  static constexpr int kMaxMergeBits = 6;
 
  private:
   Status MergeAll(ExecContext* ctx);
@@ -121,24 +124,14 @@ class ParallelHashAgg : public Operator {
   Schema schema_;
 };
 
-/// Radix partition count (log2) for a parallel hash-join build of
-/// `estimated_rows`: enough partitions to feed `threads` insert tasks,
-/// growing toward cache-sized sub-tables on big builds, capped at
-/// JoinHashTable::kMaxPartitionBits.
-int ChoosePartitionBits(uint64_t estimated_rows, size_t threads);
-
 /// \brief Hash join with a shared build table and parallel probe clones.
 ///
-/// By default the build side is one operator drained serially
-/// (BuildHashTable). With EnableParallelBuild the build side becomes N
-/// chain clones feeding a two-phase partitioned build
-/// (JoinHashTable::ScatterBatch / FinishPartitionedBuild): clones
-/// radix-partition their batches into producer-local buffers — fully
-/// parallel when the key encoding is read-only, with a serial scatter
-/// fallback for string-keyed encoders — then one task per partition builds
-/// an unshared sub-table. The probe phase is a ParallelUnion whose chain i
-/// is a HashJoinProbe over probe clone i; probes route by the same radix
-/// bits inside the shared table.
+/// The build side is one operator drained serially into the table
+/// (BuildHashTable). For a large build side the planner passes a
+/// ParallelUnion of scan clones, so build-side scans and filters run on N
+/// clones and only the inserts are serial. The probe phase is a
+/// ParallelUnion whose chain i is a HashJoinProbe over probe clone i, all
+/// against the shared read-only table.
 class ParallelHashJoin : public Operator {
  public:
   ParallelHashJoin(ChainFactory probe_factory, size_t num_clones,
@@ -146,29 +139,15 @@ class ParallelHashJoin : public Operator {
                    std::vector<std::string> build_keys, JoinType type,
                    common::TaskScheduler* scheduler = nullptr);
 
-  /// Switch the build side to `num_clones` parallel chains with a radix-
-  /// partitioned table of 2^partition_bits sub-tables. The serial `build`
-  /// operator passed to the constructor is ignored (may be null).
-  void EnableParallelBuild(ChainFactory build_factory, int partition_bits);
-
   const Schema& schema() const override { return probes_.schema(); }
   Status Open(ExecContext* ctx) override;
   Result<Batch> Next(ExecContext* ctx) override { return probes_.Next(ctx); }
   void Close(ExecContext* ctx) override;
 
  private:
-  Status OpenBuildPartitioned(ExecContext* ctx);
-
-  size_t num_clones_;
   OperatorPtr build_;
-  ChainFactory build_factory_;
-  int partition_bits_ = 0;
   std::vector<std::string> build_keys_;
-  common::TaskScheduler* scheduler_;
-
   JoinHashTable table_;
-  std::vector<OperatorPtr> builds_;
-  std::vector<std::unique_ptr<ExecContext>> build_ctxs_;
   std::unique_ptr<TrackedMemory> tracked_;
   ParallelUnion probes_;  // HashJoinProbe clones against table_
 };

@@ -119,9 +119,9 @@ struct AbsorbedTable {
 constexpr uint64_t kMorselRows = 8192;
 /// Leaf size below which parallel pipelines are not worth their overhead.
 constexpr uint64_t kMinParallelRows = 2 * kMorselRows;
-/// Build-side floor for the partitioned parallel build: builds are cheap
-/// per row, so the bar is lower than for probe pipelines — a couple of
-/// batches per producer already amortizes the scatter refs.
+/// Build-side floor for draining a hash-join build through a ParallelUnion
+/// of scan clones: the clones only scan and filter (the inserts stay
+/// serial), so the bar is lower than for probe pipelines.
 constexpr uint64_t kMinParallelBuildRows = 4096;
 
 struct LeafClone {
@@ -671,27 +671,21 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
   if (opts_.num_threads > 1 && left.leaf_factory && left.grouping.empty() &&
       left.sorted_on.empty() && left.leaf_rows >= kMinParallelRows) {
     Note("parallel hash join probe x" + std::to_string(opts_.num_threads));
-    // Parallel partitioned build when the build side is itself a clonable
-    // scan chain of useful size: partition count follows the estimated
-    // build cardinality (base-table rows; filters only shrink it). The
-    // serial build operator is not compiled into the plan in that case.
-    bool partitioned_build = right.leaf_factory &&
-                             right.leaf_gids == nullptr &&
-                             right.leaf_rows >= kMinParallelBuildRows;
-    auto pj = std::make_unique<exec::ParallelHashJoin>(
-        MorselClones(left.leaf_factory),
-        static_cast<size_t>(opts_.num_threads),
-        partitioned_build ? nullptr : std::move(right.op), jn.left_keys,
-        jn.right_keys, jn.type, opts_.scheduler);
-    if (partitioned_build) {
-      int bits = exec::ChoosePartitionBits(
-          right.leaf_rows, static_cast<size_t>(opts_.num_threads));
-      pj->EnableParallelBuild(MorselClones(right.leaf_factory), bits);
-      Note("parallel partitioned hash join build x" +
-           std::to_string(opts_.num_threads) + " (" +
-           std::to_string(size_t{1} << bits) + " partitions)");
+    // A build side that is itself a clonable scan chain of useful size
+    // scans and filters on N clones instead: a ParallelUnion of them
+    // replaces the serial chain, and the inserts stay serial.
+    exec::OperatorPtr build = std::move(right.op);
+    if (right.leaf_factory && right.leaf_gids == nullptr &&
+        right.leaf_rows >= kMinParallelBuildRows) {
+      build = std::make_unique<exec::ParallelUnion>(
+          MorselClones(right.leaf_factory),
+          static_cast<size_t>(opts_.num_threads), opts_.scheduler);
+      Note("parallel hash join build x" + std::to_string(opts_.num_threads));
     }
-    out.op = std::move(pj);
+    out.op = std::make_unique<exec::ParallelHashJoin>(
+        MorselClones(left.leaf_factory),
+        static_cast<size_t>(opts_.num_threads), std::move(build), jn.left_keys,
+        jn.right_keys, jn.type, opts_.scheduler);
   } else {
     out.op = std::make_unique<exec::HashJoin>(
         std::move(left.op), std::move(right.op), jn.left_keys, jn.right_keys,

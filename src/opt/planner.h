@@ -43,10 +43,10 @@ struct PlannerOptions {
   /// single-threaded pull plan; N > 1 splits eligible pipelines into N
   /// morsel-driven clones at blocking operators (hash aggregation, hash-join
   /// probe, sandwich join/aggregate). A hash join whose build side is a
-  /// clonable scan chain of at least a few thousand rows also builds in
-  /// parallel, into a radix-partitioned table. Results are identical either
-  /// way (modulo float summation order); plans too small to benefit stay
-  /// serial.
+  /// clonable scan chain of at least a few thousand rows also scans that
+  /// side on N clones, draining them into the one serially built table.
+  /// Results are identical either way (modulo float summation order); plans
+  /// too small to benefit stay serial.
   int num_threads = 1;
   /// Worker pool used when num_threads > 1; nullptr = the process-wide
   /// TaskScheduler::Shared().

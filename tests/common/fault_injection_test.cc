@@ -43,7 +43,6 @@ TEST(FaultInjectionTest, PointFilterRestrictsFaults) {
   ScopedFaultInjection scope(7, 1.0, kScanDecode);
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(ShouldFail(kAlloc));
-    EXPECT_FALSE(ShouldFail(kJoinBuild));
     EXPECT_TRUE(ShouldFail(kScanDecode));
   }
 }

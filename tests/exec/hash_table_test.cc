@@ -399,17 +399,9 @@ TEST(DenseKeyMapTest, MatchesUnorderedMapDifferential) {
   EXPECT_GT(diff.ref.ints.size(), size_t{500000});
   diff.ExpectConsistent();
 
-  // Reserve never shrinks and keeps every key.
-  size_t cap = diff.map.slot_capacity();
-  diff.map.Reserve(10);
-  EXPECT_EQ(diff.map.slot_capacity(), cap);
-  diff.map.Reserve(diff.ref.ints.size() * 2);
-  EXPECT_GT(diff.map.slot_capacity(), cap);
-  diff.ExpectConsistent();
-
   // Clear, then reuse: ids restart at 0, old keys are gone, the slot array
   // keeps its capacity (and its bytes stay accounted).
-  cap = diff.map.slot_capacity();
+  size_t cap = diff.map.slot_capacity();
   diff.map.Clear();
   EXPECT_EQ(diff.map.size(), 0u);
   EXPECT_EQ(diff.map.slot_capacity(), cap);
@@ -425,19 +417,6 @@ TEST(DenseKeyMapTest, MatchesUnorderedMapDifferential) {
   EXPECT_EQ(diff.map.Find(edges[0]), 1);  // after the NULL id
 }
 
-TEST(DenseKeyMapTest, ReserveAvoidsGrowth) {
-  DenseKeyMap map;
-  map.Reserve(100000);
-  size_t cap = map.slot_capacity();
-  EXPECT_GE(cap * 3, size_t{400000});
-  bool inserted;
-  for (int64_t k = 0; k < 100000; ++k) {
-    ASSERT_EQ(map.FindOrInsert(k * 7919, &inserted), k);
-  }
-  EXPECT_EQ(map.slot_capacity(), cap);
-  EXPECT_GE(map.MemoryBytes(), cap * DenseKeyMap::kSlotBytes);
-}
-
 TEST(JoinHashTableTest, ChainsDuplicates) {
   JoinHashTable table;
   ASSERT_TRUE(table.Init(MakeSchema(), {"i"}).ok());
@@ -445,8 +424,8 @@ TEST(JoinHashTableTest, ChainsDuplicates) {
   ASSERT_TRUE(table.AddBatch(MakeBatch()).ok());
   EXPECT_EQ(table.num_rows(), 6u);
   int matches_7 = 0, matches_9 = 0;
-  table.ForEachMatch(int64_t{7}, [&](BuildRowRef) { ++matches_7; });
-  table.ForEachMatch(int64_t{9}, [&](BuildRowRef) { ++matches_9; });
+  table.ForEachMatch(int64_t{7}, [&](uint32_t) { ++matches_7; });
+  table.ForEachMatch(int64_t{9}, [&](uint32_t) { ++matches_9; });
   EXPECT_EQ(matches_7, 4);
   EXPECT_EQ(matches_9, 2);
   EXPECT_TRUE(table.HasMatch(int64_t{7}));
@@ -461,10 +440,11 @@ TEST(JoinHashTableTest, MaterializedColumnsPreserveValues) {
   JoinHashTable table;
   ASSERT_TRUE(table.Init(MakeSchema(), {"i"}).ok());
   ASSERT_TRUE(table.AddBatch(MakeBatch()).ok());
-  table.ForEachMatch(int64_t{9}, [&](BuildRowRef build) {
-    EXPECT_EQ((*build.columns)[1].i64[build.row], 100);
-    EXPECT_EQ((*build.columns)[2].GetString(build.row), "x");
-    EXPECT_DOUBLE_EQ((*build.columns)[3].f64[build.row], 1.0);
+  const std::vector<ColumnVector>& cols = table.columns();
+  table.ForEachMatch(int64_t{9}, [&](uint32_t row) {
+    EXPECT_EQ(cols[1].i64[row], 100);
+    EXPECT_EQ(cols[2].GetString(row), "x");
+    EXPECT_DOUBLE_EQ(cols[3].f64[row], 1.0);
   });
 }
 

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "exec/hash_join.h"
 #include "exec/merge_join.h"
+#include "exec/parallel.h"
 #include "exec/sandwich_join.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -32,6 +33,7 @@ class VectorSource : public Operator {
     Batch out;
     const Batch& src = batches_[at_++];
     out.num_rows = src.num_rows;
+    out.sel = src.sel;
     out.group_id = src.group_id;
     out.columns = src.columns;  // copy
     return out;
@@ -405,15 +407,16 @@ Batch ReferenceProbe(const JoinHashTable& table,
       out.columns[width + c].dict = table.columns()[c].dict;
     }
   }
-  auto emit = [&](size_t i, const BuildRowRef* build) {
+  constexpr uint32_t kNoRow = 0xFFFFFFFFu;
+  auto emit = [&](size_t i, uint32_t build_row) {
     for (size_t c = 0; c < width; ++c) {
       out.columns[c].AppendFrom(in.columns[c], in.RowAt(i));
     }
     for (size_t c = 0; emit_build && c < table.columns().size(); ++c) {
-      if (build == nullptr) {
+      if (build_row == kNoRow) {
         out.columns[width + c].AppendNull();
       } else {
-        out.columns[width + c].AppendFrom((*build->columns)[c], build->row);
+        out.columns[width + c].AppendFrom(table.columns()[c], build_row);
       }
     }
     ++out.num_rows;
@@ -421,8 +424,8 @@ Batch ReferenceProbe(const JoinHashTable& table,
   auto probe_row = [&](size_t i, const auto& key, bool valid) {
     bool matched = false;
     if (valid && emit_build) {
-      table.ForEachMatch(key, [&](BuildRowRef build) {
-        emit(i, &build);
+      table.ForEachMatch(key, [&](uint32_t build_row) {
+        emit(i, build_row);
         matched = true;
       });
     } else if (valid) {
@@ -431,7 +434,7 @@ Batch ReferenceProbe(const JoinHashTable& table,
     if ((type == JoinType::kLeftOuter && !matched) ||
         (type == JoinType::kLeftSemi && matched) ||
         (type == JoinType::kLeftAnti && !matched)) {
-      emit(i, nullptr);
+      emit(i, kNoRow);
     }
   };
   std::vector<uint8_t> valid;
@@ -535,18 +538,30 @@ TEST(ProbeBatchTest, MatchesRowAtATimeReference) {
   const std::vector<std::pair<std::vector<std::string>,
                               std::vector<std::string>>>
       key_sets = {{{"pk"}, {"bk"}}, {{"pk", "pf"}, {"bk", "bf"}}};
+  common::TaskScheduler scheduler(2);
   for (const auto& [probe_keys, build_keys] : key_sets) {
-    for (bool partitioned : {false, true}) {
+    for (bool union_build : {false, true}) {
       JoinHashTable table;
-      ASSERT_TRUE(table.Init(BuildSideSchema(), build_keys).ok());
-      if (partitioned) {
-        table.BeginPartitionedBuild(2, 2);
-        for (size_t b = 0; b < build.size(); ++b) {
-          ASSERT_TRUE(table.ScatterBatch(b % 2, CopyBatch(build[b])).ok());
-        }
-        ASSERT_TRUE(table.FinishPartitionedBuild(nullptr).ok());
-        ASSERT_EQ(table.num_partitions(), 4u);
+      if (union_build) {
+        // ParallelHashJoin's parallel build: two clones, each emitting
+        // every other build batch, drained through a ParallelUnion.
+        ParallelUnion clones(
+            [&](size_t i, size_t n) -> Result<OperatorPtr> {
+              std::vector<Batch> share;
+              for (size_t b = i; b < build.size(); b += n) {
+                share.push_back(CopyBatch(build[b]));
+              }
+              return OperatorPtr(std::make_unique<VectorSource>(
+                  BuildSideSchema(), std::move(share)));
+            },
+            /*num_chains=*/2, &scheduler);
+        ExecContext ctx(nullptr);
+        TrackedMemory tracked(ctx.memory(), "test build");
+        ASSERT_TRUE(
+            BuildHashTable(&clones, build_keys, &ctx, &table, &tracked).ok());
+        clones.Close(&ctx);
       } else {
+        ASSERT_TRUE(table.Init(BuildSideSchema(), build_keys).ok());
         for (const Batch& b : build) ASSERT_TRUE(table.AddBatch(b).ok());
       }
       for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
@@ -564,7 +579,7 @@ TEST(ProbeBatchTest, MatchesRowAtATimeReference) {
             std::string label =
                 std::string(JoinTypeName(type)) + " keys=" +
                 std::to_string(probe_keys.size()) +
-                (partitioned ? " partitioned" : " serial") +
+                (union_build ? " union" : " serial") +
                 (use_views ? " views" : " owned") +
                 (with_sel ? " sel" : " dense");
             Batch want = ReferenceProbe(table, probe_keys, type, in);

@@ -309,65 +309,6 @@ TEST(KernelEqualityTest, GathersAllTiers) {
   }
 }
 
-// Scalar splitmix64 reference (the exec::HashKey64 finalizer).
-uint64_t RefHash(uint64_t k) {
-  k += 0x9e3779b97f4a7c15ULL;
-  k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-  return k ^ (k >> 31);
-}
-
-TEST(KernelEqualityTest, HashKeys64AllTiers) {
-  TierGuard guard;
-  Rng rng(31);
-  for (size_t n : TestLengths()) {
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = rng.Uniform(0, 2) == 0 ? rng.Next64()
-                                       : static_cast<uint64_t>(i);  // dense too
-    }
-    for (simd::Tier t : kAllTiers) {
-      simd::ForceTier(t);
-      std::vector<uint64_t> out(n, 0);
-      HashKeys64(keys.data(), n, out.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], RefHash(keys[i]))
-            << "tier=" << simd::TierName(t) << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(KernelEqualityTest, PartitionIdsFromKeysAllTiers) {
-  TierGuard guard;
-  Rng rng(37);
-  for (size_t n : TestLengths()) {
-    std::vector<uint64_t> keys(n);
-    for (size_t i = 0; i < n; ++i) keys[i] = rng.Next64();
-    std::vector<uint8_t> valid = RandomMask(&rng, n);
-    for (int part_bits : {1, 3, 8, 16}) {
-      const uint8_t* valid_options[] = {valid.data(), nullptr};
-      for (const uint8_t* vptr : valid_options) {
-        for (simd::Tier t : kAllTiers) {
-          simd::ForceTier(t);
-          std::vector<uint32_t> parts(n, ~0u);
-          PartitionIdsFromKeys(keys.data(), vptr, n, part_bits, parts.data());
-          for (size_t i = 0; i < n; ++i) {
-            uint32_t want =
-                (vptr != nullptr && vptr[i] == 0)
-                    ? 0
-                    : static_cast<uint32_t>(RefHash(keys[i]) >>
-                                            (64 - part_bits));
-            ASSERT_EQ(parts[i], want)
-                << "tier=" << simd::TierName(t) << " n=" << n
-                << " bits=" << part_bits << " i=" << i;
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace kernels
 }  // namespace exec

@@ -1,15 +1,17 @@
-// Partitioned parallel hash-join build vs. the serial build: identical join
-// results across every KeyEncoder mode (raw int, dictionary-code string,
-// packed pair, packed pair with a string, tagged bytes), NULL keys on both
-// sides, producer counts {1, 3}, and clone counts {2, 4}. Suite name
-// contains "Parallel" so the CI TSan job picks it up.
+// Parallel hash-join build vs. the serial build: a ParallelHashJoin whose
+// build input is partitioned over N scan clones, drained through a
+// ParallelUnion into the one table, returns what HashJoin returns across
+// every KeyEncoder mode (raw int, dictionary-code string, packed pair,
+// packed pair with a string, tagged bytes), NULL keys on both sides, all
+// four join types, clone counts {2, 4}, and build batches with mixed
+// dictionaries. Suite name contains "Parallel" so the CI TSan job picks it
+// up.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/task_scheduler.h"
 #include "exec/hash_join.h"
-#include "exec/hash_table.h"
 #include "exec/parallel.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -147,42 +149,41 @@ Batch RunSerial(const TestInput& in, JoinType type) {
   return CollectAll(&join, &ctx).ValueOrDie();
 }
 
-Batch RunPartitioned(const TestInput& in, JoinType type, size_t clones,
-                     int bits, common::TaskScheduler* scheduler) {
+Batch RunParallel(const TestInput& in, JoinType type, size_t clones,
+                  common::TaskScheduler* scheduler) {
   ExecContext ctx(nullptr);
-  ChainFactory probe_factory = [&in](size_t i,
-                                     size_t n) -> Result<OperatorPtr> {
-    return OperatorPtr(
-        std::make_unique<VectorSource>(in.probe, in.probe_schema, i, n));
+  auto source = [](std::shared_ptr<const std::vector<Batch>> batches,
+                   Schema schema) -> ChainFactory {
+    return [batches, schema](size_t i, size_t n) -> Result<OperatorPtr> {
+      return OperatorPtr(
+          std::make_unique<VectorSource>(batches, schema, i, n));
+    };
   };
-  ChainFactory build_factory = [&in](size_t i,
-                                     size_t n) -> Result<OperatorPtr> {
-    return OperatorPtr(
-        std::make_unique<VectorSource>(in.build, in.build_schema, i, n));
-  };
-  ParallelHashJoin join(probe_factory, clones, nullptr, in.probe_keys,
-                        in.build_keys, type, scheduler);
-  join.EnableParallelBuild(build_factory, bits);
+  ParallelHashJoin join(
+      source(in.probe, in.probe_schema), clones,
+      std::make_unique<ParallelUnion>(source(in.build, in.build_schema),
+                                      clones, scheduler),
+      in.probe_keys, in.build_keys, type, scheduler);
   return CollectAll(&join, &ctx).ValueOrDie();
 }
 
-void CheckAllJoinTypes(const std::vector<TypeId>& key_types,
-                       const std::string& label) {
-  TestInput in = MakeInput(key_types, 3000, 5000, 256);
+void CheckAllJoinTypes(const TestInput& in, const std::string& label) {
   common::TaskScheduler scheduler(3);
   for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
                         JoinType::kLeftSemi, JoinType::kLeftAnti}) {
     Batch expect = RunSerial(in, type);
     for (size_t clones : {size_t{2}, size_t{4}}) {
-      for (int bits : {1, 4}) {
-        Batch got = RunPartitioned(in, type, clones, bits, &scheduler);
-        testutil::ExpectBatchesEqual(
-            expect, got,
-            label + " " + JoinTypeName(type) + " clones=" +
-                std::to_string(clones) + " bits=" + std::to_string(bits));
-      }
+      Batch got = RunParallel(in, type, clones, &scheduler);
+      testutil::ExpectBatchesEqual(expect, got,
+                                   label + " " + JoinTypeName(type) +
+                                       " clones=" + std::to_string(clones));
     }
   }
+}
+
+void CheckAllJoinTypes(const std::vector<TypeId>& key_types,
+                       const std::string& label) {
+  CheckAllJoinTypes(MakeInput(key_types, 3000, 5000, 256), label);
 }
 
 TEST(ParallelPartitionedBuildTest, IntKeyMatchesSerial) {
@@ -194,8 +195,6 @@ TEST(ParallelPartitionedBuildTest, Int64KeyMatchesSerial) {
 }
 
 TEST(ParallelPartitionedBuildTest, StringKeyMatchesSerial) {
-  // kCode mode: encoder is not concurrent-safe, exercising the serial
-  // scatter fallback with parallel drain + parallel per-partition insert.
   CheckAllJoinTypes({TypeId::kString}, "string key");
 }
 
@@ -212,58 +211,9 @@ TEST(ParallelPartitionedBuildTest, ByteKeysMatchSerial) {
                     "tagged byte keys");
 }
 
-// Direct JoinHashTable-level equivalence: serial AddBatch vs Scatter/Finish
-// with multiple producers, checked per key via ForEachMatch row contents.
-TEST(ParallelPartitionedBuildTest, TableLevelChainsEquivalent) {
-  TestInput in = MakeInput({TypeId::kInt32}, 2000, 0, 128);
-  JoinHashTable serial;
-  ASSERT_TRUE(serial.Init(in.build_schema, in.build_keys).ok());
-  for (const Batch& b : *in.build) ASSERT_TRUE(serial.AddBatch(b).ok());
-
-  common::TaskScheduler scheduler(2);
-  for (size_t producers : {size_t{1}, size_t{3}}) {
-    JoinHashTable part;
-    ASSERT_TRUE(part.Init(in.build_schema, in.build_keys).ok());
-    part.BeginPartitionedBuild(3, producers);
-    for (size_t j = 0; j < in.build->size(); ++j) {
-      ASSERT_TRUE(part.ScatterBatch(j % producers, (*in.build)[j]).ok());
-    }
-    ASSERT_TRUE(part.FinishPartitionedBuild(&scheduler).ok());
-    EXPECT_EQ(part.num_rows(), serial.num_rows());
-    EXPECT_EQ(part.num_partitions(), 8u);
-    for (int64_t key = -1; key < 40; ++key) {
-      EXPECT_EQ(serial.HasMatch(key), part.HasMatch(key)) << "key " << key;
-      std::vector<int64_t> expect_pay, got_pay;
-      serial.ForEachMatch(key, [&](BuildRowRef b) {
-        expect_pay.push_back((*b.columns)[1].i64[b.row]);
-      });
-      part.ForEachMatch(key, [&](BuildRowRef b) {
-        got_pay.push_back((*b.columns)[1].i64[b.row]);
-      });
-      std::sort(expect_pay.begin(), expect_pay.end());
-      std::sort(got_pay.begin(), got_pay.end());
-      EXPECT_EQ(expect_pay, got_pay) << "key " << key;
-      // Single producer preserves arrival order exactly, so even the
-      // (unsorted) chain orders agree with the serial build.
-      if (producers == 1) {
-        std::vector<int64_t> ordered;
-        part.ForEachMatch(key, [&](BuildRowRef b) {
-          ordered.push_back((*b.columns)[1].i64[b.row]);
-        });
-        std::vector<int64_t> serial_ordered;
-        serial.ForEachMatch(key, [&](BuildRowRef b) {
-          serial_ordered.push_back((*b.columns)[1].i64[b.row]);
-        });
-        EXPECT_EQ(ordered, serial_ordered) << "key " << key;
-      }
-    }
-  }
-}
-
-// Heterogeneous dictionaries across build batches: the scatter path must
-// privatize before interning and the finish path must unify dictionaries
-// (serial fallback), with results identical to the serial build.
-TEST(ParallelPartitionedBuildTest, MixedDictionariesFallBackSafely) {
+// Heterogeneous dictionaries across build batches, so the clones hand the
+// serial build strings from two dictionaries with different code orders.
+TEST(ParallelPartitionedBuildTest, MixedDictionariesMatchSerial) {
   TestInput in = MakeInput({TypeId::kString}, 1500, 2500, 128);
   // Re-dictionary every other build batch: same strings, fresh Dictionary
   // objects with a different code order.
@@ -278,13 +228,8 @@ TEST(ParallelPartitionedBuildTest, MixedDictionariesFallBackSafely) {
     }
     key.dict = fresh;
   }
-  TestInput mixed_in = in;
-  mixed_in.build = mixed;
-
-  common::TaskScheduler scheduler(3);
-  Batch expect = RunSerial(mixed_in, JoinType::kInner);
-  Batch got = RunPartitioned(mixed_in, JoinType::kInner, 3, 3, &scheduler);
-  testutil::ExpectBatchesEqual(expect, got, "mixed dictionaries");
+  in.build = mixed;
+  CheckAllJoinTypes(in, "mixed dictionaries");
 }
 
 }  // namespace

@@ -198,18 +198,14 @@ TEST(ReopenTest, ParallelHashJoinReopensAfterBudgetUnwind) {
   auto probe_factory = [](size_t i, size_t n) -> Result<OperatorPtr> {
     return StridedKeys(256, i, n);
   };
-  for (bool partitioned : {false, true}) {
-    SCOPED_TRACE(partitioned ? "partitioned build" : "serial build");
-    ParallelHashJoin join(probe_factory, /*num_clones=*/2,
-                          partitioned ? nullptr : StridedKeys(256, 0, 1),
+  for (bool union_build : {false, true}) {
+    SCOPED_TRACE(union_build ? "union build" : "serial build");
+    OperatorPtr build =
+        union_build ? OperatorPtr(std::make_unique<ParallelUnion>(
+                          probe_factory, /*num_chains=*/2, &scheduler))
+                    : StridedKeys(256, 0, 1);
+    ParallelHashJoin join(probe_factory, /*num_clones=*/2, std::move(build),
                           {"k"}, {"k"}, JoinType::kInner, &scheduler);
-    if (partitioned) {
-      join.EnableParallelBuild(
-          [](size_t i, size_t n) -> Result<OperatorPtr> {
-            return StridedKeys(256, i, n);
-          },
-          /*partition_bits=*/1);
-    }
 
     ExecContext ctx(nullptr);
     ctx.memory()->set_limit(1);

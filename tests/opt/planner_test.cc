@@ -100,18 +100,20 @@ TEST_F(PlannerTest, BdccSchemePushdownPropagation) {
 TEST_F(PlannerTest, ParallelPartitionedBuildPlannedForLargeBuildSides) {
   // Plain scheme, threads=4: the probe parallelizes and — because the
   // build side is itself a clonable scan chain of useful size — the build
-  // goes partitioned. (Q12 under plain: probe LINEITEM, build ORDERS.)
+  // input is partitioned over 4 scan clones, drained through a
+  // ParallelUnion into the one table. (Q12 under plain: probe LINEITEM,
+  // build ORDERS.)
   PlannerOptions par;
   par.num_threads = 4;
   auto notes = NotesFor(12, db_->plain(), par);
   EXPECT_TRUE(HasNote(notes, "parallel hash join probe x4"));
-  EXPECT_TRUE(HasNote(notes, "parallel partitioned hash join build x4"));
+  EXPECT_TRUE(HasNote(notes, "parallel hash join build x4"));
 
   // Q14 under plain: probe LINEITEM, build PART, whose 1000 rows fall
-  // below the partitioned-build floor, so the build stays one serial drain.
+  // below the parallel-build floor, so the build stays one serial drain.
   notes = NotesFor(14, db_->plain(), par);
   EXPECT_TRUE(HasNote(notes, "parallel hash join probe x4"));
-  EXPECT_FALSE(HasNote(notes, "parallel partitioned hash join build"));
+  EXPECT_FALSE(HasNote(notes, "parallel hash join build"));
 }
 
 TEST_F(PlannerTest, FeatureTogglesDisableStrategies) {

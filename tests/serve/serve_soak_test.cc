@@ -119,8 +119,8 @@ TEST(ServeFaultSweepTest, ConcurrentStreamsTerminateDefinedUnderFaults) {
     // CI varies the seed; reuse it so each sweep explores a different
     // fault sequence. The point restriction below still applies: only the
     // retryable points are exercised, which is what makes the four-state
-    // assertion sound (scan.decode/join.build faults would surface as
-    // legitimate kError outcomes).
+    // assertion sound (scan.decode faults would surface as legitimate
+    // kError outcomes).
     base_seed = static_cast<uint64_t>(std::atoll(env));
     if (base_seed == 0) base_seed = 101;
   }
