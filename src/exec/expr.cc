@@ -787,6 +787,10 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
 }
 
 ExprPtr Col(std::string name) { return std::make_shared<ColExpr>(std::move(name)); }
+std::string ColumnRefName(const ExprPtr& e) {
+  const auto* col = dynamic_cast<const ColExpr*>(e.get());
+  return col != nullptr ? col->ToString() : std::string();
+}
 ExprPtr Lit(Value v) { return std::make_shared<LitExpr>(std::move(v)); }
 ExprPtr LitI64(int64_t v) { return Lit(Value::Int64(v)); }
 ExprPtr LitF64(double v) { return Lit(Value::Float64(v)); }

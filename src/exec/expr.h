@@ -52,6 +52,8 @@ class Expr {
 
 /// Reference to a column by name.
 ExprPtr Col(std::string name);
+/// The column `e` references when it is a plain Col(name); "" otherwise.
+std::string ColumnRefName(const ExprPtr& e);
 /// Constant.
 ExprPtr Lit(Value v);
 /// Convenience literals.

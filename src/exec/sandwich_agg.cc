@@ -26,6 +26,7 @@ Status SandwichAgg::DrainPartition(ExecContext* ctx) {
   while (true) {
     BDCC_ASSIGN_OR_RETURN(Batch out, agg_.Next(ctx));
     if (out.empty()) break;
+    out.group_id = current_partition_;
     ready_.push_back(std::move(out));
   }
   agg_.ClearGroups();

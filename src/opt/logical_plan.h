@@ -64,7 +64,8 @@ struct JoinNode {
   std::vector<std::string> left_keys;
   std::vector<std::string> right_keys;
   /// The declared FK this join follows ("" when not an FK equi-join). Used
-  /// for merge-join detection (PK) and co-clustering detection (BDCC).
+  /// for merge-join detection (PK) and selection propagation (BDCC
+  /// pushdown); BDCC sandwiching proves co-clustering from the keys.
   std::string fk_id;
 };
 

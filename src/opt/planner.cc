@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <set>
 
 #include "bdcc/scatter_scan.h"
 #include "common/bits.h"
@@ -95,11 +97,6 @@ class GroupRetag : public exec::Operator {
   int shift_;
 };
 
-struct AbsorbedTable {
-  std::string table;
-  std::vector<std::string> path;  // FK chain from the probe base table
-};
-
 // ---- Parallel pipeline support ------------------------------------------
 //
 // When PlannerOptions::num_threads > 1, scan chains additionally carry a
@@ -164,11 +161,13 @@ std::vector<GidSpan> ChunkGids(const std::vector<int64_t>& gids,
 
 struct SubPlan {
   exec::OperatorPtr op;
-  const LogicalNode* base_scan = nullptr;  // set for scan-chains
   std::string sorted_on;
+  // Grouping property: batches carry ascending group ids under `grouping`
+  // (major..minor specs over uses of `grouped_base`). A scan sets it when a
+  // grouping is requested; sandwich operators and the operators that pass
+  // group ids through keep it.
   const BdccTable* grouped_base = nullptr;
-  std::vector<GroupSpec> grouping;  // major..minor
-  std::vector<AbsorbedTable> absorbed;
+  std::vector<GroupSpec> grouping;
 
   // Parallel-clone support (empty/0 unless num_threads > 1 and the subplan
   // is a pure scan chain).
@@ -178,17 +177,116 @@ struct SubPlan {
   std::shared_ptr<const std::vector<int64_t>> leaf_gids;
 };
 
-struct GroupRequest {
-  std::vector<size_t> order;  // scatter-scan use order (major first)
-  std::vector<GroupSpec> specs;
-};
+/// Keeps the `keep` major levels of `plan`'s grouping: GroupRetag drops the
+/// minor levels' bits from the group ids.
+void Coarsen(SubPlan* plan, size_t keep) {
+  int shift = 0;
+  for (size_t i = keep; i < plan->grouping.size(); ++i) {
+    shift += plan->grouping[i].shared_bits;
+  }
+  if (shift > 0) {
+    plan->op = std::make_unique<GroupRetag>(std::move(plan->op), shift);
+    plan->leaf_factory = nullptr;
+  }
+  plan->grouping.resize(keep);
+}
 
-// Chain of Filter nodes over a Scan?
-const LogicalNode* ScanChainBase(const NodePtr& node) {
+/// Where a stream column's values come from: `column` of the `table` row
+/// reached from each row of the stream's leftmost scan along the FK chain
+/// `path` (empty: the scanned row itself).
+struct ColumnOrigin {
+  std::string table;
+  std::vector<std::string> path;
+  std::string column;
+};
+/// Origins of a logical node's output columns, relative to its leftmost
+/// scan (the table a grouped stream's group ids come from). Columns without
+/// one (aggregate results, computed projections) are absent.
+using Lineage = std::map<std::string, ColumnOrigin>;
+
+// The Scan under a chain of Filters; with `groupable`, also through the
+// Projects and grouped Aggregates a grouping request passes down.
+const LogicalNode* ChainScan(const NodePtr& node, bool groupable = false) {
   const LogicalNode* at = node.get();
-  while (at->kind == NodeKind::kFilter) at = at->children[0].get();
+  while (at->kind == NodeKind::kFilter ||
+         (groupable && (at->kind == NodeKind::kProject ||
+                        (at->kind == NodeKind::kAggregate &&
+                         !at->agg.group_cols.empty())))) {
+    at = at->children[0].get();
+  }
   return at->kind == NodeKind::kScan ? at : nullptr;
 }
+
+/// How notes name a sandwich input.
+std::string Label(const NodePtr& node) {
+  const LogicalNode* scan = ChainScan(node);
+  return scan != nullptr ? scan->scan.table : "<stream>";
+}
+
+/// One level of a join input's grouping, held or available: a use of its
+/// grouped base, the group-id bits, and the anchors through which the join
+/// keys determine the use.
+struct Level {
+  size_t use = 0;
+  int bits = 0;
+  std::set<std::string> anchors;
+};
+
+/// A join input as the sandwich rule sees it. A groupable chain over a BDCC
+/// table stays uncompiled (`plan` empty, "open") so it can still be asked
+/// for the grouping its partner needs; any other input is compiled first
+/// and its grouping, if any, is fixed.
+struct JoinInput {
+  JoinInput(const NodePtr& n, const std::vector<std::string>& k)
+      : node(n), keys(k) {}
+
+  const NodePtr& node;
+  const std::vector<std::string>& keys;
+  std::optional<SubPlan> plan;
+  // Fixed: the grouping's levels in order. Open: the uses the keys determine.
+  std::vector<Level> levels;
+  std::vector<GroupSpec> specs;  // the rule's choice
+
+  bool fixed() const { return plan.has_value(); }
+};
+
+/// The sandwich rule. A fixed input leads (the left one if both or neither
+/// are), and its levels are paired in order with the other input's: a
+/// fixed partner offers its next level, an open one any unused level with a
+/// shared anchor. Both take the narrower width, which a fixed input must
+/// already have. A fixed leader stops at its first unmatched level (only a
+/// prefix of a grouping can be kept); an open one skips it.
+void MatchLevels(JoinInput* left, JoinInput* right) {
+  bool swap = right->fixed() && !left->fixed();
+  JoinInput* lead = swap ? right : left;
+  JoinInput* other = swap ? left : right;
+  std::vector<bool> used(other->levels.size());
+  for (const Level& a : lead->levels) {
+    auto pairs = [&](size_t i) {
+      const Level& b = other->levels[i];
+      int bits = std::min(a.bits, b.bits);
+      return !used[i] && (!other->fixed() || i == other->specs.size()) &&
+             (!lead->fixed() || bits == a.bits) &&
+             (!other->fixed() || bits == b.bits) &&
+             std::find_first_of(a.anchors.begin(), a.anchors.end(),
+                                b.anchors.begin(),
+                                b.anchors.end()) != a.anchors.end();
+    };
+    size_t hit = 0;
+    while (hit < other->levels.size() && !pairs(hit)) ++hit;
+    if (hit == other->levels.size()) {
+      if (lead->fixed()) break;
+      continue;
+    }
+    used[hit] = true;
+    int bits = std::min(a.bits, other->levels[hit].bits);
+    lead->specs.push_back(GroupSpec{a.use, bits});
+    other->specs.push_back(GroupSpec{other->levels[hit].use, bits});
+  }
+}
+
+using SandwichMaker =
+    std::function<exec::OperatorPtr(std::vector<exec::OperatorPtr>)>;
 
 class PlannerImpl {
  public:
@@ -196,32 +294,32 @@ class PlannerImpl {
               PushdownAnalysis analysis)
       : db_(db), opts_(opts), analysis_(std::move(analysis)) {}
 
-  Result<SubPlan> Compile(const NodePtr& node, const GroupRequest* req);
+  /// Compiles `node`; a non-empty `grouping` asks the scan under a
+  /// groupable chain (see ChainScan) to emit those group ids.
+  Result<SubPlan> Compile(const NodePtr& node,
+                          const std::vector<GroupSpec>& grouping = {});
   std::vector<std::string> TakeNotes() { return std::move(notes_); }
 
  private:
   void Note(std::string note) { notes_.push_back(std::move(note)); }
 
-  Result<SubPlan> CompileScan(const NodePtr& node, const GroupRequest* req);
+  Result<SubPlan> CompileScan(const NodePtr& node,
+                              const std::vector<GroupSpec>& grouping);
   Result<SubPlan> CompileJoin(const NodePtr& node);
-  Result<SubPlan> CompileAgg(const NodePtr& node);
+  Result<SubPlan> CompileAgg(const NodePtr& node,
+                             std::vector<GroupSpec> grouping);
 
   // Sandwich helpers ------------------------------------------------------
 
-  struct SharedUse {
-    size_t probe_use;  // use index on the probe-side base table
-    size_t build_use;  // use index on the build-side base table
-    int shared_bits;
-    size_t probe_path_len;
-  };
-
-  // Shared co-clustered uses between two base tables joined along `fk`,
-  // where `probe_prefix` is the FK chain from the probe base table to the
-  // FK's from-table.
-  std::vector<SharedUse> FindSharedUses(
-      const BdccTable* probe, const BdccTable* build,
-      const catalog::ForeignKey* fk,
-      const std::vector<std::string>& probe_prefix, bool fk_from_probe_side);
+  Lineage LineageOf(const LogicalNode& node) const;
+  std::set<std::string> Anchors(const Lineage& lineage,
+                                const std::vector<std::string>& keys,
+                                const DimensionUse& use) const;
+  /// Compiles a join input unless it is open, and lists its levels.
+  Status PrepareInput(JoinInput* in);
+  exec::OperatorPtr Sandwich(const std::string& what,
+                             std::vector<SubPlan*> inputs,
+                             SandwichMaker make);
 
   const PhysicalDb& db_;
   PlannerOptions opts_;
@@ -229,67 +327,200 @@ class PlannerImpl {
   std::vector<std::string> notes_;
 };
 
-std::vector<PlannerImpl::SharedUse> PlannerImpl::FindSharedUses(
-    const BdccTable* probe, const BdccTable* build,
-    const catalog::ForeignKey* fk,
-    const std::vector<std::string>& probe_prefix, bool fk_from_probe_side) {
-  std::vector<SharedUse> out;
-  for (size_t pu = 0; pu < probe->uses().size(); ++pu) {
-    const DimensionUse& use_p = probe->uses()[pu];
-    // The probe use's path must be probe_prefix + [fk] + build_path when the
-    // FK points from the probe side; when the FK points from the build side
-    // (build references probe), the build use's path is [fk] + probe_path.
-    for (size_t bu = 0; bu < build->uses().size(); ++bu) {
-      const DimensionUse& use_b = build->uses()[bu];
-      if (use_p.dimension->name() != use_b.dimension->name()) continue;
-      bool match = false;
-      if (fk_from_probe_side) {
-        std::vector<std::string> expect = probe_prefix;
-        expect.push_back(fk->id);
-        expect.insert(expect.end(), use_b.path.fk_ids.begin(),
-                      use_b.path.fk_ids.end());
-        match = use_p.path.fk_ids == expect;
-      } else {
-        // Build references probe: build path = [fk] + probe path, and the
-        // probe must be the FK chain start (no prefix).
-        if (!probe_prefix.empty()) continue;
-        std::vector<std::string> expect;
-        expect.push_back(fk->id);
-        expect.insert(expect.end(), use_p.path.fk_ids.begin(),
-                      use_p.path.fk_ids.end());
-        match = use_b.path.fk_ids == expect;
-      }
-      if (!match) continue;
-      int bits_p = bits::Ones(probe->ReducedMask(pu));
-      int bits_b = bits::Ones(build->ReducedMask(bu));
-      int shared = std::min(bits_p, bits_b);
-      if (shared <= 0) continue;
-      out.push_back(SharedUse{pu, bu, shared, use_p.path.fk_ids.size()});
+Lineage PlannerImpl::LineageOf(const LogicalNode& node) const {
+  Lineage out;
+  if (node.kind == NodeKind::kScan) {
+    for (const std::string& c : node.scan.columns) {
+      out[c] = ColumnOrigin{node.scan.table, {}, c};
     }
+    return out;
   }
-  // Longest probe path first: dimensions reachable further up the join
-  // chain stay major, enabling cascaded sandwiches via retagging.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const SharedUse& a, const SharedUse& b) {
-                     return a.probe_path_len > b.probe_path_len;
-                   });
-  // One entry per probe use (a use can only be interleaved once).
-  std::vector<SharedUse> dedup;
-  for (const SharedUse& s : out) {
-    bool seen = false;
-    for (const SharedUse& d : dedup) {
-      if (d.probe_use == s.probe_use || d.build_use == s.build_use) {
-        seen = true;
-        break;
+  Lineage in = LineageOf(*node.children[0]);
+  if (node.kind == NodeKind::kProject) {
+    for (const auto& [name, expr] : node.project.exprs) {
+      auto it = in.find(exec::ColumnRefName(expr));
+      if (it != in.end()) out[name] = it->second;
+    }
+    return out;
+  }
+  if (node.kind == NodeKind::kAggregate) {
+    for (const std::string& g : node.agg.group_cols) {
+      if (in.count(g) > 0) out[g] = in[g];
+    }
+    return out;
+  }
+  // Filters, sorts, limits and joins keep the (left) child's origins. An
+  // inner join whose keys pair an FK's from-columns on one left row with
+  // its to-columns on the right's scanned rows also reaches the right's
+  // columns along that FK (outer joins do not: their NULL-padded rows reach
+  // no row).
+  const JoinNode& jn = node.join;
+  if (node.kind != NodeKind::kJoin || jn.type != exec::JoinType::kInner) {
+    return in;
+  }
+  Lineage right = LineageOf(*node.children[1]);
+  for (const catalog::ForeignKey& fk : db_.schema_catalog().foreign_keys()) {
+    std::vector<std::string> via;  // the left row's path, then the FK
+    std::set<std::string> paired;
+    for (size_t p = 0; p < jn.left_keys.size(); ++p) {
+      auto l = in.find(jn.left_keys[p]);
+      auto r = right.find(jn.right_keys[p]);
+      if (l == in.end() || r == right.end()) continue;
+      auto j = std::find(fk.from_columns.begin(), fk.from_columns.end(),
+                         l->second.column);
+      if (l->second.table == fk.from_table && j != fk.from_columns.end() &&
+          r->second.table == fk.to_table && r->second.path.empty() &&
+          r->second.column == fk.to_columns[j - fk.from_columns.begin()] &&
+          (paired.empty() || via == l->second.path)) {
+        via = l->second.path;
+        paired.insert(*j);
       }
     }
-    if (!seen) dedup.push_back(s);
+    if (paired.size() < fk.from_columns.size()) continue;
+    via.push_back(fk.id);
+    for (auto& [name, origin] : right) {
+      origin.path.insert(origin.path.begin(), via.begin(), via.end());
+      in[name] = std::move(origin);
+    }
+    break;
   }
-  return dedup;
+  return in;
 }
 
-Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
-                                         const GroupRequest* req) {
+// The anchors through which `keys` determine `use`: a key of a row the
+// use's FK path passes through (the row's primary key, the from-columns of
+// the path's next FK, or at the path's end the dimension's key columns).
+// An anchor names the dimension, the row it pins (table, and its columns
+// by key position) and the FK path left from there. Equal anchors on both
+// inputs of an equi-join therefore prove that matching rows share the
+// dimension's bins; any anchor proves that equal keys do.
+std::set<std::string> PlannerImpl::Anchors(
+    const Lineage& lineage, const std::vector<std::string>& keys,
+    const DimensionUse& use) const {
+  const std::vector<std::string>& path = use.path.fk_ids;
+  // Key positions by the row (table, depth along the path) they come from.
+  std::map<std::pair<std::string, size_t>, std::map<std::string, size_t>>
+      rows;
+  for (size_t p = 0; p < keys.size(); ++p) {
+    auto it = lineage.find(keys[p]);
+    if (it == lineage.end()) continue;
+    const ColumnOrigin& o = it->second;
+    if (o.path.size() <= path.size() &&
+        std::equal(o.path.begin(), o.path.end(), path.begin())) {
+      rows[{o.table, o.path.size()}].emplace(o.column, p);
+    }
+  }
+  std::set<std::string> out;
+  for (const auto& [row, cols] : rows) {
+    const auto& [table, depth] = row;
+    // Anchor at `host` when every column of `of` is a key (`as` renames
+    // them onto `host`) and the rest of the path starts at `rest`.
+    auto add = [&, &cols = cols](const std::vector<std::string>& of,
+                                 const std::vector<std::string>& as,
+                                 const std::string& host, size_t rest) {
+      if (of.empty()) return;
+      std::map<size_t, std::string> pinned;
+      for (size_t i = 0; i < of.size(); ++i) {
+        auto c = cols.find(of[i]);
+        if (c == cols.end()) return;
+        pinned[c->second] = as[i];
+      }
+      std::string a = use.dimension->name() + "@" + host;
+      for (const auto& [pos, col] : pinned) {
+        a += " " + std::to_string(pos) + "=" + col;
+      }
+      for (size_t i = rest; i < path.size(); ++i) a += "." + path[i];
+      out.insert(std::move(a));
+    };
+    if (auto def = db_.schema_catalog().GetTable(table); def.ok()) {
+      add(def.value()->primary_key, def.value()->primary_key, table, depth);
+    }
+    if (depth == path.size()) {
+      const std::vector<std::string>& dim_key = use.dimension->key_columns();
+      add(dim_key, dim_key, table, depth);
+    } else if (auto fk = db_.schema_catalog().GetForeignKey(path[depth]);
+               fk.ok() && fk.value()->from_table == table) {
+      add(fk.value()->from_columns, fk.value()->to_columns,
+          fk.value()->to_table, depth + 1);
+    }
+  }
+  return out;
+}
+
+Status PlannerImpl::PrepareInput(JoinInput* in) {
+  bool sandwich = db_.scheme() == Scheme::kBdcc && opts_.enable_sandwich;
+  const LogicalNode* scan = sandwich ? ChainScan(in->node, true) : nullptr;
+  const BdccTable* base =
+      scan != nullptr ? db_.bdcc(scan->scan.table) : nullptr;
+  std::vector<GroupSpec> offered;
+  if (base == nullptr) {
+    BDCC_ASSIGN_OR_RETURN(in->plan, Compile(in->node));
+    base = in->plan->grouped_base;
+    offered = in->plan->grouping;
+  } else {
+    for (size_t u = 0; u < base->uses().size(); ++u) {
+      offered.push_back(GroupSpec{u, bits::Ones(base->ReducedMask(u))});
+    }
+    // Longest FK path first: dimensions reachable further up a join chain
+    // stay major, so later joins can keep a prefix (cascade).
+    std::stable_sort(offered.begin(), offered.end(),
+                     [&](const GroupSpec& a, const GroupSpec& b) {
+                       return base->uses()[a.use_idx].path.Length() >
+                              base->uses()[b.use_idx].path.Length();
+                     });
+  }
+  if (base == nullptr) return Status::OK();
+  Lineage lineage = LineageOf(*in->node);
+  for (const GroupSpec& g : offered) {
+    Level level{g.use_idx, g.shared_bits,
+                Anchors(lineage, in->keys, base->uses()[g.use_idx])};
+    if (in->fixed() || (level.bits > 0 && !level.anchors.empty())) {
+      in->levels.push_back(std::move(level));
+    }
+  }
+  return Status::OK();
+}
+
+// A sandwich operator built by `make` over `inputs`, all grouped alike.
+// When every input is a grouped scan chain with clone support, clone i
+// runs `make` over each input's clone restricted to the i-th chunk of the
+// first input's group ids: partitions never straddle chunks, and the
+// ParallelUnion concatenates the chunk outputs in order, so ids ascend.
+exec::OperatorPtr PlannerImpl::Sandwich(const std::string& what,
+                                        std::vector<SubPlan*> inputs,
+                                        SandwichMaker make) {
+  const SubPlan& first = *inputs[0];
+  bool clonable = opts_.num_threads > 1 && first.leaf_gids != nullptr &&
+                  first.leaf_gids->size() >= 2 &&
+                  first.leaf_rows >= kMinParallelRows;
+  for (SubPlan* p : inputs) clonable = clonable && p->leaf_factory;
+  if (!clonable) {
+    std::vector<exec::OperatorPtr> ops;
+    for (SubPlan* p : inputs) ops.push_back(std::move(p->op));
+    return make(std::move(ops));
+  }
+  std::vector<GidSpan> spans =
+      ChunkGids(*first.leaf_gids, static_cast<size_t>(opts_.num_threads));
+  std::vector<LeafFactory> leaves;
+  for (SubPlan* p : inputs) leaves.push_back(p->leaf_factory);
+  exec::ChainFactory factory =
+      [leaves, spans, make](size_t i,
+                            size_t n) -> Result<exec::OperatorPtr> {
+    LeafClone c{i, n, spans[i].lo, spans[i].hi};
+    std::vector<exec::OperatorPtr> ops;
+    for (const LeafFactory& leaf : leaves) {
+      BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr op, leaf(c));
+      ops.push_back(std::move(op));
+    }
+    return make(std::move(ops));
+  };
+  Note("parallel " + what + " x" + std::to_string(spans.size()));
+  return std::make_unique<exec::ParallelUnion>(std::move(factory),
+                                               spans.size(), opts_.scheduler);
+}
+
+Result<SubPlan> PlannerImpl::CompileScan(
+    const NodePtr& node, const std::vector<GroupSpec>& grouping) {
   const ScanNode& scan = node->scan;
   const Table* storage = db_.storage(scan.table);
   if (storage == nullptr) {
@@ -336,8 +567,10 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
     // snapshot's base version and chunks alive for the plan's lifetime.
     std::vector<TableRanges> parts(1);
     parts[0].table = &bt->data();
-    if (req != nullptr && !req->order.empty()) {
-      BDCC_ASSIGN_OR_RETURN(parts[0].ranges, PlanScatterScan(*bt, req->order));
+    if (!grouping.empty()) {
+      std::vector<size_t> order;
+      for (const GroupSpec& g : grouping) order.push_back(g.use_idx);
+      BDCC_ASSIGN_OR_RETURN(parts[0].ranges, PlanScatterScan(*bt, order));
     } else {
       parts[0].ranges = PlanNaturalScan(*bt);
     }
@@ -366,12 +599,12 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
       }
     }
     pruned = before - parts[0].ranges.size();
-    if (req != nullptr) {
+    if (!grouping.empty()) {
       out.grouped_base = bt;
-      out.grouping = req->specs;
+      out.grouping = grouping;
     }
     segments = GroupSegments(*bt, parts, out.grouping);
-    if (parallel && req != nullptr) {
+    if (parallel && !grouping.empty()) {
       // Group-id mode: record the ascending distinct group ids so callers
       // can chunk sandwich pipelines.
       auto gids = std::make_shared<std::vector<int64_t>>();
@@ -427,7 +660,7 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
   if (parallel) {
     out.leaf_rows = table->num_rows();
     out.leaf_factory = [make_scan, segments, morsels, pruned,
-                        grouped = req != nullptr](
+                        grouped = !grouping.empty()](
                            const LeafClone& c) -> Result<exec::OperatorPtr> {
       BDCC_CHECK((c.gid_lo >= 0) == grouped);
       std::vector<exec::ScanSegment> segs;
@@ -445,8 +678,6 @@ Result<SubPlan> PlannerImpl::CompileScan(const NodePtr& node,
     };
   }
   out.op = make_scan(std::move(segments), pruned);
-  out.base_scan = node.get();
-  out.absorbed.push_back(AbsorbedTable{scan.table, {}});
   return out;
 }
 
@@ -454,181 +685,12 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
   const JoinNode& jn = node->join;
   const NodePtr& left_l = node->children[0];
   const NodePtr& right_l = node->children[1];
-  const LogicalNode* left_base = ScanChainBase(left_l);
-  const LogicalNode* right_base = ScanChainBase(right_l);
-
-  const catalog::ForeignKey* fk = nullptr;
-  if (!jn.fk_id.empty()) {
-    auto fk_result = db_.schema_catalog().GetForeignKey(jn.fk_id);
-    if (fk_result.ok()) fk = fk_result.value();
-  }
-
-  // ---- BDCC: sandwich join between co-clustered inputs ----
-  if (db_.scheme() == Scheme::kBdcc && opts_.enable_sandwich && fk != nullptr) {
-    // Case A: both sides are scan chains over BDCC tables.
-    if (left_base != nullptr && right_base != nullptr) {
-      const BdccTable* bt_l = db_.bdcc(left_base->scan.table);
-      const BdccTable* bt_r = db_.bdcc(right_base->scan.table);
-      if (bt_l != nullptr && bt_r != nullptr) {
-        bool fk_from_left = fk->from_table == left_base->scan.table &&
-                            fk->to_table == right_base->scan.table;
-        bool fk_from_right = fk->from_table == right_base->scan.table &&
-                             fk->to_table == left_base->scan.table;
-        if (fk_from_left || fk_from_right) {
-          std::vector<SharedUse> shared =
-              FindSharedUses(bt_l, bt_r, fk, {}, fk_from_left);
-          if (!shared.empty()) {
-            GroupRequest left_req, right_req;
-            std::string dims;
-            for (const SharedUse& s : shared) {
-              left_req.order.push_back(s.probe_use);
-              left_req.specs.push_back(
-                  GroupSpec{s.probe_use, s.shared_bits});
-              right_req.order.push_back(s.build_use);
-              right_req.specs.push_back(
-                  GroupSpec{s.build_use, s.shared_bits});
-              if (!dims.empty()) dims += ",";
-              dims += bt_l->uses()[s.probe_use].dimension->name();
-            }
-            BDCC_ASSIGN_OR_RETURN(SubPlan left, Compile(left_l, &left_req));
-            BDCC_ASSIGN_OR_RETURN(SubPlan right, Compile(right_l, &right_req));
-            Note("sandwich join " + left_base->scan.table + "⋈" +
-                 right_base->scan.table + " on [" + dims + "]");
-            SubPlan out;
-            if (opts_.num_threads > 1 && left.leaf_factory &&
-                right.leaf_factory && left.leaf_gids &&
-                left.leaf_gids->size() >= 2 &&
-                left.leaf_rows >= kMinParallelRows) {
-              // Chunk the probe side's group-id universe; each chunk joins a
-              // gid-aligned slice of both sides independently.
-              std::vector<GidSpan> spans =
-                  ChunkGids(*left.leaf_gids,
-                            static_cast<size_t>(opts_.num_threads));
-              LeafFactory lf = left.leaf_factory;
-              LeafFactory rf = right.leaf_factory;
-              auto lk = jn.left_keys;
-              auto rk = jn.right_keys;
-              auto type = jn.type;
-              exec::ChainFactory factory =
-                  [lf, rf, spans, lk, rk, type](
-                      size_t i, size_t n) -> Result<exec::OperatorPtr> {
-                LeafClone c{i, n, spans[i].lo, spans[i].hi};
-                BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr l, lf(c));
-                BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr r, rf(c));
-                return exec::OperatorPtr(
-                    std::make_unique<exec::SandwichHashJoin>(
-                        std::move(l), std::move(r), lk, rk, type));
-              };
-              Note("parallel sandwich join x" +
-                   std::to_string(spans.size()));
-              out.op = std::make_unique<exec::ParallelUnion>(
-                  std::move(factory), spans.size(), opts_.scheduler);
-            } else {
-              out.op = std::make_unique<exec::SandwichHashJoin>(
-                  std::move(left.op), std::move(right.op), jn.left_keys,
-                  jn.right_keys, jn.type);
-            }
-            out.grouped_base = bt_l;
-            out.grouping = left_req.specs;
-            out.absorbed = left.absorbed;
-            if (fk_from_left &&
-                (jn.type == exec::JoinType::kInner ||
-                 jn.type == exec::JoinType::kLeftOuter)) {
-              for (const AbsorbedTable& a : right.absorbed) {
-                std::vector<std::string> path{fk->id};
-                path.insert(path.end(), a.path.begin(), a.path.end());
-                out.absorbed.push_back(AbsorbedTable{a.table, path});
-              }
-            }
-            return out;
-          }
-        }
-      }
-    }
-    // Case B: left is an already-grouped stream, right is a scan chain.
-    if (left_base == nullptr && right_base != nullptr) {
-      BDCC_ASSIGN_OR_RETURN(SubPlan left, Compile(left_l, nullptr));
-      const BdccTable* bt_r = db_.bdcc(right_base->scan.table);
-      if (left.grouped_base != nullptr && bt_r != nullptr &&
-          fk->to_table == right_base->scan.table) {
-        // FK chain from the probe base to the FK's from-table.
-        const std::vector<std::string>* prefix = nullptr;
-        for (const AbsorbedTable& a : left.absorbed) {
-          if (a.table == fk->from_table) {
-            prefix = &a.path;
-            break;
-          }
-        }
-        if (prefix != nullptr) {
-          std::vector<SharedUse> shared = FindSharedUses(
-              left.grouped_base, bt_r, fk, *prefix, /*fk_from_probe=*/true);
-          // Align against the existing grouping: the needed uses must form a
-          // prefix of left.grouping with at least the same width available
-          // on the build side.
-          size_t matched = 0;
-          GroupRequest right_req;
-          while (matched < left.grouping.size()) {
-            const GroupSpec& g = left.grouping[matched];
-            const SharedUse* hit = nullptr;
-            for (const SharedUse& s : shared) {
-              if (s.probe_use == g.use_idx && s.shared_bits >= g.shared_bits) {
-                hit = &s;
-                break;
-              }
-            }
-            if (hit == nullptr) break;
-            right_req.order.push_back(hit->build_use);
-            right_req.specs.push_back(
-                GroupSpec{hit->build_use, g.shared_bits});
-            ++matched;
-          }
-          if (matched > 0) {
-            int shift = 0;
-            for (size_t i = matched; i < left.grouping.size(); ++i) {
-              shift += left.grouping[i].shared_bits;
-            }
-            exec::OperatorPtr probe = std::move(left.op);
-            if (shift > 0) {
-              probe = std::make_unique<GroupRetag>(std::move(probe), shift);
-            }
-            BDCC_ASSIGN_OR_RETURN(SubPlan right, Compile(right_l, &right_req));
-            Note("sandwich join <stream>⋈" + right_base->scan.table +
-                 " (cascade, " + std::to_string(matched) + " dims)");
-            SubPlan out;
-            out.op = std::make_unique<exec::SandwichHashJoin>(
-                std::move(probe), std::move(right.op), jn.left_keys,
-                jn.right_keys, jn.type);
-            out.grouped_base = left.grouped_base;
-            out.grouping.assign(left.grouping.begin(),
-                                left.grouping.begin() + matched);
-            out.absorbed = left.absorbed;
-            if (jn.type == exec::JoinType::kInner ||
-                jn.type == exec::JoinType::kLeftOuter) {
-              std::vector<std::string> path = *prefix;
-              path.push_back(fk->id);
-              out.absorbed.push_back(
-                  AbsorbedTable{right_base->scan.table, path});
-            }
-            return out;
-          }
-        }
-      }
-      // No sandwich: finish as a hash join with the already-compiled left.
-      BDCC_ASSIGN_OR_RETURN(SubPlan right, Compile(right_l, nullptr));
-      SubPlan out;
-      out.sorted_on = left.sorted_on;
-      out.grouped_base = left.grouped_base;
-      out.grouping = left.grouping;
-      out.absorbed = left.absorbed;
-      out.op = std::make_unique<exec::HashJoin>(std::move(left.op),
-                                                std::move(right.op),
-                                                jn.left_keys, jn.right_keys,
-                                                jn.type);
-      return out;
-    }
-  }
 
   // ---- PK: merge join along a sorted, unique foreign key ----
+  const LogicalNode* left_base = ChainScan(left_l);
+  const LogicalNode* right_base = ChainScan(right_l);
+  auto fk_result = db_.schema_catalog().GetForeignKey(jn.fk_id);
+  const catalog::ForeignKey* fk = fk_result.ok() ? fk_result.value() : nullptr;
   if (db_.scheme() == Scheme::kPk && opts_.enable_merge_join &&
       fk != nullptr && jn.type == exec::JoinType::kInner &&
       jn.left_keys.size() == 1 && fk->from_columns.size() == 1 &&
@@ -636,17 +698,19 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
     bool fk_from_left = fk->from_table == left_base->scan.table;
     const LogicalNode* probe_base = fk_from_left ? left_base : right_base;
     const LogicalNode* ref_base = fk_from_left ? right_base : left_base;
+    std::string probe_key = fk_from_left ? jn.left_keys[0] : jn.right_keys[0];
+    std::string ref_key = fk_from_left ? jn.right_keys[0] : jn.left_keys[0];
+    // The keys must be the named FK's columns, not just its tables.
     if (fk->from_table == probe_base->scan.table &&
         fk->to_table == ref_base->scan.table &&
+        probe_key == fk->from_columns[0] && ref_key == fk->to_columns[0] &&
         db_.sorted_on(probe_base->scan.table) == fk->from_columns[0] &&
         db_.sorted_on(ref_base->scan.table) == fk->to_columns[0] &&
         db_.unique_key(ref_base->scan.table, fk->to_columns[0])) {
-      const NodePtr& probe_l = fk_from_left ? left_l : right_l;
-      const NodePtr& ref_l = fk_from_left ? right_l : left_l;
-      std::string probe_key = fk_from_left ? jn.left_keys[0] : jn.right_keys[0];
-      std::string ref_key = fk_from_left ? jn.right_keys[0] : jn.left_keys[0];
-      BDCC_ASSIGN_OR_RETURN(SubPlan probe, Compile(probe_l, nullptr));
-      BDCC_ASSIGN_OR_RETURN(SubPlan ref, Compile(ref_l, nullptr));
+      BDCC_ASSIGN_OR_RETURN(SubPlan probe,
+                            Compile(fk_from_left ? left_l : right_l));
+      BDCC_ASSIGN_OR_RETURN(SubPlan ref,
+                            Compile(fk_from_left ? right_l : left_l));
       Note("merge join " + probe_base->scan.table + "⋈" +
            ref_base->scan.table + " on " + probe_key);
       SubPlan out;
@@ -657,168 +721,121 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
     }
   }
 
-  // ---- Fallback: hash join ----
-  BDCC_ASSIGN_OR_RETURN(SubPlan left, Compile(left_l, nullptr));
-  BDCC_ASSIGN_OR_RETURN(SubPlan right, Compile(right_l, nullptr));
+  // ---- BDCC: sandwich join when the keys determine a shared grouping ----
+  // (Other schemes only compile the inputs here: see PrepareInput.)
+  JoinInput left{left_l, jn.left_keys};
+  JoinInput right{right_l, jn.right_keys};
+  BDCC_RETURN_NOT_OK(PrepareInput(&left));
+  BDCC_RETURN_NOT_OK(PrepareInput(&right));
+  MatchLevels(&left, &right);
+  bool cascade = false;
+  for (JoinInput* in : {&left, &right}) {
+    if (!in->fixed()) {
+      BDCC_ASSIGN_OR_RETURN(in->plan, Compile(in->node, in->specs));
+    } else if (!in->specs.empty()) {
+      cascade = true;
+      Coarsen(&*in->plan, in->specs.size());
+    }
+  }
+  SubPlan& l = *left.plan;
+  SubPlan& r = *right.plan;
   SubPlan out;
-  out.sorted_on = left.sorted_on;
-  out.grouped_base = left.grouped_base;
-  out.grouping = left.grouping;
-  out.absorbed = left.absorbed;
-  // Parallel probe: build once, probe with morsel clones. Requires an
-  // order-insensitive probe side — morsel interleaving destroys sortedness,
-  // so PK chains that may feed merge/stream consumers stay serial.
-  if (opts_.num_threads > 1 && left.leaf_factory && left.grouping.empty() &&
-      left.sorted_on.empty() && left.leaf_rows >= kMinParallelRows) {
+  out.grouped_base = l.grouped_base;
+  out.grouping = l.grouping;
+  if (!left.specs.empty()) {
+    std::string dims;
+    for (const GroupSpec& g : l.grouping) {
+      if (!dims.empty()) dims += ",";
+      dims += l.grouped_base->uses()[g.use_idx].dimension->name();
+    }
+    Note("sandwich join " + Label(left_l) + "⋈" + Label(right_l) + " on [" +
+         dims + "]" + (cascade ? " (cascade)" : ""));
+    out.op = Sandwich(
+        "sandwich join", {&l, &r},
+        [lk = jn.left_keys, rk = jn.right_keys,
+         type = jn.type](std::vector<exec::OperatorPtr> in) {
+          return exec::OperatorPtr(std::make_unique<exec::SandwichHashJoin>(
+              std::move(in[0]), std::move(in[1]), lk, rk, type));
+        });
+    return out;
+  }
+
+  // ---- Fallback: hash join ----
+  out.sorted_on = l.sorted_on;
+  // Parallel probe: build once, probe with morsel clones. Morsel
+  // interleaving destroys sortedness, so sorted (PK) probe chains stay serial.
+  if (opts_.num_threads > 1 && l.leaf_factory && l.grouping.empty() &&
+      l.sorted_on.empty() && l.leaf_rows >= kMinParallelRows) {
     Note("parallel hash join probe x" + std::to_string(opts_.num_threads));
-    // A build side that is itself a clonable scan chain of useful size
-    // scans and filters on N clones instead: a ParallelUnion of them
-    // replaces the serial chain, and the inserts stay serial.
-    exec::OperatorPtr build = std::move(right.op);
-    if (right.leaf_factory && right.leaf_gids == nullptr &&
-        right.leaf_rows >= kMinParallelBuildRows) {
+    // A clonable build chain of useful size scans and filters on N clones
+    // drained through a ParallelUnion; the inserts stay serial.
+    exec::OperatorPtr build = std::move(r.op);
+    if (r.leaf_factory && r.leaf_gids == nullptr &&
+        r.leaf_rows >= kMinParallelBuildRows) {
       build = std::make_unique<exec::ParallelUnion>(
-          MorselClones(right.leaf_factory),
+          MorselClones(r.leaf_factory),
           static_cast<size_t>(opts_.num_threads), opts_.scheduler);
       Note("parallel hash join build x" + std::to_string(opts_.num_threads));
     }
     out.op = std::make_unique<exec::ParallelHashJoin>(
-        MorselClones(left.leaf_factory),
+        MorselClones(l.leaf_factory),
         static_cast<size_t>(opts_.num_threads), std::move(build), jn.left_keys,
         jn.right_keys, jn.type, opts_.scheduler);
   } else {
-    out.op = std::make_unique<exec::HashJoin>(
-        std::move(left.op), std::move(right.op), jn.left_keys, jn.right_keys,
-        jn.type);
+    out.op = std::make_unique<exec::HashJoin>(std::move(l.op), std::move(r.op),
+                                              jn.left_keys, jn.right_keys,
+                                              jn.type);
   }
   return out;
 }
 
-Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
+Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node,
+                                        std::vector<GroupSpec> grouping) {
   const AggregateNode& an = node->agg;
   const NodePtr& child_l = node->children[0];
-  const LogicalNode* base = ScanChainBase(child_l);
 
-  auto contains_all = [&](const std::vector<std::string>& cols) {
-    return !cols.empty() &&
-           std::all_of(cols.begin(), cols.end(), [&](const std::string& k) {
-             return std::find(an.group_cols.begin(), an.group_cols.end(),
-                              k) != an.group_cols.end();
-           });
+  // ---- BDCC: sandwich aggregation when the group columns determine the
+  // child's grouping, so no group spans two partitions ----
+  // A join asks only for groupings its keys (group columns) determine.
+  // Otherwise a child that can still take a request is asked for every use
+  // the group columns determine; a grouped child keeps the prefix they do.
+  bool sandwich = !grouping.empty();
+  bool try_sandwich = !sandwich && db_.scheme() == Scheme::kBdcc &&
+                      opts_.enable_sandwich && !an.group_cols.empty();
+  Lineage lineage;
+  auto determined = [&](const BdccTable& bt, size_t u) {
+    return !Anchors(lineage, an.group_cols, bt.uses()[u]).empty();
   };
-  // A use is functionally determined by the group keys when some table
-  // absorbed into the stream pins the rows the use's bins come from:
-  // grouping by a table's primary key (Q13: c_custkey implies the nation)
-  // or by an FK's source columns (Q18: l_orderkey implies orderdate bins)
-  // fixes every dimension reached through that table.
-  auto determined_uses = [&](const BdccTable* bt,
-                             const std::vector<AbsorbedTable>& absorbed) {
-    std::vector<size_t> uses;
-    for (size_t u = 0; u < bt->uses().size(); ++u) {
-      const DimensionUse& use = bt->uses()[u];
-      bool det = false;
-      for (const AbsorbedTable& a : absorbed) {
-        if (use.path.fk_ids.size() < a.path.size()) continue;
-        if (!std::equal(a.path.begin(), a.path.end(),
-                        use.path.fk_ids.begin())) {
-          continue;
-        }
-        auto def_result = db_.schema_catalog().GetTable(a.table);
-        if (def_result.ok() && contains_all(def_result.value()->primary_key)) {
-          det = true;
-          break;
-        }
-        std::vector<std::string> rest(
-            use.path.fk_ids.begin() + a.path.size(), use.path.fk_ids.end());
-        if (rest.empty()) {
-          if (contains_all(use.dimension->key_columns())) {
-            det = true;
-            break;
-          }
-        } else {
-          auto fk_result = db_.schema_catalog().GetForeignKey(rest[0]);
-          if (fk_result.ok() &&
-              fk_result.value()->from_table == a.table &&
-              contains_all(fk_result.value()->from_columns)) {
-            det = true;
-            break;
-          }
-        }
-      }
-      if (det && bits::Ones(bt->ReducedMask(u)) > 0) uses.push_back(u);
-    }
-    return uses;
-  };
-
-  // ---- BDCC sandwich aggregation over a direct scan chain ----
-  if (db_.scheme() == Scheme::kBdcc && opts_.enable_sandwich &&
-      base != nullptr && !an.group_cols.empty()) {
-    const BdccTable* bt = db_.bdcc(base->scan.table);
-    if (bt != nullptr) {
-      std::vector<AbsorbedTable> self{{base->scan.table, {}}};
-      std::vector<size_t> uses = determined_uses(bt, self);
-      if (!uses.empty()) {
-        GroupRequest req;
-        for (size_t u : uses) {
-          req.order.push_back(u);
-          req.specs.push_back(
-              GroupSpec{u, bits::Ones(bt->ReducedMask(u))});
-        }
-        BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(child_l, &req));
-        Note("sandwich aggregation on " + base->scan.table);
-        SubPlan out;
-        if (opts_.num_threads > 1 && child.leaf_factory && child.leaf_gids &&
-            child.leaf_gids->size() >= 2 &&
-            child.leaf_rows >= kMinParallelRows) {
-          // Partitions are disjoint across group-id chunks (the group keys
-          // determine the partition), so chunk outputs simply concatenate.
-          std::vector<GidSpan> spans = ChunkGids(
-              *child.leaf_gids, static_cast<size_t>(opts_.num_threads));
-          LeafFactory inner = child.leaf_factory;
-          auto group_cols = an.group_cols;
-          auto specs = an.specs;
-          exec::ChainFactory factory =
-              [inner, spans, group_cols, specs](
-                  size_t i, size_t n) -> Result<exec::OperatorPtr> {
-            LeafClone c{i, n, spans[i].lo, spans[i].hi};
-            BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr chain, inner(c));
-            return exec::OperatorPtr(std::make_unique<exec::SandwichAgg>(
-                std::move(chain), group_cols, specs));
-          };
-          Note("parallel sandwich aggregation x" +
-               std::to_string(spans.size()));
-          out.op = std::make_unique<exec::ParallelUnion>(
-              std::move(factory), spans.size(), opts_.scheduler);
-        } else {
-          out.op = std::make_unique<exec::SandwichAgg>(
-              std::move(child.op), an.group_cols, an.specs);
-        }
-        return out;
-      }
+  if (try_sandwich) {
+    lineage = LineageOf(*child_l);
+    const LogicalNode* scan = ChainScan(child_l, true);
+    const BdccTable* bt =
+        scan != nullptr ? db_.bdcc(scan->scan.table) : nullptr;
+    for (size_t u = 0; bt != nullptr && u < bt->uses().size(); ++u) {
+      int bits = bits::Ones(bt->ReducedMask(u));
+      if (bits > 0 && determined(*bt, u)) grouping.push_back({u, bits});
     }
   }
-
-  BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(child_l, nullptr));
-
-  // ---- BDCC sandwich aggregation over an already-grouped stream ----
-  if (db_.scheme() == Scheme::kBdcc && opts_.enable_sandwich &&
-      child.grouped_base != nullptr && !an.group_cols.empty()) {
-    std::vector<size_t> det =
-        determined_uses(child.grouped_base, child.absorbed);
-    bool all_determined = !child.grouping.empty();
-    for (const GroupSpec& g : child.grouping) {
-      if (std::find(det.begin(), det.end(), g.use_idx) == det.end()) {
-        all_determined = false;
-        break;
-      }
-    }
-    if (all_determined) {
-      Note("sandwich aggregation over co-clustered stream");
-      SubPlan out;
-      out.op = std::make_unique<exec::SandwichAgg>(std::move(child.op),
-                                                   an.group_cols, an.specs);
-      return out;
-    }
+  BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(child_l, grouping));
+  size_t keep = 0;
+  while (try_sandwich && keep < child.grouping.size() &&
+         determined(*child.grouped_base, child.grouping[keep].use_idx)) {
+    ++keep;
+  }
+  if (keep > 0) Coarsen(&child, keep);
+  if (sandwich || keep > 0) {
+    Note("sandwich aggregation on " + Label(child_l));
+    SubPlan out;
+    out.grouped_base = child.grouped_base;
+    out.grouping = child.grouping;
+    out.op = Sandwich(
+        "sandwich aggregation", {&child},
+        [cols = an.group_cols,
+         specs = an.specs](std::vector<exec::OperatorPtr> in) {
+          return exec::OperatorPtr(std::make_unique<exec::SandwichAgg>(
+              std::move(in[0]), cols, specs));
+        });
+    return out;
   }
 
   // ---- Ordered aggregation when the input is sorted on the single key ----
@@ -848,57 +865,47 @@ Result<SubPlan> PlannerImpl::CompileAgg(const NodePtr& node) {
 }
 
 Result<SubPlan> PlannerImpl::Compile(const NodePtr& node,
-                                     const GroupRequest* req) {
+                                     const std::vector<GroupSpec>& grouping) {
   switch (node->kind) {
     case NodeKind::kScan:
-      return CompileScan(node, req);
-    case NodeKind::kFilter: {
-      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0], req));
-      SubPlan out = std::move(child);
-      out.op = std::make_unique<exec::Filter>(std::move(out.op),
-                                              node->filter.predicate);
+      return CompileScan(node, grouping);
+    case NodeKind::kFilter:
+    case NodeKind::kProject: {
+      // Row-wise operators keep the chain's grouping and clone support; a
+      // Project may drop or rename the sorted column.
+      BDCC_ASSIGN_OR_RETURN(SubPlan out, Compile(node->children[0], grouping));
+      if (node->kind == NodeKind::kProject) out.sorted_on.clear();
+      auto wrap = [node](exec::OperatorPtr op) -> exec::OperatorPtr {
+        if (node->kind == NodeKind::kFilter) {
+          return std::make_unique<exec::Filter>(std::move(op),
+                                                node->filter.predicate);
+        }
+        return std::make_unique<exec::Project>(std::move(op),
+                                               node->project.exprs);
+      };
+      out.op = wrap(std::move(out.op));
       if (out.leaf_factory) {
         LeafFactory inner = std::move(out.leaf_factory);
-        exec::ExprPtr pred = node->filter.predicate;
         out.leaf_factory =
-            [inner, pred](const LeafClone& c) -> Result<exec::OperatorPtr> {
+            [inner, wrap](const LeafClone& c) -> Result<exec::OperatorPtr> {
           BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr op, inner(c));
-          return exec::OperatorPtr(
-              std::make_unique<exec::Filter>(std::move(op), pred));
+          return wrap(std::move(op));
         };
       }
-      return out;
-    }
-    case NodeKind::kProject: {
-      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0], nullptr));
-      SubPlan out;
-      out.grouped_base = child.grouped_base;
-      out.grouping = child.grouping;
-      out.absorbed = child.absorbed;
-      out.leaf_rows = child.leaf_rows;
-      out.leaf_gids = child.leaf_gids;
-      if (child.leaf_factory) {
-        LeafFactory inner = std::move(child.leaf_factory);
-        auto exprs = node->project.exprs;
-        out.leaf_factory =
-            [inner, exprs](const LeafClone& c) -> Result<exec::OperatorPtr> {
-          BDCC_ASSIGN_OR_RETURN(exec::OperatorPtr op, inner(c));
-          return exec::OperatorPtr(
-              std::make_unique<exec::Project>(std::move(op), exprs));
-        };
-      }
-      out.op = std::make_unique<exec::Project>(std::move(child.op),
-                                               node->project.exprs);
       return out;
     }
     case NodeKind::kJoin:
       return CompileJoin(node);
     case NodeKind::kAggregate:
-      return CompileAgg(node);
-    case NodeKind::kSort: {
-      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0], nullptr));
+      return CompileAgg(node, grouping);
+    case NodeKind::kSort:
+    case NodeKind::kLimit: {
+      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0]));
       SubPlan out;
-      if (node->sort.limit >= 0) {
+      if (node->kind == NodeKind::kLimit) {
+        out.op = std::make_unique<exec::Limit>(std::move(child.op),
+                                               node->limit.n);
+      } else if (node->sort.limit >= 0) {
         out.op = std::make_unique<exec::TopN>(
             std::move(child.op), node->sort.keys,
             static_cast<uint64_t>(node->sort.limit));
@@ -906,13 +913,6 @@ Result<SubPlan> PlannerImpl::Compile(const NodePtr& node,
         out.op = std::make_unique<exec::Sort>(std::move(child.op),
                                               node->sort.keys);
       }
-      return out;
-    }
-    case NodeKind::kLimit: {
-      BDCC_ASSIGN_OR_RETURN(SubPlan child, Compile(node->children[0], nullptr));
-      SubPlan out;
-      out.op = std::make_unique<exec::Limit>(std::move(child.op),
-                                             node->limit.n);
       return out;
     }
   }
@@ -928,7 +928,7 @@ Result<CompiledQuery> Compile(const NodePtr& plan, const PhysicalDb& db,
     BDCC_ASSIGN_OR_RETURN(analysis, AnalyzePushdown(plan, db));
   }
   PlannerImpl impl(db, options, std::move(analysis));
-  BDCC_ASSIGN_OR_RETURN(SubPlan root, impl.Compile(plan, nullptr));
+  BDCC_ASSIGN_OR_RETURN(SubPlan root, impl.Compile(plan));
   CompiledQuery out;
   out.root = std::move(root.op);
   out.notes = impl.TakeNotes();

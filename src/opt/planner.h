@@ -6,9 +6,12 @@
 //           the sort become merge joins (LINEITEM⋈ORDERS, PARTSUPP⋈PART);
 //           single-column aggregates over the sort key stream (Q18).
 //   BDCC  : dimension-selection pushdown & propagation prune scatter-scan
-//           groups; FK joins between co-clustered tables become sandwich
-//           joins (cascading via group retagging); aggregates whose keys
-//           determine the clustering become sandwich aggregates.
+//           groups. One rule decides every sandwich: a join whose keys
+//           determine the same dimension prefix on both inputs, and an
+//           aggregate whose group columns determine its input's grouping,
+//           run partition-wise. A grouped input (a sandwich's output) keeps
+//           a prefix of its grouping; a scan chain is asked for a matching
+//           one, also through projections and grouped aggregates.
 #ifndef BDCC_OPT_PLANNER_H_
 #define BDCC_OPT_PLANNER_H_
 

@@ -1,6 +1,7 @@
 // Aggregation tests: every aggregate kind, plus the equivalence property
 // that hash, streaming (sorted input), and sandwich (grouped input)
 // aggregation agree.
+#include <algorithm>
 #include <numeric>
 
 #include "common/rng.h"
@@ -155,6 +156,26 @@ TEST(SandwichAggTest, FlushesPerPartition) {
   double total = 0;
   for (size_t r = 0; r < out.num_rows; ++r) total += out.columns[1].f64[r];
   EXPECT_DOUBLE_EQ(total, 24.0);
+}
+
+TEST(SandwichAggTest, TagsOutputWithItsPartition) {
+  // Each partition's groups leave tagged with that partition's id, so the
+  // output is itself a grouped stream a sandwich join can consume.
+  ExecContext ctx(nullptr);
+  SandwichAgg agg(Src({B({1, 2}, {1, 2}, 0), B({1}, {5}, 0), B({3}, {4}, 2),
+                       B({1, 3}, {7, 9}, 4)}),
+                  {"k"}, {AggSum(Col("v"), "s")});
+  ASSERT_TRUE(agg.Open(&ctx).ok());
+  std::vector<int64_t> ids;
+  while (true) {
+    Batch b = agg.Next(&ctx).ValueOrDie();
+    if (b.empty()) break;
+    ids.push_back(b.group_id);
+  }
+  agg.Close(&ctx);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  EXPECT_EQ(ids, (std::vector<int64_t>{0, 2, 4}));
 }
 
 TEST(SandwichAggTest, RejectsUntaggedInput) {

@@ -3,8 +3,11 @@
 // same results.
 #include "opt/planner.h"
 
+#include <algorithm>
+
 #include "gtest/gtest.h"
 #include "opt/pushdown.h"
+#include "tests/reference_eval.h"
 #include "tests/test_util.h"
 #include "tpch/tpch_db.h"
 #include "tpch/tpch_queries.h"
@@ -46,10 +49,27 @@ class PlannerTest : public ::testing::Test {
 
   static bool HasNote(const std::vector<std::string>& notes,
                       const std::string& needle) {
-    for (const std::string& n : notes) {
-      if (n.find(needle) != std::string::npos) return true;
-    }
-    return false;
+    return CountNotes(notes, needle) > 0;
+  }
+
+  static int CountNotes(const std::vector<std::string>& notes,
+                        const std::string& needle) {
+    return static_cast<int>(
+        std::count_if(notes.begin(), notes.end(), [&](const std::string& n) {
+          return n.find(needle) != std::string::npos;
+        }));
+  }
+
+  // Tracked peak operator memory of query q on `db` at one thread.
+  static uint64_t PeakBytes(int q, const PhysicalDb& db) {
+    exec::ExecContext ec(nullptr);
+    tpch::QueryContext ctx;
+    ctx.db = &db;
+    ctx.exec = &ec;
+    ctx.scale_factor = 0.005;
+    auto result = tpch::RunTpchQuery(q, ctx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return ec.memory()->peak_bytes();
   }
 
   static tpch::TpchDb* db_;
@@ -83,6 +103,55 @@ TEST_F(PlannerTest, BdccSchemeSandwichesCoClusteredJoins) {
   notes = NotesFor(13, db_->bdcc());
   EXPECT_TRUE(HasNote(notes, "sandwich join CUSTOMER⋈ORDERS"));
   EXPECT_TRUE(HasNote(notes, "sandwich aggregation"));
+}
+
+TEST_F(PlannerTest, BdccSchemeSandwichesJoinsWithGroupedAggregates) {
+  // Q21 joins its sandwiched LINEITEM⋈ORDERS stream with two aggregates by
+  // l_orderkey, which determines [D_NATION,D_DATE] on both sides: each
+  // aggregate is asked for the stream's grouping and both joins sandwich.
+  auto notes = NotesFor(21, db_->bdcc());
+  EXPECT_EQ(CountNotes(notes, "sandwich join <stream>⋈<stream> on "
+                              "[D_NATION,D_DATE] (cascade)"),
+            2);
+  // Q17 joins two streams already grouped on D_PART by l_partkey.
+  notes = NotesFor(17, db_->bdcc());
+  EXPECT_EQ(CountNotes(notes, "sandwich join <stream>⋈<stream> on [D_PART]"),
+            1);
+  // Q3's CUSTOMER join keeps the D_NATION prefix of the stream's grouping.
+  notes = NotesFor(3, db_->bdcc());
+  EXPECT_TRUE(
+      HasNote(notes, "sandwich join <stream>⋈CUSTOMER on [D_NATION] (cascade)"));
+}
+
+TEST_F(PlannerTest, BdccQ21HoldsLessMemoryThanPk) {
+  // Figure 3: once Q21's aggregate joins sandwich, BDCC holds one group's
+  // state at a time and needs less memory than PK's merge and hash joins.
+  EXPECT_LT(PeakBytes(21, db_->bdcc()), PeakBytes(21, db_->pk()));
+}
+
+TEST_F(PlannerTest, JoinOnOtherColumnsThanItsFkLabelKeepsResults) {
+  // The label names FK_L_O, but the keys are l_suppkey = o_orderkey: a plan
+  // that trusted the label (a PK merge join on l_suppkey, a BDCC sandwich
+  // on the orderkey-derived dimensions) would lose matches.
+  auto plan = [] {
+    NodePtr j = LJoin(LScan("LINEITEM", {"l_suppkey", "l_quantity"}),
+                      LScan("ORDERS", {"o_orderkey"}), JoinType::kInner,
+                      {"l_suppkey"}, {"o_orderkey"}, "FK_L_O");
+    return LAgg(j, {}, {exec::AggCountStar("n"),
+                        exec::AggSum(Col("l_quantity"), "q")});
+  };
+  exec::Batch reference =
+      testutil::ReferenceRunner(db_->plain())(plan()).ValueOrDie();
+  for (const PhysicalDb* db : {&db_->plain(), &db_->pk(), &db_->bdcc()}) {
+    exec::ExecContext ec(nullptr);
+    tpch::QueryContext ctx;
+    ctx.db = db;
+    ctx.exec = &ec;
+    auto result = tpch::RunPlan(plan(), ctx);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    testutil::ExpectBatchesEqual(reference, result.value(),
+                                 SchemeName(db->scheme()));
+  }
 }
 
 TEST_F(PlannerTest, BdccSchemePushdownPropagation) {
@@ -119,7 +188,10 @@ TEST_F(PlannerTest, ParallelPartitionedBuildPlannedForLargeBuildSides) {
 TEST_F(PlannerTest, FeatureTogglesDisableStrategies) {
   PlannerOptions no_sandwich;
   no_sandwich.enable_sandwich = false;
-  EXPECT_FALSE(HasNote(NotesFor(3, db_->bdcc(), no_sandwich), "sandwich"));
+  for (int q = 1; q <= tpch::kNumTpchQueries; ++q) {
+    EXPECT_FALSE(HasNote(NotesFor(q, db_->bdcc(), no_sandwich), "sandwich"))
+        << "Q" << q;
+  }
   PlannerOptions no_pruning;
   no_pruning.enable_group_pruning = false;
   EXPECT_FALSE(HasNote(NotesFor(3, db_->bdcc(), no_pruning), "pushdown"));
@@ -165,9 +237,13 @@ TEST_P(PlannerAblationTest, FeaturesPreserveResults) {
   }
 }
 
-// The queries exercising the interesting feature interactions.
+// The queries exercising the interesting feature interactions, then the
+// rest: together every TPC-H query.
 INSTANTIATE_TEST_SUITE_P(KeyQueries, PlannerAblationTest,
                          ::testing::Values(3, 4, 5, 10, 13, 18, 21));
+INSTANTIATE_TEST_SUITE_P(OtherQueries, PlannerAblationTest,
+                         ::testing::Values(1, 2, 6, 7, 8, 9, 11, 12, 14, 15,
+                                           16, 17, 19, 20, 22));
 
 TEST_F(PlannerTest, PushdownAnalysisRespectsAntiJoinBoundaries) {
   // A restriction must not propagate across an anti join's boundary.
