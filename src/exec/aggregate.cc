@@ -1,29 +1,44 @@
 #include "exec/aggregate.h"
 
+#include <type_traits>
+
 namespace bdcc {
 namespace exec {
 
 namespace {
 
-double FetchF64(const ColumnVector& v, size_t row) {
-  switch (v.type) {
-    case TypeId::kInt64:
-      return static_cast<double>(v.i64[row]);
-    case TypeId::kFloat64:
-      return v.f64[row];
-    default:
-      return static_cast<double>(v.i32[row]);
+// Calls f(group, value) for every non-NULL row in row order. The NULL test
+// is chosen once per batch: a batch without NULLs runs a loop without it.
+template <typename T, typename F>
+void FoldRows(const T* values, const uint8_t* nulls, const uint32_t* groups,
+              size_t n, F&& f) {
+  if (nulls == nullptr) {
+    for (size_t i = 0; i < n; ++i) f(groups[i], values[i]);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if (!nulls[i]) f(groups[i], values[i]);
+    }
   }
 }
 
-int64_t FetchI64(const ColumnVector& v, size_t row) {
-  switch (v.type) {
-    case TypeId::kInt64:
-      return v.i64[row];
-    case TypeId::kFloat64:
-      return static_cast<int64_t>(v.f64[row]);
-    default:
-      return v.i32[row];
+// Folds one MIN or MAX argument lane into `best`/`has_value` as Acc.
+template <typename Acc, typename T>
+void FoldMinMax(bool is_min, const T* values, const uint8_t* nulls,
+                const uint32_t* groups, size_t n, Acc* best,
+                uint8_t* has_value) {
+  auto fold = [&](auto better) {
+    FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
+      Acc v = static_cast<Acc>(x);
+      if (!has_value[g] || better(v, best[g])) {
+        best[g] = v;
+        has_value[g] = 1;
+      }
+    });
+  };
+  if (is_min) {
+    fold([](Acc v, Acc b) { return v < b; });
+  } else {
+    fold([](Acc v, Acc b) { return v > b; });
   }
 }
 
@@ -115,82 +130,77 @@ void AggregatorCore::EnsureGroups(size_t n) {
 Status AggregatorCore::Update(const Batch& batch,
                               const std::vector<uint32_t>& group_of_row) {
   BDCC_CHECK(group_of_row.size() == batch.num_rows);
+  const size_t n = batch.num_rows;
+  const uint32_t* groups = group_of_row.data();
+  ColumnVector scratch;
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
     State& st = states_[s];
     if (spec.kind == AggKind::kCountStar) {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        st.count[group_of_row[i]] += 1;
-      }
+      int64_t* count = st.count.data();
+      for (size_t i = 0; i < n; ++i) count[groups[i]] += 1;
       continue;
     }
-    BDCC_ASSIGN_OR_RETURN(ColumnVector arg, spec.arg->Eval(batch));
-    switch (spec.kind) {
-      case AggKind::kSum:
-        if (arg_types_[s] == TypeId::kFloat64) {
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            st.sum_f64[group_of_row[i]] += arg.f64[i];
+    // One branch per batch on (kind, argument type, NULLs present); rows
+    // are then folded in order, so float sums match a sequential loop.
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* arg,
+                          EvalInPlace(spec.arg, batch, &scratch));
+    const uint8_t* nulls = arg->HasNulls() ? arg->nulls.data() : nullptr;
+    const bool float_arg = arg_types_[s] == TypeId::kFloat64;
+    VisitNumericLane(*arg, [&](const auto* values) {
+      using T = std::remove_cv_t<std::remove_pointer_t<decltype(values)>>;
+      switch (spec.kind) {
+        case AggKind::kSum:
+          if (float_arg) {
+            double* sum = st.sum_f64.data();
+            FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
+              sum[g] += static_cast<double>(x);
+            });
+          } else {
+            int64_t* sum = st.sum_i64.data();
+            FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
+              sum[g] += static_cast<int64_t>(x);
+            });
           }
-        } else {
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            st.sum_i64[group_of_row[i]] += FetchI64(arg, i);
+          break;
+        case AggKind::kAvg: {
+          double* sum = st.sum_f64.data();
+          int64_t* count = st.count.data();
+          FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
+            sum[g] += static_cast<double>(x);
+            count[g] += 1;
+          });
+          break;
+        }
+        case AggKind::kCount: {
+          int64_t* count = st.count.data();
+          FoldRows(values, nulls, groups, n,
+                   [&](uint32_t g, T) { count[g] += 1; });
+          break;
+        }
+        case AggKind::kMin:
+        case AggKind::kMax: {
+          bool is_min = spec.kind == AggKind::kMin;
+          if (float_arg) {
+            FoldMinMax(is_min, values, nulls, groups, n, st.minmax_f64.data(),
+                       st.has_value.data());
+          } else {
+            FoldMinMax(is_min, values, nulls, groups, n, st.minmax_i64.data(),
+                       st.has_value.data());
           }
+          break;
         }
-        break;
-      case AggKind::kAvg:
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          if (arg.IsNull(i)) continue;
-          st.sum_f64[group_of_row[i]] += FetchF64(arg, i);
-          st.count[group_of_row[i]] += 1;
-        }
-        break;
-      case AggKind::kCount:
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          if (arg.IsNull(i)) continue;
-          st.count[group_of_row[i]] += 1;
-        }
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax: {
-        bool is_min = spec.kind == AggKind::kMin;
-        if (arg_types_[s] == TypeId::kFloat64) {
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            uint32_t g = group_of_row[i];
-            double v = arg.f64[i];
-            if (!st.has_value[g] || (is_min ? v < st.minmax_f64[g]
-                                            : v > st.minmax_f64[g])) {
-              st.minmax_f64[g] = v;
-              st.has_value[g] = 1;
+        case AggKind::kCountDistinct:
+          FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
+            if (st.distinct[g].insert(static_cast<int64_t>(x)).second) {
+              ++distinct_entries_;
             }
-          }
-        } else {
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            if (arg.IsNull(i)) continue;
-            uint32_t g = group_of_row[i];
-            int64_t v = FetchI64(arg, i);
-            if (!st.has_value[g] || (is_min ? v < st.minmax_i64[g]
-                                            : v > st.minmax_i64[g])) {
-              st.minmax_i64[g] = v;
-              st.has_value[g] = 1;
-            }
-          }
-        }
-        break;
+          });
+          break;
+        case AggKind::kCountStar:
+          break;  // handled above
       }
-      case AggKind::kCountDistinct:
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          if (arg.IsNull(i)) continue;
-          auto [it, inserted] =
-              st.distinct[group_of_row[i]].insert(FetchI64(arg, i));
-          if (inserted) ++distinct_entries_;
-        }
-        break;
-      case AggKind::kCountStar:
-        break;  // handled above
-    }
+    });
   }
   return Status::OK();
 }

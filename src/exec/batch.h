@@ -146,6 +146,21 @@ struct ColumnVector {
   void GatherInto(const std::vector<uint32_t>& sel, ColumnVector* out) const;
 };
 
+/// Calls `f` with the typed base pointer of a numeric vector's lane, read
+/// through the view-aware accessors (int32, date and bool share the i32
+/// lane): kernels pick their typed loop once per batch, not per row.
+template <typename F>
+decltype(auto) VisitNumericLane(const ColumnVector& v, F&& f) {
+  switch (v.type) {
+    case TypeId::kInt64:
+      return f(v.i64_data());
+    case TypeId::kFloat64:
+      return f(v.f64_data());
+    default:
+      return f(v.i32_data());
+  }
+}
+
 /// \brief A batch of rows flowing between operators.
 ///
 /// Selection-vector contract (late materialization): when `sel` is

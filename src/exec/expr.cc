@@ -1,7 +1,7 @@
 #include "exec/expr.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <type_traits>
 
 #include "common/macros.h"
 
@@ -12,42 +12,111 @@ namespace {
 
 bool IsNumeric(TypeId t) { return t != TypeId::kString; }
 
-double FetchF64(const ColumnVector& v, size_t row) {
-  switch (v.type) {
-    case TypeId::kInt64:
-      return static_cast<double>(v.i64_data()[row]);
+// ---------------- Kernel plumbing ----------------
+//
+// A kernel chooses its path once per batch (operator, operand types, NULLs
+// present or not) and then runs one typed loop over the raw lanes.
+
+// Calls f(std::true_type) when `has_nulls`, else f(std::false_type): a loop
+// templated on the flag tests NULLs only in batches that have some.
+template <typename F>
+void WithNullFlag(bool has_nulls, F&& f) {
+  if (has_nulls) {
+    f(std::true_type{});
+  } else {
+    f(std::false_type{});
+  }
+}
+
+// Operand readers, both read as T: a literal scalar or a typed lane.
+template <typename T>
+struct ScalarReader {
+  T value;
+  T operator[](size_t) const { return value; }
+};
+
+template <typename T, typename L>
+struct LaneReader {
+  const L* lane;
+  T operator[](size_t i) const { return static_cast<T>(lane[i]); }
+};
+
+// A literal read as T, converted the way its lane would be.
+template <typename T>
+T ScalarAs(const Value& v) {
+  switch (v.type()) {
     case TypeId::kFloat64:
-      return v.f64_data()[row];
-    default:
-      return static_cast<double>(v.i32_data()[row]);
-  }
-}
-
-int64_t FetchI64(const ColumnVector& v, size_t row) {
-  switch (v.type) {
+      return static_cast<T>(v.AsDouble());
     case TypeId::kInt64:
-      return v.i64_data()[row];
-    case TypeId::kFloat64:
-      return static_cast<int64_t>(v.f64_data()[row]);
+      return static_cast<T>(v.AsInt64());
     default:
-      return v.i32_data()[row];
+      return static_cast<T>(static_cast<int32_t>(v.AsInt64()));
   }
 }
 
-// NULL in, NULL out for value-producing expressions: rows where any input
-// is NULL get a NULL output (aggregates then skip them, as documented).
-void PropagateNulls(const ColumnVector& a, const ColumnVector& b, size_t n,
-                    ColumnVector* out) {
-  if (!a.HasNulls() && !b.HasNulls()) return;
-  out->nulls.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (a.IsNull(i) || b.IsNull(i)) out->nulls[i] = 1;
-  }
+// The null mask of a vector, or nullptr when it has none.
+const uint8_t* NullsOf(const ColumnVector& v) {
+  return v.HasNulls() ? v.nulls.data() : nullptr;
 }
 
-void PropagateNulls(const ColumnVector& a, size_t n, ColumnVector* out) {
-  if (!a.HasNulls()) return;
-  out->nulls.assign(a.nulls.begin(), a.nulls.begin() + n);
+// Marks the rows of `mask` (1 = NULL) UNKNOWN in a bool vector: value 0,
+// which never passes a filter, plus a null mark, so NOT and OR do not turn
+// them into TRUE.
+void MarkUnknown(std::vector<uint8_t> mask, ColumnVector* out) {
+  if (mask.empty()) return;
+  int32_t* dst = out->i32.data();
+  for (size_t i = 0; i < mask.size(); ++i) {
+    if (mask[i]) dst[i] = 0;
+  }
+  out->nulls = std::move(mask);
+}
+
+// Rows where `a` or `b` is NULL; empty when neither has NULLs.
+std::vector<uint8_t> UnionNulls(const uint8_t* a, const uint8_t* b, size_t n) {
+  if (a == nullptr && b == nullptr) return {};
+  if (a == nullptr || b == nullptr) {
+    const uint8_t* one = a != nullptr ? a : b;
+    return std::vector<uint8_t>(one, one + n);
+  }
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = a[i] | b[i];
+  return out;
+}
+
+// Bool vector of `verdict(code)` over the rows of string vector `v`; NULL
+// rows are UNKNOWN. When the dictionary is no larger than the batch, each
+// distinct code gets its verdict once, from a dense table indexed by code;
+// otherwise every row is tested directly, so a large, mostly unique
+// dictionary costs no O(dictionary) work per batch.
+template <typename F>
+ColumnVector CodeVerdicts(const ColumnVector& v, size_t n, F&& verdict) {
+  ColumnVector out(TypeId::kBool);
+  out.i32.resize(n);
+  const int32_t* codes = v.i32_data();
+  const uint8_t* nulls = NullsOf(v);
+  int32_t* dst = out.i32.data();
+  auto run = [&](auto&& verdict_of) {
+    WithNullFlag(nulls != nullptr, [&](auto has_nulls) {
+      for (size_t i = 0; i < n; ++i) {
+        if constexpr (decltype(has_nulls)::value) {
+          if (nulls[i]) continue;  // stays 0: UNKNOWN
+        }
+        dst[i] = verdict_of(codes[i]);
+      }
+    });
+  };
+  if (v.dict != nullptr && static_cast<size_t>(v.dict->size()) <= n) {
+    std::vector<int8_t> table(static_cast<size_t>(v.dict->size()), -1);
+    run([&](int32_t code) {
+      int8_t& t = table[static_cast<size_t>(code)];
+      if (t < 0) t = verdict(code) ? 1 : 0;
+      return t;
+    });
+  } else {
+    run([&](int32_t code) { return verdict(code) ? 1 : 0; });
+  }
+  if (nulls != nullptr) out.nulls.assign(nulls, nulls + n);
+  return out;
 }
 
 // ---------------- Column reference ----------------
@@ -63,22 +132,20 @@ class ColExpr : public Expr {
   }
   TypeId type() const override { return type_; }
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_CHECK_MSG(index_ >= 0, "unbound column");
     // Leaves densify: under a selection vector only the referenced column is
     // gathered (late materialization); every non-leaf kernel then runs over
     // dense logical-length vectors.
-    if (batch.has_sel()) return batch.columns[index_].Gather(batch.sel);
-    // Copy: vectors are cheap at batch granularity and keeps ownership
-    // simple. Borrowed (zero-copy view) lanes are materialized here so
-    // every non-leaf kernel sees an owned, positionally indexable vector.
-    ColumnVector out = batch.columns[index_];
+    if (batch.has_sel()) return Column(batch).Gather(batch.sel);
+    // Copy: Eval's result is owned and may outlive the batch, so a
+    // zero-copy view is materialized here. Kernels that read the column
+    // only during one Eval borrow it instead (EvalInPlace).
+    ColumnVector out = Column(batch);
     out.Materialize();
     return out;
   }
   Result<ColumnVector> EvalReusing(const Batch& batch,
                                    ColumnVector&& scratch) const override {
-    BDCC_CHECK_MSG(index_ >= 0, "unbound column");
-    const ColumnVector& src = batch.columns[index_];
+    const ColumnVector& src = Column(batch);
     if (scratch.type != src.type) return Eval(batch);
     if (batch.has_sel()) {
       src.GatherInto(batch.sel, &scratch);
@@ -102,6 +169,12 @@ class ColExpr : public Expr {
   }
   std::string ToString() const override { return name_; }
 
+  /// The referenced column of `batch`, in physical rows.
+  const ColumnVector& Column(const Batch& batch) const {
+    BDCC_CHECK_MSG(index_ >= 0, "unbound column");
+    return batch.columns[index_];
+  }
+
  private:
   std::string name_;
   int index_ = -1;
@@ -117,25 +190,23 @@ class LitExpr : public Expr {
   Status Bind(const Schema&) override { return Status::OK(); }
   TypeId type() const override { return value_.type(); }
   Result<ColumnVector> Eval(const Batch& batch) const override {
+    const size_t n = batch.num_rows;
     ColumnVector out(value_.type());
-    out.Reserve(batch.num_rows);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      switch (value_.type()) {
-        case TypeId::kFloat64:
-          out.f64.push_back(value_.AsDouble());
-          break;
-        case TypeId::kInt64:
-          out.i64.push_back(value_.AsInt64());
-          break;
-        case TypeId::kString: {
-          if (out.dict == nullptr) out.dict = std::make_shared<Dictionary>();
-          out.i32.push_back(out.dict->GetOrAdd(value_.AsString()));
-          break;
-        }
-        default:
-          out.i32.push_back(static_cast<int32_t>(value_.AsInt64()));
-          break;
-      }
+    switch (value_.type()) {
+      case TypeId::kFloat64:
+        out.f64.assign(n, value_.AsDouble());
+        break;
+      case TypeId::kInt64:
+        out.i64.assign(n, value_.AsInt64());
+        break;
+      case TypeId::kString:
+        // Interned once per batch into a one-entry dictionary.
+        out.dict = std::make_shared<Dictionary>();
+        out.i32.assign(n, out.dict->GetOrAdd(value_.AsString()));
+        break;
+      default:
+        out.i32.assign(n, static_cast<int32_t>(value_.AsInt64()));
+        break;
     }
     return out;
   }
@@ -147,7 +218,74 @@ class LitExpr : public Expr {
   Value value_;
 };
 
+// One input of a binary kernel: a literal stays a scalar (no literal vector
+// is built); anything else is evaluated in place.
+class Operand {
+ public:
+  Status Load(const ExprPtr& e, const Batch& batch) {
+    if (const auto* lit = dynamic_cast<const LitExpr*>(e.get())) {
+      literal_ = &lit->value();
+      return Status::OK();
+    }
+    BDCC_ASSIGN_OR_RETURN(vec_, EvalInPlace(e, batch, &scratch_));
+    return Status::OK();
+  }
+
+  bool is_scalar() const { return literal_ != nullptr; }
+  const Value& literal() const { return *literal_; }
+  const ColumnVector& vec() const { return *vec_; }
+  const uint8_t* nulls() const {
+    return is_scalar() ? nullptr : NullsOf(*vec_);
+  }
+
+ private:
+  const Value* literal_ = nullptr;
+  const ColumnVector* vec_ = nullptr;
+  ColumnVector scratch_;
+};
+
+// Calls f(reader) with `o` read as T: a ScalarReader or a LaneReader over
+// the operand's own lane type.
+template <typename T, typename F>
+void WithReader(const Operand& o, F&& f) {
+  if (o.is_scalar()) {
+    f(ScalarReader<T>{ScalarAs<T>(o.literal())});
+    return;
+  }
+  VisitNumericLane(o.vec(), [&](const auto* lane) {
+    using L = std::remove_cv_t<std::remove_pointer_t<decltype(lane)>>;
+    f(LaneReader<T, L>{lane});
+  });
+}
+
+template <typename T, typename F>
+void WithReaders(const Operand& a, const Operand& b, F&& f) {
+  WithReader<T>(a, [&](auto x) { WithReader<T>(b, [&](auto y) { f(x, y); }); });
+}
+
 // ---------------- Arithmetic ----------------
+
+template <typename T, typename A, typename B>
+void ArithLoop(ArithOp op, A a, B b, size_t n, T* out) {
+  switch (op) {
+    case ArithOp::kAdd:
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+      break;
+    case ArithOp::kSub:
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
+      break;
+    case ArithOp::kMul:
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
+      break;
+    case ArithOp::kDiv:
+      // Division by zero yields 0.
+      for (size_t i = 0; i < n; ++i) {
+        T y = b[i];
+        out[i] = y == T{} ? T{} : a[i] / y;
+      }
+      break;
+  }
+}
 
 class ArithExpr : public Expr {
  public:
@@ -168,22 +306,24 @@ class ArithExpr : public Expr {
   TypeId type() const override { return type_; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
-    BDCC_ASSIGN_OR_RETURN(ColumnVector vb, b_->Eval(batch));
+    Operand a, b;
+    BDCC_RETURN_NOT_OK(a.Load(a_, batch));
+    BDCC_RETURN_NOT_OK(b.Load(b_, batch));
+    const size_t n = batch.num_rows;
     ColumnVector out(type_);
-    out.Reserve(batch.num_rows);
     if (type_ == TypeId::kFloat64) {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        double x = FetchF64(va, i), y = FetchF64(vb, i);
-        out.f64.push_back(Apply(x, y));
-      }
+      out.f64.resize(n);
+      WithReaders<double>(a, b, [&](auto x, auto y) {
+        ArithLoop(op_, x, y, n, out.f64.data());
+      });
     } else {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        int64_t x = FetchI64(va, i), y = FetchI64(vb, i);
-        out.i64.push_back(Apply(x, y));
-      }
+      out.i64.resize(n);
+      WithReaders<int64_t>(a, b, [&](auto x, auto y) {
+        ArithLoop(op_, x, y, n, out.i64.data());
+      });
     }
-    PropagateNulls(va, vb, batch.num_rows, &out);
+    // NULL in, NULL out: aggregates then skip the row, as documented.
+    out.nulls = UnionNulls(a.nulls(), b.nulls(), n);
     return out;
   }
   std::string ToString() const override {
@@ -193,27 +333,39 @@ class ArithExpr : public Expr {
   }
 
  private:
-  template <typename T>
-  T Apply(T x, T y) const {
-    switch (op_) {
-      case ArithOp::kAdd:
-        return x + y;
-      case ArithOp::kSub:
-        return x - y;
-      case ArithOp::kMul:
-        return x * y;
-      case ArithOp::kDiv:
-        return y == T{} ? T{} : x / y;
-    }
-    return T{};
-  }
-
   ArithOp op_;
   ExprPtr a_, b_;
   TypeId type_ = TypeId::kInt64;
 };
 
 // ---------------- Comparison ----------------
+
+// Each operator is written so that a NaN operand gives what a three-way
+// comparison that maps "neither less nor equal" to "greater" gives: Gt, Ge
+// and Ne true; Eq, Lt and Le false.
+template <typename A, typename B>
+void CmpLoop(CmpOp op, A a, B b, size_t n, int32_t* out) {
+  switch (op) {
+    case CmpOp::kEq:
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] == b[i];
+      break;
+    case CmpOp::kNe:
+      for (size_t i = 0; i < n; ++i) out[i] = !(a[i] == b[i]);
+      break;
+    case CmpOp::kLt:
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] < b[i];
+      break;
+    case CmpOp::kLe:
+      for (size_t i = 0; i < n; ++i) out[i] = a[i] <= b[i];
+      break;
+    case CmpOp::kGt:
+      for (size_t i = 0; i < n; ++i) out[i] = !(a[i] <= b[i]);
+      break;
+    case CmpOp::kGe:
+      for (size_t i = 0; i < n; ++i) out[i] = !(a[i] < b[i]);
+      break;
+  }
+}
 
 class CmpExpr : public Expr {
  public:
@@ -223,97 +375,31 @@ class CmpExpr : public Expr {
   Status Bind(const Schema& schema) override {
     BDCC_RETURN_NOT_OK(a_->Bind(schema));
     BDCC_RETURN_NOT_OK(b_->Bind(schema));
-    bool a_str = a_->type() == TypeId::kString;
-    bool b_str = b_->type() == TypeId::kString;
-    if (a_str != b_str) {
+    if ((a_->type() == TypeId::kString) != (b_->type() == TypeId::kString)) {
       return Status::InvalidArgument("comparison mixes string / non-string");
-    }
-    // String = constant: remember the literal so Eval can bind it to a
-    // dictionary code once per batch instead of materializing it per row.
-    str_lit_ = nullptr;
-    if (a_str && (op_ == CmpOp::kEq || op_ == CmpOp::kNe)) {
-      if (auto* lb = dynamic_cast<const LitExpr*>(b_.get())) {
-        str_lit_ = lb;
-        str_col_ = a_;
-      } else if (auto* la = dynamic_cast<const LitExpr*>(a_.get())) {
-        str_lit_ = la;
-        str_col_ = b_;
-      }
     }
     return Status::OK();
   }
   TypeId type() const override { return TypeId::kBool; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    if (str_lit_ != nullptr) {
-      BDCC_ASSIGN_OR_RETURN(ColumnVector va, str_col_->Eval(batch));
-      if (va.dict != nullptr) {
-        // One dictionary lookup per batch; absent constant -> code -1,
-        // which matches no row.
-        int32_t code = va.dict->Find(str_lit_->value().AsString());
-        ColumnVector out(TypeId::kBool);
-        out.i32.resize(batch.num_rows);
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          bool eq = code >= 0 && va.i32[i] == code;
-          out.i32[i] = (op_ == CmpOp::kEq) ? eq : !eq;
-        }
-        if (va.HasNulls()) {
-          // NULL comparisons are UNKNOWN: value 0 (never passes a filter)
-          // plus a null mark so NOT does not turn them into TRUE.
-          out.nulls.assign(batch.num_rows, 0);
-          for (size_t i = 0; i < batch.num_rows; ++i) {
-            if (va.nulls[i]) {
-              out.i32[i] = 0;
-              out.nulls[i] = 1;
-            }
-          }
-        }
-        return out;
-      }
-    }
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
-    BDCC_ASSIGN_OR_RETURN(ColumnVector vb, b_->Eval(batch));
+    Operand a, b;
+    BDCC_RETURN_NOT_OK(a.Load(a_, batch));
+    BDCC_RETURN_NOT_OK(b.Load(b_, batch));
+    const size_t n = batch.num_rows;
+    if (a_->type() == TypeId::kString) return EvalStrings(a, b, n);
     ColumnVector out(TypeId::kBool);
-    out.i32.resize(batch.num_rows);
-    bool has_nulls = va.HasNulls() || vb.HasNulls();
-    if (va.type == TypeId::kString) {
-      // Same dictionary: equality can compare codes directly.
-      if ((op_ == CmpOp::kEq || op_ == CmpOp::kNe) && va.dict == vb.dict &&
-          va.dict != nullptr) {
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          bool eq = va.i32[i] == vb.i32[i];
-          out.i32[i] = (op_ == CmpOp::kEq) ? eq : !eq;
-        }
-      } else {
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          if (has_nulls && (va.IsNull(i) || vb.IsNull(i))) {
-            out.i32[i] = 0;
-            continue;
-          }
-          int c = va.GetString(i).compare(vb.GetString(i));
-          out.i32[i] = Decide(c);
-        }
-      }
-    } else if (va.type == TypeId::kFloat64 || vb.type == TypeId::kFloat64) {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        double x = FetchF64(va, i), y = FetchF64(vb, i);
-        out.i32[i] = Decide(x < y ? -1 : (x == y ? 0 : 1));
-      }
+    out.i32.resize(n);
+    if (a_->type() == TypeId::kFloat64 || b_->type() == TypeId::kFloat64) {
+      WithReaders<double>(a, b, [&](auto x, auto y) {
+        CmpLoop(op_, x, y, n, out.i32.data());
+      });
     } else {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        int64_t x = FetchI64(va, i), y = FetchI64(vb, i);
-        out.i32[i] = Decide(x < y ? -1 : (x == y ? 0 : 1));
-      }
+      WithReaders<int64_t>(a, b, [&](auto x, auto y) {
+        CmpLoop(op_, x, y, n, out.i32.data());
+      });
     }
-    if (has_nulls) {
-      out.nulls.assign(batch.num_rows, 0);
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        if (va.IsNull(i) || vb.IsNull(i)) {
-          out.i32[i] = 0;
-          out.nulls[i] = 1;
-        }
-      }
-    }
+    MarkUnknown(UnionNulls(a.nulls(), b.nulls(), n), &out);
     return out;
   }
   std::string ToString() const override {
@@ -322,7 +408,7 @@ class CmpExpr : public Expr {
   }
 
  private:
-  int Decide(int cmp) const {
+  bool Decide(int cmp) const {
     switch (op_) {
       case CmpOp::kEq:
         return cmp == 0;
@@ -337,14 +423,74 @@ class CmpExpr : public Expr {
       case CmpOp::kGe:
         return cmp >= 0;
     }
-    return 0;
+    return false;
+  }
+
+  static int Sign(int c) { return (c > 0) - (c < 0); }
+
+  ColumnVector EvalStrings(const Operand& a, const Operand& b,
+                           size_t n) const {
+    if (a.is_scalar() && b.is_scalar()) {
+      ColumnVector out(TypeId::kBool);
+      out.i32.assign(
+          n, Decide(Sign(a.literal().AsString().compare(b.literal().AsString()))));
+      return out;
+    }
+    if (a.is_scalar() || b.is_scalar()) {
+      // Column vs literal: the literal is bound to the column's dictionary
+      // once per batch.
+      const bool lit_left = a.is_scalar();
+      const ColumnVector& v = lit_left ? b.vec() : a.vec();
+      const std::string& lit = (lit_left ? a : b).literal().AsString();
+      if (op_ == CmpOp::kEq || op_ == CmpOp::kNe) {
+        // An absent literal gets code -1, which matches no row.
+        const int32_t code = v.dict != nullptr ? v.dict->Find(lit) : -1;
+        const bool want_eq = op_ == CmpOp::kEq;
+        ColumnVector out(TypeId::kBool);
+        out.i32.resize(n);
+        const int32_t* codes = v.i32_data();
+        for (size_t i = 0; i < n; ++i) {
+          out.i32[i] = (codes[i] == code) == want_eq;
+        }
+        MarkUnknown(UnionNulls(NullsOf(v), nullptr, n), &out);
+        return out;
+      }
+      return CodeVerdicts(v, n, [&](int32_t code) {
+        int c = Sign(v.dict->Get(code).compare(lit));
+        return Decide(lit_left ? -c : c);
+      });
+    }
+    const ColumnVector& va = a.vec();
+    const ColumnVector& vb = b.vec();
+    const uint8_t* na = NullsOf(va);
+    const uint8_t* nb = NullsOf(vb);
+    ColumnVector out(TypeId::kBool);
+    out.i32.resize(n);
+    const int32_t* ca = va.i32_data();
+    const int32_t* cb = vb.i32_data();
+    if ((op_ == CmpOp::kEq || op_ == CmpOp::kNe) && va.dict == vb.dict &&
+        va.dict != nullptr) {
+      // Same dictionary: equality compares codes.
+      const bool want_eq = op_ == CmpOp::kEq;
+      for (size_t i = 0; i < n; ++i) out.i32[i] = (ca[i] == cb[i]) == want_eq;
+    } else {
+      WithNullFlag(na != nullptr || nb != nullptr, [&](auto has_nulls) {
+        for (size_t i = 0; i < n; ++i) {
+          if constexpr (decltype(has_nulls)::value) {
+            // NULL rows hold placeholder codes; they are marked below.
+            if ((na != nullptr && na[i]) || (nb != nullptr && nb[i])) continue;
+          }
+          out.i32[i] =
+              Decide(Sign(va.dict->Get(ca[i]).compare(vb.dict->Get(cb[i]))));
+        }
+      });
+    }
+    MarkUnknown(UnionNulls(na, nb, n), &out);
+    return out;
   }
 
   CmpOp op_;
   ExprPtr a_, b_;
-  // Set at Bind for string-vs-literal equality (see Bind).
-  const LitExpr* str_lit_ = nullptr;
-  ExprPtr str_col_;
 };
 
 // ---------------- Boolean connectives ----------------
@@ -368,45 +514,48 @@ class BoolExpr : public Expr {
   // UNKNOWN rows at any nesting depth; the null mark exists so NOT and OR
   // do not promote UNKNOWN to TRUE.
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
+    const size_t n = batch.num_rows;
+    ColumnVector scratch_a, scratch_b;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch_a));
+    const int32_t* x = va->i32_data();
+    const uint8_t* nx = NullsOf(*va);
     ColumnVector out(TypeId::kBool);
-    out.i32.resize(batch.num_rows);
+    out.i32.resize(n);
+    int32_t* dst = out.i32.data();
     if (op_ == BoolOp::kNot) {
       // NOT TRUE = FALSE, NOT FALSE = TRUE, NOT UNKNOWN = UNKNOWN.
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        out.i32[i] = !va.i32[i] && !va.IsNull(i);
+      if (nx == nullptr) {
+        for (size_t i = 0; i < n; ++i) dst[i] = x[i] == 0;
+      } else {
+        for (size_t i = 0; i < n; ++i) dst[i] = (x[i] == 0) & (nx[i] == 0);
+        out.nulls.assign(nx, nx + n);
       }
-      out.nulls = std::move(va.nulls);
       return out;
     }
-    BDCC_ASSIGN_OR_RETURN(ColumnVector vb, b_->Eval(batch));
-    bool has_nulls = va.HasNulls() || vb.HasNulls();
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* vb,
+                          EvalInPlace(b_, batch, &scratch_b));
+    const int32_t* y = vb->i32_data();
+    const uint8_t* ny = NullsOf(*vb);
     if (op_ == BoolOp::kAnd) {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        out.i32[i] = va.i32[i] && vb.i32[i];
-      }
-      if (has_nulls) {
-        // FALSE AND UNKNOWN = FALSE; TRUE/UNKNOWN AND UNKNOWN = UNKNOWN.
-        out.nulls.assign(batch.num_rows, 0);
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          bool a_false = !va.i32[i] && !va.IsNull(i);
-          bool b_false = !vb.i32[i] && !vb.IsNull(i);
-          out.nulls[i] =
-              (va.IsNull(i) || vb.IsNull(i)) && !a_false && !b_false;
-        }
+      for (size_t i = 0; i < n; ++i) dst[i] = (x[i] != 0) & (y[i] != 0);
+    } else {
+      for (size_t i = 0; i < n; ++i) dst[i] = (x[i] != 0) | (y[i] != 0);
+    }
+    if (nx == nullptr && ny == nullptr) return out;
+    std::vector<uint8_t> either = UnionNulls(nx, ny, n);
+    if (op_ == BoolOp::kAnd) {
+      // FALSE AND UNKNOWN = FALSE; TRUE/UNKNOWN AND UNKNOWN = UNKNOWN.
+      for (size_t i = 0; i < n; ++i) {
+        bool x_false = x[i] == 0 && (nx == nullptr || nx[i] == 0);
+        bool y_false = y[i] == 0 && (ny == nullptr || ny[i] == 0);
+        either[i] = either[i] && !x_false && !y_false;
       }
     } else {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        out.i32[i] = va.i32[i] || vb.i32[i];
-      }
-      if (has_nulls) {
-        // TRUE OR UNKNOWN = TRUE; FALSE/UNKNOWN OR UNKNOWN = UNKNOWN.
-        out.nulls.assign(batch.num_rows, 0);
-        for (size_t i = 0; i < batch.num_rows; ++i) {
-          out.nulls[i] = !out.i32[i] && (va.IsNull(i) || vb.IsNull(i));
-        }
-      }
+      // TRUE OR UNKNOWN = TRUE; FALSE/UNKNOWN OR UNKNOWN = UNKNOWN.
+      for (size_t i = 0; i < n; ++i) either[i] = either[i] && dst[i] == 0;
     }
+    out.nulls = std::move(either);
     return out;
   }
   std::string ToString() const override {
@@ -421,6 +570,57 @@ class BoolExpr : public Expr {
 };
 
 // ---------------- LIKE ----------------
+
+// A LIKE pattern prepared once at construction. A pattern without '_' is
+// its '%'-separated segments: it matches by an anchored prefix, an anchored
+// suffix and an in-order find of the segments between. Patterns with '_'
+// use LikeMatch.
+class LikePattern {
+ public:
+  explicit LikePattern(std::string pattern) : pattern_(std::move(pattern)) {
+    has_underscore_ = pattern_.find('_') != std::string::npos;
+    has_percent_ = pattern_.find('%') != std::string::npos;
+    if (has_underscore_ || !has_percent_) return;
+    size_t first = pattern_.find('%');
+    size_t last = pattern_.rfind('%');
+    prefix_ = pattern_.substr(0, first);
+    suffix_ = pattern_.substr(last + 1);
+    size_t pos = first + 1;
+    while (pos <= last) {
+      size_t next = pattern_.find('%', pos);
+      if (next > pos) middle_.push_back(pattern_.substr(pos, next - pos));
+      pos = next + 1;
+    }
+  }
+
+  const std::string& text() const { return pattern_; }
+
+  bool Matches(std::string_view s) const {
+    if (has_underscore_) return LikeMatch(s, pattern_);
+    if (!has_percent_) return s == pattern_;
+    if (s.size() < prefix_.size() + suffix_.size() ||
+        s.compare(0, prefix_.size(), prefix_) != 0 ||
+        s.compare(s.size() - suffix_.size(), suffix_.size(), suffix_) != 0) {
+      return false;
+    }
+    // The middle segments must fit, in order, between prefix and suffix.
+    std::string_view window = s.substr(0, s.size() - suffix_.size());
+    size_t pos = prefix_.size();
+    for (const std::string& seg : middle_) {
+      size_t at = window.find(seg, pos);
+      if (at == std::string_view::npos) return false;
+      pos = at + seg.size();
+    }
+    return true;
+  }
+
+ private:
+  std::string pattern_;
+  bool has_underscore_ = false;
+  bool has_percent_ = false;
+  std::string prefix_, suffix_;
+  std::vector<std::string> middle_;
+};
 
 class LikeExpr : public Expr {
  public:
@@ -437,39 +637,22 @@ class LikeExpr : public Expr {
   TypeId type() const override { return TypeId::kBool; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
-    ColumnVector out(TypeId::kBool);
-    out.i32.resize(batch.num_rows);
-    if (va.HasNulls()) out.nulls.assign(batch.num_rows, 0);
-    // Memoize per-dictionary-code verdicts: dictionaries repeat heavily.
-    std::unordered_map<int32_t, bool> memo;
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      if (va.IsNull(i)) {
-        out.i32[i] = 0;  // NULL [NOT] LIKE ... is UNKNOWN
-        out.nulls[i] = 1;
-        continue;
-      }
-      int32_t code = va.i32[i];
-      auto it = memo.find(code);
-      bool match;
-      if (it != memo.end()) {
-        match = it->second;
-      } else {
-        match = LikeMatch(va.dict->Get(code), pattern_);
-        memo.emplace(code, match);
-      }
-      out.i32[i] = negate_ ? !match : match;
-    }
-    return out;
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch));
+    // NULL [NOT] LIKE ... is UNKNOWN (CodeVerdicts marks those rows).
+    return CodeVerdicts(*va, batch.num_rows, [&](int32_t code) {
+      return pattern_.Matches(va->dict->Get(code)) != negate_;
+    });
   }
   std::string ToString() const override {
-    return a_->ToString() + (negate_ ? " NOT LIKE '" : " LIKE '") + pattern_ +
-           "'";
+    return a_->ToString() + (negate_ ? " NOT LIKE '" : " LIKE '") +
+           pattern_.text() + "'";
   }
 
  private:
   ExprPtr a_;
-  std::string pattern_;
+  LikePattern pattern_;
   bool negate_;
 };
 
@@ -478,7 +661,7 @@ class LikeExpr : public Expr {
 class InStringsExpr : public Expr {
  public:
   InStringsExpr(ExprPtr a, std::vector<std::string> values)
-      : a_(std::move(a)), values_(values.begin(), values.end()) {}
+      : a_(std::move(a)), values_(std::move(values)) {}
 
   Status Bind(const Schema& schema) override {
     BDCC_RETURN_NOT_OK(a_->Bind(schema));
@@ -490,50 +673,36 @@ class InStringsExpr : public Expr {
   TypeId type() const override { return TypeId::kBool; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
-    ColumnVector out(TypeId::kBool);
-    out.i32.resize(batch.num_rows);
-    if (va.dict != nullptr) {
-      // Bind the IN-list to dictionary codes once per batch: per-row work
-      // becomes an integer-set probe instead of a string materialization.
-      std::unordered_set<int32_t> codes;
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch));
+    // Bind the list to dictionary codes once per batch: a row's membership
+    // then costs O(list length), whatever the dictionary's size.
+    std::vector<int32_t> codes;
+    if (va->dict != nullptr) {
       for (const std::string& v : values_) {
-        int32_t c = va.dict->Find(v);
-        if (c >= 0) codes.insert(c);
+        int32_t c = va->dict->Find(v);
+        if (c >= 0) codes.push_back(c);
       }
-      if (va.HasNulls()) out.nulls.assign(batch.num_rows, 0);
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        if (va.IsNull(i)) {
-          out.i32[i] = 0;  // NULL IN (...) is UNKNOWN
-          out.nulls[i] = 1;
-          continue;
-        }
-        out.i32[i] = codes.count(va.i32[i]) > 0;
-      }
-      return out;
     }
-    if (va.HasNulls()) out.nulls.assign(batch.num_rows, 0);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      if (va.IsNull(i)) {
-        out.i32[i] = 0;
-        out.nulls[i] = 1;
-        continue;
-      }
-      out.i32[i] = values_.count(std::string(va.GetString(i))) > 0;
-    }
-    return out;
+    // NULL IN (...) is UNKNOWN (CodeVerdicts marks those rows).
+    return CodeVerdicts(*va, batch.num_rows, [&](int32_t code) {
+      return std::find(codes.begin(), codes.end(), code) != codes.end();
+    });
   }
   std::string ToString() const override { return a_->ToString() + " IN (...)"; }
 
  private:
   ExprPtr a_;
-  std::unordered_set<std::string> values_;
+  std::vector<std::string> values_;
 };
 
 class InIntsExpr : public Expr {
  public:
   InIntsExpr(ExprPtr a, std::vector<int64_t> values)
-      : a_(std::move(a)), values_(values.begin(), values.end()) {}
+      : a_(std::move(a)), values_(std::move(values)) {
+    std::sort(values_.begin(), values_.end());
+  }
 
   Status Bind(const Schema& schema) override {
     BDCC_RETURN_NOT_OK(a_->Bind(schema));
@@ -545,25 +714,28 @@ class InIntsExpr : public Expr {
   TypeId type() const override { return TypeId::kBool; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch));
+    const size_t n = batch.num_rows;
     ColumnVector out(TypeId::kBool);
-    out.i32.resize(batch.num_rows);
-    if (va.HasNulls()) out.nulls.assign(batch.num_rows, 0);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      if (va.IsNull(i)) {
-        out.i32[i] = 0;  // NULL IN (...) is UNKNOWN
-        out.nulls[i] = 1;
-        continue;
+    out.i32.resize(n);
+    int32_t* dst = out.i32.data();
+    VisitNumericLane(*va, [&](const auto* lane) {
+      for (size_t i = 0; i < n; ++i) {
+        dst[i] = std::binary_search(values_.begin(), values_.end(),
+                                    static_cast<int64_t>(lane[i]));
       }
-      out.i32[i] = values_.count(FetchI64(va, i)) > 0;
-    }
+    });
+    // NULL IN (...) is UNKNOWN.
+    MarkUnknown(UnionNulls(NullsOf(*va), nullptr, n), &out);
     return out;
   }
   std::string ToString() const override { return a_->ToString() + " IN (...)"; }
 
  private:
   ExprPtr a_;
-  std::unordered_set<int64_t> values_;
+  std::vector<int64_t> values_;  // sorted
 };
 
 // ---------------- CASE WHEN ----------------
@@ -592,25 +764,37 @@ class CaseExpr : public Expr {
   TypeId type() const override { return type_; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector vc, cond_->Eval(batch));
-    BDCC_ASSIGN_OR_RETURN(ColumnVector vt, then_->Eval(batch));
-    BDCC_ASSIGN_OR_RETURN(ColumnVector ve, else_->Eval(batch));
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* vc,
+                          EvalInPlace(cond_, batch, &scratch));
+    Operand t, e;
+    BDCC_RETURN_NOT_OK(t.Load(then_, batch));
+    BDCC_RETURN_NOT_OK(e.Load(else_, batch));
+    const size_t n = batch.num_rows;
+    // An UNKNOWN condition holds value 0 and so takes the ELSE branch.
+    const int32_t* c = vc->i32_data();
     ColumnVector out(type_);
-    out.Reserve(batch.num_rows);
+    auto choose = [&](auto* dst) {
+      using T = std::remove_pointer_t<decltype(dst)>;
+      WithReaders<T>(t, e, [&](auto x, auto y) {
+        for (size_t i = 0; i < n; ++i) dst[i] = c[i] ? x[i] : y[i];
+      });
+    };
     if (type_ == TypeId::kFloat64) {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        out.f64.push_back(vc.i32[i] ? FetchF64(vt, i) : FetchF64(ve, i));
-      }
+      out.f64.resize(n);
+      choose(out.f64.data());
     } else {
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        out.i64.push_back(vc.i32[i] ? FetchI64(vt, i) : FetchI64(ve, i));
-      }
+      out.i64.resize(n);
+      choose(out.i64.data());
     }
-    if (vt.HasNulls() || ve.HasNulls()) {
-      out.nulls.assign(batch.num_rows, 0);
-      for (size_t i = 0; i < batch.num_rows; ++i) {
-        const ColumnVector& chosen = vc.i32[i] ? vt : ve;
-        if (chosen.IsNull(i)) out.nulls[i] = 1;
+    const uint8_t* nt = t.nulls();
+    const uint8_t* ne = e.nulls();
+    if (nt != nullptr || ne != nullptr) {
+      // The row is NULL when the branch it takes is.
+      out.nulls.assign(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t* chosen = c[i] ? nt : ne;
+        out.nulls[i] = chosen != nullptr && chosen[i] != 0;
       }
     }
     return out;
@@ -641,15 +825,19 @@ class YearExpr : public Expr {
   TypeId type() const override { return TypeId::kInt32; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch));
+    const size_t n = batch.num_rows;
+    const int32_t* days = va->i32_data();
     ColumnVector out(TypeId::kInt32);
-    out.i32.resize(batch.num_rows);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
+    out.i32.resize(n);
+    for (size_t i = 0; i < n; ++i) {
       int y, m, d;
-      CivilFromDays(va.i32[i], &y, &m, &d);
+      CivilFromDays(days[i], &y, &m, &d);
       out.i32[i] = y;
     }
-    PropagateNulls(va, batch.num_rows, &out);
+    if (va->HasNulls()) out.nulls.assign(va->nulls.begin(), va->nulls.begin() + n);
     return out;
   }
   std::string ToString() const override {
@@ -674,20 +862,23 @@ class StrPrefixExpr : public Expr {
   TypeId type() const override { return TypeId::kString; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch));
+    const size_t n = batch.num_rows;
     ColumnVector out(TypeId::kString);
     out.dict = std::make_shared<Dictionary>();
-    out.i32.reserve(batch.num_rows);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      if (va.IsNull(i)) {
+    out.i32.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (va->IsNull(i)) {
         out.i32.push_back(out.dict->GetOrAdd(""));
         continue;
       }
-      std::string_view s = va.GetString(i);
+      std::string_view s = va->GetString(i);
       out.i32.push_back(out.dict->GetOrAdd(
           s.substr(0, std::min<size_t>(s.size(), static_cast<size_t>(len_)))));
     }
-    PropagateNulls(va, batch.num_rows, &out);
+    if (va->HasNulls()) out.nulls.assign(va->nulls.begin(), va->nulls.begin() + n);
     return out;
   }
   std::string ToString() const override {
@@ -707,11 +898,14 @@ class IsNullExpr : public Expr {
   TypeId type() const override { return TypeId::kBool; }
 
   Result<ColumnVector> Eval(const Batch& batch) const override {
-    BDCC_ASSIGN_OR_RETURN(ColumnVector va, a_->Eval(batch));
+    ColumnVector scratch;
+    BDCC_ASSIGN_OR_RETURN(const ColumnVector* va,
+                          EvalInPlace(a_, batch, &scratch));
+    const size_t n = batch.num_rows;
     ColumnVector out(TypeId::kBool);
-    out.i32.resize(batch.num_rows);
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      out.i32[i] = va.IsNull(i) ? 1 : 0;
+    out.i32.assign(n, 0);
+    if (const uint8_t* nulls = NullsOf(*va)) {
+      for (size_t i = 0; i < n; ++i) out.i32[i] = nulls[i] != 0;
     }
     return out;
   }
@@ -762,6 +956,17 @@ class CoalesceExpr : public Expr {
 };
 
 }  // namespace
+
+Result<const ColumnVector*> EvalInPlace(const ExprPtr& e, const Batch& batch,
+                                        ColumnVector* scratch) {
+  if (!batch.has_sel()) {
+    if (const auto* col = dynamic_cast<const ColExpr*>(e.get())) {
+      return &col->Column(batch);
+    }
+  }
+  BDCC_ASSIGN_OR_RETURN(*scratch, e->Eval(batch));
+  return scratch;
+}
 
 bool LikeMatch(std::string_view text, std::string_view pattern) {
   // Greedy two-pointer with backtracking on '%'.

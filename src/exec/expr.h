@@ -2,7 +2,10 @@
 //
 // Expressions are built name-based (Col("l_shipdate")), then Bind()-ed to an
 // operator's schema, which resolves column indices and output types; Eval()
-// produces one ColumnVector per batch.
+// produces one ColumnVector per batch. Each kernel picks its path once per
+// batch (operator, operand types, NULLs present) and then runs a typed loop
+// over the raw lanes. Eval is const and keeps no cache: the planner shares
+// one bound tree between parallel clones (see src/exec/README.md).
 //
 // Null semantics (documented simplification, sufficient for TPC-H): NULLs
 // arise only from left-outer joins; comparisons involving NULL evaluate to
@@ -47,6 +50,14 @@ class Expr {
   /// Pretty-printed form for EXPLAIN output.
   virtual std::string ToString() const = 0;
 };
+
+/// Evaluate `e` over `batch` without a copy where possible: a plain column
+/// reference over a batch without a selection yields the batch's own
+/// column; anything else is evaluated into `*scratch`. The result lives as
+/// long as both and may be a zero-copy view, so it is read through the
+/// `*_data()` accessors.
+Result<const ColumnVector*> EvalInPlace(const ExprPtr& e, const Batch& batch,
+                                        ColumnVector* scratch);
 
 // ---- Factories ----
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "exec/filter.h"
 #include "exec/scan.h"
@@ -33,6 +34,53 @@ void ScansOfTable(const NodePtr& node, const std::string& table,
   for (const NodePtr& c : node->children) ScansOfTable(c, table, out);
 }
 
+// The scan and scan column a plan column reads: traced down through
+// renaming projections, grouping columns and the pass-through operators
+// (filters, sorts, limits, either join input). {nullptr, ""} for a
+// computed column.
+std::pair<const LogicalNode*, std::string> ScanColumnOf(
+    const NodePtr& node, const std::string& name) {
+  switch (node->kind) {
+    case NodeKind::kScan: {
+      const std::vector<std::string>& cols = node->scan.columns;
+      if (std::find(cols.begin(), cols.end(), name) == cols.end()) break;
+      return {node.get(), name};
+    }
+    case NodeKind::kProject:
+      for (const auto& [out, expr] : node->project.exprs) {
+        if (out != name) continue;
+        std::string ref = exec::ColumnRefName(expr);
+        if (ref.empty()) break;
+        return ScanColumnOf(node->children[0], ref);
+      }
+      break;
+    case NodeKind::kAggregate: {
+      const std::vector<std::string>& groups = node->agg.group_cols;
+      if (std::find(groups.begin(), groups.end(), name) == groups.end()) break;
+      return ScanColumnOf(node->children[0], name);
+    }
+    default:
+      for (const NodePtr& c : node->children) {
+        auto found = ScanColumnOf(c, name);
+        if (found.first != nullptr) return found;
+      }
+      break;
+  }
+  return {nullptr, ""};
+}
+
+// True when `keys`, read in `side`, are `scan`'s columns `columns`.
+bool KeysAreColumns(const NodePtr& side, const std::vector<std::string>& keys,
+                    const LogicalNode* scan,
+                    const std::vector<std::string>& columns) {
+  if (keys.size() != columns.size()) return false;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto [key_scan, key_column] = ScanColumnOf(side, keys[i]);
+    if (key_scan != scan || key_column != columns[i]) return false;
+  }
+  return true;
+}
+
 void CollectEdges(const NodePtr& node, const PhysicalDb& db,
                   std::vector<Edge>* edges) {
   for (const NodePtr& c : node->children) CollectEdges(c, db, edges);
@@ -46,12 +94,22 @@ void CollectEdges(const NodePtr& node, const PhysicalDb& db,
   auto fk_result = db.schema_catalog().GetForeignKey(node->join.fk_id);
   if (!fk_result.ok()) return;
   const catalog::ForeignKey* fk = fk_result.value();
-  // Locate the unique referencing/referenced scan on either side.
+  // Locate the unique referencing/referenced scan on either side. The keys
+  // must read the named FK's columns of those scans, not just its tables: a
+  // join labelled with an FK but matching other columns proves nothing
+  // about which groups hold partners.
   for (int from_side = 0; from_side < 2; ++from_side) {
+    const NodePtr& from = node->children[from_side];
+    const NodePtr& to = node->children[1 - from_side];
     std::vector<const LogicalNode*> from_scans, to_scans;
-    ScansOfTable(node->children[from_side], fk->from_table, &from_scans);
-    ScansOfTable(node->children[1 - from_side], fk->to_table, &to_scans);
-    if (from_scans.size() == 1 && to_scans.size() == 1) {
+    ScansOfTable(from, fk->from_table, &from_scans);
+    ScansOfTable(to, fk->to_table, &to_scans);
+    if (from_scans.size() != 1 || to_scans.size() != 1) continue;
+    const JoinNode& jn = node->join;
+    if (KeysAreColumns(from, from_side == 0 ? jn.left_keys : jn.right_keys,
+                       from_scans[0], fk->from_columns) &&
+        KeysAreColumns(to, from_side == 0 ? jn.right_keys : jn.left_keys,
+                       to_scans[0], fk->to_columns)) {
       edges->push_back(Edge{from_scans[0], to_scans[0], fk->id});
       return;
     }

@@ -2,6 +2,8 @@
 // that hash, streaming (sorted input), and sandwich (grouped input)
 // aggregation agree.
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
@@ -256,6 +258,200 @@ TEST(AggEquivalenceTest, StrategiesAgreeProperty) {
       Batch c = CollectAll(&sandwich, &ctx).ValueOrDie();
       testutil::ExpectBatchesEqual(a, b, "hash-vs-stream" + label);
       testutil::ExpectBatchesEqual(a, c, "hash-vs-sandwich" + label);
+    }
+  }
+}
+
+
+// ---------------- AggregatorCore::Update ----------------
+//
+// The update kernels against a sequential loop written here: every kind
+// over float64, int64 and int32 lanes, with and without NULLs, under a
+// selection vector and over zero-copy views. Float sums must be
+// bit-identical, so the rows must be folded in order.
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Batch shapes, combined as bit flags.
+constexpr int kNulls = 1;
+constexpr int kSel = 2;
+constexpr int kViews = 4;  // views carry no NULLs
+
+struct UpdateInput {
+  // Lanes the view columns borrow; they outlive the batch.
+  std::vector<double> f;
+  std::vector<int64_t> l;
+  std::vector<int32_t> n;
+  Batch batch;
+  std::vector<uint32_t> groups;  // per logical row
+};
+
+Schema UpdateSchema() {
+  return Schema({{"f", TypeId::kFloat64},
+                 {"l", TypeId::kInt64},
+                 {"n", TypeId::kInt32}});
+}
+
+void MakeUpdateInput(Rng* rng, int shape, size_t rows, size_t num_groups,
+                     UpdateInput* in) {
+  std::vector<uint32_t> group_of(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    group_of[r] = static_cast<uint32_t>(
+        rng->Uniform(0, static_cast<int64_t>(num_groups) - 1));
+    // Mixed magnitudes: a float sum depends on the order of its rows. Group
+    // 0 holds only signed zeros, whose ties tell MIN/MAX's strict
+    // comparisons apart; NaN shows up elsewhere now and then.
+    double x = rng->Chance(0.3) ? (rng->Chance(0.5) ? 1e16 : -1e16)
+                                : (rng->NextDouble() - 0.5) * 100.0;
+    if (rng->Chance(0.02)) x = std::numeric_limits<double>::quiet_NaN();
+    if (group_of[r] == 0) x = rng->Chance(0.5) ? 0.0 : -0.0;
+    in->f.push_back(x);
+    in->l.push_back(rng->Uniform(-1000000000000, 1000000000000));
+    in->n.push_back(rng->Chance(0.2)
+                        ? (rng->Chance(0.5) ? std::numeric_limits<int32_t>::min()
+                                            : std::numeric_limits<int32_t>::max())
+                        : static_cast<int32_t>(rng->Uniform(-50, 50)));
+  }
+  ColumnVector f(TypeId::kFloat64), l(TypeId::kInt64), n(TypeId::kInt32);
+  if (shape & kViews) {
+    f.SetView(in->f.data(), rows);
+    l.SetView(in->l.data(), rows);
+    n.SetView(in->n.data(), rows);
+  } else {
+    f.f64 = in->f;
+    l.i64 = in->l;
+    n.i32 = in->n;
+  }
+  in->batch.columns = {std::move(f), std::move(l), std::move(n)};
+  in->batch.num_rows = rows;
+  if (shape & kNulls) {
+    for (ColumnVector& c : in->batch.columns) {
+      c.nulls.assign(rows, 0);
+      for (size_t r = 0; r < rows; ++r) c.nulls[r] = rng->Chance(0.25);
+    }
+  }
+  if (shape & kSel) {
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (rng->Chance(0.7)) in->batch.sel.push_back(r);
+    }
+    in->batch.num_rows = in->batch.sel.size();
+  }
+  for (size_t r = 0; r < in->batch.num_rows; ++r) {
+    in->groups.push_back(group_of[in->batch.RowAt(r)]);
+  }
+}
+
+TEST(AggTest, UpdateMatchesSequentialLoop) {
+  constexpr size_t kGroups = 7;
+  const std::vector<AggKind> kinds = {AggKind::kSum, AggKind::kAvg,
+                                      AggKind::kMin, AggKind::kMax,
+                                      AggKind::kCount};
+  for (uint64_t seed : {1, 2, 3}) {
+    for (int shape : {0, kNulls, kSel, kNulls | kSel, kViews, kViews | kSel}) {
+      Rng rng(seed * 100 + static_cast<uint64_t>(shape));
+      // Two batches: states must carry from one Update to the next.
+      UpdateInput inputs[2];
+      MakeUpdateInput(&rng, shape, 257, kGroups, &inputs[0]);
+      MakeUpdateInput(&rng, shape, 300, kGroups, &inputs[1]);
+      // Each kind over each lane: bare columns (read in place) and
+      // expressions (evaluated), plus COUNT(*).
+      std::vector<AggSpec> specs;
+      std::vector<std::string> cols;
+      for (const char* col : {"f", "l", "n"}) {
+        for (AggKind kind : kinds) {
+          specs.push_back(AggSpec{kind, Col(col), std::string(col)});
+          cols.push_back(col);
+        }
+      }
+      specs.push_back(AggSum(Mul(Col("f"), LitF64(1.0)), "f*1"));
+      cols.push_back("f");
+      specs.push_back(AggMax(Add(Col("l"), LitI64(0)), "l+0"));
+      cols.push_back("l");
+      specs.push_back(AggCountStar("*"));
+      cols.push_back("");
+      AggregatorCore core;
+      ASSERT_TRUE(core.Bind(UpdateSchema(), specs).ok());
+      core.EnsureGroups(kGroups);
+      for (const UpdateInput& in : inputs) {
+        ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
+      }
+      std::vector<ColumnVector> out;
+      core.EmitRange(0, kGroups, &out);
+      ASSERT_EQ(out.size(), specs.size());
+
+      for (size_t s = 0; s < specs.size(); ++s) {
+        const std::string what = "seed " + std::to_string(seed) + " shape " +
+                                 std::to_string(shape) + " spec " +
+                                 std::to_string(s) + " over " + cols[s];
+        const int c = cols[s].empty() ? -1 : UpdateSchema().IndexOf(cols[s]);
+        const bool fp = cols[s] == "f";
+        std::vector<double> fsum(kGroups, 0.0), fbest(kGroups, 0.0);
+        std::vector<int64_t> isum(kGroups, 0), ibest(kGroups, 0),
+            count(kGroups, 0);
+        std::vector<bool> seen(kGroups, false);
+        for (const UpdateInput& in : inputs) {
+          for (size_t r = 0; r < in.batch.num_rows; ++r) {
+            const uint32_t g = in.groups[r];
+            if (c < 0) {
+              ++count[g];
+              continue;
+            }
+            const ColumnVector& v = in.batch.columns[c];
+            const size_t p = in.batch.RowAt(r);
+            if (v.IsNull(p)) continue;
+            const double x = fp ? v.f64_data()[p]
+                                : c == 1 ? static_cast<double>(v.i64_data()[p])
+                                         : static_cast<double>(v.i32_data()[p]);
+            const int64_t xi = c == 1 ? v.i64_data()[p]
+                                      : c == 2 ? v.i32_data()[p] : 0;
+            ++count[g];
+            fsum[g] += x;
+            isum[g] += xi;
+            bool is_min = specs[s].kind == AggKind::kMin;
+            if (fp) {
+              if (!seen[g] || (is_min ? x < fbest[g] : x > fbest[g])) fbest[g] = x;
+            } else if (!seen[g] || (is_min ? xi < ibest[g] : xi > ibest[g])) {
+              ibest[g] = xi;
+            }
+            seen[g] = true;
+          }
+        }
+        const ColumnVector& got = out[s];
+        for (size_t g = 0; g < kGroups; ++g) {
+          switch (specs[s].kind) {
+            case AggKind::kSum:
+              if (fp) {
+                ASSERT_TRUE(SameBits(got.f64[g], fsum[g])) << what << " g" << g;
+              } else {
+                ASSERT_EQ(got.i64[g], isum[g]) << what << " g" << g;
+              }
+              break;
+            case AggKind::kAvg:
+              ASSERT_TRUE(SameBits(got.f64[g],
+                                   count[g] == 0 ? 0.0
+                                                 : fsum[g] / static_cast<double>(
+                                                                 count[g])))
+                  << what << " g" << g;
+              break;
+            case AggKind::kMin:
+            case AggKind::kMax:
+              if (fp) {
+                ASSERT_TRUE(SameBits(got.f64[g], fbest[g])) << what << " g" << g;
+              } else if (got.type == TypeId::kInt32) {
+                ASSERT_EQ(got.i32[g], ibest[g]) << what << " g" << g;
+              } else {
+                ASSERT_EQ(got.i64[g], ibest[g]) << what << " g" << g;
+              }
+              break;
+            case AggKind::kCount:
+            case AggKind::kCountStar:
+              ASSERT_EQ(got.i64[g], count[g]) << what << " g" << g;
+              break;
+            default:
+              FAIL() << what;
+          }
+        }
+      }
     }
   }
 }

@@ -154,6 +154,35 @@ TEST_F(PlannerTest, JoinOnOtherColumnsThanItsFkLabelKeepsResults) {
   }
 }
 
+TEST_F(PlannerTest, MislabelledFkJoinUnderSelectionKeepsResults) {
+  // Same mislabelled join, now under a date selection on ORDERS: a pushdown
+  // that followed the FK_L_O label would prune LINEITEM groups by
+  // D_DATE, although l_suppkey says nothing about the order date.
+  auto plan = [] {
+    NodePtr orders = LScan(
+        "ORDERS", {"o_orderkey", "o_orderdate"},
+        {SargRange("o_orderdate", Value::Date(ParseDate("1994-01-01")),
+                   Value::Date(ParseDate("1995-12-31")))});
+    NodePtr j = LJoin(LScan("LINEITEM", {"l_suppkey"}), std::move(orders),
+                      JoinType::kInner, {"l_suppkey"}, {"o_orderkey"},
+                      "FK_L_O");
+    return LAgg(j, {}, {exec::AggCountStar("n")});
+  };
+  exec::Batch reference =
+      testutil::ReferenceRunner(db_->plain())(plan()).ValueOrDie();
+  ASSERT_GT(reference.columns[0].i64[0], 0);
+  for (const PhysicalDb* db : {&db_->plain(), &db_->pk(), &db_->bdcc()}) {
+    exec::ExecContext ec(nullptr);
+    tpch::QueryContext ctx;
+    ctx.db = db;
+    ctx.exec = &ec;
+    auto result = tpch::RunPlan(plan(), ctx);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    testutil::ExpectBatchesEqual(reference, result.value(),
+                                 SchemeName(db->scheme()));
+  }
+}
+
 TEST_F(PlannerTest, BdccSchemePushdownPropagation) {
   // Q3: date selection on ORDERS prunes ORDERS and LINEITEM.
   auto notes = NotesFor(3, db_->bdcc());
