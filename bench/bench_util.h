@@ -73,7 +73,6 @@ struct QueryRun {
   // with unmerged appends (see src/delta/).
   uint64_t delta_rows_scanned = 0;
   uint64_t delta_chunks = 0;
-  uint64_t merges_completed = 0;
   std::vector<std::string> notes;
   bool ok = false;
   std::string error;
@@ -110,7 +109,6 @@ inline QueryRun RunQueryCold(tpch::TpchDb* db, opt::Scheme scheme, int q) {
   out.faults_injected = exec_ctx.stats()->faults_injected;
   out.delta_rows_scanned = exec_ctx.stats()->delta_rows_scanned;
   out.delta_chunks = exec_ctx.stats()->delta_chunks;
-  out.merges_completed = exec_ctx.stats()->merges_completed;
   if (result.ok()) {
     out.ok = true;
     out.rows = result.value().num_rows;
@@ -201,9 +199,6 @@ inline void AddLifecycleCounters(JsonLine& line, const QueryRun& run) {
   }
   if (run.delta_chunks > 0) {
     line.Num("delta_chunks", static_cast<double>(run.delta_chunks));
-  }
-  if (run.merges_completed > 0) {
-    line.Num("merges_completed", static_cast<double>(run.merges_completed));
   }
 }
 

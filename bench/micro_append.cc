@@ -82,7 +82,6 @@ QueryRun RunQueryBest(const opt::PhysicalDb* db, int q, double sf,
     run.wall_ms = MillisSince(start);
     run.delta_rows_scanned = exec_ctx.stats()->delta_rows_scanned;
     run.delta_chunks = exec_ctx.stats()->delta_chunks;
-    run.merges_completed = exec_ctx.stats()->merges_completed;
     if (!result.ok()) {
       std::fprintf(stderr, "micro_append: Q%d failed: %s\n", q,
                    result.status().ToString().c_str());

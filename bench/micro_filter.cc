@@ -62,7 +62,7 @@ uint64_t DrainPipeline(exec::Operator* op, exec::ExecContext* ctx) {
     auto b = op->Next(ctx).ValueOrDie();
     if (b.empty()) break;
     const exec::ColumnVector& k = b.columns[0];
-    for (size_t i = 0; i < b.num_rows; ++i) sum += k.i32[b.RowAt(i)];
+    for (size_t i = 0; i < b.num_rows; ++i) sum += k.i32_data()[b.RowAt(i)];
     op->Recycle(std::move(b));
   }
   op->Close(ctx);

@@ -93,7 +93,7 @@ void BM_PlainScanFiltered(benchmark::State& state) {
       auto b = scan.Next(&ctx).ValueOrDie();
       if (b.empty()) break;
       for (size_t i = 0; i < b.num_rows; ++i) {
-        if (b.columns[0].i32[i] < hi) ++matched;
+        if (b.columns[0].i32_data()[i] < hi) ++matched;
       }
     }
     benchmark::DoNotOptimize(matched);
@@ -125,7 +125,7 @@ void BM_BdccScanPruned(benchmark::State& state) {
       auto b = scan.Next(&ctx).ValueOrDie();
       if (b.empty()) break;
       for (size_t i = 0; i < b.num_rows; ++i) {
-        if (b.columns[0].i32[i] < hi) ++matched;
+        if (b.columns[0].i32_data()[i] < hi) ++matched;
       }
     }
     benchmark::DoNotOptimize(matched);
@@ -157,7 +157,7 @@ void RunPlainScanParallel(benchmark::State& state, int threads) {
         auto b = scan.Next(&ctx).ValueOrDie();
         if (b.empty()) break;
         for (size_t r = 0; r < b.num_rows; ++r) {
-          if (b.columns[0].i32[r] < hi) ++matched[i];
+          if (b.columns[0].i32_data()[r] < hi) ++matched[i];
         }
       }
     });
@@ -208,7 +208,7 @@ void RunBdccScanParallel(benchmark::State& state, int threads) {
         auto b = scan.Next(&ctx).ValueOrDie();
         if (b.empty()) break;
         for (size_t r = 0; r < b.num_rows; ++r) {
-          if (b.columns[0].i32[r] < hi) ++matched[i];
+          if (b.columns[0].i32_data()[r] < hi) ++matched[i];
         }
       }
     });
@@ -222,9 +222,9 @@ void RunBdccScanParallel(benchmark::State& state, int threads) {
 // ---- Zero-copy view emission sweep ----
 //
 // A clustered table (long runs on k) where zone maps prove whole chunks
-// all-pass: compares copying scans against zero-copy view emission, both
-// unfiltered and under an all-match predicate (the zone short-circuit that
-// skips every codec decode). One JsonLine per config.
+// all-pass: times zero-copy view emission, both unfiltered and under an
+// all-match predicate (the zone short-circuit that skips every codec
+// decode). One JsonLine per config.
 void RunZeroCopySweep() {
   Rng rng(23);
   Table t("ZC");
@@ -250,12 +250,8 @@ void RunZeroCopySweep() {
   struct Config {
     const char* name;
     bool filtered;
-    bool zero_copy;
   };
-  const Config configs[] = {{"copy", false, false},
-                            {"views", false, true},
-                            {"allmatch_copy", true, false},
-                            {"allmatch_views", true, true}};
+  const Config configs[] = {{"views", false}, {"allmatch_views", true}};
   for (const Config& c : configs) {
     double best_ms = 0;
     exec::ExecStats stats;
@@ -268,7 +264,6 @@ void RunZeroCopySweep() {
       }
       exec::SegmentScan scan(&t, {"k", "v", "w"}, preds);
       scan.EnableRowFilter(c.filtered);
-      scan.EnableZeroCopy(c.zero_copy);
       auto t0 = std::chrono::steady_clock::now();
       scan.Open(&ctx).AbortIfNotOK();
       uint64_t sum = 0;

@@ -50,7 +50,6 @@ IGNORED_KEYS = (
     # part of row identity.
     "delta_rows_scanned",
     "delta_chunks",
-    "merges_completed",
     "restore_ratio",
     # Throughput-bench outcome counters: how many queries landed in each
     # terminal state varies run to run (shedding is timing-dependent), so

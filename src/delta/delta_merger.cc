@@ -14,13 +14,11 @@ DeltaMerger::DeltaMerger(LiveTable* table, common::TaskScheduler* scheduler,
       group_(scheduler) {
   BDCC_CHECK(table_ != nullptr && scheduler_ != nullptr);
   if (options_.trigger_rows == 0) options_.trigger_rows = 1;
-  if (options_.observe_appends) {
-    table_->SetAppendObserver([this] { Poke(); });
-  }
+  table_->SetAppendObserver([this] { Poke(); });
 }
 
 DeltaMerger::~DeltaMerger() {
-  if (options_.observe_appends) table_->SetAppendObserver(nullptr);
+  table_->SetAppendObserver(nullptr);
   Stop();
 }
 
@@ -32,7 +30,7 @@ void DeltaMerger::Poke() {
                                           std::memory_order_acq_rel)) {
     return;  // a chain is already running; it re-checks before finishing
   }
-  common::ScopedTaskPriority priority(options_.priority);
+  common::ScopedTaskPriority priority(common::TaskPriority::kNormal);
   std::lock_guard<std::mutex> lock(group_mu_);
   // Re-check under the lock: Stop() may have drained between the claim and
   // here, and a submit after Wait() would leak a task past shutdown.
@@ -46,29 +44,14 @@ void DeltaMerger::Poke() {
 void DeltaMerger::RunChain() {
   while (!stopped_.load(std::memory_order_acquire) &&
          table_->delta_rows() >= options_.trigger_rows) {
-    bool ok;
-    uint64_t rows_merged = 0;
-    {
-      std::lock_guard<std::mutex> lock(ctx_mu_);
-      LiveTable::MergeOptions merge_options;
-      merge_options.max_groups = options_.max_groups_per_pass;
-      Result<LiveTable::MergeStats> pass = table_->Merge(merge_options, &ctx_);
-      ok = pass.ok();
-      if (ok) {
-        rows_merged = pass.value().rows_merged;
-      } else {
-        last_error_ = pass.status();
-      }
-    }
-    if (ok) {
-      passes_completed_.fetch_add(1, std::memory_order_relaxed);
-      // A fully-deferred pass (all groups over the bound) cannot shrink the
-      // delta further; stop rather than spin.
-      if (rows_merged == 0) break;
-    } else {
+    Result<LiveTable::MergeStats> pass = table_->Merge(&ctx_);
+    if (!pass.ok()) {
       passes_failed_.fetch_add(1, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(error_mu_);
+      last_error_ = pass.status();
       break;  // leave the delta intact; the next poke retries
     }
+    passes_completed_.fetch_add(1, std::memory_order_relaxed);
   }
   in_flight_.store(false, std::memory_order_release);
   // An append may have landed after the loop's last delta_rows() read but
@@ -81,10 +64,7 @@ void DeltaMerger::RunChain() {
 
 void DeltaMerger::Stop() {
   stopped_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(ctx_mu_);
-    ctx_.control()->RequestCancel();
-  }
+  ctx_.control()->RequestCancel();
   std::lock_guard<std::mutex> lock(group_mu_);
   group_.Wait();
 }
@@ -99,13 +79,8 @@ void DeltaMerger::Drain() {
 }
 
 Status DeltaMerger::last_error() const {
-  std::lock_guard<std::mutex> lock(ctx_mu_);
+  std::lock_guard<std::mutex> lock(error_mu_);
   return last_error_;
-}
-
-exec::ExecStats DeltaMerger::background_stats() const {
-  std::lock_guard<std::mutex> lock(ctx_mu_);
-  return *ctx_.stats();
 }
 
 }  // namespace delta

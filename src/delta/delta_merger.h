@@ -1,13 +1,13 @@
 // Background incremental re-clustering for a live table.
 //
-// A DeltaMerger hangs a merge policy off a LiveTable: every successful
-// append pokes it (via the table's append observer), and when the delta has
-// grown past `trigger_rows` it schedules one task on the work-stealing
-// scheduler that runs bounded LiveTable::Merge passes until the delta is
-// back under the trigger. The task runs in the scheduler's *normal* lane by
-// default — re-clustering is batch work; interactive queries' morsels route
-// through the high-priority lane and jump ahead of it (see
-// common/task_scheduler.h).
+// A DeltaMerger hangs a merge policy off a LiveTable: it installs itself as
+// the table's append observer, so every successful append pokes it, and
+// when the delta has grown past `trigger_rows` it schedules one task on the
+// work-stealing scheduler that runs LiveTable::Merge passes (each folds
+// every chunk it pins) until the delta is back under the trigger. The task
+// runs in the scheduler's *normal* lane — re-clustering is batch work;
+// interactive queries' morsels route through the high-priority lane and
+// jump ahead of it (see common/task_scheduler.h).
 //
 // At most one pass chain is in flight at a time (an atomic claim); pokes
 // while one runs are absorbed, and the chain re-checks the trigger after
@@ -37,14 +37,6 @@ class DeltaMerger {
   struct Options {
     /// Schedule a pass once delta_rows() reaches this many rows.
     uint64_t trigger_rows = 4096;
-    /// Bound per pass (LiveTable::MergeOptions::max_groups); 0 = all dirty
-    /// groups in one pass.
-    size_t max_groups_per_pass = 0;
-    /// Scheduling class of merge tasks. Keep kNormal so interactive queries
-    /// overtake re-clustering.
-    common::TaskPriority priority = common::TaskPriority::kNormal;
-    /// Install this merger as `table`'s append observer (pokes on append).
-    bool observe_appends = true;
   };
 
   /// `table` and `scheduler` must outlive the merger.
@@ -63,8 +55,9 @@ class DeltaMerger {
   /// The merger stays stopped; idempotent.
   void Stop();
 
-  /// Block until the delta is below the trigger and no pass is in flight
-  /// (helps run scheduler tasks while waiting). For tests and benchmarks.
+  /// Block until the delta is below the trigger and no pass is in flight,
+  /// poking and yielding while it waits (the scheduler's workers run the
+  /// passes). For tests and benchmarks.
   void Drain();
 
   uint64_t passes_completed() const {
@@ -73,11 +66,8 @@ class DeltaMerger {
   uint64_t passes_failed() const {
     return passes_failed_.load(std::memory_order_relaxed);
   }
-  /// First/most recent non-OK merge status (OK when none failed yet).
+  /// Most recent non-OK merge status (OK when none failed yet).
   Status last_error() const;
-  /// Merge counters accumulated across background passes (merges_completed,
-  /// faults_injected, morsels_cancelled).
-  exec::ExecStats background_stats() const;
 
  private:
   void RunChain();
@@ -91,13 +81,11 @@ class DeltaMerger {
   std::atomic<uint64_t> passes_completed_{0};
   std::atomic<uint64_t> passes_failed_{0};
 
-  // Merge passes run on scheduler workers with this context: its
-  // QueryControl is the Stop() channel, its stats accumulate across passes
-  // (guarded by ctx_mu_ against concurrent background_stats() readers —
-  // passes themselves are serialized by the in-flight claim).
-  mutable std::mutex ctx_mu_;
-  mutable exec::ExecContext ctx_;
-  Status last_error_;  // guarded by ctx_mu_
+  // Merge passes run on scheduler workers with this context (serialized by
+  // the in-flight claim); its QueryControl is the Stop() channel.
+  exec::ExecContext ctx_;
+  mutable std::mutex error_mu_;
+  Status last_error_;  // guarded by error_mu_
 
   std::mutex group_mu_;  // serializes Submit (Poke threads) vs Wait (Stop)
   common::TaskScheduler::TaskGroup group_;

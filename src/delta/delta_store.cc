@@ -10,24 +10,6 @@
 namespace bdcc {
 namespace delta {
 
-namespace {
-
-// Empty table with `base`'s data() schema (including `_bdcc_`). String
-// columns get fresh dictionaries: chunks must never intern into the base
-// table's shared dictionaries while readers decode them.
-Table EmptyChunkTable(const BdccTable& base) {
-  const Table& shape = base.data();
-  Table out(shape.name());
-  for (size_t c = 0; c < shape.num_columns(); ++c) {
-    Status s = out.AddColumn(shape.column_name(static_cast<int>(c)),
-                             Column(shape.column(static_cast<int>(c)).type()));
-    BDCC_CHECK(s.ok());
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<DeltaChunk> DeltaChunk::Build(const BdccTable& base, const Table& rows,
                                      const TableResolver& resolver,
                                      uint32_t zone_rows,
@@ -72,53 +54,30 @@ Result<DeltaChunk> DeltaChunk::Build(const BdccTable& base, const Table& rows,
     BDCC_RETURN_NOT_OK(
         data.AddColumn(shape.column_name(static_cast<int>(c)), std::move(col)));
   }
+  data.BuildZoneMaps(zone_rows);
+
+  // Bucket by reduced key into the base's group key space.
   DeltaChunk chunk(std::move(data));
-  BDCC_RETURN_NOT_OK(chunk.Seal(base, sorted_keys, zone_rows, memory));
-  return chunk;
-}
-
-Result<DeltaChunk> DeltaChunk::FromKeyedRows(
-    const BdccTable& base,
-    const std::vector<std::pair<const DeltaChunk*, uint64_t>>& sources,
-    uint32_t zone_rows, exec::MemoryTracker* memory) {
-  DeltaChunk chunk(EmptyChunkTable(base));
-  for (const auto& [src, row] : sources) {
-    chunk.data_.AppendRowsFrom(src->data(), row, row + 1);
-  }
-  std::vector<uint64_t> keys(sources.size());
-  const auto& lane = chunk.data_.column(base.bdcc_column_index()).i64();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<uint64_t>(lane[i]);
-  }
-  BDCC_RETURN_NOT_OK(chunk.Seal(base, keys, zone_rows, memory));
-  return chunk;
-}
-
-Status DeltaChunk::Seal(const BdccTable& base,
-                        const std::vector<uint64_t>& keys, uint32_t zone_rows,
-                        exec::MemoryTracker* memory) {
-  data_.BuildZoneMaps(zone_rows);
   int shift = base.full_bits() - base.count_bits();
-  for (uint64_t i = 0; i < keys.size(); ++i) {
-    BDCC_CHECK(i == 0 || keys[i - 1] <= keys[i]);
-    uint64_t reduced = keys[i] >> shift;
-    if (groups_.empty() || groups_.back().key != reduced) {
-      groups_.push_back(GroupRange{reduced, i, i + 1});
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t reduced = sorted_keys[i] >> shift;
+    if (chunk.groups_.empty() || chunk.groups_.back().key != reduced) {
+      chunk.groups_.push_back(GroupRange{reduced, i, i + 1});
     } else {
-      groups_.back().row_end = i + 1;
+      chunk.groups_.back().row_end = i + 1;
     }
   }
-  bytes_ = data_.DiskBytes();
+  chunk.bytes_ = chunk.data_.DiskBytes();
   if (memory != nullptr) {
-    if (!memory->TryAllocate(bytes_)) {
-      bytes_ = 0;
+    if (!memory->TryAllocate(chunk.bytes_)) {
+      chunk.bytes_ = 0;
       return Status::ResourceExhausted(
           "delta store: appending this batch would exceed the delta memory "
           "budget");
     }
-    memory_ = memory;
+    chunk.memory_ = memory;
   }
-  return Status::OK();
+  return chunk;
 }
 
 DeltaChunk::DeltaChunk(DeltaChunk&& other) noexcept

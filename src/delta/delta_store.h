@@ -6,12 +6,13 @@
 // key independent of old data), sorted by that key, zone-mapped at the base
 // table's granularity, and pre-bucketed into per-group row slices at the
 // count-table granularity. The slices are GroupRanges in the base's key
-// space: the background merger picks dirty groups from them without
+// space: a merge pass buckets its rows into dirty groups from them without
 // rescanning, and scans prune and group-tag them exactly like the base's
-// ranges (see opt::GroupSegments). Chunks are immutable after Build, which
-// is what makes concurrent scan/merge/append safe without read-side
-// locking: readers pin a snapshot (see live_table.h) whose chunk set never
-// mutates.
+// ranges (see opt::GroupSegments). A chunk stays in the current snapshot
+// until the next merge pass (which folds every chunk it pinned) publishes.
+// Chunks are immutable after Build, which is what makes concurrent
+// scan/merge/append safe without read-side locking: readers pin a snapshot
+// (see live_table.h) whose chunk set never mutates.
 //
 // Chunk string columns carry their *own* dictionaries — sharing the base
 // table's would mean interning into a dictionary concurrent readers are
@@ -51,14 +52,6 @@ class DeltaChunk {
                                   uint32_t zone_rows,
                                   exec::MemoryTracker* memory);
 
-  /// \brief Seal rows that already carry their `_bdcc_` column (the merge
-  /// path's residual chunk: rows of groups a bounded pass deferred).
-  /// `sources[i]` = {chunk, row}; rows must be given in full-key order.
-  static Result<DeltaChunk> FromKeyedRows(
-      const BdccTable& base,
-      const std::vector<std::pair<const DeltaChunk*, uint64_t>>& sources,
-      uint32_t zone_rows, exec::MemoryTracker* memory);
-
   DeltaChunk(DeltaChunk&& other) noexcept;
   DeltaChunk& operator=(DeltaChunk&& other) noexcept;
   ~DeltaChunk();
@@ -78,11 +71,6 @@ class DeltaChunk {
 
  private:
   explicit DeltaChunk(Table data) : data_(std::move(data)) {}
-
-  // Zone-map, bucket by reduced key, and charge `memory` (shared tail of
-  // both build paths; `keys` are the full-granularity sorted keys).
-  Status Seal(const BdccTable& base, const std::vector<uint64_t>& keys,
-              uint32_t zone_rows, exec::MemoryTracker* memory);
 
   Table data_;
   std::vector<GroupRange> groups_;
@@ -109,7 +97,6 @@ class DeltaStore {
       const TableResolver& resolver) const;
 
   exec::MemoryTracker* memory() const { return &memory_; }
-  uint32_t zone_rows() const { return zone_rows_; }
 
  private:
   uint32_t zone_rows_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -20,6 +19,12 @@ struct DeltaRowRef {
   uint64_t row = 0;
 };
 
+// Zone-map granularity of chunks and merged bases: the base's, or
+// AppendToBdccTable's default when the base has no zone maps.
+uint32_t ZoneRowsOf(const Table& base_data) {
+  return base_data.HasZoneMaps() ? base_data.zone_rows() : 1024;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<LiveTable>> LiveTable::Create(
@@ -30,15 +35,11 @@ Result<std::unique_ptr<LiveTable>> LiveTable::Create(
         "live append after small-group consolidation is not supported; the "
         "merge walk needs physical row order == clustered order");
   }
-  uint32_t zone_rows = options.zone_rows != 0 ? options.zone_rows
-                       : base.data().HasZoneMaps() ? base.data().zone_rows()
-                                                   : 1024;
   std::unique_ptr<LiveTable> live(new LiveTable());
   live->name_ = base.name();
   live->resolver_ = resolver;
-  live->zone_rows_ = zone_rows;
-  live->store_ =
-      std::make_unique<DeltaStore>(zone_rows, options.delta_memory_limit);
+  live->store_ = std::make_unique<DeltaStore>(ZoneRowsOf(base.data()),
+                                              options.delta_memory_limit);
   auto snap = std::make_shared<TableSnapshot>();
   snap->epoch = 1;
   snap->base = std::make_shared<const BdccTable>(std::move(base));
@@ -66,7 +67,6 @@ Result<uint64_t> LiveTable::Append(const Table& rows) {
     next->epoch = current_->epoch + 1;
     next->chunks.push_back(std::move(chunk));
     next->delta_rows += appended;
-    chunk_seqs_.push_back(next_chunk_seq_++);
     rows_appended_ += appended;
     ++chunks_appended_;
     PublishLocked(std::move(next));
@@ -95,20 +95,15 @@ std::shared_ptr<const TableSnapshot> LiveTable::OpenSnapshot() {
       });
 }
 
-Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
-                                               exec::ExecContext* ctx) {
+Result<LiveTable::MergeStats> LiveTable::Merge(exec::ExecContext* ctx) {
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
 
   std::shared_ptr<const TableSnapshot> snap;
-  std::vector<uint64_t> seqs;
   {
     std::lock_guard<std::mutex> lock(mu_);
     snap = current_;
-    seqs = chunk_seqs_;
   }
-  if (snap->chunks.empty()) {
-    return MergeStats{snap->epoch, 0, 0, 0};
-  }
+  if (snap->chunks.empty()) return MergeStats{snap->epoch, 0, 0};
   const BdccTable& base = *snap->base;
   const int bdcc_col = base.bdcc_column_index();
 
@@ -135,28 +130,10 @@ Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
                      });
   }
 
-  // Pick this pass's groups: all of them, or the max_groups with the most
-  // delta rows (ties to the smaller key, for determinism).
-  std::set<uint64_t> selected;
-  if (options.max_groups == 0 || options.max_groups >= dirty.size()) {
-    for (const auto& [key, rows] : dirty) selected.insert(key);
-  } else {
-    std::vector<std::pair<uint64_t, uint64_t>> order;  // {rows, key}
-    order.reserve(dirty.size());
-    for (const auto& [key, rows] : dirty) order.push_back({rows.size(), key});
-    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    });
-    for (size_t i = 0; i < options.max_groups; ++i) {
-      selected.insert(order[i].second);
-    }
-  }
-
   // Build the merged base with fresh dictionaries (live readers keep
   // decoding the old version's) by walking base groups ∪ dirty groups in
-  // key order. Clean and deferred groups copy their base span verbatim;
-  // selected groups two-pointer merge on full keys, base rows first at ties
+  // key order. Clean groups copy their base span verbatim; dirty groups
+  // two-pointer merge on full keys, base rows first at ties
   // (AppendToBdccTable's stable-sort puts new rows after old).
   const Table& base_data = base.data();
   const auto& base_keys = base_data.column(bdcc_col).i64();
@@ -168,11 +145,16 @@ Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
   }
   std::vector<uint64_t> sorted_keys;
   sorted_keys.reserve(base_data.num_rows() + snap->delta_rows);
-  std::vector<std::pair<const DeltaChunk*, uint64_t>> residual_rows;
+  auto copy_base = [&](uint64_t row_begin, uint64_t row_end) {
+    merged.AppendRowsFrom(base_data, row_begin, row_end);
+    for (uint64_t r = row_begin; r < row_end; ++r) {
+      sorted_keys.push_back(static_cast<uint64_t>(base_keys[r]));
+    }
+  };
 
   MergeStats result;
   auto merge_group = [&](uint64_t row_begin, uint64_t row_end,
-                         const std::vector<DeltaRowRef>* delta_rows)
+                         const std::vector<DeltaRowRef>& delta_rows)
       -> Status {
     if (ctx != nullptr) BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
     if (BDCC_UNLIKELY(fault::ShouldFail(fault::kDeltaMerge))) {
@@ -181,28 +163,25 @@ Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
     }
     uint64_t i = row_begin;
     size_t j = 0;
-    size_t n_delta = delta_rows != nullptr ? delta_rows->size() : 0;
-    while (i < row_end || j < n_delta) {
+    while (i < row_end || j < delta_rows.size()) {
       // Run of base rows with keys <= the next delta key.
       uint64_t run_begin = i;
-      while (i < row_end &&
-             (j >= n_delta ||
-              static_cast<uint64_t>(base_keys[i]) <= (*delta_rows)[j].key)) {
-        sorted_keys.push_back(static_cast<uint64_t>(base_keys[i]));
+      while (i < row_end && (j == delta_rows.size() ||
+                             static_cast<uint64_t>(base_keys[i]) <=
+                                 delta_rows[j].key)) {
         ++i;
       }
-      if (i > run_begin) merged.AppendRowsFrom(base_data, run_begin, i);
-      while (j < n_delta &&
-             (i >= row_end ||
-              (*delta_rows)[j].key < static_cast<uint64_t>(base_keys[i]))) {
-        const DeltaRowRef& ref = (*delta_rows)[j];
+      if (i > run_begin) copy_base(run_begin, i);
+      while (j < delta_rows.size() &&
+             (i == row_end ||
+              delta_rows[j].key < static_cast<uint64_t>(base_keys[i]))) {
+        const DeltaRowRef& ref = delta_rows[j++];
         merged.AppendRowsFrom(snap->chunks[ref.chunk]->data(), ref.row,
                               ref.row + 1);
         sorted_keys.push_back(ref.key);
-        ++j;
       }
     }
-    result.rows_merged += n_delta;
+    result.rows_merged += delta_rows.size();
     ++result.groups_merged;
     return Status::OK();
   };
@@ -212,70 +191,32 @@ Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
     size_t ei = 0;
     auto dit = dirty.begin();
     while (ei < entries.size() || dit != dirty.end()) {
-      bool take_base = dit == dirty.end() ||
-                       (ei < entries.size() && entries[ei].key < dit->first);
-      bool take_delta = ei == entries.size() ||
-                        (dit != dirty.end() && dit->first < entries[ei].key);
-      if (take_base) {
-        // Clean group: bulk copy.
-        const CountEntry& e = entries[ei++];
-        merged.AppendRowsFrom(base_data, e.row_begin, e.row_begin + e.count);
-        for (uint64_t r = 0; r < e.count; ++r) {
-          sorted_keys.push_back(
-              static_cast<uint64_t>(base_keys[e.row_begin + r]));
-        }
+      if (dit == dirty.end() ||
+          (ei < entries.size() && entries[ei].key < dit->first)) {
+        const CountEntry& e = entries[ei++];  // clean group
+        copy_base(e.row_begin, e.row_begin + e.count);
         continue;
       }
-      const uint64_t key = dit->first;
-      const std::vector<DeltaRowRef>& delta_rows = dit->second;
       uint64_t row_begin = 0;
       uint64_t row_end = 0;
-      if (!take_delta) {
+      if (ei < entries.size() && entries[ei].key == dit->first) {
         row_begin = entries[ei].row_begin;
         row_end = row_begin + entries[ei].count;
         ++ei;
       }
-      if (selected.count(key) != 0) {
-        BDCC_RETURN_NOT_OK(merge_group(row_begin, row_end, &delta_rows));
-      } else {
-        // Deferred: base span stays as-is, delta rows ride to the residual
-        // chunk (already in (key, chunk, row) order, keys ascending across
-        // the map walk).
-        if (row_end > row_begin) {
-          merged.AppendRowsFrom(base_data, row_begin, row_end);
-          for (uint64_t r = row_begin; r < row_end; ++r) {
-            sorted_keys.push_back(static_cast<uint64_t>(base_keys[r]));
-          }
-        }
-        for (const DeltaRowRef& ref : delta_rows) {
-          residual_rows.push_back({snap->chunks[ref.chunk].get(), ref.row});
-        }
-        result.rows_deferred += delta_rows.size();
-      }
+      BDCC_RETURN_NOT_OK(merge_group(row_begin, row_end, dit->second));
       ++dit;
     }
     return Status::OK();
   };
   Status pass = run();
-
-  std::shared_ptr<const DeltaChunk> residual;
-  if (pass.ok() && !residual_rows.empty()) {
-    Result<DeltaChunk> r = DeltaChunk::FromKeyedRows(
-        base, residual_rows, zone_rows_, store_->memory());
-    if (r.ok()) {
-      residual = std::make_shared<const DeltaChunk>(std::move(r).value());
-    } else {
-      pass = r.status();
-    }
-  }
   if (!pass.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++merges_failed_;
     return pass;
   }
 
-  merged.BuildZoneMaps(base_data.HasZoneMaps() ? base_data.zone_rows()
-                                               : zone_rows_);
+  merged.BuildZoneMaps(ZoneRowsOf(base_data));
   if (base_data.HasEncodedLanes()) merged.BuildEncodedLanes();
   if (base_data.HasIoHandles()) {
     merged.RegisterWithBufferPool(base_data.buffer_pool());
@@ -285,40 +226,27 @@ Result<LiveTable::MergeStats> LiveTable::Merge(const MergeOptions& options,
   auto new_base = std::make_shared<const BdccTable>(
       base.WithData(std::move(merged), std::move(counts)));
 
-  // Publish: new base, residual chunk (its rows predate every surviving
-  // chunk), plus any chunks appended since this pass pinned its snapshot.
-  // Consumption is tracked by seq *membership*, not a high-water seq: a
-  // previous pass's residual carries a seq larger than chunks appended
-  // while that pass ran, so the pinned seq list is not ascending.
-  std::sort(seqs.begin(), seqs.end());
-  const uint64_t consumed_max_seq = seqs.back();
+  // Publish: the new base plus the chunks appended since this pass pinned
+  // its snapshot. Appends only push_back and merge_mu_ serializes passes,
+  // so the pinned chunks are a prefix of the current list.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    const auto& chunks = current_->chunks;
+    const size_t consumed = snap->chunks.size();
+    BDCC_CHECK(chunks.size() >= consumed);
+    for (size_t i = 0; i < consumed; ++i) {
+      BDCC_CHECK(chunks[i] == snap->chunks[i]);
+    }
     auto next = std::make_shared<TableSnapshot>();
     next->epoch = current_->epoch + 1;
     next->base = std::move(new_base);
-    next->delta_watermark = consumed_max_seq;
-    std::vector<uint64_t> new_seqs;
-    if (residual != nullptr) {
-      next->delta_rows += residual->num_rows();
-      next->chunks.push_back(std::move(residual));
-      new_seqs.push_back(next_chunk_seq_++);
-    }
-    for (size_t i = 0; i < current_->chunks.size(); ++i) {
-      if (std::binary_search(seqs.begin(), seqs.end(), chunk_seqs_[i])) {
-        continue;  // consumed by this pass (merged or moved to the residual)
-      }
-      next->delta_rows += current_->chunks[i]->num_rows();
-      next->chunks.push_back(current_->chunks[i]);
-      new_seqs.push_back(chunk_seqs_[i]);
-    }
-    chunk_seqs_ = std::move(new_seqs);
+    next->chunks.assign(chunks.begin() + consumed, chunks.end());
+    next->delta_rows = current_->delta_rows - snap->delta_rows;
     result.epoch = next->epoch;
     PublishLocked(std::move(next));
     ++merges_completed_;
     rows_merged_ += result.rows_merged;
   }
-  if (ctx != nullptr) ++ctx->stats()->merges_completed;
   return result;
 }
 

@@ -6,15 +6,18 @@
 //
 //   snapshot = { epoch, base version (a whole BdccTable), delta chunk set }
 //
-// Appends seal a DeltaChunk and publish epoch N+1 with the chunk added;
-// merge passes rewrite dirty groups of the base and publish epoch N+1 with
-// a new base version and the consumed chunks removed. Publication is a
-// pointer swap under one mutex — readers that called OpenSnapshot() keep
-// their epoch pinned (shared ownership of the base version and every chunk)
-// and are never invalidated; an epoch retires when the last reader handle
-// closes. Nothing a reader can reach is ever mutated after publication,
-// which is the whole concurrency story: scans need no locks, and a failed
-// or cancelled merge simply publishes nothing.
+// Appends seal a DeltaChunk and publish epoch N+1 with the chunk added; a
+// merge pass folds every chunk of the snapshot it pinned into the dirty
+// groups of the base and publishes epoch N+1 with a new base version and
+// those chunks removed. Appends only push_back and passes serialize, so the
+// pinned chunks are always a prefix of the current list: the published list
+// is the current one minus that prefix. Publication is a pointer swap
+// under one mutex — readers that called OpenSnapshot() keep their epoch
+// pinned (shared ownership of the base version and every chunk) and are
+// never invalidated; an epoch retires when the last reader handle closes.
+// Nothing a reader can reach is ever mutated after publication, which is
+// the whole concurrency story: scans need no locks, and a failed or
+// cancelled merge simply publishes nothing.
 //
 // Merge ordering contract: the merged base is byte-for-byte the table a
 // serial AppendToBdccTable of the same rows would produce — base rows keep
@@ -51,10 +54,6 @@ struct TableSnapshot {
   std::vector<std::shared_ptr<const DeltaChunk>> chunks;
   /// Total rows across chunks.
   uint64_t delta_rows = 0;
-  /// Sequence number of the newest chunk merged into `base` (0 = none):
-  /// with chunk sequence numbers assigned 1,2,... per append, the pair
-  /// {base, delta_watermark} names this version's split point exactly.
-  uint64_t delta_watermark = 0;
 };
 
 /// \brief A BDCC table taking live appends: owns the version chain, the
@@ -63,25 +62,15 @@ struct TableSnapshot {
 class LiveTable {
  public:
   struct Options {
-    /// Zone-map granularity for delta chunks; 0 adopts the base table's.
-    uint32_t zone_rows = 0;
     /// Cap on tracked delta bytes (appends past it get ResourceExhausted);
     /// 0 = unlimited.
     uint64_t delta_memory_limit = 0;
-  };
-
-  struct MergeOptions {
-    /// Merge at most this many dirty groups per pass, largest delta first
-    /// (rows of deferred groups stay in the delta as a residual chunk);
-    /// 0 = merge every dirty group.
-    size_t max_groups = 0;
   };
 
   struct MergeStats {
     uint64_t epoch = 0;  // epoch after the pass (unchanged when a no-op)
     uint64_t rows_merged = 0;
     uint64_t groups_merged = 0;
-    uint64_t rows_deferred = 0;
   };
 
   struct Stats {
@@ -122,24 +111,20 @@ class LiveTable {
   /// set alive; dropping the last handle of a superseded epoch retires it.
   std::shared_ptr<const TableSnapshot> OpenSnapshot();
 
-  /// One incremental re-clustering pass: bucket delta rows by BDCC key,
-  /// pick the dirty groups (bounded by `options.max_groups`), rewrite those
-  /// groups of the base in key order, and publish a new epoch atomically.
-  /// Passes serialize on an internal mutex; appends proceed concurrently
-  /// (chunks sealed during the pass stay in the delta). `ctx` (optional)
-  /// takes merge counters and supplies the QueryControl polled between
-  /// groups — cancel/deadline unwind the pass with nothing published, as
-  /// does a fired `delta.merge` fault.
-  Result<MergeStats> Merge(const MergeOptions& options,
-                           exec::ExecContext* ctx = nullptr);
-  Result<MergeStats> Merge() { return Merge(MergeOptions(), nullptr); }
+  /// One incremental re-clustering pass: pin the current snapshot, bucket
+  /// all of its delta rows by BDCC key, rewrite every dirty group of the
+  /// base in key order, and publish a new epoch atomically with the pinned
+  /// chunks removed. Passes serialize on an internal mutex; appends proceed
+  /// concurrently (chunks sealed during the pass stay in the delta). `ctx`
+  /// (optional) supplies the QueryControl polled between groups —
+  /// cancel/deadline unwind the pass with nothing published, as does a
+  /// fired `delta.merge` fault — and counts injected faults.
+  Result<MergeStats> Merge(exec::ExecContext* ctx = nullptr);
 
   /// Rows currently in the delta (cheap snapshot read).
   uint64_t delta_rows() const;
   uint64_t epoch() const;
   Stats stats() const;
-
-  DeltaStore& delta_store() { return *store_; }
 
   /// Called after every successful Append publication (merge triggering).
   /// Runs on the appending thread, outside the publication lock.
@@ -155,14 +140,11 @@ class LiveTable {
 
   std::string name_;
   const TableResolver* resolver_ = nullptr;
-  uint32_t zone_rows_ = 0;
   std::unique_ptr<DeltaStore> store_;
 
   mutable std::mutex mu_;  // snapshot pointer + reader registry + counters
   std::shared_ptr<const TableSnapshot> current_;
   std::map<uint64_t, uint64_t> readers_;  // epoch -> open handles
-  uint64_t next_chunk_seq_ = 1;
-  std::vector<uint64_t> chunk_seqs_;  // parallel to current_->chunks
   uint64_t rows_appended_ = 0;
   uint64_t chunks_appended_ = 0;
   uint64_t merges_completed_ = 0;

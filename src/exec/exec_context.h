@@ -52,8 +52,6 @@ struct ExecStats {
   // counts each chunk it reads once, and parallel clones each count the
   // chunks they touch.
   uint64_t delta_chunks = 0;
-  // Background merge passes that published a new snapshot epoch.
-  uint64_t merges_completed = 0;
 
   void Reset() { *this = ExecStats{}; }
 
@@ -73,7 +71,6 @@ struct ExecStats {
     faults_injected += other.faults_injected;
     delta_rows_scanned += other.delta_rows_scanned;
     delta_chunks += other.delta_chunks;
-    merges_completed += other.merges_completed;
   }
 };
 

@@ -467,7 +467,7 @@ Result<Batch> SegmentScan::Next(ExecContext* ctx) {
     if (seg.kind == ScanSegment::Kind::kDelta) {
       ctx->stats()->delta_rows_scanned += end - cursor_;
     }
-    if (zero_copy_ && appended == 0 && end - cursor_ >= kMinViewRows &&
+    if (appended == 0 && end - cursor_ >= kMinViewRows &&
         (!filtering || zone_all_match)) {
       ChargeSpan(table, col_idx_, cursor_, end, ctx);
       MakeViews(table, col_idx_, cursor_, end, &out);

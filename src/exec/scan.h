@@ -131,7 +131,10 @@ struct ScanSegment {
 /// carry per-table dictionaries) or group ids, so grouped emission stays
 /// aligned for sandwich operators. Zones the zone maps rule out are skipped
 /// within each segment, and each zone entered counts once in zones_read or
-/// zones_skipped.
+/// zones_skipped. A chunk that needs no row filtering (none is enforced, or
+/// the zone maps prove every row passes) and spans at least kMinViewRows
+/// (scan.cc) is emitted alone as zero-copy views over the storage lanes:
+/// consumers must honor the ColumnVector view contract (see exec/batch.h).
 class SegmentScan : public Operator {
  public:
   /// Scan every row of `table`.
@@ -158,12 +161,6 @@ class SegmentScan : public Operator {
   /// selection vectors / gathered rows). Call before Open.
   void EnableRowFilter(bool on) { row_filter_ = on; }
 
-  /// Emit zone-sized chunks the zone maps prove fully-passing (or any chunk
-  /// when no filter is enforced) as zero-copy views over the storage lanes
-  /// instead of copying. Call before Open; consumers must honor the
-  /// ColumnVector view contract (see exec/batch.h).
-  void EnableZeroCopy(bool on) { zero_copy_ = on; }
-
  private:
   const Table* table_;
   std::vector<std::string> col_names_;
@@ -182,7 +179,6 @@ class SegmentScan : public Operator {
   const Table* zone_table_ = nullptr;
   uint64_t zone_ = 0;
   bool row_filter_ = false;
-  bool zero_copy_ = false;
   internal::ScanFilterState filter_;
 };
 

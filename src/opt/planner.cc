@@ -652,7 +652,6 @@ Result<SubPlan> PlannerImpl::CompileScan(
     auto scan_op = std::make_unique<exec::SegmentScan>(
         table, cols, zone_preds, std::move(segs), pruned_groups, snap);
     scan_op->EnableRowFilter(scan_filters_rows);
-    scan_op->EnableZeroCopy(true);
     if (conjuncts.empty()) return scan_op;
     return std::make_unique<exec::Filter>(std::move(scan_op),
                                           exec::AndAll(conjuncts));

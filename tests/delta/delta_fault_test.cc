@@ -38,7 +38,7 @@ class DeltaFaultSweepTest : public DeltaFixture {
   }
 
   // One lifecycle under whatever injection is active: interleaved appends,
-  // bounded merge passes, and scans. Returns the number of operations that
+  // merge passes, and scans. Returns the number of operations that
   // failed (cleanly). EXPECTs enforce the atomicity invariant throughout.
   int SweepOnce(LiveTable* live, uint64_t* expect_rows, int64_t seed_base) {
     int failed = 0;
@@ -51,9 +51,7 @@ class DeltaFaultSweepTest : public DeltaFixture {
         ++failed;
       }
       if (step % 2 == 1) {
-        LiveTable::MergeOptions bounded;
-        bounded.max_groups = 16;
-        auto merged = live->Merge(bounded);
+        auto merged = live->Merge();
         if (!merged.ok()) ++failed;
       }
       // Scans fail only via injected scan faults; whenever one completes it

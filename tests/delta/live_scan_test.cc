@@ -254,7 +254,6 @@ TEST_F(LiveScanTest, DeltaConcurrencyAppendMergeScan) {
   common::TaskScheduler scheduler(2);
   DeltaMerger::Options merge_options;
   merge_options.trigger_rows = 400;
-  merge_options.max_groups_per_pass = 8;
   DeltaMerger merger(live.get(), &scheduler, merge_options);
 
   constexpr int kWriters = 2;
@@ -326,6 +325,35 @@ TEST_F(LiveScanTest, DeltaConcurrencyAppendMergeScan) {
   EXPECT_EQ(final_scan.num_rows,
             5000u + uint64_t{kWriters} * kBatchesPerWriter * kBatchRows);
   EXPECT_EQ(ctx.stats()->delta_rows_scanned, 0u);
+}
+
+// Stop() racing an in-flight pass: the pass either publishes or unwinds
+// cancelled with nothing published, and the table stays whole either way.
+TEST_F(LiveScanTest, DeltaConcurrencyStopDuringPass) {
+  common::TaskScheduler scheduler(1);
+  DeltaMerger::Options merge_options;
+  merge_options.trigger_rows = 1;
+  for (int round = 0; round < 6; ++round) {
+    auto live = MakeLive();
+    uint64_t appended = 0;
+    {
+      DeltaMerger merger(live.get(), &scheduler, merge_options);
+      for (int b = 0; b < 3; ++b) {
+        appended += live->Append(MakeRows(round * 10 + b, 400)).ValueOrDie();
+      }
+      merger.Stop();
+      Status last = merger.last_error();
+      EXPECT_TRUE(last.ok() || last.IsCancelled()) << last.ToString();
+    }
+    auto snap = live->OpenSnapshot();
+    EXPECT_EQ(snap->base->logical_rows() + snap->delta_rows, 5000 + appended);
+    snap.reset();
+    ASSERT_TRUE(live->Merge().ok());
+    exec::ExecContext ctx(nullptr);
+    exec::Batch scanned =
+        ScanSnapshot(live->OpenSnapshot(), {}, false, &ctx).ValueOrDie();
+    EXPECT_EQ(scanned.num_rows, 5000 + appended) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// LiveTable: epoch publication, snapshot pinning, merge-equals-rebuild,
-// bounded passes with residual chunks, and failure atomicity.
+// LiveTable: epoch publication, snapshot pinning, merge-equals-rebuild
+// (one pass and several), and failure atomicity.
 #include "delta/live_table.h"
 
 #include <memory>
@@ -138,7 +138,6 @@ TEST_F(LiveTableTest, MergeEqualsSerialBulkAppend) {
 
   LiveTable::MergeStats merged = live->Merge().ValueOrDie();
   EXPECT_EQ(merged.rows_merged, 1500u);
-  EXPECT_EQ(merged.rows_deferred, 0u);
   EXPECT_GT(merged.groups_merged, 0u);
   EXPECT_EQ(live->delta_rows(), 0u);
 
@@ -152,40 +151,32 @@ TEST_F(LiveTableTest, MergeEqualsSerialBulkAppend) {
   ExpectCountTablesEqual(*snap->base, serial);
 }
 
-TEST_F(LiveTableTest, BoundedMergeDefersRowsToResidualChunk) {
+TEST_F(LiveTableTest, MultiPassMergeEqualsSerialBulkAppend) {
   auto live = MakeLive();
-  Table extra = MakeRows(9, 1200);
-  ASSERT_TRUE(live->Append(extra).ok());
+  Table a = MakeRows(9, 700);
+  Table b = MakeRows(10, 500);
+  Table c = MakeRows(11, 400);
+  ASSERT_TRUE(live->Append(a).ok());
+  EXPECT_EQ(live->Merge().ValueOrDie().rows_merged, 700u);
 
-  LiveTable::MergeOptions bounded;
-  bounded.max_groups = 1;
-  LiveTable::MergeStats pass = live->Merge(bounded).ValueOrDie();
-  EXPECT_EQ(pass.groups_merged, 1u);
-  EXPECT_GT(pass.rows_merged, 0u);
-  EXPECT_GT(pass.rows_deferred, 0u);
-  EXPECT_EQ(pass.rows_merged + pass.rows_deferred, 1200u);
+  // The second pass merges into the first pass's base; both of its chunks
+  // are consumed.
+  ASSERT_TRUE(live->Append(b).ok());
+  ASSERT_TRUE(live->Append(c).ok());
+  EXPECT_EQ(live->Merge().ValueOrDie().rows_merged, 900u);
+  EXPECT_EQ(live->delta_rows(), 0u);
+  EXPECT_EQ(live->stats().merges_completed, 2u);
 
-  // Deferred rows live in a residual chunk; repeated bounded passes drain
-  // the delta completely.
-  auto snap = live->OpenSnapshot();
-  ASSERT_EQ(snap->chunks.size(), 1u);
-  EXPECT_EQ(snap->chunks[0]->num_rows(), pass.rows_deferred);
-  snap.reset();
-
-  int passes = 1;
-  while (live->delta_rows() > 0) {
-    ASSERT_TRUE(live->Merge(bounded).ok());
-    ASSERT_LT(++passes, 200);
-  }
-  EXPECT_GT(passes, 2);
-
-  // The incremental result still equals one serial bulk append.
+  // Incremental maintenance converges to one serial bulk append per batch.
   BdccTable serial = Build(tables_.at("F"));
   Resolver resolver(&tables_, &catalog_);
-  ASSERT_TRUE(AppendToBdccTable(&serial, extra, resolver).ok());
-  auto final_snap = live->OpenSnapshot();
-  ExpectTablesEqual(final_snap->base->data(), serial.data());
-  ExpectCountTablesEqual(*final_snap->base, serial);
+  ASSERT_TRUE(AppendToBdccTable(&serial, a, resolver).ok());
+  ASSERT_TRUE(AppendToBdccTable(&serial, b, resolver).ok());
+  ASSERT_TRUE(AppendToBdccTable(&serial, c, resolver).ok());
+  auto snap = live->OpenSnapshot();
+  EXPECT_TRUE(snap->chunks.empty());
+  ExpectTablesEqual(snap->base->data(), serial.data());
+  ExpectCountTablesEqual(*snap->base, serial);
 }
 
 TEST_F(LiveTableTest, FailedMergeLeavesPriorSnapshotIntact) {
@@ -220,7 +211,7 @@ TEST_F(LiveTableTest, CancelledMergePublishesNothing) {
 
   exec::ExecContext ctx(nullptr);
   ctx.control()->RequestCancel();
-  auto cancelled = live->Merge(LiveTable::MergeOptions(), &ctx);
+  auto cancelled = live->Merge(&ctx);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_TRUE(cancelled.status().IsCancelled())
       << cancelled.status().ToString();

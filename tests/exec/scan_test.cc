@@ -53,7 +53,7 @@ TEST(PlainScanTest, EmitsAllRows) {
     Batch b = scan.Next(&ctx).ValueOrDie();
     if (b.empty()) break;
     for (size_t i = 0; i < b.num_rows; ++i) {
-      EXPECT_EQ(b.columns[0].i32[i], expect++);
+      EXPECT_EQ(b.columns[0].i32_data()[i], expect++);
     }
     rows += b.num_rows;
     EXPECT_LE(b.num_rows, ctx.batch_size());
@@ -173,7 +173,8 @@ TEST_F(BdccScanTest, GroupedEmissionIsAlignedAndAscending) {
     prev = b.group_id;
     // Every row's dimension bin prefix matches the batch's group id.
     for (size_t i = 0; i < b.num_rows; ++i) {
-      uint64_t bin = table_->uses()[0].dimension->BinOfInt(b.columns[0].i32[i]);
+      uint64_t bin = table_->uses()[0].dimension->BinOfInt(
+          b.columns[0].i32_data()[i]);
       int dim_bits = table_->uses()[0].dimension->bits();
       EXPECT_EQ(static_cast<int64_t>(bin >> (dim_bits - shared)), b.group_id);
     }
@@ -201,7 +202,7 @@ TEST_F(BdccScanTest, PrunedRangesSkipRows) {
     Batch b = scan.Next(&ctx).ValueOrDie();
     if (b.empty()) break;
     for (size_t i = 0; i < b.num_rows; ++i) {
-      EXPECT_GE(b.columns[0].i32[i], 512);
+      EXPECT_GE(b.columns[0].i32_data()[i], 512);
     }
     rows += b.num_rows;
   }

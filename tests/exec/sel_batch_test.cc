@@ -318,7 +318,7 @@ TEST(RecycleTest, ScanReusesReturnedBatches) {
     Batch b = scan.Next(&ctx).ValueOrDie();
     if (b.empty()) break;
     for (size_t i = 0; i < b.num_rows; ++i) {
-      ASSERT_EQ(b.columns[2].i64[i], expect_w++);
+      ASSERT_EQ(b.columns[2].i64_data()[i], expect_w++);
     }
     rows += b.num_rows;
     scan.Recycle(std::move(b));
