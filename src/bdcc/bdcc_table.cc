@@ -10,32 +10,6 @@ namespace bdcc {
 
 namespace {
 
-// Encode a (1 or 2)-column integer key of `table` at `row` into a uint64.
-// Two-column keys must both be int32-backed (packed high/low).
-Result<uint64_t> EncodeKey(const Table& table, const std::vector<int>& cols,
-                           uint64_t row) {
-  if (cols.size() == 1) {
-    const Column& c = table.column(cols[0]);
-    if (c.type() == TypeId::kInt64) {
-      return static_cast<uint64_t>(c.i64()[row]);
-    }
-    if (IsI32Backed(c.type()) || c.type() == TypeId::kString) {
-      return static_cast<uint64_t>(static_cast<uint32_t>(c.i32()[row]));
-    }
-    return Status::NotImplemented("FK key over float column");
-  }
-  if (cols.size() == 2) {
-    const Column& a = table.column(cols[0]);
-    const Column& b = table.column(cols[1]);
-    if (!IsI32Backed(a.type()) || !IsI32Backed(b.type())) {
-      return Status::NotImplemented("composite FK keys must be int32-backed");
-    }
-    return (static_cast<uint64_t>(static_cast<uint32_t>(a.i32()[row])) << 32) |
-           static_cast<uint64_t>(static_cast<uint32_t>(b.i32()[row]));
-  }
-  return Status::NotImplemented("FK keys wider than 2 columns");
-}
-
 Result<std::vector<int>> ColumnIndices(const Table& table,
                                        const std::vector<std::string>& names) {
   std::vector<int> out;
@@ -47,16 +21,56 @@ Result<std::vector<int>> ColumnIndices(const Table& table,
   return out;
 }
 
-// Bin numbers for every row of the dimension's host table.
-Result<std::vector<uint64_t>> HostBins(const Table& host,
-                                       const Dimension& dim) {
+}  // namespace
+
+Result<std::vector<uint64_t>> EncodeKeyColumn(
+    const Table& table, const std::vector<std::string>& columns) {
+  BDCC_ASSIGN_OR_RETURN(std::vector<int> cols, ColumnIndices(table, columns));
+  const uint64_t rows = table.num_rows();
+  std::vector<uint64_t> keys(rows);
+  if (cols.size() == 1) {
+    const Column& c = table.column(cols[0]);
+    if (c.type() == TypeId::kInt64) {
+      const auto& lane = c.i64();
+      for (uint64_t r = 0; r < rows; ++r) {
+        keys[r] = static_cast<uint64_t>(lane[r]);
+      }
+      return keys;
+    }
+    if (!IsI32Backed(c.type()) && c.type() != TypeId::kString) {
+      return Status::NotImplemented("FK key over float column");
+    }
+    const auto& lane = c.i32();
+    for (uint64_t r = 0; r < rows; ++r) {
+      keys[r] = static_cast<uint64_t>(static_cast<uint32_t>(lane[r]));
+    }
+    return keys;
+  }
+  if (cols.size() == 2) {
+    const Column& a = table.column(cols[0]);
+    const Column& b = table.column(cols[1]);
+    if (!IsI32Backed(a.type()) || !IsI32Backed(b.type())) {
+      return Status::NotImplemented("composite FK keys must be int32-backed");
+    }
+    for (uint64_t r = 0; r < rows; ++r) {
+      keys[r] = (static_cast<uint64_t>(static_cast<uint32_t>(a.i32()[r]))
+                 << 32) |
+                static_cast<uint64_t>(static_cast<uint32_t>(b.i32()[r]));
+    }
+    return keys;
+  }
+  return Status::NotImplemented("FK keys wider than 2 columns");
+}
+
+Result<std::vector<uint64_t>> BinRows(const Table& table,
+                                      const Dimension& dim) {
   BDCC_ASSIGN_OR_RETURN(std::vector<int> key_cols,
-                        ColumnIndices(host, dim.key_columns()));
-  uint64_t rows = host.num_rows();
+                        ColumnIndices(table, dim.key_columns()));
+  uint64_t rows = table.num_rows();
   std::vector<uint64_t> bins(rows);
   if (dim.HasIntFastPath() && key_cols.size() == 1 &&
-      host.column(key_cols[0]).type() != TypeId::kString) {
-    const Column& c = host.column(key_cols[0]);
+      table.column(key_cols[0]).type() != TypeId::kString) {
+    const Column& c = table.column(key_cols[0]);
     if (c.type() == TypeId::kInt64) {
       for (uint64_t r = 0; r < rows; ++r) bins[r] = dim.BinOfInt(c.i64()[r]);
     } else {
@@ -68,13 +82,11 @@ Result<std::vector<uint64_t>> HostBins(const Table& host,
   for (uint64_t r = 0; r < rows; ++r) {
     CompositeValue v;
     v.reserve(key_cols.size());
-    for (int idx : key_cols) v.push_back(host.column(idx).GetValue(r));
+    for (int idx : key_cols) v.push_back(table.column(idx).GetValue(r));
     bins[r] = dim.BinOf(v);
   }
   return bins;
 }
-
-}  // namespace
 
 Result<std::vector<uint64_t>> PropagateThroughPath(
     const Table& context, const DimensionPath& path,
@@ -111,21 +123,19 @@ Result<std::vector<uint64_t>> PropagateThroughPath(
     } else {
       BDCC_ASSIGN_OR_RETURN(from, resolver.GetTable(fk->from_table));
     }
-    BDCC_ASSIGN_OR_RETURN(std::vector<int> to_cols,
-                          ColumnIndices(*to, fk->to_columns));
-    BDCC_ASSIGN_OR_RETURN(std::vector<int> from_cols,
-                          ColumnIndices(*from, fk->from_columns));
+    BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> to_keys,
+                          EncodeKeyColumn(*to, fk->to_columns));
+    BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> from_keys,
+                          EncodeKeyColumn(*from, fk->from_columns));
     // Map referenced-key -> bin.
     std::unordered_map<uint64_t, uint64_t> key_to_bin;
-    key_to_bin.reserve(to->num_rows() * 2);
-    for (uint64_t r = 0; r < to->num_rows(); ++r) {
-      BDCC_ASSIGN_OR_RETURN(uint64_t key, EncodeKey(*to, to_cols, r));
-      key_to_bin[key] = bins[r];
+    key_to_bin.reserve(to_keys.size() * 2);
+    for (uint64_t r = 0; r < to_keys.size(); ++r) {
+      key_to_bin[to_keys[r]] = bins[r];
     }
-    std::vector<uint64_t> next(from->num_rows());
-    for (uint64_t r = 0; r < from->num_rows(); ++r) {
-      BDCC_ASSIGN_OR_RETURN(uint64_t key, EncodeKey(*from, from_cols, r));
-      auto it = key_to_bin.find(key);
+    std::vector<uint64_t> next(from_keys.size());
+    for (uint64_t r = 0; r < from_keys.size(); ++r) {
+      auto it = key_to_bin.find(from_keys[r]);
       if (it == key_to_bin.end()) {
         return Status::InvalidArgument(
             "dangling foreign key " + fk->id + " in row " +
@@ -142,9 +152,17 @@ Result<std::vector<uint64_t>> ComputeBinColumn(const Table& context,
                                                const DimensionUse& use,
                                                const TableResolver& resolver) {
   const Dimension& dim = *use.dimension;
+  if (use.path.IsLocal()) {
+    // A local dimension bins the context's own rows (which may be rows
+    // being appended to the host table, not the stored host table).
+    if (context.name() != dim.table()) {
+      return Status::InvalidArgument("dimension path does not end at " +
+                                     dim.table());
+    }
+    return BinRows(context, dim);
+  }
   BDCC_ASSIGN_OR_RETURN(const Table* host, resolver.GetTable(dim.table()));
-  BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> host_bins,
-                        HostBins(*host, dim));
+  BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> host_bins, BinRows(*host, dim));
   return PropagateThroughPath(context, use.path, dim.table(), resolver,
                               std::move(host_bins));
 }

@@ -105,6 +105,17 @@ class BdccTable {
   int bdcc_col_ = -1;
 };
 
+/// \brief The (one- or two-column) key `columns` of every row of `table`,
+/// encoded as the uint64 that FK lookups match: an integer column as is, a
+/// string column by its dictionary code, two int32-backed columns packed
+/// high/low.
+Result<std::vector<uint64_t>> EncodeKeyColumn(
+    const Table& table, const std::vector<std::string>& columns);
+
+/// \brief Bin number under `dim` of every row of `table`, which must carry
+/// the dimension's key columns (its host table, or rows appended to it).
+Result<std::vector<uint64_t>> BinRows(const Table& table, const Dimension& dim);
+
 /// \brief Pull per-row values of the host table down a dimension path: given
 /// one value per *host* row, returns one value per *context* row by chaining
 /// FK lookups. Seeding with row ordinals yields a context-row -> host-row
@@ -115,7 +126,8 @@ Result<std::vector<uint64_t>> PropagateThroughPath(
     std::vector<uint64_t> host_values);
 
 /// \brief Compute, for each row of `context`, the bin number of dimension
-/// use `use` by traversing its FK path (exposed for testing).
+/// use `use` by traversing its FK path. A local use (empty path) bins
+/// `context`'s own rows; `context` must carry the host table's name.
 Result<std::vector<uint64_t>> ComputeBinColumn(const Table& context,
                                                const DimensionUse& use,
                                                const TableResolver& resolver);

@@ -4,14 +4,13 @@
 #include <numeric>
 #include <utility>
 
-#include "bdcc/append.h"
 #include "common/fault_injection.h"
 
 namespace bdcc {
 namespace delta {
 
 Result<DeltaChunk> DeltaChunk::Build(const BdccTable& base, const Table& rows,
-                                     const TableResolver& resolver,
+                                     const BdccKeyIndex& key_index,
                                      uint32_t zone_rows,
                                      exec::MemoryTracker* memory) {
   if (BDCC_UNLIKELY(fault::ShouldFail(fault::kDeltaAppend))) {
@@ -20,36 +19,38 @@ Result<DeltaChunk> DeltaChunk::Build(const BdccTable& base, const Table& rows,
   if (rows.num_columns() + 1 != base.data().num_columns()) {
     return Status::InvalidArgument("appended rows have a different schema");
   }
-  BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
-                        ComputeBdccKeys(base, rows, resolver));
+  BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> keys, key_index.Keys(rows));
 
   uint64_t n = rows.num_rows();
   std::vector<uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
   std::stable_sort(perm.begin(), perm.end(),
                    [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+  std::vector<RowRef> order(n);
+  std::vector<uint64_t> sorted_keys(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    order[i] = RowRef{0, perm[i]};
+    sorted_keys[i] = keys[perm[i]];
+  }
 
   const Table& shape = base.data();
   int bdcc_col = base.bdcc_column_index();
   int src = 0;
-  std::vector<uint64_t> sorted_keys(n);
-  for (uint64_t i = 0; i < n; ++i) sorted_keys[i] = keys[perm[i]];
   Table data(shape.name());
   for (size_t c = 0; c < shape.num_columns(); ++c) {
     const Column& ref = shape.column(static_cast<int>(c));
-    // Fresh dictionaries: chunks must never intern into the base table's
-    // shared dictionaries while readers decode them.
+    // Fresh dictionaries (Column::Gather's): chunks must never intern into
+    // the base table's shared dictionaries while readers decode them.
     Column col(ref.type());
-    col.Reserve(n);
     if (static_cast<int>(c) == bdcc_col) {
+      col.Reserve(n);
       for (uint64_t k : sorted_keys) col.AppendInt64(static_cast<int64_t>(k));
     } else {
       if (shape.column_name(static_cast<int>(c)) != rows.column_name(src) ||
           ref.type() != rows.column(src).type()) {
         return Status::InvalidArgument("appended rows have a different schema");
       }
-      const Column& from = rows.column(src++);
-      for (uint32_t r : perm) col.AppendFrom(from, r);
+      col = Column::Gather({&rows.column(src++)}, order);
     }
     BDCC_RETURN_NOT_OK(
         data.AddColumn(shape.column_name(static_cast<int>(c)), std::move(col)));
@@ -108,10 +109,10 @@ DeltaChunk::~DeltaChunk() {
 
 Result<std::shared_ptr<const DeltaChunk>> DeltaStore::Append(
     const BdccTable& base, const Table& rows,
-    const TableResolver& resolver) const {
+    const BdccKeyIndex& key_index) const {
   BDCC_ASSIGN_OR_RETURN(
       DeltaChunk chunk,
-      DeltaChunk::Build(base, rows, resolver, zone_rows_, &memory_));
+      DeltaChunk::Build(base, rows, key_index, zone_rows_, &memory_));
   return std::make_shared<const DeltaChunk>(std::move(chunk));
 }
 

@@ -1,14 +1,15 @@
 // Unclustered append region of a live BDCC table.
 //
 // Every Append(batch) against a live table seals one immutable DeltaChunk:
-// the batch's rows with their `_bdcc_` key column computed up the dimension
-// paths (bdcc/append.cc's key computation — Definition 4 makes a new tuple's
-// key independent of old data), sorted by that key, zone-mapped at the base
-// table's granularity, and pre-bucketed into per-group row slices at the
-// count-table granularity. The slices are GroupRanges in the base's key
-// space: a merge pass buckets its rows into dirty groups from them without
-// rescanning, and scans prune and group-tag them exactly like the base's
-// ranges (see opt::GroupSegments). A chunk stays in the current snapshot
+// the batch's rows with their `_bdcc_` key column looked up in the table's
+// BdccKeyIndex (bdcc/append.h — Definition 4 makes a new tuple's key
+// independent of old data, so the index is resolved once per live table),
+// sorted by that key, zone-mapped at the base table's granularity, and
+// pre-bucketed into per-group row slices at the count-table granularity.
+// The slices are GroupRanges in the base's key space: a merge pass buckets
+// its rows into dirty groups from them without rescanning, and scans prune
+// and group-tag them exactly like the base's ranges (see
+// opt::GroupSegments). A chunk stays in the current snapshot
 // until the next merge pass (which folds every chunk it pinned) publishes.
 // Chunks are immutable after Build, which is what makes concurrent
 // scan/merge/append safe without read-side locking: readers pin a snapshot
@@ -30,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "bdcc/append.h"
 #include "bdcc/bdcc_table.h"
 #include "bdcc/scatter_scan.h"
 #include "common/result.h"
@@ -43,12 +45,13 @@ namespace delta {
 class DeltaChunk {
  public:
   /// \brief Seal `rows` (source schema, the table's name) into a chunk:
-  /// compute keys via `base`'s uses, sort, zone-map, bucket. Fails without
-  /// side effects on schema mismatch, key-computation errors, a fired
+  /// key them through `key_index` (built for `base`'s table), sort, gather
+  /// (Column::Gather), zone-map, bucket. Fails without side effects on
+  /// schema mismatch, key errors (a dangling foreign key), a fired
   /// `delta.append` fault (IOError), or a delta memory budget refusal
   /// (ResourceExhausted).
   static Result<DeltaChunk> Build(const BdccTable& base, const Table& rows,
-                                  const TableResolver& resolver,
+                                  const BdccKeyIndex& key_index,
                                   uint32_t zone_rows,
                                   exec::MemoryTracker* memory);
 
@@ -91,10 +94,10 @@ class DeltaStore {
   }
 
   /// Seal one append batch against `base` (any version of the table — uses,
-  /// masks and schema are version-invariant).
+  /// masks and schema are version-invariant, so is `key_index`).
   Result<std::shared_ptr<const DeltaChunk>> Append(
       const BdccTable& base, const Table& rows,
-      const TableResolver& resolver) const;
+      const BdccKeyIndex& key_index) const;
 
   exec::MemoryTracker* memory() const { return &memory_; }
 

@@ -11,12 +11,12 @@ namespace delta {
 
 namespace {
 
-// One delta row awaiting merge: its full-granularity key plus its home
-// (chunk index in the merge's pinned snapshot, row inside the chunk).
+// One delta row awaiting merge: its full-granularity key plus its home in
+// the pass's gather sources (1 + chunk index in the pinned snapshot, row
+// inside the chunk).
 struct DeltaRowRef {
   uint64_t key = 0;
-  uint32_t chunk = 0;
-  uint64_t row = 0;
+  RowRef at;
 };
 
 // Zone-map granularity of chunks and merged bases: the base's, or
@@ -37,7 +37,8 @@ Result<std::unique_ptr<LiveTable>> LiveTable::Create(
   }
   std::unique_ptr<LiveTable> live(new LiveTable());
   live->name_ = base.name();
-  live->resolver_ = resolver;
+  BDCC_ASSIGN_OR_RETURN(live->key_index_,
+                        BdccKeyIndex::Build(base, *resolver));
   live->store_ = std::make_unique<DeltaStore>(ZoneRowsOf(base.data()),
                                               options.delta_memory_limit);
   auto snap = std::make_shared<TableSnapshot>();
@@ -56,10 +57,11 @@ Result<uint64_t> LiveTable::Append(const Table& rows) {
     std::lock_guard<std::mutex> lock(mu_);
     base = current_->base;
   }
-  // Build (sort + zone-map + bucket) outside the lock: keys depend only on
-  // the table's uses and masks, which every base version shares.
+  // Build (key + sort + gather + zone-map + bucket) outside the lock: keys
+  // depend only on the table's uses and masks, which every base version
+  // shares, and the key index is read-only.
   BDCC_ASSIGN_OR_RETURN(std::shared_ptr<const DeltaChunk> chunk,
-                        store_->Append(*base, rows, *resolver_));
+                        store_->Append(*base, rows, key_index_));
   uint64_t appended = chunk->num_rows();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -118,7 +120,8 @@ Result<LiveTable::MergeStats> LiveTable::Merge(exec::ExecContext* ctx) {
     for (const GroupRange& slice : chunk.groups()) {
       std::vector<DeltaRowRef>& rows = dirty[slice.key];
       for (uint64_t r = slice.row_begin; r < slice.row_end; ++r) {
-        rows.push_back(DeltaRowRef{static_cast<uint64_t>(lane[r]), ci, r});
+        rows.push_back(DeltaRowRef{static_cast<uint64_t>(lane[r]),
+                                   RowRef{ci + 1, static_cast<uint32_t>(r)}});
       }
     }
   }
@@ -130,25 +133,18 @@ Result<LiveTable::MergeStats> LiveTable::Merge(exec::ExecContext* ctx) {
                      });
   }
 
-  // Build the merged base with fresh dictionaries (live readers keep
-  // decoding the old version's) by walking base groups ∪ dirty groups in
-  // key order. Clean groups copy their base span verbatim; dirty groups
+  // Record the merged order as (source, row) refs — source 0 is the base,
+  // source 1 + i the pinned chunk i — by walking base groups ∪ dirty groups
+  // in key order. Clean groups take their base span verbatim; dirty groups
   // two-pointer merge on full keys, base rows first at ties
   // (AppendToBdccTable's stable-sort puts new rows after old).
   const Table& base_data = base.data();
   const auto& base_keys = base_data.column(bdcc_col).i64();
-  Table merged(base_data.name());
-  for (size_t c = 0; c < base_data.num_columns(); ++c) {
-    BDCC_RETURN_NOT_OK(
-        merged.AddColumn(base_data.column_name(static_cast<int>(c)),
-                         Column(base_data.column(static_cast<int>(c)).type())));
-  }
-  std::vector<uint64_t> sorted_keys;
-  sorted_keys.reserve(base_data.num_rows() + snap->delta_rows);
-  auto copy_base = [&](uint64_t row_begin, uint64_t row_end) {
-    merged.AppendRowsFrom(base_data, row_begin, row_end);
+  std::vector<RowRef> order;
+  order.reserve(base_data.num_rows() + snap->delta_rows);
+  auto take_base = [&](uint64_t row_begin, uint64_t row_end) {
     for (uint64_t r = row_begin; r < row_end; ++r) {
-      sorted_keys.push_back(static_cast<uint64_t>(base_keys[r]));
+      order.push_back(RowRef{0, static_cast<uint32_t>(r)});
     }
   };
 
@@ -171,14 +167,11 @@ Result<LiveTable::MergeStats> LiveTable::Merge(exec::ExecContext* ctx) {
                                  delta_rows[j].key)) {
         ++i;
       }
-      if (i > run_begin) copy_base(run_begin, i);
+      take_base(run_begin, i);
       while (j < delta_rows.size() &&
              (i == row_end ||
               delta_rows[j].key < static_cast<uint64_t>(base_keys[i]))) {
-        const DeltaRowRef& ref = delta_rows[j++];
-        merged.AppendRowsFrom(snap->chunks[ref.chunk]->data(), ref.row,
-                              ref.row + 1);
-        sorted_keys.push_back(ref.key);
+        order.push_back(delta_rows[j++].at);
       }
     }
     result.rows_merged += delta_rows.size();
@@ -194,7 +187,7 @@ Result<LiveTable::MergeStats> LiveTable::Merge(exec::ExecContext* ctx) {
       if (dit == dirty.end() ||
           (ei < entries.size() && entries[ei].key < dit->first)) {
         const CountEntry& e = entries[ei++];  // clean group
-        copy_base(e.row_begin, e.row_begin + e.count);
+        take_base(e.row_begin, e.row_begin + e.count);
         continue;
       }
       uint64_t row_begin = 0;
@@ -216,6 +209,16 @@ Result<LiveTable::MergeStats> LiveTable::Merge(exec::ExecContext* ctx) {
     return pass;
   }
 
+  // Fill every column in one typed loop over the order, with fresh
+  // dictionaries (live readers keep decoding the old version's).
+  std::vector<const Table*> sources = {&base_data};
+  for (const auto& chunk : snap->chunks) sources.push_back(&chunk->data());
+  Table merged = Table::Gather(sources, order);
+  const auto& merged_keys = merged.column(bdcc_col).i64();
+  std::vector<uint64_t> sorted_keys(merged_keys.size());
+  for (size_t r = 0; r < merged_keys.size(); ++r) {
+    sorted_keys[r] = static_cast<uint64_t>(merged_keys[r]);
+  }
   merged.BuildZoneMaps(ZoneRowsOf(base_data));
   if (base_data.HasEncodedLanes()) merged.BuildEncodedLanes();
   if (base_data.HasIoHandles()) {

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bdcc/append.h"
 #include "bdcc/bdcc_table.h"
 #include "common/result.h"
 #include "delta/delta_store.h"
@@ -87,9 +88,11 @@ class LiveTable {
     uint64_t open_snapshots = 0;
   };
 
-  /// `resolver` computes appended rows' dimension bins (must outlive the
-  /// LiveTable). The base must not have been small-group consolidated (its
-  /// physical row order must equal the clustered order, as for bulk append).
+  /// `resolver`'s tables are read once, here, into the BdccKeyIndex every
+  /// append keys its rows through (so appended rows must reference rows
+  /// those tables held at Create; the resolver need not outlive this call).
+  /// The base must not have been small-group consolidated (its physical row
+  /// order must equal the clustered order, as for bulk append).
   static Result<std::unique_ptr<LiveTable>> Create(
       BdccTable base, const TableResolver* resolver, Options options);
   static Result<std::unique_ptr<LiveTable>> Create(
@@ -112,10 +115,12 @@ class LiveTable {
   std::shared_ptr<const TableSnapshot> OpenSnapshot();
 
   /// One incremental re-clustering pass: pin the current snapshot, bucket
-  /// all of its delta rows by BDCC key, rewrite every dirty group of the
-  /// base in key order, and publish a new epoch atomically with the pinned
-  /// chunks removed. Passes serialize on an internal mutex; appends proceed
-  /// concurrently (chunks sealed during the pass stay in the delta). `ctx`
+  /// all of its delta rows by BDCC key, record the merged row order (clean
+  /// groups as they are, dirty groups merged on the key), gather every
+  /// column of the new base in that order with one typed loop, and publish a
+  /// new epoch atomically with the pinned chunks removed. Passes serialize
+  /// on an internal mutex; appends proceed concurrently (chunks sealed
+  /// during the pass stay in the delta). `ctx`
   /// (optional) supplies the QueryControl polled between groups —
   /// cancel/deadline unwind the pass with nothing published, as does a
   /// fired `delta.merge` fault — and counts injected faults.
@@ -139,7 +144,7 @@ class LiveTable {
   void OnSnapshotReleased(uint64_t epoch);
 
   std::string name_;
-  const TableResolver* resolver_ = nullptr;
+  BdccKeyIndex key_index_;  // read-only after Create; shared by appenders
   std::unique_ptr<DeltaStore> store_;
 
   mutable std::mutex mu_;  // snapshot pointer + reader registry + counters

@@ -1,5 +1,7 @@
 #include "storage/column.h"
 
+#include <type_traits>
+
 #include "storage/compression/encoded_column.h"
 
 namespace bdcc {
@@ -116,26 +118,57 @@ uint64_t Column::DiskBytes() const {
   return fixed;
 }
 
-Column Column::Gather(const std::vector<uint32_t>& perm) const {
-  Column out(type_);
-  out.Reserve(perm.size());
-  switch (type_) {
+Column Column::Gather(const std::vector<const Column*>& sources,
+                      const std::vector<RowRef>& refs) {
+  BDCC_CHECK(!sources.empty());
+  const TypeId type = sources[0]->type_;
+  for (const Column* s : sources) BDCC_CHECK(s->type_ == type);
+  const size_t rows = refs.size();
+  // One typed loop per lane: output row i copies its source's lane entry.
+  auto gather_lane = [&](auto lane_of, auto* out) {
+    using T = typename std::remove_pointer_t<decltype(out)>::value_type;
+    std::vector<const T*> from(sources.size());
+    for (size_t s = 0; s < sources.size(); ++s) {
+      from[s] = lane_of(*sources[s]).data();
+    }
+    out->resize(rows);
+    T* dst = out->data();
+    for (size_t i = 0; i < rows; ++i) {
+      dst[i] = from[refs[i].source][refs[i].row];
+    }
+  };
+  Column out(type);
+  switch (type) {
     case TypeId::kInt64:
-      for (uint32_t idx : perm) out.i64_.push_back(i64_[idx]);
+      gather_lane([](const Column& c) -> const auto& { return c.i64_; },
+                  &out.i64_);
       break;
     case TypeId::kFloat64:
-      for (uint32_t idx : perm) out.f64_.push_back(f64_[idx]);
+      gather_lane([](const Column& c) -> const auto& { return c.f64_; },
+                  &out.f64_);
       break;
-    case TypeId::kString:
+    case TypeId::kString: {
       // Re-intern in gathered order: string payloads end up laid out in the
       // new row order (first occurrence), as a real column store stores
       // them — scans of a reordered table stay sequential over the heap.
-      for (uint32_t idx : perm) {
-        out.i32_.push_back(out.dict_->GetOrAdd(dict_->Get(i32_[idx])));
+      // remap[s][code] is source s's code in the output (-1: not yet seen).
+      std::vector<std::vector<int32_t>> remap(sources.size());
+      for (size_t s = 0; s < sources.size(); ++s) {
+        remap[s].assign(static_cast<size_t>(sources[s]->dict_->size()), -1);
+      }
+      out.i32_.resize(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        const Column& src = *sources[refs[i].source];
+        const int32_t code = src.i32_[refs[i].row];
+        int32_t& to = remap[refs[i].source][static_cast<size_t>(code)];
+        if (to < 0) to = out.dict_->GetOrAdd(src.dict_->Get(code));
+        out.i32_[i] = to;
       }
       break;
+    }
     default:
-      for (uint32_t idx : perm) out.i32_.push_back(i32_[idx]);
+      gather_lane([](const Column& c) -> const auto& { return c.i32_; },
+                  &out.i32_);
       break;
   }
   return out;

@@ -17,6 +17,12 @@ namespace compression {
 class EncodedLane;
 }  // namespace compression
 
+/// One row of a multi-source gather: row `row` of source `source`.
+struct RowRef {
+  uint32_t source = 0;
+  uint32_t row = 0;
+};
+
 /// \brief A single column of a stored table.
 ///
 /// Storage lanes by type:
@@ -69,8 +75,13 @@ class Column {
   /// dictionary payload for strings. Drives page counts and density ranking.
   uint64_t DiskBytes() const;
 
-  /// New column with rows permuted: out[i] = this[perm[i]].
-  Column Gather(const std::vector<uint32_t>& perm) const;
+  /// \brief New column of row refs[i].row of sources[refs[i].source], for
+  /// every i (all sources of one type), each lane filled in one typed loop.
+  /// Strings get a fresh dictionary interned in output order (first
+  /// occurrence), each source code interned once through a per-source
+  /// remap.
+  static Column Gather(const std::vector<const Column*>& sources,
+                       const std::vector<RowRef>& refs);
 
   /// Append row `row` of `other` (same type; strings re-interned).
   void AppendFrom(const Column& other, uint64_t row);

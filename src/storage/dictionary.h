@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -17,7 +16,13 @@ namespace bdcc {
 ///
 /// Columns of TypeId::kString store codes; the dictionary owns the bytes.
 /// BDCC dimensions on string keys need *value order*, which insertion codes
-/// do not provide — SortedCodes() supplies the permutation lazily.
+/// do not provide — LexRanks() supplies the permutation lazily.
+///
+/// The index is one open-addressing array (linear probing, power-of-two
+/// capacity, at most half full) of {hash, code} slots: no node per string,
+/// a probe compares the cached hash before any bytes, and growth re-slots
+/// codes by their cached hashes without touching a payload. A dictionary no
+/// longer written to may be read (Find, Get) from any number of threads.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -44,9 +49,17 @@ class Dictionary {
   const std::vector<int32_t>& LexRanks() const;
 
  private:
+  struct Slot {
+    uint32_t hash = 0;
+    int32_t code = -1;  // -1: empty
+  };
+
+  // Double the slot array and re-slot every code by its cached hash.
+  void Grow();
+
   Arena arena_;
   std::vector<std::string_view> entries_;
-  std::unordered_map<std::string_view, int32_t> index_;
+  std::vector<Slot> slots_;  // size 0 or a power of two
   uint64_t payload_bytes_ = 0;
   mutable std::vector<int32_t> lex_ranks_;
   mutable size_t ranks_valid_for_ = 0;

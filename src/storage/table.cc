@@ -45,10 +45,24 @@ uint64_t Table::DiskBytes() const {
 
 Table Table::ApplyPermutation(const std::vector<uint32_t>& perm) const {
   BDCC_CHECK(perm.size() == num_rows_);
-  Table out(name_);
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    Status st = out.AddColumn(names_[i], columns_[i].Gather(perm));
-    st.AbortIfNotOK();
+  std::vector<RowRef> refs(perm.size());
+  for (size_t i = 0; i < perm.size(); ++i) refs[i] = RowRef{0, perm[i]};
+  return Gather({this}, refs);
+}
+
+Table Table::Gather(const std::vector<const Table*>& sources,
+                    const std::vector<RowRef>& refs) {
+  BDCC_CHECK(!sources.empty());
+  const Table& shape = *sources[0];
+  Table out(shape.name_);
+  std::vector<const Column*> columns(sources.size());
+  for (size_t c = 0; c < shape.columns_.size(); ++c) {
+    for (size_t s = 0; s < sources.size(); ++s) {
+      BDCC_CHECK(sources[s]->columns_.size() == shape.columns_.size());
+      columns[s] = &sources[s]->columns_[c];
+    }
+    out.AddColumn(shape.names_[c], Column::Gather(columns, refs))
+        .AbortIfNotOK();
   }
   return out;
 }

@@ -45,6 +45,12 @@ class Table {
   /// New table with rows permuted: row i of the result is row perm[i].
   Table ApplyPermutation(const std::vector<uint32_t>& perm) const;
 
+  /// \brief New table of row refs[i].row of sources[refs[i].source], for
+  /// every i: sources share one schema, and the result takes the first
+  /// source's name and column names (see Column::Gather).
+  static Table Gather(const std::vector<const Table*>& sources,
+                      const std::vector<RowRef>& refs);
+
   /// Append rows [begin, end) of `other` (same schema) to this table.
   /// Used by small-group consolidation to co-locate tiny BDCC groups.
   void AppendRowsFrom(const Table& other, uint64_t begin, uint64_t end);

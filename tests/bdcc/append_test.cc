@@ -170,5 +170,59 @@ TEST_F(AppendFixture, RepeatedAppendsAccumulate) {
             uint64_t{1} << table.count_bits());
 }
 
+// A local dimension (empty FK path) bins the table's own column, so an
+// appended row's key comes from its own value: stored rows hold the lower
+// half of f_d's domain, appended rows the upper, and the appended table must
+// equal a from-scratch build over every row (whose resolver's F is that
+// union).
+using AppendTest = AppendFixture;
+
+TEST_F(AppendTest, LocalDimensionKeysComeFromAppendedRows) {
+  auto rows_in = [](int64_t seed, int n, int64_t lo) {
+    Rng rng(300 + seed);
+    Table f("F");
+    Column fd(TypeId::kInt32), payload(TypeId::kInt64);
+    for (int i = 0; i < n; ++i) {
+      fd.AppendInt32(static_cast<int32_t>(rng.Uniform(lo, lo + 31)));
+      payload.AppendInt64(seed * 1000000 + i);
+    }
+    f.AddColumn("f_d", std::move(fd)).AbortIfNotOK();
+    f.AddColumn("f_payload", std::move(payload)).AbortIfNotOK();
+    return f;
+  };
+  std::vector<DimensionUse> uses(1);
+  uses[0].dimension = std::make_shared<const Dimension>(
+      binning::CreateRangeDimension("D_F", "F", "f_d", 0, 63, 6)
+          .ValueOrDie());
+  BdccBuildOptions options;
+  options.tuning.efficient_access_bytes = 256;
+  auto build = [&](const Table& source) {
+    std::map<std::string, Table> tables;
+    tables.emplace("F", source.Clone());
+    Resolver resolver(&tables, &catalog_);
+    return BuildBdccTable(source.Clone(), uses, resolver, options)
+        .ValueOrDie();
+  };
+
+  Table stored = rows_in(1, 5000, 0);
+  Table extra = rows_in(2, 100, 32);
+  BdccTable appended = build(stored);
+  {
+    std::map<std::string, Table> tables;
+    tables.emplace("F", stored.Clone());
+    Resolver resolver(&tables, &catalog_);
+    ASSERT_TRUE(AppendToBdccTable(&appended, extra, resolver).ok());
+  }
+  Table all = stored.Clone();
+  all.AppendRowsFrom(extra, 0, extra.num_rows());
+  BdccTable rebuilt = build(all);
+
+  const int key = appended.bdcc_column_index();
+  EXPECT_EQ(appended.data().column(key).i64(),
+            rebuilt.data().column(key).i64());
+  EXPECT_EQ(appended.data().ColumnByName("f_payload").i64(),
+            rebuilt.data().ColumnByName("f_payload").i64());
+}
+
 }  // namespace
 }  // namespace bdcc

@@ -19,9 +19,10 @@ TEST_F(DeltaStoreTest, SealedChunkIsSortedBucketedAndSchemaAligned) {
   BdccTable base = Build(tables_.at("F"));
   DeltaStore store(/*zone_rows=*/256, /*memory_limit=*/0);
   Resolver resolver(&tables_, &catalog_);
+  const BdccKeyIndex keys = BdccKeyIndex::Build(base, resolver).ValueOrDie();
 
   Table rows = MakeRows(3, 1000);
-  auto chunk = store.Append(base, rows, resolver).ValueOrDie();
+  auto chunk = store.Append(base, rows, keys).ValueOrDie();
   ASSERT_EQ(chunk->num_rows(), 1000u);
 
   // Same physical schema as the base's data(), including the key column.
@@ -32,16 +33,21 @@ TEST_F(DeltaStoreTest, SealedChunkIsSortedBucketedAndSchemaAligned) {
   }
 
   // Sorted on the full-granularity key.
-  const auto& keys = data.column(base.bdcc_column_index()).i64();
-  for (size_t i = 1; i < keys.size(); ++i) ASSERT_LE(keys[i - 1], keys[i]);
-
-  // Keys equal the serial key computation over the same rows (Definition 4:
-  // a new tuple's key depends only on its own bins).
-  std::multiset<uint64_t> expect;
-  for (uint64_t k : ComputeBdccKeys(base, rows, resolver).ValueOrDie()) {
-    expect.insert(k);
+  const auto& chunk_keys = data.column(base.bdcc_column_index()).i64();
+  for (size_t i = 1; i < chunk_keys.size(); ++i) {
+    ASSERT_LE(chunk_keys[i - 1], chunk_keys[i]);
   }
-  std::multiset<uint64_t> got(keys.begin(), keys.end());
+
+  // Keys equal the bulk build's key computation over the same rows
+  // (Definition 4: a new tuple's key depends only on its own bins).
+  std::multiset<uint64_t> expect;
+  ASSERT_EQ(base.uses().size(), 1u);
+  const int bits = base.uses()[0].dimension->bits();
+  for (uint64_t bin :
+       ComputeBinColumn(rows, base.uses()[0], resolver).ValueOrDie()) {
+    expect.insert(interleave::ComposeKey(&bin, &bits, base.full_spec()));
+  }
+  std::multiset<uint64_t> got(chunk_keys.begin(), chunk_keys.end());
   EXPECT_EQ(expect, got);
 
   // Group slices tile the chunk in key order at count granularity.
@@ -52,7 +58,7 @@ TEST_F(DeltaStoreTest, SealedChunkIsSortedBucketedAndSchemaAligned) {
     ASSERT_EQ(g.row_begin, covered);
     ASSERT_LT(g.row_begin, g.row_end);
     for (uint64_t r = g.row_begin; r < g.row_end; ++r) {
-      ASSERT_EQ(static_cast<uint64_t>(keys[r]) >> shift, g.key);
+      ASSERT_EQ(static_cast<uint64_t>(chunk_keys[r]) >> shift, g.key);
     }
     if (!first) {
       ASSERT_LT(prev_key, g.key);
@@ -68,9 +74,10 @@ TEST_F(DeltaStoreTest, ChunksChargeAndReleaseTrackedMemory) {
   BdccTable base = Build(tables_.at("F"));
   DeltaStore store(256, 0);
   Resolver resolver(&tables_, &catalog_);
+  const BdccKeyIndex keys = BdccKeyIndex::Build(base, resolver).ValueOrDie();
 
   ASSERT_EQ(store.memory()->current_bytes(), 0u);
-  auto chunk = store.Append(base, MakeRows(1, 500), resolver).ValueOrDie();
+  auto chunk = store.Append(base, MakeRows(1, 500), keys).ValueOrDie();
   EXPECT_GT(chunk->bytes(), 0u);
   EXPECT_EQ(store.memory()->current_bytes(), chunk->bytes());
   chunk.reset();
@@ -81,8 +88,9 @@ TEST_F(DeltaStoreTest, MemoryBudgetRefusesCleanly) {
   BdccTable base = Build(tables_.at("F"));
   DeltaStore store(256, /*memory_limit=*/64);  // far below any chunk
   Resolver resolver(&tables_, &catalog_);
+  const BdccKeyIndex keys = BdccKeyIndex::Build(base, resolver).ValueOrDie();
 
-  auto refused = store.Append(base, MakeRows(1, 500), resolver);
+  auto refused = store.Append(base, MakeRows(1, 500), keys);
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsResourceExhausted())
       << refused.status().ToString();
@@ -93,6 +101,7 @@ TEST_F(DeltaStoreTest, ChunkDictionariesAreIndependentOfTheBase) {
   BdccTable base = Build(tables_.at("F"));
   DeltaStore store(256, 0);
   Resolver resolver(&tables_, &catalog_);
+  const BdccKeyIndex keys = BdccKeyIndex::Build(base, resolver).ValueOrDie();
 
   // Seed 5 interns tag values the base (seed 0) never saw; sealing must not
   // touch the base's dictionary.
@@ -105,7 +114,7 @@ TEST_F(DeltaStoreTest, ChunkDictionariesAreIndependentOfTheBase) {
   ASSERT_NE(base_dict, nullptr);
   int32_t base_dict_size = base_dict->size();
 
-  auto chunk = store.Append(base, MakeRows(5, 300), resolver).ValueOrDie();
+  auto chunk = store.Append(base, MakeRows(5, 300), keys).ValueOrDie();
   const auto& chunk_dict = chunk->data().column(tag_col).dict();
   ASSERT_NE(chunk_dict, nullptr);
   EXPECT_NE(chunk_dict.get(), base_dict.get());
@@ -116,17 +125,18 @@ TEST_F(DeltaStoreTest, AppendFaultFailsWithoutSideEffects) {
   BdccTable base = Build(tables_.at("F"));
   DeltaStore store(256, 0);
   Resolver resolver(&tables_, &catalog_);
+  const BdccKeyIndex keys = BdccKeyIndex::Build(base, resolver).ValueOrDie();
   {
     fault::ScopedFaultInjection fault(/*seed=*/11, /*probability=*/1.0,
                                       fault::kDeltaAppend);
-    auto failed = store.Append(base, MakeRows(2, 100), resolver);
+    auto failed = store.Append(base, MakeRows(2, 100), keys);
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
         << failed.status().ToString();
     EXPECT_EQ(store.memory()->current_bytes(), 0u);
   }
   // The same append succeeds once the scope ends.
-  auto chunk = store.Append(base, MakeRows(2, 100), resolver).ValueOrDie();
+  auto chunk = store.Append(base, MakeRows(2, 100), keys).ValueOrDie();
   EXPECT_EQ(chunk->num_rows(), 100u);
 }
 

@@ -17,9 +17,10 @@ namespace {
 
 class LiveTableTest : public DeltaFixture {
  protected:
-  std::unique_ptr<LiveTable> MakeLive() {
+  std::unique_ptr<LiveTable> MakeLive(bool local_use = false) {
     resolver_ = std::make_unique<Resolver>(&tables_, &catalog_);
-    return LiveTable::Create(Build(tables_.at("F")), resolver_.get())
+    return LiveTable::Create(Build(tables_.at("F"), local_use),
+                             resolver_.get())
         .ValueOrDie();
   }
 
@@ -35,6 +36,22 @@ class LiveTableTest : public DeltaFixture {
                   b.column(c).GetValue(r).ToString())
             << a.column_name(c) << " row " << r;
       }
+    }
+  }
+
+  // Byte for byte on string columns: the same dictionary (size, payload
+  // bytes, so the same first-occurrence code assignment) and the same code
+  // lane.
+  static void ExpectStringCodesEqual(const Table& a, const Table& b) {
+    ASSERT_EQ(a.num_columns(), b.num_columns());
+    for (int c = 0; c < static_cast<int>(a.num_columns()); ++c) {
+      if (a.column(c).type() != TypeId::kString) continue;
+      const Column& ca = a.column(c);
+      const Column& cb = b.column(c);
+      ASSERT_EQ(ca.dict()->size(), cb.dict()->size()) << a.column_name(c);
+      EXPECT_EQ(ca.dict()->payload_bytes(), cb.dict()->payload_bytes())
+          << a.column_name(c);
+      EXPECT_EQ(ca.i32(), cb.i32()) << a.column_name(c);
     }
   }
 
@@ -148,6 +165,7 @@ TEST_F(LiveTableTest, MergeEqualsSerialBulkAppend) {
 
   auto snap = live->OpenSnapshot();
   ExpectTablesEqual(snap->base->data(), serial.data());
+  ExpectStringCodesEqual(snap->base->data(), serial.data());
   ExpectCountTablesEqual(*snap->base, serial);
 }
 
@@ -176,7 +194,37 @@ TEST_F(LiveTableTest, MultiPassMergeEqualsSerialBulkAppend) {
   auto snap = live->OpenSnapshot();
   EXPECT_TRUE(snap->chunks.empty());
   ExpectTablesEqual(snap->base->data(), serial.data());
+  ExpectStringCodesEqual(snap->base->data(), serial.data());
   ExpectCountTablesEqual(*snap->base, serial);
+}
+
+TEST_F(LiveTableTest, LocalUseMergeEqualsSerialBulkAppendAndRebuild) {
+  // D_LOCAL's path is empty: appended rows are binned from their own
+  // f_local (the upper half of its domain; the stored rows hold the lower).
+  auto live = MakeLive(/*local_use=*/true);
+  Table a = MakeRows(12, 600);
+  Table b = MakeRows(13, 400);
+  ASSERT_TRUE(live->Append(a).ok());
+  EXPECT_EQ(live->Merge().ValueOrDie().rows_merged, 600u);
+  ASSERT_TRUE(live->Append(b).ok());
+  EXPECT_EQ(live->Merge().ValueOrDie().rows_merged, 400u);
+
+  BdccTable serial = Build(tables_.at("F"), /*local_use=*/true);
+  Resolver resolver(&tables_, &catalog_);
+  ASSERT_TRUE(AppendToBdccTable(&serial, a, resolver).ok());
+  ASSERT_TRUE(AppendToBdccTable(&serial, b, resolver).ok());
+  auto snap = live->OpenSnapshot();
+  ExpectTablesEqual(snap->base->data(), serial.data());
+  ExpectStringCodesEqual(snap->base->data(), serial.data());
+  ExpectCountTablesEqual(*snap->base, serial);
+
+  // A from-scratch build of every row orders them the same way (stored
+  // rows first at equal keys, then a, then b).
+  Table all = tables_.at("F").Clone();
+  all.AppendRowsFrom(a, 0, a.num_rows());
+  all.AppendRowsFrom(b, 0, b.num_rows());
+  BdccTable rebuilt = Rebuild(all, /*local_use=*/true);
+  ExpectTablesEqual(snap->base->data(), rebuilt.data());
 }
 
 TEST_F(LiveTableTest, FailedMergeLeavesPriorSnapshotIntact) {

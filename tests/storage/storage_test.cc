@@ -1,6 +1,11 @@
 // Columns, tables, dictionaries, values, dates, zone maps, compressed
 // footprint.
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -98,7 +103,7 @@ TEST(ColumnTest, GatherReordersAndRebuildsDictionary) {
   s.AppendString("a");
   s.AppendString("b");
   s.AppendString("c");
-  Column g = s.Gather({2, 0, 1});
+  Column g = Column::Gather({&s}, {{0, 2}, {0, 0}, {0, 1}});
   EXPECT_EQ(g.GetString(0), "c");
   EXPECT_EQ(g.GetString(1), "a");
   EXPECT_EQ(g.GetString(2), "b");
@@ -182,6 +187,108 @@ TEST(ZoneMapTest, StringsAndPartialZones) {
   r.hi = Value::String("b");
   EXPECT_TRUE(zm.MayMatch(0, r));
   EXPECT_FALSE(zm.MayMatch(1, r));
+}
+
+// The zone-map build before its typed loops: boxed values under
+// Value::Compare. ZoneMap::Build must pick the same bounds, bit for bit.
+std::vector<std::pair<Value, Value>> ReferenceZoneBounds(const Column& column,
+                                                         uint32_t zone_rows) {
+  std::vector<std::pair<Value, Value>> out;
+  for (uint64_t begin = 0; begin < column.size(); begin += zone_rows) {
+    uint64_t end = std::min<uint64_t>(begin + zone_rows, column.size());
+    Value zmin = column.GetValue(begin);
+    Value zmax = zmin;
+    for (uint64_t r = begin + 1; r < end; ++r) {
+      Value v = column.GetValue(r);
+      if (v.Compare(zmin) < 0) zmin = v;
+      if (v.Compare(zmax) > 0) zmax = v;
+    }
+    out.emplace_back(std::move(zmin), std::move(zmax));
+  }
+  return out;
+}
+
+// Same type and the same bits (NaN and the sign of zero included).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case TypeId::kString:
+      return a.AsString() == b.AsString();
+    case TypeId::kFloat64: {
+      double x = a.AsDouble(), y = b.AsDouble();
+      return std::memcmp(&x, &y, sizeof(double)) == 0;
+    }
+    default:
+      return a.AsInt64() == b.AsInt64();
+  }
+}
+
+void ExpectZoneMapMatchesReference(const Column& column, const char* what) {
+  for (uint32_t zone_rows : {1u, 4u, 7u, 64u, 5000u}) {
+    ZoneMap zm = ZoneMap::Build(column, zone_rows);
+    auto expect = ReferenceZoneBounds(column, zone_rows);
+    ASSERT_EQ(zm.num_zones(), expect.size()) << what;
+    for (uint64_t z = 0; z < expect.size(); ++z) {
+      EXPECT_TRUE(SameValue(zm.ZoneMin(z), expect[z].first))
+          << what << " zone_rows " << zone_rows << " zone " << z << " min "
+          << zm.ZoneMin(z).ToString() << " vs " << expect[z].first.ToString();
+      EXPECT_TRUE(SameValue(zm.ZoneMax(z), expect[z].second))
+          << what << " zone_rows " << zone_rows << " zone " << z << " max "
+          << zm.ZoneMax(z).ToString() << " vs "
+          << expect[z].second.ToString();
+    }
+  }
+}
+
+TEST(ZoneMapTest, TypedBuildMatchesValueCompare) {
+  // 1003 rows: every zone size above but 1 leaves a partial last zone.
+  constexpr int kRows = 1003;
+  Rng rng(61);
+
+  Column i32(TypeId::kInt32), date(TypeId::kDate), boolean(TypeId::kBool);
+  Column i64(TypeId::kInt64);
+  for (int i = 0; i < kRows; ++i) {
+    i32.AppendInt32(i % 97 == 0   ? INT32_MIN
+                    : i % 89 == 0 ? INT32_MAX
+                                  : static_cast<int32_t>(rng.Next64()));
+    date.AppendDate(static_cast<int32_t>(rng.Uniform(8000, 10600)));
+    boolean.AppendBool(rng.Chance(0.5));
+    i64.AppendInt64(i % 13 == 0  ? INT64_MIN
+                    : i % 11 == 0 ? INT64_MAX
+                                  : static_cast<int64_t>(rng.Next64()));
+  }
+  ExpectZoneMapMatchesReference(i32, "int32");
+  ExpectZoneMapMatchesReference(date, "date");
+  ExpectZoneMapMatchesReference(boolean, "bool");
+  ExpectZoneMapMatchesReference(i64, "int64");
+
+  // Hand-placed zones of 4 first (NaN first, NaN inside, signed zeros),
+  // then random values with NaNs and zeros sprinkled in.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column f64(TypeId::kFloat64);
+  for (double v : {nan, 1.0, -1.0, 2.0,       // NaN as the first row
+                   1.0, nan, 0.5, 3.0,        // NaN inside the zone
+                   -0.0, 0.0, 0.0, -0.0,      // -0 first
+                   0.0, -0.0, nan, nan,       // +0 first, NaN after
+                   nan, nan, nan, nan}) {     // all NaN
+    f64.AppendFloat64(v);
+  }
+  while (f64.size() < kRows) {
+    double v = rng.Chance(0.05)   ? nan
+               : rng.Chance(0.05) ? (rng.Chance(0.5) ? 0.0 : -0.0)
+                                  : rng.NextDouble() * 200 - 100;
+    f64.AppendFloat64(v);
+  }
+  ExpectZoneMapMatchesReference(f64, "float64");
+
+  // Strings: empty ones, shared prefixes, repeats (equal codes).
+  Column str(TypeId::kString);
+  const char* const kWords[] = {"",    "a",  "ab",  "abc", "abd", "b",
+                                "abc", "",   "ba",  "bab", "aa",  "abcd"};
+  for (int i = 0; i < kRows; ++i) {
+    str.AppendString(kWords[rng.Uniform(0, 11)]);
+  }
+  ExpectZoneMapMatchesReference(str, "string");
 }
 
 TEST(ZoneMapTest, ClusteringMakesZonesSelectiveProperty) {
