@@ -2,6 +2,8 @@
 
 #include <type_traits>
 
+#include "exec/hash_table.h"
+
 namespace bdcc {
 namespace exec {
 
@@ -42,7 +44,46 @@ void FoldMinMax(bool is_min, const T* values, const uint8_t* nulls,
   }
 }
 
+// Hash of a (group, value) pair: the group is multiplied by an odd
+// constant first, so one value in neighbouring groups lands apart.
+inline uint64_t PairHash(uint32_t group, int64_t value) {
+  return HashKey64(static_cast<uint64_t>(value) ^
+                   (uint64_t{group} * 0x9e3779b97f4a7c15ull));
+}
+
 }  // namespace
+
+bool AggregatorCore::DistinctSet::Insert(uint32_t group, int64_t value) {
+  if (slots.empty()) Rehash(kMinSlots);
+  size_t i = PairHash(group, value) & mask;
+  for (;; i = (i + 1) & mask) {
+    const Slot& s = slots[i];
+    if (s.group == kEmptyGroup) break;
+    if (s.value == value && s.group == group) return false;
+  }
+  // Miss: keep the load at or below 3/4, then claim the first empty slot on
+  // the pair's (possibly re-homed) probe path.
+  if ((size + 1) * 4 > slots.size() * 3) {
+    Rehash(slots.size() * 2);
+    i = PairHash(group, value) & mask;
+    while (slots[i].group != kEmptyGroup) i = (i + 1) & mask;
+  }
+  slots[i] = Slot{value, group, 0};
+  ++size;
+  return true;
+}
+
+void AggregatorCore::DistinctSet::Rehash(size_t capacity) {
+  std::vector<Slot> old = std::move(slots);
+  slots.assign(capacity, Slot{0, kEmptyGroup, 0});
+  mask = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.group == kEmptyGroup) continue;
+    size_t i = PairHash(s.group, s.value) & mask;
+    while (slots[i].group != kEmptyGroup) i = (i + 1) & mask;
+    slots[i] = s;
+  }
+}
 
 Status AggregatorCore::Bind(const Schema& input, std::vector<AggSpec> specs) {
   specs_ = std::move(specs);
@@ -50,7 +91,6 @@ Status AggregatorCore::Bind(const Schema& input, std::vector<AggSpec> specs) {
   output_fields_.clear();
   states_.assign(specs_.size(), State{});
   num_groups_ = 0;
-  distinct_entries_ = 0;
   for (AggSpec& spec : specs_) {
     TypeId arg_type = TypeId::kInt64;
     if (spec.arg) {
@@ -108,6 +148,7 @@ void AggregatorCore::EnsureGroups(size_t n) {
         break;
       case AggKind::kCount:
       case AggKind::kCountStar:
+      case AggKind::kCountDistinct:
         st.count.resize(n, 0);
         break;
       case AggKind::kMin:
@@ -118,9 +159,6 @@ void AggregatorCore::EnsureGroups(size_t n) {
           st.minmax_i64.resize(n, 0);
         }
         st.has_value.resize(n, 0);
-        break;
-      case AggKind::kCountDistinct:
-        st.distinct.resize(n);
         break;
     }
   }
@@ -190,13 +228,13 @@ Status AggregatorCore::Update(const Batch& batch,
           }
           break;
         }
-        case AggKind::kCountDistinct:
+        case AggKind::kCountDistinct: {
+          int64_t* count = st.count.data();
           FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
-            if (st.distinct[g].insert(static_cast<int64_t>(x)).second) {
-              ++distinct_entries_;
-            }
+            if (st.distinct.Insert(g, static_cast<int64_t>(x))) ++count[g];
           });
           break;
+        }
         case AggKind::kCountStar:
           break;  // handled above
       }
@@ -229,6 +267,7 @@ void AggregatorCore::EmitRange(size_t begin, size_t end,
           break;
         case AggKind::kCount:
         case AggKind::kCountStar:
+        case AggKind::kCountDistinct:
           v.i64.push_back(st.count[g]);
           break;
         case AggKind::kMin:
@@ -243,9 +282,6 @@ void AggregatorCore::EmitRange(size_t begin, size_t end,
                                 : 0);
           }
           break;
-        case AggKind::kCountDistinct:
-          v.i64.push_back(static_cast<int64_t>(st.distinct[g].size()));
-          break;
       }
     }
     out->push_back(std::move(v));
@@ -259,6 +295,17 @@ void AggregatorCore::MergeFrom(const AggregatorCore& other,
   for (size_t s = 0; s < specs_.size(); ++s) {
     State& st = states_[s];
     const State& os = other.states_[s];
+    if (specs_[s].kind == AggKind::kCountDistinct) {
+      // Counts are not additive: re-insert other's pairs under their
+      // mapped groups and count the fresh ones.
+      for (const DistinctSet::Slot& slot : os.distinct.slots) {
+        if (slot.group == DistinctSet::kEmptyGroup) continue;
+        uint32_t m = group_map[slot.group];
+        if (m == kSkipGroup) continue;  // partition-sliced merge: not ours
+        if (st.distinct.Insert(m, slot.value)) ++st.count[m];
+      }
+      continue;
+    }
     for (size_t g = 0; g < other.num_groups_; ++g) {
       uint32_t m = group_map[g];
       if (m == kSkipGroup) continue;  // partition-sliced merge: not ours
@@ -299,11 +346,7 @@ void AggregatorCore::MergeFrom(const AggregatorCore& other,
           break;
         }
         case AggKind::kCountDistinct:
-          for (int64_t v : os.distinct[g]) {
-            auto [it, inserted] = st.distinct[m].insert(v);
-            if (inserted) ++distinct_entries_;
-          }
-          break;
+          break;  // merged above
       }
     }
   }
@@ -315,21 +358,19 @@ uint64_t AggregatorCore::MemoryBytes() const {
     total += st.sum_f64.capacity() * 8 + st.sum_i64.capacity() * 8 +
              st.count.capacity() * 8 + st.minmax_f64.capacity() * 8 +
              st.minmax_i64.capacity() * 8 + st.has_value.capacity() +
-             st.distinct.capacity() * sizeof(std::unordered_set<int64_t>);
+             st.distinct.slots.capacity() * sizeof(DistinctSet::Slot);
   }
-  total += distinct_entries_ * 24;  // set nodes
   return total;
 }
 
 void AggregatorCore::Reset() {
   for (State& st : states_) st = State{};
   num_groups_ = 0;
-  distinct_entries_ = 0;
 }
 
 void AggregatorCore::KeepOnlyLastGroup() {
-  if (num_groups_ == 0) return;
-  size_t last = num_groups_ - 1;
+  if (num_groups_ <= 1) return;  // the only group already is group 0
+  const uint32_t last = static_cast<uint32_t>(num_groups_ - 1);
   for (State& st : states_) {
     auto keep = [last](auto& lane) {
       if (lane.empty()) return;
@@ -342,15 +383,14 @@ void AggregatorCore::KeepOnlyLastGroup() {
     keep(st.minmax_f64);
     keep(st.minmax_i64);
     keep(st.has_value);
-    if (!st.distinct.empty()) {
-      distinct_entries_ -= [&] {
-        uint64_t dropped = 0;
-        for (size_t g = 0; g < last; ++g) dropped += st.distinct[g].size();
-        return dropped;
-      }();
-      st.distinct[0] = std::move(st.distinct[last]);
-      st.distinct.resize(1);
+    if (st.distinct.size == 0) continue;
+    // The last group opened in the batch just folded (group 0 is the run
+    // carried in), so rebuilding from its pairs costs that batch's rows.
+    DistinctSet kept;
+    for (const DistinctSet::Slot& slot : st.distinct.slots) {
+      if (slot.group == last) kept.Insert(0, slot.value);
     }
+    st.distinct = std::move(kept);
   }
   num_groups_ = 1;
 }

@@ -3,8 +3,8 @@
 #ifndef BDCC_EXEC_AGGREGATE_H_
 #define BDCC_EXEC_AGGREGATE_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/expr.h"
@@ -95,15 +95,39 @@ class AggregatorCore {
   void KeepOnlyLastGroup();
 
  private:
+  /// Every distinct (group, value) pair of one COUNT(DISTINCT) spec in one
+  /// flat open-addressing array of 16-byte slots: power-of-two capacity,
+  /// linear probing from the low bits of HashKey64 over the pair, load at
+  /// most 3/4 (as DenseKeyMap). The group's count lane holds its size.
+  struct DistinctSet {
+    struct Slot {
+      int64_t value;
+      uint32_t group;  // kEmptyGroup = empty
+      uint32_t unused;
+    };
+    static constexpr uint32_t kEmptyGroup = kSkipGroup;
+    static constexpr size_t kMinSlots = 8;
+
+    /// Adds the pair; true when it was not in the set.
+    bool Insert(uint32_t group, int64_t value);
+    /// Re-home every pair into a `capacity`-slot array (power of two).
+    void Rehash(size_t capacity);
+
+    std::vector<Slot> slots;
+    size_t mask = 0;  // slots.size() - 1 once allocated
+    size_t size = 0;
+  };
+  static_assert(sizeof(DistinctSet::Slot) == 16, "slot layout");
+
   struct State {
     // One lane per group, per spec (indexed [spec][group]).
     std::vector<double> sum_f64;
     std::vector<int64_t> sum_i64;
-    std::vector<int64_t> count;
+    std::vector<int64_t> count;  // COUNT(DISTINCT): the group's set size
     std::vector<double> minmax_f64;
     std::vector<int64_t> minmax_i64;
     std::vector<uint8_t> has_value;
-    std::vector<std::unordered_set<int64_t>> distinct;
+    DistinctSet distinct;
   };
 
   std::vector<AggSpec> specs_;
@@ -111,7 +135,6 @@ class AggregatorCore {
   std::vector<Field> output_fields_;
   std::vector<State> states_;  // one per spec
   size_t num_groups_ = 0;
-  uint64_t distinct_entries_ = 0;
 };
 
 }  // namespace exec

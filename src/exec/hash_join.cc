@@ -36,30 +36,43 @@ Status HashJoinProber::Bind(const Schema& probe_schema,
   return Status::OK();
 }
 
-template <typename Key>
-void HashJoinProber::CollectPairs(const Batch& in,
-                                  const std::vector<Key>& keys) const {
+void HashJoinProber::ResolveIds(const Batch& in) const {
   const JoinHashTable& table = *table_;
+  size_t n = in.num_rows;
+  ids_.resize(n);
+  if (encoder_.int_path()) {
+    encoder_.EncodeInts(in, &int_keys_, &valid_);
+    table.FindIds(int_keys_.data(), n, ids_.data());
+  } else {
+    encoder_.EncodeBytes(in, &byte_keys_, &valid_);
+    for (size_t i = 0; i < n; ++i) ids_[i] = table.FindId(byte_keys_[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!valid_[i]) ids_[i] = -1;  // NULL never matches
+  }
+}
+
+void HashJoinProber::CollectPairs(const Batch& in) const {
+  const JoinHashTable& table = *table_;
+  ResolveIds(in);
   probe_rows_.clear();
   build_rows_.clear();
   bool emit_build = type_ == JoinType::kInner || type_ == JoinType::kLeftOuter;
   for (size_t i = 0; i < in.num_rows; ++i) {
     uint32_t probe_row = in.RowAt(i);
+    int64_t id = ids_[i];
     if (!emit_build) {
-      bool matched = valid_[i] && table.HasMatch(keys[i]);
-      if (matched == (type_ == JoinType::kLeftSemi)) {
+      if ((id >= 0) == (type_ == JoinType::kLeftSemi)) {
         probe_rows_.push_back(probe_row);
       }
       continue;
     }
-    size_t before = probe_rows_.size();
-    if (valid_[i]) {
-      table.ForEachMatch(keys[i], [&](uint32_t build_row) {
+    if (id >= 0) {
+      table.ForEachRowOf(id, [&](uint32_t build_row) {
         probe_rows_.push_back(probe_row);
         build_rows_.push_back(build_row);
       });
-    }
-    if (type_ == JoinType::kLeftOuter && probe_rows_.size() == before) {
+    } else if (type_ == JoinType::kLeftOuter) {
       probe_rows_.push_back(probe_row);
       build_rows_.push_back(kNoMatch);
     }
@@ -110,13 +123,7 @@ Result<Batch> HashJoinProber::ProbeBatch(const Batch& in, Batch scratch) const {
     }
   }
 
-  if (encoder_.int_path()) {
-    encoder_.EncodeInts(in, &int_keys_, &valid_);
-    CollectPairs(in, int_keys_);
-  } else {
-    encoder_.EncodeBytes(in, &byte_keys_, &valid_);
-    CollectPairs(in, byte_keys_);
-  }
+  CollectPairs(in);
   size_t n = probe_rows_.size();
   for (size_t c = 0; c < left_width; ++c) {
     out.columns[c].AppendGather(in.columns[c], probe_rows_.data(), n);

@@ -54,9 +54,11 @@ class HashJoinProber {
   /// Marks a left-outer output row without a build match.
   static constexpr uint32_t kNoMatch = 0xFFFFFFFFu;
 
+  /// Encode `in`'s keys and resolve every row's build key id into ids_
+  /// (-1: NULL or absent key), the whole batch before any pair is emitted.
+  void ResolveIds(const Batch& in) const;
   /// Record the output rows of `in` into the pair buffers below.
-  template <typename Key>
-  void CollectPairs(const Batch& in, const std::vector<Key>& keys) const;
+  void CollectPairs(const Batch& in) const;
   /// Append build column `c` of every recorded pair to `out`: straight
   /// from the table, or through `staged_` when `null_slot` (the batch has
   /// left-outer rows without a match).
@@ -71,6 +73,7 @@ class HashJoinProber {
   mutable std::vector<int64_t> int_keys_;
   mutable std::vector<std::string> byte_keys_;
   mutable std::vector<uint8_t> valid_;
+  mutable std::vector<int64_t> ids_;
   // One entry per output row: physical probe row and build row (kNoMatch
   // for a left-outer row without a match).
   mutable std::vector<uint32_t> probe_rows_;

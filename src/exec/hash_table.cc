@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
+#include "common/bits.h"
 
 namespace bdcc {
 namespace exec {
@@ -393,6 +395,29 @@ int64_t DenseKeyMap::Find(const std::string& key) const {
   return it == bytes_map_.end() ? -1 : it->second;
 }
 
+void DenseKeyMap::FindBatch(const int64_t* keys, size_t n,
+                            int64_t* ids) const {
+  if (int_size_ == 0) {
+    std::fill(ids, ids + n, -1);
+    return;
+  }
+  // ids[i] holds key i's home slot until its lookup overwrites it.
+  for (size_t i = 0; i < n; ++i) {
+    ids[i] = static_cast<int64_t>(HashKey64(static_cast<uint64_t>(keys[i])) &
+                                  mask_);
+  }
+  for (size_t i = 0; i < std::min(n, kPrefetchDistance); ++i) {
+    __builtin_prefetch(&slots_[static_cast<size_t>(ids[i])]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchDistance < n) {
+      __builtin_prefetch(
+          &slots_[static_cast<size_t>(ids[i + kPrefetchDistance])]);
+    }
+    ids[i] = FindFrom(keys[i], static_cast<size_t>(ids[i]));
+  }
+}
+
 int64_t DenseKeyMap::FindOrInsert(int64_t key, bool* out_inserted) {
   if (slots_.empty()) Rehash(kMinSlots);
   size_t i = HashKey64(static_cast<uint64_t>(key)) & mask_;
@@ -494,16 +519,21 @@ Status JoinHashTable::AddBatch(const Batch& batch) {
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].AppendGather(batch.columns[c], rows, batch.num_rows);
   }
-  // Chain rows under their keys; NULL keys never match.
+  // Index rows under their keys; NULL keys never match.
   auto link_all = [&](const auto& keys, const std::vector<uint8_t>& valid) {
     for (size_t r = 0; r < batch.num_rows; ++r) {
-      uint32_t row = static_cast<uint32_t>(next_.size());
-      if (!valid[r]) {
+      uint32_t row = static_cast<uint32_t>(num_rows_++);
+      int64_t id = -1;
+      bool inserted = false;
+      if (valid[r]) id = key_ids_.FindOrInsert(keys[r], &inserted);
+      if (!chained_) {
+        if (inserted) continue;  // a fresh key's id is its row
+        ChainRowsSoFar(row);
+      }
+      if (id < 0) {
         next_.push_back(kEnd);
         continue;
       }
-      bool inserted;
-      int64_t id = key_ids_.FindOrInsert(keys[r], &inserted);
       if (static_cast<size_t>(id) >= heads_.size()) {
         heads_.resize(id + 1, kEnd);
       }
@@ -526,6 +556,18 @@ Status JoinHashTable::AddBatch(const Batch& batch) {
   return Status::OK();
 }
 
+void JoinHashTable::ChainRowsSoFar(uint32_t rows) {
+  // Power-of-two capacities, as if both arrays had grown row by row since
+  // the first: later doublings then reach exactly the same sizes.
+  const size_t capacity = size_t{1} << bits::CeilLog2(rows);
+  heads_.reserve(capacity);
+  next_.reserve(capacity);
+  heads_.resize(rows);
+  std::iota(heads_.begin(), heads_.end(), 0u);
+  next_.assign(rows, kEnd);
+  chained_ = true;
+}
+
 uint64_t JoinHashTable::MemoryBytes() const {
   return column_bytes_ + heads_.capacity() * 4 + next_.capacity() * 4 +
          key_ids_.MemoryBytes();
@@ -538,6 +580,8 @@ void JoinHashTable::Clear() {
     c = std::move(fresh);
   }
   key_ids_ = DenseKeyMap();
+  num_rows_ = 0;
+  chained_ = false;
   heads_ = std::vector<uint32_t>();
   next_ = std::vector<uint32_t>();
   column_bytes_ = 0;

@@ -190,14 +190,13 @@ class DenseKeyMap {
   /// Existing id or -1.
   int64_t Find(int64_t key) const {
     if (int_size_ == 0) return -1;
-    for (size_t i = HashKey64(static_cast<uint64_t>(key)) & mask_;;
-         i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.id < 0) return -1;
-      if (s.key == key) return s.id;
-    }
+    return FindFrom(key, HashKey64(static_cast<uint64_t>(key)) & mask_);
   }
   int64_t Find(const std::string& key) const;
+  /// ids[i] = Find(keys[i]) for a batch of int keys: every home slot is
+  /// hashed first, then each lookup runs while the slot kPrefetchDistance
+  /// keys ahead is being fetched, so cache misses overlap.
+  void FindBatch(const int64_t* keys, size_t n, int64_t* ids) const;
   /// Existing id, or insert and return the fresh one (out_inserted flags it).
   int64_t FindOrInsert(int64_t key, bool* out_inserted);
   int64_t FindOrInsert(const std::string& key, bool* out_inserted);
@@ -225,6 +224,16 @@ class DenseKeyMap {
   };
   static_assert(sizeof(Slot) == kSlotBytes, "slot layout");
   static constexpr size_t kMinSlots = 8;
+  static constexpr size_t kPrefetchDistance = 16;
+
+  /// Id of `key` probing from slot `i` (its home slot), or -1.
+  int64_t FindFrom(int64_t key, size_t i) const {
+    for (;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id < 0) return -1;
+      if (s.key == key) return s.id;
+    }
+  }
 
   /// True when `keys` int keys would load `slots` slots past 3/4.
   static bool OverLoaded(size_t keys, size_t slots) {
@@ -263,10 +272,13 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
                                const std::function<void(size_t)>& on_new_group);
 
 /// \brief Materialized build side of a hash join: the build columns plus a
-/// key -> row-chain index. The DenseKeyMap gives a key's dense id;
-/// `heads_[id]` is the newest row with that key and `next_[row]` links to
-/// the next older one, so ForEachMatch walks duplicates newest first. Rows
-/// are copied in with one AppendGather per column per input batch.
+/// key -> rows index. The DenseKeyMap gives a key's dense id. While every
+/// row has its own non-NULL key, ids are handed out in row order, so a
+/// key's id *is* its row and no chains exist. The first repeated or NULL
+/// key chains the rows so far (`heads_[r] = r`, `next_[r] = end`); from
+/// then on `heads_[id]` is the newest row with that key and `next_[row]`
+/// links to the next older one, so matches come newest first. Rows are
+/// copied in with one AppendGather per column per input batch.
 ///
 /// The build is serial (Init + AddBatch); a parallel build side is a
 /// ParallelUnion of scan clones drained into one table (BuildHashTable).
@@ -278,23 +290,37 @@ class JoinHashTable {
 
   Status AddBatch(const Batch& batch);
 
-  size_t num_rows() const { return next_.size(); }
+  size_t num_rows() const { return num_rows_; }
   const Schema& schema() const { return schema_; }
   const std::vector<ColumnVector>& columns() const { return columns_; }
   const KeyEncoder& encoder() const { return encoder_; }
 
-  /// Call fn(row) for each build row matching a key (newest insertion
+  /// Key id of `key` (-1: no build row has it); see DenseKeyMap.
+  int64_t FindId(int64_t key) const { return key_ids_.Find(key); }
+  int64_t FindId(const std::string& key) const { return key_ids_.Find(key); }
+  /// ids[i] = FindId(keys[i]) over a batch (DenseKeyMap::FindBatch).
+  void FindIds(const int64_t* keys, size_t n, int64_t* ids) const {
+    key_ids_.FindBatch(keys, n, ids);
+  }
+
+  /// Call fn(row) for each build row of key id `id` >= 0 (newest insertion
   /// first); `row` indexes columns().
-  template <typename Key, typename Fn>
-  void ForEachMatch(const Key& key, Fn fn) const {
-    int64_t id = key_ids_.Find(key);
-    if (id < 0) return;
+  template <typename Fn>
+  void ForEachRowOf(int64_t id, Fn fn) const {
+    if (!chained_) {
+      fn(static_cast<uint32_t>(id));
+      return;
+    }
     for (uint32_t row = heads_[id]; row != kEnd; row = next_[row]) fn(row);
   }
-  bool HasMatch(int64_t key) const { return key_ids_.Find(key) >= 0; }
-  bool HasMatch(const std::string& key) const {
-    return key_ids_.Find(key) >= 0;
+  /// ForEachRowOf the id of `key`, if any build row has it.
+  template <typename Key, typename Fn>
+  void ForEachMatch(const Key& key, Fn fn) const {
+    int64_t id = FindId(key);
+    if (id >= 0) ForEachRowOf(id, fn);
   }
+  /// True once a key repeated or was NULL (rows then chain under ids).
+  bool chained() const { return chained_; }
 
   /// Heap bytes held (columns + chains + key map) for memory accounting.
   uint64_t MemoryBytes() const;
@@ -305,11 +331,18 @@ class JoinHashTable {
  private:
   static constexpr uint32_t kEnd = 0xFFFFFFFFu;
 
+  /// Chain rows [0, rows), each the only row of its key id.
+  void ChainRowsSoFar(uint32_t rows);
+
   Schema schema_;
   KeyEncoder encoder_;
   DenseKeyMap key_ids_;
-  std::vector<uint32_t> heads_;  // per key id: first row in chain
-  std::vector<uint32_t> next_;   // per row: next row with same key
+  size_t num_rows_ = 0;
+  bool chained_ = false;
+  // Only once chained_: per key id the first row in its chain, per row the
+  // next row with the same key.
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> next_;
   std::vector<ColumnVector> columns_;
   uint64_t column_bytes_ = 0;
 };

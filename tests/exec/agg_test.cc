@@ -5,6 +5,9 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <set>
+#include <thread>
+#include <utility>
 
 #include "common/rng.h"
 #include "exec/hash_agg.h"
@@ -454,6 +457,309 @@ TEST(AggTest, UpdateMatchesSequentialLoop) {
       }
     }
   }
+}
+
+// ---- COUNT(DISTINCT) on one flat (group, value) set per spec ----
+
+Schema DistinctSchema() {
+  return Schema({{"v", TypeId::kInt64}, {"w", TypeId::kInt32}});
+}
+
+// COUNT(DISTINCT v), COUNT(DISTINCT w) and COUNT(v): two sets side by side
+// and a count lane that must stay independent of them.
+std::vector<AggSpec> DistinctSpecs() {
+  return {AggCountDistinct(Col("v"), "dv"), AggCountDistinct(Col("w"), "dw"),
+          AggCount(Col("v"), "cv")};
+}
+
+// A value drawn from edge values, a small shared domain (repeats within and
+// across groups) and the full 64-bit range.
+int64_t DistinctValue(Rng* rng) {
+  static const int64_t kEdges[] = {std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(),
+                                   0, -1, 1};
+  switch (rng->Uniform(0, 9)) {
+    case 0:
+      return kEdges[rng->Uniform(0, 4)];
+    case 1:
+    case 2:
+      return static_cast<int64_t>(rng->Next64());
+    default:
+      return rng->Uniform(-400, 400);
+  }
+}
+
+struct DistinctInput {
+  Batch batch;
+  std::vector<uint32_t> groups;
+};
+
+// `rows` rows over groups [0, num_groups) (or the ascending run ids in
+// `runs`, when given); v is NULL in about a tenth of the rows.
+DistinctInput MakeDistinctInput(Rng* rng, size_t rows, uint32_t num_groups,
+                                const std::vector<uint32_t>* runs = nullptr) {
+  DistinctInput in;
+  ColumnVector v(TypeId::kInt64), w(TypeId::kInt32);
+  v.nulls.assign(rows, 0);
+  for (size_t r = 0; r < rows; ++r) {
+    v.i64.push_back(DistinctValue(rng));
+    w.i32.push_back(static_cast<int32_t>(rng->Uniform(-50, 50)));
+    if (rng->Chance(0.1)) v.nulls[r] = 1;
+    in.groups.push_back(runs != nullptr
+                            ? (*runs)[r]
+                            : static_cast<uint32_t>(
+                                  rng->Uniform(0, num_groups - 1)));
+  }
+  in.batch.columns = {std::move(v), std::move(w)};
+  in.batch.num_rows = rows;
+  return in;
+}
+
+// Reference: the distinct (group, value) pairs of each COUNT(DISTINCT) spec
+// and the per-group COUNT(v).
+struct DistinctRef {
+  std::set<std::pair<uint32_t, int64_t>> v_pairs, w_pairs;
+  std::vector<int64_t> count_v;
+
+  void Add(const DistinctInput& in) {
+    const ColumnVector& v = in.batch.columns[0];
+    const ColumnVector& w = in.batch.columns[1];
+    for (size_t r = 0; r < in.batch.num_rows; ++r) {
+      uint32_t g = in.groups[r];
+      if (count_v.size() <= g) count_v.resize(g + 1, 0);
+      w_pairs.emplace(g, w.i32[r]);
+      if (v.IsNull(r)) continue;
+      v_pairs.emplace(g, v.i64[r]);
+      ++count_v[g];
+    }
+  }
+  static int64_t CountOf(const std::set<std::pair<uint32_t, int64_t>>& pairs,
+                         uint32_t g) {
+    auto lo = pairs.lower_bound({g, std::numeric_limits<int64_t>::min()});
+    auto hi = pairs.upper_bound({g, std::numeric_limits<int64_t>::max()});
+    return std::distance(lo, hi);
+  }
+};
+
+// Every group of `core` emits the reference's counts.
+void ExpectDistinctMatches(const AggregatorCore& core, const DistinctRef& ref,
+                           size_t num_groups, const std::string& what) {
+  std::vector<ColumnVector> out;
+  core.EmitRange(0, num_groups, &out);
+  ASSERT_EQ(out.size(), 3u);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    ASSERT_EQ(out[0].i64[g], DistinctRef::CountOf(ref.v_pairs, g))
+        << what << " group " << g;
+    ASSERT_EQ(out[1].i64[g], DistinctRef::CountOf(ref.w_pairs, g))
+        << what << " group " << g;
+    ASSERT_EQ(out[2].i64[g], g < ref.count_v.size() ? ref.count_v[g] : 0)
+        << what << " group " << g;
+  }
+}
+
+TEST(AggTest, CountDistinctMatchesPairSetReference) {
+  for (uint64_t seed : {5, 6}) {
+    Rng rng(seed);
+    constexpr uint32_t kGroups = 300;
+    AggregatorCore core;
+    ASSERT_TRUE(core.Bind(DistinctSchema(), DistinctSpecs()).ok());
+    DistinctRef ref;
+    uint64_t last_bytes = core.MemoryBytes();
+    // 40 batches: v's set grows from 8 slots past 2^15 (a dozen doublings).
+    for (int b = 0; b < 40; ++b) {
+      DistinctInput in = MakeDistinctInput(&rng, 1000, kGroups);
+      core.EnsureGroups(kGroups);
+      ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
+      ref.Add(in);
+      if (b % 8 == 7) {
+        ExpectDistinctMatches(core, ref, kGroups,
+                              "seed " + std::to_string(seed) + " batch " +
+                                  std::to_string(b));
+      }
+      // Slots are charged at 16 bytes each, at most 3/4 full.
+      uint64_t pairs = ref.v_pairs.size() + ref.w_pairs.size();
+      EXPECT_GE(core.MemoryBytes(), pairs * 16 * 4 / 3);
+      EXPECT_GE(core.MemoryBytes(), last_bytes);
+      last_bytes = core.MemoryBytes();
+    }
+    EXPECT_GT(ref.v_pairs.size(), size_t{20000});
+    ExpectDistinctMatches(core, ref, kGroups, "final");
+  }
+}
+
+// Partial cores over the same groups, as the morsel-parallel consume phase
+// leaves them.
+struct DistinctPartials {
+  std::vector<AggregatorCore> cores;
+  DistinctRef ref;  // the union of every partial's rows
+};
+
+void MakeDistinctPartials(uint64_t seed, size_t num_partials,
+                          uint32_t num_groups, DistinctPartials* p) {
+  Rng rng(seed);
+  p->cores.resize(num_partials);
+  for (AggregatorCore& core : p->cores) {
+    ASSERT_TRUE(core.Bind(DistinctSchema(), DistinctSpecs()).ok());
+    core.EnsureGroups(num_groups);
+    for (int b = 0; b < 6; ++b) {
+      DistinctInput in = MakeDistinctInput(&rng, 700, num_groups);
+      ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
+      p->ref.Add(in);
+    }
+  }
+}
+
+// Partition `part` of `parts` owns the groups g with g % parts == part,
+// renumbered in reverse so the map is not the identity; the rest map to
+// kSkipGroup.
+std::vector<uint32_t> SliceMap(uint32_t num_groups, uint32_t parts,
+                               uint32_t part, uint32_t* owned) {
+  std::vector<uint32_t> map(num_groups, AggregatorCore::kSkipGroup);
+  *owned = 0;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    if (g % parts == part) ++*owned;
+  }
+  uint32_t next = *owned;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    if (g % parts == part) map[g] = --next;
+  }
+  return map;
+}
+
+// A sliced merge target emits, for each owned group, the union's counts.
+void ExpectSliceMatches(const AggregatorCore& target,
+                        const std::vector<uint32_t>& map,
+                        const DistinctRef& ref, const std::string& what) {
+  std::vector<ColumnVector> out;
+  target.EmitRange(0, target.num_groups(), &out);
+  for (uint32_t g = 0; g < map.size(); ++g) {
+    if (map[g] == AggregatorCore::kSkipGroup) continue;
+    ASSERT_EQ(out[0].i64[map[g]], DistinctRef::CountOf(ref.v_pairs, g))
+        << what << " group " << g;
+    ASSERT_EQ(out[1].i64[map[g]], DistinctRef::CountOf(ref.w_pairs, g))
+        << what << " group " << g;
+    ASSERT_EQ(out[2].i64[map[g]], ref.count_v[g]) << what << " group " << g;
+  }
+}
+
+TEST(AggTest, CountDistinctMergeFromSlicedGroupMaps) {
+  constexpr uint32_t kGroups = 90;
+  constexpr uint32_t kParts = 3;
+  DistinctPartials partials;
+  MakeDistinctPartials(17, 2, kGroups, &partials);
+  if (HasFatalFailure()) return;
+  std::vector<std::vector<ColumnVector>> before(partials.cores.size());
+  for (size_t i = 0; i < partials.cores.size(); ++i) {
+    partials.cores[i].EmitRange(0, kGroups, &before[i]);
+  }
+  for (uint32_t part = 0; part < kParts; ++part) {
+    uint32_t owned;
+    std::vector<uint32_t> map = SliceMap(kGroups, kParts, part, &owned);
+    AggregatorCore target;
+    ASSERT_TRUE(target.Bind(DistinctSchema(), DistinctSpecs()).ok());
+    target.EnsureGroups(owned);
+    for (const AggregatorCore& partial : partials.cores) {
+      target.MergeFrom(partial, map);
+    }
+    ExpectSliceMatches(target, map, partials.ref,
+                       "part " + std::to_string(part));
+  }
+  // MergeFrom is read-only on the partials.
+  for (size_t i = 0; i < partials.cores.size(); ++i) {
+    std::vector<ColumnVector> after;
+    partials.cores[i].EmitRange(0, kGroups, &after);
+    for (size_t s = 0; s < after.size(); ++s) {
+      EXPECT_EQ(after[s].i64, before[i][s].i64) << "partial " << i;
+    }
+  }
+}
+
+// Four targets merge their slices of the same shared partials at once, as
+// ParallelHashAgg's radix merge does (run under TSan).
+TEST(ParallelCountDistinctMergeTest, FourThreadsMergeSlicesOfSharedPartials) {
+  constexpr uint32_t kGroups = 120;
+  constexpr uint32_t kParts = 4;
+  DistinctPartials partials;
+  MakeDistinctPartials(23, 3, kGroups, &partials);
+  if (HasFatalFailure()) return;
+  std::vector<AggregatorCore> targets(kParts);
+  std::vector<std::vector<uint32_t>> maps(kParts);
+  for (uint32_t part = 0; part < kParts; ++part) {
+    uint32_t owned;
+    maps[part] = SliceMap(kGroups, kParts, part, &owned);
+    ASSERT_TRUE(targets[part].Bind(DistinctSchema(), DistinctSpecs()).ok());
+    targets[part].EnsureGroups(owned);
+  }
+  std::vector<std::thread> threads;
+  for (uint32_t part = 0; part < kParts; ++part) {
+    threads.emplace_back([&, part] {
+      for (const AggregatorCore& partial : partials.cores) {
+        targets[part].MergeFrom(partial, maps[part]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (uint32_t part = 0; part < kParts; ++part) {
+    ExpectSliceMatches(targets[part], maps[part], partials.ref,
+                       "part " + std::to_string(part));
+  }
+}
+
+TEST(AggTest, CountDistinctKeepOnlyLastGroupAndReset) {
+  Rng rng(31);
+  AggregatorCore core;
+  ASSERT_TRUE(core.Bind(DistinctSchema(), DistinctSpecs()).ok());
+  // Stream runs across batches as StreamAgg does: a batch's rows carry
+  // ascending run ids, group 0 being the run carried in; every complete
+  // run is checked, then only the open one is kept.
+  DistinctRef run_ref;  // pairs of the runs still held, by core group
+  int64_t run_left = 1;  // rows of the open run still to come
+  size_t runs_checked = 0;
+  for (int b = 0; b < 30; ++b) {
+    std::vector<uint32_t> runs;
+    uint32_t run = 0;
+    for (size_t r = 0; r < 500; ++r) {
+      if (run_left == 0) {
+        ++run;
+        // Mostly short runs, sometimes one spanning several batches.
+        run_left = rng.Chance(0.05) ? 1500 : rng.Uniform(1, 40);
+      }
+      --run_left;
+      runs.push_back(run);
+    }
+    DistinctInput in = MakeDistinctInput(&rng, runs.size(), 0, &runs);
+    core.EnsureGroups(run + 1);
+    ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
+    run_ref.Add(in);
+    ExpectDistinctMatches(core, run_ref, run + 1,
+                          "batch " + std::to_string(b));
+    if (run == 0) continue;  // StreamAgg keeps a lone open run as is
+    runs_checked += run;
+    core.KeepOnlyLastGroup();
+    ASSERT_EQ(core.num_groups(), 1u);
+    DistinctRef kept;  // the last run's pairs, renumbered as group 0
+    for (const auto& [g, x] : run_ref.v_pairs) {
+      if (g == run) kept.v_pairs.emplace(0, x);
+    }
+    for (const auto& [g, x] : run_ref.w_pairs) {
+      if (g == run) kept.w_pairs.emplace(0, x);
+    }
+    kept.count_v = {run_ref.count_v[run]};
+    run_ref = std::move(kept);
+    ExpectDistinctMatches(core, run_ref, 1, "kept after batch " +
+                                                std::to_string(b));
+  }
+  EXPECT_GT(runs_checked, 100u);
+
+  core.Reset();
+  EXPECT_EQ(core.num_groups(), 0u);
+  EXPECT_EQ(core.MemoryBytes(), 0u);
+  DistinctInput in = MakeDistinctInput(&rng, 800, 20);
+  core.EnsureGroups(20);
+  ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
+  DistinctRef fresh;
+  fresh.Add(in);
+  ExpectDistinctMatches(core, fresh, 20, "after Reset");
 }
 
 }  // namespace

@@ -428,12 +428,12 @@ TEST(JoinHashTableTest, ChainsDuplicates) {
   table.ForEachMatch(int64_t{9}, [&](uint32_t) { ++matches_9; });
   EXPECT_EQ(matches_7, 4);
   EXPECT_EQ(matches_9, 2);
-  EXPECT_TRUE(table.HasMatch(int64_t{7}));
-  EXPECT_FALSE(table.HasMatch(int64_t{8}));
+  EXPECT_GE(table.FindId(int64_t{7}), 0);
+  EXPECT_EQ(table.FindId(int64_t{8}), -1);
   EXPECT_GT(table.MemoryBytes(), 0u);
   table.Clear();
   EXPECT_EQ(table.num_rows(), 0u);
-  EXPECT_FALSE(table.HasMatch(int64_t{7}));
+  EXPECT_EQ(table.FindId(int64_t{7}), -1);
 }
 
 TEST(JoinHashTableTest, MaterializedColumnsPreserveValues) {
@@ -446,6 +446,172 @@ TEST(JoinHashTableTest, MaterializedColumnsPreserveValues) {
     EXPECT_EQ(cols[2].GetString(row), "x");
     EXPECT_DOUBLE_EQ(cols[3].f64[row], 1.0);
   });
+}
+
+TEST(DenseKeyMapTest, FindBatchMatchesFind) {
+  Rng rng(2024);
+  DenseKeyMap map;
+  std::vector<int64_t> present = {std::numeric_limits<int64_t>::min()};
+  // Batch sizes around the prefetch distance, over an empty map first;
+  // every position of a batch gets present and absent keys over the rounds.
+  auto check = [&](const std::string& what) {
+    for (int round = 0; round < 20; ++round) {
+      for (size_t n : {0, 1, 15, 16, 17, 33, 300}) {
+        std::vector<int64_t> keys;
+        for (size_t i = 0; i < n; ++i) {
+          keys.push_back(rng.Chance(0.25)
+                             ? static_cast<int64_t>(rng.Next64())  // absent
+                             : present[static_cast<size_t>(rng.Uniform(
+                                   0, static_cast<int64_t>(present.size()) -
+                                          1))]);
+        }
+        std::vector<int64_t> ids(n, 12345);
+        map.FindBatch(keys.data(), n, ids.data());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(ids[i], map.Find(keys[i]))
+              << what << " key " << keys[i] << " at " << i << " of " << n;
+        }
+      }
+    }
+  };
+  check("empty");
+  bool inserted;
+  map.FindOrInsert(present[0], &inserted);
+  check("one key");
+  for (int64_t key : EdgeKeys()) present.push_back(key);
+  for (int i = 0; i < 3000; ++i) present.push_back(rng.Uniform(-1000, 1000));
+  for (int64_t key : present) map.FindOrInsert(key, &inserted);
+  check("filled");
+  map.Clear();
+  check("cleared");
+}
+
+// Build keys (kNullKey marks a NULL) and the row payload p = row number.
+constexpr int64_t kNullKey = std::numeric_limits<int64_t>::min();
+
+Schema KeyRowSchema() {
+  return Schema({{"k", TypeId::kInt64}, {"p", TypeId::kInt32}});
+}
+
+Batch KeyRows(const std::vector<int64_t>& keys, int32_t first_row) {
+  Batch b;
+  ColumnVector k(TypeId::kInt64), p(TypeId::kInt32);
+  k.nulls.assign(keys.size(), 0);
+  for (size_t r = 0; r < keys.size(); ++r) {
+    k.i64.push_back(keys[r]);
+    if (keys[r] == kNullKey) k.nulls[r] = 1;
+    p.i32.push_back(first_row + static_cast<int32_t>(r));
+  }
+  b.columns = {std::move(k), std::move(p)};
+  b.num_rows = keys.size();
+  return b;
+}
+
+// Adds `batches` to `table` and checks, after each batch, that every key
+// (and an absent one) yields exactly its rows newest first, and whether the
+// table is chained yet.
+void ExpectTableMatchesRows(JoinHashTable* table,
+                            const std::vector<std::vector<int64_t>>& batches,
+                            const std::vector<bool>& chained_after,
+                            const std::string& what) {
+  std::vector<int64_t> all;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_TRUE(
+        table->AddBatch(KeyRows(batches[b], static_cast<int32_t>(all.size())))
+            .ok());
+    all.insert(all.end(), batches[b].begin(), batches[b].end());
+    std::string at = what + " after batch " + std::to_string(b);
+    ASSERT_EQ(table->num_rows(), all.size()) << at;
+    EXPECT_EQ(table->chained(), chained_after[b]) << at;
+    std::vector<int64_t> probes = all;
+    probes.push_back(-77);  // absent
+    for (int64_t key : probes) {
+      if (key == kNullKey) continue;
+      std::vector<uint32_t> want;
+      for (size_t r = all.size(); r-- > 0;) {
+        if (all[r] == key) want.push_back(static_cast<uint32_t>(r));
+      }
+      std::vector<uint32_t> got;
+      table->ForEachMatch(key, [&](uint32_t row) {
+        got.push_back(row);
+        EXPECT_EQ(table->columns()[1].i32[row], static_cast<int32_t>(row));
+      });
+      ASSERT_EQ(got, want) << at << " key " << key;
+    }
+  }
+}
+
+TEST(JoinHashTableTest, UniqueKeysStayUnchainedUntilARepeatOrNull) {
+  const std::vector<int64_t> first = {10, 11, 12, 13, 14, 15};
+  struct Case {
+    std::string what;
+    std::vector<int64_t> second;
+    bool chained;
+  };
+  const std::vector<Case> cases = {
+      {"unique", {20, 21, 22, 23}, false},
+      {"repeat at first row", {12, 21, 22, 23}, true},
+      {"repeat in the middle", {20, 21, 14, 23}, true},
+      {"repeat at last row", {20, 21, 22, 10}, true},
+      {"repeat within the batch", {20, 21, 21, 21}, true},
+      {"NULL in the middle", {20, kNullKey, 22, 23}, true},
+  };
+  for (const Case& c : cases) {
+    JoinHashTable table;
+    ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}).ok());
+    // A third batch after the switch keeps chaining rows and repeats.
+    ExpectTableMatchesRows(&table, {first, c.second, {13, 30, 20, 31}},
+                           {false, c.chained, true}, c.what);
+  }
+  // A NULL key as the very first row chains at once.
+  JoinHashTable table;
+  ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}).ok());
+  ExpectTableMatchesRows(&table, {{kNullKey, 1, 2}, {3, 1}}, {true, true},
+                         "NULL first");
+}
+
+TEST(JoinHashTableTest, ClearAndRefillAsSandwichGroups) {
+  JoinHashTable table;
+  ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}).ok());
+  // Alternate chained and unique groups: Clear must forget the chains.
+  ExpectTableMatchesRows(&table, {{1, 2, 1}, {2, 3}}, {true, true}, "group 0");
+  table.Clear();
+  EXPECT_EQ(table.num_rows(), 0u);
+  EXPECT_FALSE(table.chained());
+  EXPECT_EQ(table.FindId(int64_t{1}), -1);
+  ExpectTableMatchesRows(&table, {{5, 6, 7}, {8}}, {false, false}, "group 1");
+  table.Clear();
+  ExpectTableMatchesRows(&table, {{9}, {9, 5}}, {false, true}, "group 2");
+}
+
+TEST(JoinHashTableTest, UniqueBuildKeepsNoChains) {
+  constexpr size_t kRows = 5000;
+  std::vector<int64_t> keys(kRows);
+  for (size_t r = 0; r < kRows; ++r) keys[r] = static_cast<int64_t>(r * 7919);
+  JoinHashTable unique;
+  ASSERT_TRUE(unique.Init(KeyRowSchema(), {"k"}).ok());
+  ASSERT_TRUE(unique.AddBatch(KeyRows(keys, 0)).ok());
+  ASSERT_FALSE(unique.chained());
+  // The same rows plus one repeat, which chains them all.
+  JoinHashTable chained;
+  ASSERT_TRUE(chained.Init(KeyRowSchema(), {"k"}).ok());
+  ASSERT_TRUE(chained.AddBatch(KeyRows(keys, 0)).ok());
+  ASSERT_TRUE(chained.AddBatch(KeyRows({keys[0]}, kRows)).ok());
+  ASSERT_TRUE(chained.chained());
+
+  DenseKeyMap key_map;
+  bool inserted;
+  for (int64_t key : keys) key_map.FindOrInsert(key, &inserted);
+  auto column_bytes = [](const JoinHashTable& t) {
+    uint64_t bytes = 0;
+    for (const ColumnVector& c : t.columns()) bytes += ColumnVectorBytes(c);
+    return bytes;
+  };
+  // Unique: columns and key slots only. Chained: 4 B per key id and 4 B
+  // per row on top.
+  EXPECT_EQ(unique.MemoryBytes(), column_bytes(unique) + key_map.MemoryBytes());
+  EXPECT_GE(chained.MemoryBytes(),
+            column_bytes(chained) + key_map.MemoryBytes() + 8 * kRows);
 }
 
 }  // namespace

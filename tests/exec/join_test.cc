@@ -1,5 +1,7 @@
 // Hash, merge, and sandwich join tests, including the key equivalence
 // property: all join strategies produce the same result multiset.
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -144,6 +146,100 @@ TEST(HashJoinTest, TracksBuildMemory) {
   // Build side ~5000 rows * 12B plus table overhead; peak reflects it.
   EXPECT_GT(ctx.memory()->peak_bytes(), 50000u);
   EXPECT_EQ(ctx.memory()->current_bytes(), 0u);  // released on Close
+}
+
+// Build keys (kNullKey marks a NULL) split into batches of `batch_rows`;
+// the payload is the row's position in the whole build.
+constexpr int32_t kNullKey = std::numeric_limits<int32_t>::min();
+
+std::vector<Batch> KeyBatches(const std::vector<int32_t>& keys,
+                              size_t batch_rows, int64_t payload_base) {
+  std::vector<Batch> out;
+  for (size_t at = 0; at < keys.size(); at += batch_rows) {
+    size_t end = std::min(keys.size(), at + batch_rows);
+    std::vector<int32_t> k(keys.begin() + at, keys.begin() + end);
+    std::vector<int64_t> p(end - at);
+    std::iota(p.begin(), p.end(), payload_base + static_cast<int64_t>(at));
+    Batch b = RowsBatch(k, p);
+    b.columns[0].nulls.assign(k.size(), 0);
+    for (size_t r = 0; r < k.size(); ++r) {
+      if (k[r] == kNullKey) b.columns[0].nulls[r] = 1;
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+// The join by nested loops over the keys: per probe row, matching build
+// rows newest first, then NULL extension / semi / anti rows. Rows are
+// (lk, lp, rk, rp) with rp = -1 for a NULL-extended row.
+std::vector<std::vector<int64_t>> NestedLoopJoin(
+    const std::vector<int32_t>& probe, const std::vector<int32_t>& build,
+    JoinType type) {
+  std::vector<std::vector<int64_t>> rows;
+  for (size_t p = 0; p < probe.size(); ++p) {
+    int64_t lp = 1000000 + static_cast<int64_t>(p);
+    bool matched = false;
+    for (size_t b = build.size(); b-- > 0;) {
+      if (probe[p] == kNullKey || build[b] != probe[p]) continue;
+      matched = true;
+      if (type == JoinType::kInner || type == JoinType::kLeftOuter) {
+        rows.push_back({probe[p], lp, build[b], static_cast<int64_t>(b)});
+      }
+    }
+    if ((type == JoinType::kLeftOuter && !matched) ||
+        (type == JoinType::kLeftSemi && matched) ||
+        (type == JoinType::kLeftAnti && !matched)) {
+      rows.push_back({probe[p], lp, 0, -1});
+    }
+  }
+  return rows;
+}
+
+TEST(HashJoinTest, UniqueAndChainedBuildsJoinLikeNestedLoops) {
+  // Unique build keys; the first repeat at the first, a middle and the last
+  // row of the second batch; a NULL as the very first row.
+  std::vector<int32_t> unique(20);
+  std::iota(unique.begin(), unique.end(), 10);
+  std::vector<std::pair<std::string, std::vector<int32_t>>> builds = {
+      {"unique", unique}};
+  for (size_t at : {8, 12, 15}) {
+    std::vector<int32_t> keys = unique;
+    keys[at] = keys[3];
+    builds.push_back({"repeat at row " + std::to_string(at), keys});
+  }
+  std::vector<int32_t> null_first = unique;
+  null_first[0] = kNullKey;
+  builds.push_back({"NULL first", null_first});
+  std::vector<int32_t> probe = {13, 9, 10, kNullKey, 29, 13, 40, 11, 18};
+  for (const auto& [label, build] : builds) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                          JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      ExecContext ctx(nullptr);
+      HashJoin join(Left(KeyBatches(probe, 4, 1000000)),
+                    Right(KeyBatches(build, 8, 0)), {"lk"}, {"rk"}, type);
+      Batch out = CollectAll(&join, &ctx).ValueOrDie();
+      std::vector<std::vector<int64_t>> want =
+          NestedLoopJoin(probe, build, type);
+      std::string what = label + " " + JoinTypeName(type);
+      ASSERT_EQ(out.num_rows, want.size()) << what;
+      for (size_t r = 0; r < want.size(); ++r) {
+        if (want[r][0] == kNullKey) {
+          EXPECT_TRUE(out.columns[0].IsNull(r)) << what << " row " << r;
+        } else {
+          EXPECT_EQ(out.columns[0].i32[r], want[r][0]) << what << " row " << r;
+        }
+        EXPECT_EQ(out.columns[1].i64[r], want[r][1]) << what << " row " << r;
+        if (out.columns.size() == 2) continue;  // semi / anti
+        if (want[r][3] < 0) {
+          EXPECT_TRUE(out.columns[3].IsNull(r)) << what << " row " << r;
+          continue;
+        }
+        EXPECT_EQ(out.columns[2].i32[r], want[r][2]) << what << " row " << r;
+        EXPECT_EQ(out.columns[3].i64[r], want[r][3]) << what << " row " << r;
+      }
+    }
+  }
 }
 
 TEST(MergeJoinTest, InnerWithDuplicateProbe) {
@@ -429,7 +525,7 @@ Batch ReferenceProbe(const JoinHashTable& table,
         matched = true;
       });
     } else if (valid) {
-      matched = table.HasMatch(key);
+      matched = table.FindId(key) >= 0;
     }
     if ((type == JoinType::kLeftOuter && !matched) ||
         (type == JoinType::kLeftSemi && matched) ||
