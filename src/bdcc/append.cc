@@ -40,8 +40,6 @@ Result<BdccKeyIndex> BdccKeyIndex::Build(const BdccTable& table,
       Hop hop;
       hop.fk_id = fk_id;
       hop.from_columns = fk->from_columns;
-      BDCC_ASSIGN_OR_RETURN(hop.key_dict, ReferencedKeyDictionary(
-                                              *referenced, fk->to_columns));
       hop.row_of_key.reserve(keys.size());
       for (uint64_t r = 0; r < keys.size(); ++r) {
         hop.row_of_key[keys[r]] = static_cast<uint32_t>(r);  // last wins
@@ -70,9 +68,8 @@ Result<std::vector<uint64_t>> BdccKeyIndex::Keys(const Table& rows) const {
   std::vector<std::vector<uint32_t>> referenced(hops_.size());
   for (size_t h = 0; h < hops_.size(); ++h) {
     const Hop& hop = hops_[h];
-    BDCC_ASSIGN_OR_RETURN(
-        std::vector<uint64_t> keys,
-        EncodeReferencingKeyColumn(rows, hop.from_columns, hop.key_dict.get()));
+    BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> keys,
+                          EncodeKeyColumn(rows, hop.from_columns));
     referenced[h].resize(n);
     for (uint64_t r = 0; r < n; ++r) {
       auto it = hop.row_of_key.find(keys[r]);

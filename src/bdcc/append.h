@@ -10,7 +10,6 @@
 #define BDCC_BDCC_APPEND_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,9 +54,6 @@ class BdccKeyIndex {
   struct Hop {
     std::string fk_id;
     std::vector<std::string> from_columns;
-    // The referenced key's dictionary when it is a string (kept alive here;
-    // only read after Build), else null.
-    std::shared_ptr<Dictionary> key_dict;
     std::unordered_map<uint64_t, uint32_t> row_of_key;
   };
   struct Use {

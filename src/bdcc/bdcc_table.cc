@@ -21,10 +21,6 @@ Result<std::vector<int>> ColumnIndices(const Table& table,
   return out;
 }
 
-// Key of a referencing string the referenced dictionary lacks: referenced
-// string keys are 32-bit codes, so none equals it.
-constexpr uint64_t kAbsentKey = ~uint64_t{0};
-
 }  // namespace
 
 Result<std::vector<uint64_t>> EncodeKeyColumn(
@@ -41,7 +37,12 @@ Result<std::vector<uint64_t>> EncodeKeyColumn(
       }
       return keys;
     }
-    if (!IsI32Backed(c.type()) && c.type() != TypeId::kString) {
+    if (c.type() == TypeId::kString) {
+      // Each table interns its strings into its own dictionary, so codes of
+      // the referencing and referenced sides are not comparable.
+      return Status::NotImplemented("FK key over string column");
+    }
+    if (!IsI32Backed(c.type())) {
       return Status::NotImplemented("FK key over float column");
     }
     const auto& lane = c.i32();
@@ -64,43 +65,6 @@ Result<std::vector<uint64_t>> EncodeKeyColumn(
     return keys;
   }
   return Status::NotImplemented("FK keys wider than 2 columns");
-}
-
-Result<std::shared_ptr<Dictionary>> ReferencedKeyDictionary(
-    const Table& referenced, const std::vector<std::string>& columns) {
-  BDCC_ASSIGN_OR_RETURN(std::vector<int> cols,
-                        ColumnIndices(referenced, columns));
-  if (cols.size() == 1 && referenced.column(cols[0]).type() == TypeId::kString) {
-    return referenced.column(cols[0]).dict();
-  }
-  return std::shared_ptr<Dictionary>();
-}
-
-Result<std::vector<uint64_t>> EncodeReferencingKeyColumn(
-    const Table& table, const std::vector<std::string>& columns,
-    const Dictionary* referenced_dict) {
-  BDCC_ASSIGN_OR_RETURN(std::vector<int> cols, ColumnIndices(table, columns));
-  const bool string_key =
-      cols.size() == 1 && table.column(cols[0]).type() == TypeId::kString;
-  if (string_key != (referenced_dict != nullptr)) {
-    return Status::InvalidArgument(
-        "FK key types differ: a string key must reference a string key");
-  }
-  if (!string_key) return EncodeKeyColumn(table, columns);
-  // Translate each of the column's own codes once, in code order.
-  const Column& c = table.column(cols[0]);
-  std::vector<uint64_t> key_of_code(static_cast<size_t>(c.dict()->size()));
-  for (size_t code = 0; code < key_of_code.size(); ++code) {
-    int32_t to = referenced_dict->Find(c.dict()->Get(static_cast<int32_t>(code)));
-    key_of_code[code] =
-        to < 0 ? kAbsentKey : static_cast<uint64_t>(static_cast<uint32_t>(to));
-  }
-  const auto& lane = c.i32();
-  std::vector<uint64_t> keys(table.num_rows());
-  for (uint64_t r = 0; r < keys.size(); ++r) {
-    keys[r] = key_of_code[static_cast<size_t>(lane[r])];
-  }
-  return keys;
 }
 
 Result<std::vector<uint64_t>> BinRows(const Table& table,
@@ -166,11 +130,8 @@ Result<std::vector<uint64_t>> PropagateThroughPath(
     }
     BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> to_keys,
                           EncodeKeyColumn(*to, fk->to_columns));
-    BDCC_ASSIGN_OR_RETURN(std::shared_ptr<Dictionary> to_dict,
-                          ReferencedKeyDictionary(*to, fk->to_columns));
-    BDCC_ASSIGN_OR_RETURN(
-        std::vector<uint64_t> from_keys,
-        EncodeReferencingKeyColumn(*from, fk->from_columns, to_dict.get()));
+    BDCC_ASSIGN_OR_RETURN(std::vector<uint64_t> from_keys,
+                          EncodeKeyColumn(*from, fk->from_columns));
     // Map referenced-key -> bin.
     std::unordered_map<uint64_t, uint64_t> key_to_bin;
     key_to_bin.reserve(to_keys.size() * 2);

@@ -105,28 +105,12 @@ class BdccTable {
   int bdcc_col_ = -1;
 };
 
-/// \brief The (one- or two-column) key `columns` of every row of the
-/// referenced side of an FK, encoded as the uint64 that FK lookups match: an
-/// integer column as is, a string column by its own dictionary code, two
-/// int32-backed columns packed high/low.
+/// \brief The (one- or two-column) key `columns` of every row of `table`,
+/// encoded as the uint64 that FK lookups match: an integer column as is,
+/// two int32-backed columns packed high/low. String and float keys are
+/// NotImplemented.
 Result<std::vector<uint64_t>> EncodeKeyColumn(
     const Table& table, const std::vector<std::string>& columns);
-
-/// \brief The dictionary that a string key of `referenced` (the referenced
-/// side of an FK, key `columns`) is encoded in by EncodeKeyColumn; null when
-/// the key is not one string column.
-Result<std::shared_ptr<Dictionary>> ReferencedKeyDictionary(
-    const Table& referenced, const std::vector<std::string>& columns);
-
-/// \brief The key `columns` of every row of `table`, the referencing side
-/// of an FK, encoded to match EncodeKeyColumn on the referenced side: a
-/// string column by its string's code in `referenced_dict` (the referenced
-/// key's ReferencedKeyDictionary), or by a key no referenced row has when
-/// it lacks the string; any other key as EncodeKeyColumn does. Fails when
-/// only one side's key is a string.
-Result<std::vector<uint64_t>> EncodeReferencingKeyColumn(
-    const Table& table, const std::vector<std::string>& columns,
-    const Dictionary* referenced_dict);
 
 /// \brief Bin number under `dim` of every row of `table`, which must carry
 /// the dimension's key columns (its host table, or rows appended to it).

@@ -288,6 +288,25 @@ void AggregatorCore::EmitRange(size_t begin, size_t end,
   }
 }
 
+void AggregatorCore::SealForMerge() {
+  for (State& st : states_) {
+    if (st.distinct.size == 0) continue;
+    // Counting sort by group: the count lane already holds each run length.
+    std::vector<size_t> next(num_groups_);
+    size_t offset = 0;
+    for (size_t g = 0; g < num_groups_; ++g) {
+      next[g] = offset;
+      offset += static_cast<size_t>(st.count[g]);
+    }
+    st.distinct_by_group.resize(offset);
+    for (const DistinctSet::Slot& slot : st.distinct.slots) {
+      if (slot.group == DistinctSet::kEmptyGroup) continue;
+      st.distinct_by_group[next[slot.group]++] = slot.value;
+    }
+    st.distinct = DistinctSet{};
+  }
+}
+
 void AggregatorCore::MergeFrom(const AggregatorCore& other,
                                const std::vector<uint32_t>& group_map) {
   BDCC_CHECK(specs_.size() == other.specs_.size());
@@ -296,13 +315,21 @@ void AggregatorCore::MergeFrom(const AggregatorCore& other,
     State& st = states_[s];
     const State& os = other.states_[s];
     if (specs_[s].kind == AggKind::kCountDistinct) {
-      // Counts are not additive: re-insert other's pairs under their
-      // mapped groups and count the fresh ones.
-      for (const DistinctSet::Slot& slot : os.distinct.slots) {
-        if (slot.group == DistinctSet::kEmptyGroup) continue;
-        uint32_t m = group_map[slot.group];
-        if (m == kSkipGroup) continue;  // partition-sliced merge: not ours
-        if (st.distinct.Insert(m, slot.value)) ++st.count[m];
+      // Counts are not additive: re-insert other's values under their
+      // mapped groups and count the fresh ones. Group g's values are the
+      // next os.count[g] of the sealed array.
+      BDCC_CHECK(os.distinct.size == 0);  // other is sealed
+      if (os.distinct_by_group.empty()) continue;
+      const int64_t* run = os.distinct_by_group.data();
+      for (size_t g = 0; g < other.num_groups_; ++g) {
+        const int64_t* end = run + os.count[g];
+        uint32_t m = group_map[g];
+        if (m != kSkipGroup) {  // else partition-sliced merge: not ours
+          for (; run != end; ++run) {
+            if (st.distinct.Insert(m, *run)) ++st.count[m];
+          }
+        }
+        run = end;
       }
       continue;
     }
@@ -358,7 +385,8 @@ uint64_t AggregatorCore::MemoryBytes() const {
     total += st.sum_f64.capacity() * 8 + st.sum_i64.capacity() * 8 +
              st.count.capacity() * 8 + st.minmax_f64.capacity() * 8 +
              st.minmax_i64.capacity() * 8 + st.has_value.capacity() +
-             st.distinct.slots.capacity() * sizeof(DistinctSet::Slot);
+             st.distinct.slots.capacity() * sizeof(DistinctSet::Slot) +
+             st.distinct_by_group.capacity() * 8;
   }
   return total;
 }

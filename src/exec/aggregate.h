@@ -75,12 +75,19 @@ class AggregatorCore {
   /// partition-sliced merges fold only the slice they own.
   static constexpr uint32_t kSkipGroup = 0xFFFFFFFFu;
 
+  /// Lay out every COUNT(DISTINCT) set as MergeFrom reads it: the set's
+  /// values in one array ordered by group, each group's run as long as its
+  /// count, so a partition-sliced merge skips a foreign group's values whole
+  /// instead of walking every pair. Call once no more Updates come; EmitRange
+  /// still works.
+  void SealForMerge();
+
   /// Fold `other`'s per-group states into this core: other's group g merges
   /// into this core's group `group_map[g]` (kSkipGroup entries are
-  /// skipped). Both cores must be bound to the same specs. Used to combine
-  /// thread-local partial aggregates after a morsel-parallel consume phase;
-  /// read-only on `other`, so several targets may merge slices of one
-  /// partial concurrently.
+  /// skipped). Both cores must be bound to the same specs, and `other`
+  /// sealed (SealForMerge). Used to combine thread-local partial aggregates
+  /// after a morsel-parallel consume phase; read-only on `other`, so several
+  /// targets may merge slices of one partial concurrently.
   void MergeFrom(const AggregatorCore& other,
                  const std::vector<uint32_t>& group_map);
 
@@ -128,6 +135,8 @@ class AggregatorCore {
     std::vector<int64_t> minmax_i64;
     std::vector<uint8_t> has_value;
     DistinctSet distinct;
+    // After SealForMerge: the set's values, grouped by group.
+    std::vector<int64_t> distinct_by_group;
   };
 
   std::vector<AggSpec> specs_;

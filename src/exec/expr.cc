@@ -869,29 +869,14 @@ class StrPrefixExpr : public Expr {
     ColumnVector out(TypeId::kString);
     out.dict = std::make_shared<Dictionary>();
     out.i32.reserve(n);
-    const int32_t* codes = va->i32_data();
-    auto prefix_of = [&](int32_t code) {
-      std::string_view s = va->dict->Get(code);
-      return out.dict->GetOrAdd(
-          s.substr(0, std::min<size_t>(s.size(), static_cast<size_t>(len_))));
-    };
-    // Each source code's prefix is interned once, on its first row, so the
-    // output codes stay in first-occurrence order. As in CodeVerdicts, the
-    // dense remap is only kept for a dictionary no larger than the batch.
-    std::vector<int32_t> remap;
-    if (va->dict != nullptr && static_cast<size_t>(va->dict->size()) <= n) {
-      remap.assign(static_cast<size_t>(va->dict->size()), -1);
-    }
     for (size_t i = 0; i < n; ++i) {
       if (va->IsNull(i)) {
         out.i32.push_back(out.dict->GetOrAdd(""));
-      } else if (remap.empty()) {
-        out.i32.push_back(prefix_of(codes[i]));
-      } else {
-        int32_t& code = remap[static_cast<size_t>(codes[i])];
-        if (code < 0) code = prefix_of(codes[i]);
-        out.i32.push_back(code);
+        continue;
       }
+      std::string_view s = va->GetString(i);
+      out.i32.push_back(out.dict->GetOrAdd(
+          s.substr(0, std::min<size_t>(s.size(), static_cast<size_t>(len_)))));
     }
     if (va->HasNulls()) out.nulls.assign(va->nulls.begin(), va->nulls.begin() + n);
     return out;

@@ -131,6 +131,11 @@ std::vector<uint32_t> HashAgg::PartitionGroups(int bits) const {
   return out;
 }
 
+void HashAgg::SealForMerge() {
+  BDCC_CHECK(consumed_);
+  core_.SealForMerge();
+}
+
 Status HashAgg::MergePartialPartition(const HashAgg& other,
                                       const std::vector<uint32_t>& part_of_group,
                                       uint32_t partition) {

@@ -60,10 +60,14 @@ class HashAgg : public Operator {
   /// dictionaries. out[g] = partition of group g.
   std::vector<uint32_t> PartitionGroups(int bits) const;
 
-  /// Fold only the groups of `other` whose part_of_group[g] == partition
-  /// into this aggregate (a scalar aggregate folds its one group whatever
-  /// the partition). Read-only on `other`: distinct targets may merge
-  /// disjoint slices of one partial concurrently.
+  /// Lay out this consumed aggregate's state as MergePartialPartition reads
+  /// it (AggregatorCore::SealForMerge); no batch is folded in afterwards.
+  void SealForMerge();
+
+  /// Fold only the groups of `other` (sealed: SealForMerge) whose
+  /// part_of_group[g] == partition into this aggregate (a scalar aggregate
+  /// folds its one group whatever the partition). Read-only on `other`:
+  /// distinct targets may merge disjoint slices of one partial concurrently.
   Status MergePartialPartition(const HashAgg& other,
                                const std::vector<uint32_t>& part_of_group,
                                uint32_t partition);

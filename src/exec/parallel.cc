@@ -172,11 +172,11 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
     total_groups += partials_[i]->num_groups();
   }
 
-  // Radix-partitioned merge: hash-partition every partial's groups by key
-  // value, then fold each partition with an independent task into its own
-  // merge-only aggregate. Each task reads the (now immutable) partials and
-  // writes only its own merger — no shared mutable state, no atomics.
-  // Scalar aggregates and small group sets take one partition.
+  // Radix-partitioned merge: seal every partial and hash-partition its
+  // groups by key value, then fold each partition with an independent task
+  // into its own merge-only aggregate. Each task reads the (now immutable)
+  // partials and writes only its own merger — no shared mutable state, no
+  // atomics. Scalar aggregates and small group sets take one partition.
   int bits = 0;
   if (!group_cols_.empty() && total_groups >= kMinPartitionedMergeGroups) {
     bits = 1;
@@ -188,6 +188,7 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
   size_t num_partitions = size_t{1} << bits;
   std::vector<std::vector<uint32_t>> part_of(partials_.size());
   scheduler_->ParallelFor(partials_.size(), [&](size_t i) {
+    partials_[i]->SealForMerge();
     part_of[i] = bits == 0 ? std::vector<uint32_t>(partials_[i]->num_groups())
                            : partials_[i]->PartitionGroups(bits);
   });

@@ -224,107 +224,49 @@ TEST_F(AppendTest, LocalDimensionKeysComeFromAppendedRows) {
             rebuilt.data().ColumnByName("f_payload").i64());
 }
 
-// A string FK binds each row to the parent holding the same *string*: the
-// parent's and the child's dictionaries intern the names in different
-// orders, so matching codes would bind rows to unrelated parents.
-TEST_F(AppendTest, StringForeignKeyBindsByValueNotCode) {
+// A string FK is refused: the parent's and the child's dictionaries intern
+// the names in different orders, so matching their codes would bind rows to
+// unrelated parents.
+TEST_F(AppendTest, StringForeignKeyIsNotImplemented) {
   catalog::Catalog catalog;
   catalog
       .AddTable({"P",
                  {{"p_name", TypeId::kString}, {"p_val", TypeId::kInt32}},
                  {"p_name"}})
       .AbortIfNotOK();
-  catalog
-      .AddTable({"C",
-                 {{"c_name", TypeId::kString}, {"c_payload", TypeId::kInt64}},
-                 {}})
-      .AbortIfNotOK();
+  catalog.AddTable({"C", {{"c_name", TypeId::kString}}, {}}).AbortIfNotOK();
   catalog.AddForeignKey({"FK_C_P", "C", {"c_name"}, "P", {"p_name"}})
       .AbortIfNotOK();
-  // Parent "n<i>" has value 63 - i, interned in descending name order.
   Table parent("P");
   {
     Column name(TypeId::kString), val(TypeId::kInt32);
-    for (int i = 63; i >= 0; --i) {
+    for (int i = 7; i >= 0; --i) {
       name.AppendString("n" + std::to_string(i));
-      val.AppendInt32(63 - i);
+      val.AppendInt32(7 - i);
     }
     parent.AddColumn("p_name", std::move(name)).AbortIfNotOK();
     parent.AddColumn("p_val", std::move(val)).AbortIfNotOK();
   }
-  // Children name random parents (first-occurrence dictionary order).
-  auto children = [](int64_t seed, int n, const std::string& extra_name) {
-    Rng rng(500 + seed);
-    Table c("C");
-    Column name(TypeId::kString), payload(TypeId::kInt64);
-    for (int i = 0; i < n; ++i) {
-      name.AppendString("n" + std::to_string(rng.Uniform(0, 63)));
-      payload.AppendInt64(seed * 1000000 + i);
-    }
-    if (!extra_name.empty()) {
-      name.AppendString(extra_name);
-      payload.AppendInt64(-1);
-    }
-    c.AddColumn("c_name", std::move(name)).AbortIfNotOK();
-    c.AddColumn("c_payload", std::move(payload)).AbortIfNotOK();
-    return c;
-  };
+  Table child("C");
+  {
+    Column name(TypeId::kString);
+    for (int i = 0; i < 8; ++i) name.AppendString("n" + std::to_string(i));
+    child.AddColumn("c_name", std::move(name)).AbortIfNotOK();
+  }
   std::map<std::string, Table> tables;
   tables.emplace("P", parent.Clone());
   Resolver resolver(&tables, &catalog);
   std::vector<DimensionUse> uses(1);
   uses[0].dimension = std::make_shared<const Dimension>(
-      binning::CreateRangeDimension("D_P", "P", "p_val", 0, 63, 6)
+      binning::CreateRangeDimension("D_P", "P", "p_val", 0, 7, 3)
           .ValueOrDie());
   uses[0].path.fk_ids = {"FK_C_P"};
 
-  // Each child's bin is its named parent's value's bin.
-  Table stored = children(1, 3000, "");
-  std::vector<uint64_t> bins =
-      ComputeBinColumn(stored, uses[0], resolver).ValueOrDie();
-  const Column& names = stored.ColumnByName("c_name");
-  for (uint64_t r = 0; r < stored.num_rows(); ++r) {
-    int parent_index = std::stoi(std::string(names.GetString(r)).substr(1));
-    ASSERT_EQ(bins[r], uses[0].dimension->BinOfInt(63 - parent_index))
-        << "row " << r << " names " << names.GetString(r);
-  }
-
-  // Appended rows bring their own dictionary; the result equals a rebuild.
+  Status status = ComputeBinColumn(child, uses[0], resolver).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status.ToString();
   BdccBuildOptions options;
-  options.tuning.efficient_access_bytes = 256;
-  BdccTable appended =
-      BuildBdccTable(stored.Clone(), uses, resolver, options).ValueOrDie();
-  Table extra = children(2, 200, "");
-  ASSERT_TRUE(AppendToBdccTable(&appended, extra, resolver).ok());
-  Table all = stored.Clone();
-  all.AppendRowsFrom(extra, 0, extra.num_rows());
-  BdccTable rebuilt =
-      BuildBdccTable(all.Clone(), uses, resolver, options).ValueOrDie();
-  const int key = appended.bdcc_column_index();
-  EXPECT_EQ(appended.data().column(key).i64(),
-            rebuilt.data().column(key).i64());
-  EXPECT_EQ(appended.data().ColumnByName("c_payload").i64(),
-            rebuilt.data().ColumnByName("c_payload").i64());
-
-  // A name no parent holds is a dangling key, on build and on append.
-  Table dangling = children(3, 10, "nobody");
-  EXPECT_TRUE(
-      ComputeBinColumn(dangling, uses[0], resolver).status().IsInvalidArgument());
-  EXPECT_TRUE(AppendToBdccTable(&appended, dangling, resolver)
-                  .status()
-                  .IsInvalidArgument());
-
-  // A string key referencing an integer key is rejected, not bound by code.
-  catalog::Catalog mixed;
-  mixed.AddTable({"P", {{"p_val", TypeId::kInt32}}, {"p_val"}})
-      .AbortIfNotOK();
-  mixed.AddTable({"C", {{"c_name", TypeId::kString}}, {}}).AbortIfNotOK();
-  mixed.AddForeignKey({"FK_C_P", "C", {"c_name"}, "P", {"p_val"}})
-      .AbortIfNotOK();
-  Resolver mixed_resolver(&tables, &mixed);
-  EXPECT_TRUE(ComputeBinColumn(stored, uses[0], mixed_resolver)
-                  .status()
-                  .IsInvalidArgument());
+  status = BuildBdccTable(child.Clone(), uses, resolver, options).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotImplemented) << status.ToString();
 }
 
 }  // namespace

@@ -651,6 +651,7 @@ TEST(AggTest, CountDistinctMergeFromSlicedGroupMaps) {
   std::vector<std::vector<ColumnVector>> before(partials.cores.size());
   for (size_t i = 0; i < partials.cores.size(); ++i) {
     partials.cores[i].EmitRange(0, kGroups, &before[i]);
+    partials.cores[i].SealForMerge();
   }
   for (uint32_t part = 0; part < kParts; ++part) {
     uint32_t owned;
@@ -664,7 +665,7 @@ TEST(AggTest, CountDistinctMergeFromSlicedGroupMaps) {
     ExpectSliceMatches(target, map, partials.ref,
                        "part " + std::to_string(part));
   }
-  // MergeFrom is read-only on the partials.
+  // Sealing keeps the partials' counts, and MergeFrom is read-only on them.
   for (size_t i = 0; i < partials.cores.size(); ++i) {
     std::vector<ColumnVector> after;
     partials.cores[i].EmitRange(0, kGroups, &after);
@@ -682,6 +683,7 @@ TEST(ParallelCountDistinctMergeTest, FourThreadsMergeSlicesOfSharedPartials) {
   DistinctPartials partials;
   MakeDistinctPartials(23, 3, kGroups, &partials);
   if (HasFatalFailure()) return;
+  for (AggregatorCore& partial : partials.cores) partial.SealForMerge();
   std::vector<AggregatorCore> targets(kParts);
   std::vector<std::vector<uint32_t>> maps(kParts);
   for (uint32_t part = 0; part < kParts; ++part) {

@@ -666,36 +666,6 @@ TEST(ExprKernelTest, StringPredicatesMatchPerRowLoop) {
   }
 }
 
-// PREFIX interns each source code once; its output must equal interning
-// every row in order: same codes, same dictionary, same NULL mask.
-TEST(ExprKernelTest, StrPrefixMatchesPerRowInterning) {
-  for (auto [seed, shape] : Cases()) {
-    KernelBatch kb(seed, shape);
-    const Batch& b = kb.batch();
-    for (const char* col : {"s", "u", "t"}) {  // t: dictionary > batch
-      Side x = C(col);
-      for (int len : {0, 1, 2, 5}) {
-        const std::string what = CaseName(seed, shape) + " PREFIX(" + col +
-                                 "," + std::to_string(len) + ")";
-        ColumnVector got = EvalOn(StrPrefix(Col(col), len), b);
-        Dictionary want_dict;
-        ASSERT_EQ(got.size(), b.num_rows) << what;
-        for (size_t r = 0; r < b.num_rows; ++r) {
-          bool null = x.NullAt(b, r);
-          ASSERT_EQ(got.IsNull(r), null) << what << " row " << r;
-          std::string s = null ? std::string() : x.StrAt(b, r);
-          int32_t want = want_dict.GetOrAdd(s.substr(0, static_cast<size_t>(len)));
-          ASSERT_EQ(got.i32[r], want) << what << " row " << r;
-        }
-        ASSERT_EQ(got.dict->size(), want_dict.size()) << what;
-        for (int32_t c = 0; c < want_dict.size(); ++c) {
-          ASSERT_EQ(got.dict->Get(c), want_dict.Get(c)) << what << " code " << c;
-        }
-      }
-    }
-  }
-}
-
 TEST(ExprKernelTest, ConnectivesCaseInYearMatchPerRowLoop) {
   // Two predicates with NULLs of their own, plus the bool column.
   const Side x = C("i32"), k3 = L(Value::Int64(3));

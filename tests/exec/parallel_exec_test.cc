@@ -149,18 +149,21 @@ TEST(ParallelHashAggTest, MatchesSerialScalarAggregate) {
 
 // Enough groups to cross kMinPartitionedMergeGroups: the radix-partitioned
 // parallel merge must agree with the serial aggregate (and with itself
-// across runs, bitwise, for the float sums).
+// across runs, bitwise, for the float sums). COUNT(DISTINCT) merges each
+// partition's groups from the sealed partials.
 TEST(ParallelHashAggTest, PartitionedMergeMatchesSerialManyGroups) {
   Rng rng(23);
   Table t("T");
   {
-    Column g(TypeId::kInt32), v(TypeId::kFloat64);
+    Column g(TypeId::kInt32), v(TypeId::kFloat64), w(TypeId::kInt32);
     for (uint64_t i = 0; i < 60000; ++i) {
       g.AppendInt32(static_cast<int32_t>(rng.Uniform(0, 19999)));
       v.AppendFloat64(rng.NextDouble());
+      w.AppendInt32(static_cast<int32_t>(i % 7));
     }
     t.AddColumn("g", std::move(g)).AbortIfNotOK();
     t.AddColumn("v", std::move(v)).AbortIfNotOK();
+    t.AddColumn("w", std::move(w)).AbortIfNotOK();
   }
   auto morsels = std::make_shared<const std::vector<Morsel>>(
       MakeRowMorsels(t.num_rows(), 0, 1024));
@@ -168,10 +171,11 @@ TEST(ParallelHashAggTest, PartitionedMergeMatchesSerialManyGroups) {
   specs.push_back(AggSum(Col("v"), "sum_v"));
   specs.push_back(AggCountStar("n"));
   specs.push_back(AggMax(Col("v"), "max_v"));
+  specs.push_back(AggCountDistinct(Col("w"), "dist_w"));
 
   ExecContext serial_ctx(nullptr);
   HashAgg serial(std::make_unique<SegmentScan>(
-                     &t, std::vector<std::string>{"g", "v"}),
+                     &t, std::vector<std::string>{"g", "v", "w"}),
                  {"g"}, specs);
   Batch expect = CollectAll(&serial, &serial_ctx).ValueOrDie();
   ASSERT_GT(expect.num_rows, ParallelHashAgg::kMinPartitionedMergeGroups);
@@ -180,8 +184,8 @@ TEST(ParallelHashAggTest, PartitionedMergeMatchesSerialManyGroups) {
   double first_sum = 0;
   for (int run = 0; run < 2; ++run) {
     ExecContext ctx(nullptr);
-    ParallelHashAgg parallel(ScanFactory(&t, morsels, {"g", "v"}), 4, {"g"},
-                             specs, &scheduler);
+    ParallelHashAgg parallel(ScanFactory(&t, morsels, {"g", "v", "w"}), 4,
+                             {"g"}, specs, &scheduler);
     Batch got = CollectAll(&parallel, &ctx).ValueOrDie();
     testutil::ExpectBatchesEqual(expect, got, "partitioned merge agg");
     double sum = 0;
