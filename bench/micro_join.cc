@@ -233,7 +233,7 @@ void RunSandwichJoinParallel(benchmark::State& state, int threads) {
           std::vector<std::string>{"fk"}, std::vector<std::string>{"dk"},
           exec::JoinType::kInner));
     };
-    exec::ParallelUnion join(factory, chunks,
+    exec::ParallelUnion join(factory, chunks, threads,
                              common::TaskScheduler::Shared());
     auto out = exec::CollectAll(&join, &ctx).ValueOrDie();
     benchmark::DoNotOptimize(out.num_rows);
@@ -358,7 +358,8 @@ void RunBuildSweep(int max_threads) {
                   exec::CloneRowSegments(&build_t, *build_morsels, i, n)));
             };
             build = std::make_unique<exec::ParallelUnion>(
-                build_factory, threads, common::TaskScheduler::Shared());
+                build_factory, threads, threads,
+                common::TaskScheduler::Shared());
           } else {
             build = std::make_unique<exec::SegmentScan>(
                 &build_t, std::vector<std::string>{"bk", "bval"});

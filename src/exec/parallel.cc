@@ -1,6 +1,8 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -21,14 +23,18 @@ uint64_t BatchBytes(const Batch& b) {
 }
 
 // Drain `op` on a worker, collecting every non-empty batch; the growing
-// buffer is charged to `mem` (one TrackedMemory per clone, single-owner).
+// buffer is charged to `mem` (one TrackedMemory per chain, single-owner).
 // The buffer is a materializing boundary: sparse selections are compacted
-// so the barrier does not hold unselected rows in memory.
-Status DrainChain(Operator* op, ExecContext* ctx, std::vector<Batch>* out,
-                  TrackedMemory* mem) {
+// so a parked chain does not hold unselected rows in memory.
+// A set `abandoned` (the union was closed early) stops it too.
+Status DrainChain(Operator* op, ExecContext* ctx, std::deque<Batch>* out,
+                  TrackedMemory* mem, const std::atomic<bool>* abandoned) {
   uint64_t bytes = 0;
   while (true) {
     BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
+    if (abandoned->load(std::memory_order_relaxed)) {
+      return Status::Cancelled("parallel union closed");
+    }
     BDCC_ASSIGN_OR_RETURN(Batch b, op->Next(ctx));
     if (b.empty()) return Status::OK();
     b.CompactIfSparse(ExecContext::kCompactDensity);
@@ -42,83 +48,154 @@ Status DrainChain(Operator* op, ExecContext* ctx, std::vector<Batch>* out,
 
 // ---------------- ParallelUnion ----------------
 
+// One chain of the union and its slot in the window. Whoever flips
+// `claimed` first runs the chain: its task on a worker (or on a thread
+// helping in a wait), or the coordinator streaming an unstarted head. A
+// task owns `op`, `ctx`, `parked`, `mem` and `closed` until it returns; the
+// coordinator reads them only after waiting for the chain's group.
+struct ParallelUnion::Chain {
+  OperatorPtr op;
+  std::unique_ptr<ExecContext> ctx;
+  std::atomic<bool> claimed{false};
+  bool streaming = false;  // the coordinator claimed it
+  bool closed = false;
+  bool joined = false;  // the task's group was waited for
+  std::deque<Batch> parked;
+  std::unique_ptr<TrackedMemory> mem;
+  Status status;  // the task's, once joined
+  // Last, so it is destroyed first: its destructor waits for the task.
+  std::unique_ptr<common::TaskScheduler::TaskGroup> group;
+
+  void CloseOp() {
+    if (op != nullptr && !closed) op->Close(ctx.get());
+    closed = true;
+  }
+};
+
 ParallelUnion::ParallelUnion(ChainFactory factory, size_t num_chains,
+                             size_t num_threads,
                              common::TaskScheduler* scheduler)
     : factory_(std::move(factory)),
       num_chains_(num_chains),
+      window_(num_threads + 1),
       scheduler_(SchedulerOrShared(scheduler)) {
   BDCC_CHECK(num_chains_ > 0);
 }
 
+// Out of line: Chain is complete only here.
+ParallelUnion::~ParallelUnion() = default;
+
 Status ParallelUnion::Open(ExecContext* ctx) {
   chains_.clear();
-  child_ctxs_.clear();
-  ran_ = false;
-  ready_.clear();
+  head_ = 0;
+  admitted_ = 0;
+  abandoned_.store(false, std::memory_order_relaxed);
   for (size_t i = 0; i < num_chains_; ++i) {
-    BDCC_ASSIGN_OR_RETURN(OperatorPtr chain, factory_(i, num_chains_));
-    child_ctxs_.push_back(std::make_unique<ExecContext>(*ctx));
-    BDCC_RETURN_NOT_OK(chain->Open(child_ctxs_.back().get()));
+    auto chain = std::make_unique<Chain>();
+    BDCC_ASSIGN_OR_RETURN(chain->op, factory_(i, num_chains_));
+    chain->ctx = std::make_unique<ExecContext>(*ctx);
+    chain->mem = std::make_unique<TrackedMemory>(ctx->memory(),
+                                                 "parallel-union buffer");
+    Chain* c = chain.get();
     chains_.push_back(std::move(chain));
+    BDCC_RETURN_NOT_OK(c->op->Open(c->ctx.get()));
   }
-  schema_ = chains_[0]->schema();
+  schema_ = chains_[0]->op->schema();
   return Status::OK();
 }
 
-Status ParallelUnion::RunAll(ExecContext* ctx) {
-  std::vector<std::vector<Batch>> outputs(chains_.size());
-  std::vector<std::unique_ptr<TrackedMemory>> clone_mem;
-  for (size_t i = 0; i < chains_.size(); ++i) {
-    clone_mem.push_back(std::make_unique<TrackedMemory>(
-        ctx->memory(), "parallel-union buffer"));
-  }
+void ParallelUnion::Admit(ExecContext* ctx) {
+  size_t end = std::min(num_chains_, head_ + window_);
   QueryControl* control = ctx->control();
-  Status run_status = scheduler_->ParallelForStatus(
-      chains_.size(), [&](size_t i) {
-        Status s = DrainChain(chains_[i].get(), child_ctxs_[i].get(),
-                              &outputs[i], clone_mem[i].get());
-        // Publish real failures so sibling clones stop at their next
-        // lifecycle check; cancel/deadline are already globally visible.
-        if (BDCC_UNLIKELY(!s.ok())) control->ReportError(s);
-        return s;
-      });
-  // Fold every clone's stats in (even on failure: partial scan counters are
-  // still real work done) before surfacing the first error.
-  for (size_t i = 0; i < chains_.size(); ++i) ctx->MergeStats(*child_ctxs_[i]);
-  BDCC_RETURN_NOT_OK(run_status);
-  ready_bytes_ = 0;
-  for (size_t i = 0; i < chains_.size(); ++i) {
-    clone_mem[i]->Clear();
-    for (Batch& b : outputs[i]) {
-      ready_bytes_ += BatchBytes(b);
-      ready_.push_back(std::move(b));
-    }
+  for (; admitted_ < end; ++admitted_) {
+    if (admitted_ == head_) continue;
+    // A stopped query starts no further chain.
+    if (!control->Check().ok()) return;
+    Chain* c = chains_[admitted_].get();
+    c->group = std::make_unique<common::TaskScheduler::TaskGroup>(scheduler_);
+    const std::atomic<bool>* abandoned = &abandoned_;
+    c->group->SubmitFallible([c, control, abandoned]() -> Status {
+      if (c->claimed.exchange(true)) return Status::OK();
+      // Its first lifecycle check keeps a stopped query from starting it.
+      Status s = DrainChain(c->op.get(), c->ctx.get(), &c->parked,
+                            c->mem.get(), abandoned);
+      // Release the chain's state now, not at the union's Close.
+      c->CloseOp();
+      // Publish real failures so sibling chains stop at their next
+      // lifecycle check; cancel/deadline are already globally visible.
+      if (BDCC_UNLIKELY(!s.ok())) control->ReportError(s);
+      return s;
+    });
   }
-  tracked_ready_ = std::make_unique<TrackedMemory>(ctx->memory(),
-                                                   "parallel-union output");
-  BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_ready_.get(), ready_bytes_));
-  ran_ = true;
-  return Status::OK();
+}
+
+void ParallelUnion::Retire(ExecContext* ctx) {
+  Chain* c = chains_[head_].get();
+  c->CloseOp();
+  ctx->MergeStats(*c->ctx);
+  // A task still queued for a chain the coordinator streamed only touches
+  // `claimed`, so the chain's operators can go now.
+  c->op.reset();
+  c->ctx.reset();
+  c->mem.reset();
+  ++head_;
+  Admit(ctx);
 }
 
 Result<Batch> ParallelUnion::Next(ExecContext* ctx) {
-  if (!ran_) BDCC_RETURN_NOT_OK(RunAll(ctx));
-  if (ready_.empty()) return Batch::Empty();
-  Batch out = std::move(ready_.front());
-  ready_.pop_front();
-  ready_bytes_ -= BatchBytes(out);
-  tracked_ready_->Set(ready_bytes_);
-  return out;
+  Admit(ctx);
+  while (head_ < num_chains_) {
+    Chain* c = chains_[head_].get();
+    if (!c->streaming && !c->claimed.exchange(true)) {
+      c->streaming = true;
+    }
+    if (c->streaming) {
+      Status s = c->ctx->CheckLifecycle();
+      Result<Batch> next =
+          s.ok() ? c->op->Next(c->ctx.get()) : Result<Batch>(s);
+      if (BDCC_UNLIKELY(!next.ok())) {
+        ctx->control()->ReportError(next.status());
+        return next.status();
+      }
+      if (!next.value().empty()) return next;
+      Retire(ctx);
+      continue;
+    }
+    if (!c->joined) {
+      // Helping wait: this thread runs queued tasks meanwhile.
+      c->status = c->group->WaitStatus();
+      c->joined = true;
+    }
+    BDCC_RETURN_NOT_OK(c->status);
+    if (!c->parked.empty()) {
+      Batch out = std::move(c->parked.front());
+      c->parked.pop_front();
+      c->mem->Set(c->mem->bytes() - BatchBytes(out));
+      return out;
+    }
+    Retire(ctx);
+  }
+  return Batch::Empty();
 }
 
 void ParallelUnion::Close(ExecContext* ctx) {
-  for (size_t i = 0; i < chains_.size(); ++i) {
-    chains_[i]->Close(child_ctxs_[i].get());
+  // Queued tasks find their chain claimed and return at once; running ones
+  // stop at their next batch. They own their chain until they finish.
+  abandoned_.store(true, std::memory_order_relaxed);
+  for (std::unique_ptr<Chain>& c : chains_) c->claimed.store(true);
+  for (std::unique_ptr<Chain>& c : chains_) {
+    if (c->group != nullptr) c->group->Wait();
+  }
+  // Fold every unretired chain's stats in (partial scan counters of a
+  // failed or abandoned chain are still real work done).
+  for (size_t i = head_; i < chains_.size(); ++i) {
+    Chain* c = chains_[i].get();
+    c->CloseOp();
+    if (c->ctx != nullptr) ctx->MergeStats(*c->ctx);
   }
   chains_.clear();
-  child_ctxs_.clear();
-  ready_.clear();
-  if (tracked_ready_) tracked_ready_->Clear();
+  head_ = 0;
+  admitted_ = 0;
 }
 
 // ---------------- ParallelHashAgg ----------------
@@ -284,7 +361,7 @@ ParallelHashJoin::ParallelHashJoin(ChainFactory probe_factory,
             return OperatorPtr(std::make_unique<HashJoinProbe>(
                 std::move(probe), &table_, probe_keys, type));
           },
-          num_clones, scheduler) {}
+          num_clones, num_clones, scheduler) {}
 
 Status ParallelHashJoin::Open(ExecContext* ctx) {
   tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");

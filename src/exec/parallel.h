@@ -4,10 +4,12 @@
 // operators run N clones of a pipeline on the shared TaskScheduler and
 // recombine the results:
 //
-//  - ParallelUnion: clone chunks are independent (group-id-chunked sandwich
-//    joins/aggregates) — outputs are concatenated in chunk order, which
-//    preserves the ascending-group-id contract for downstream sandwich
-//    consumers.
+//  - ParallelUnion: chains are independent (group-id-chunked sandwich
+//    joins/aggregates, morsel-strided probe or build-scan clones) and their
+//    outputs are emitted in chain order, which preserves the
+//    ascending-group-id contract for downstream sandwich consumers. An
+//    ordered window of num_threads + 1 chains bounds what runs or waits to
+//    be emitted, so a sandwich's memory stays a few chunks' worth.
 //  - ParallelHashAgg: each clone aggregates its morsels into a thread-local
 //    HashAgg; the partials' groups are then merged by radix partition into
 //    merge-only HashAggs, in clone order within each partition, so results
@@ -20,11 +22,12 @@
 // Each clone runs on a child ExecContext (shared buffer pool and memory
 // tracker, private stats — see exec_context.h); clones are constructed and
 // Open()ed serially on the coordinating thread, because shared ExprPtrs may
-// be rebound during Open, and only the Next() drain runs on workers.
+// be rebound during Open, and only the Next() drain (and the Close that
+// follows it) runs on workers.
 #ifndef BDCC_EXEC_PARALLEL_H_
 #define BDCC_EXEC_PARALLEL_H_
 
-#include <deque>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -45,11 +48,23 @@ using ChainFactory =
     std::function<Result<OperatorPtr>(size_t i, size_t total)>;
 
 /// \brief Runs `num_chains` independent chains and emits their outputs
-/// concatenated in chain order.
+/// concatenated in chain order, through an ordered window.
+///
+/// At most `num_threads + 1` chains are running or finished-but-unsent at
+/// any time. The coordinating thread (the one calling Next) streams the
+/// head chain itself when no worker has started it, so chain 0 is never
+/// parked; the other chains of the window run as tasks that drain their
+/// chain, park its output (charged to the query's tracker) and Close it at
+/// once, so a drained chain holds no operator state. A task never blocks
+/// on the window: the coordinator submits the next chain when the head's
+/// last batch has been emitted, and waits for a running head through the
+/// scheduler's helping TaskGroup::Wait. Once the query stops (an error in
+/// any chain, cancellation, a deadline) no further chain starts.
 class ParallelUnion : public Operator {
  public:
-  ParallelUnion(ChainFactory factory, size_t num_chains,
+  ParallelUnion(ChainFactory factory, size_t num_chains, size_t num_threads,
                 common::TaskScheduler* scheduler = nullptr);
+  ~ParallelUnion() override;
 
   const Schema& schema() const override { return schema_; }
   Status Open(ExecContext* ctx) override;
@@ -57,21 +72,24 @@ class ParallelUnion : public Operator {
   void Close(ExecContext* ctx) override;
 
  private:
-  Status RunAll(ExecContext* ctx);
+  struct Chain;
+
+  /// Submits the chains the window has room for (never the head: the
+  /// coordinator claims an unstarted head itself).
+  void Admit(ExecContext* ctx);
+  /// The head's output is fully emitted: fold its stats, free its slot.
+  void Retire(ExecContext* ctx);
 
   ChainFactory factory_;
   size_t num_chains_;
+  size_t window_;
   common::TaskScheduler* scheduler_;
-  std::vector<OperatorPtr> chains_;
-  std::vector<std::unique_ptr<ExecContext>> child_ctxs_;
+  std::vector<std::unique_ptr<Chain>> chains_;
+  size_t head_ = 0;      // next chain to emit
+  size_t admitted_ = 0;  // chains [head_, admitted_) hold window slots
+  // Set by Close: running chain tasks stop at their next batch.
+  std::atomic<bool> abandoned_{false};
   Schema schema_;
-  bool ran_ = false;
-  std::deque<Batch> ready_;
-  // The buffered outputs are real operator memory (the barrier cost of the
-  // all-at-once hand-off): registered with the query's tracker, per clone
-  // while draining and as one block while emitting.
-  std::unique_ptr<TrackedMemory> tracked_ready_;
-  uint64_t ready_bytes_ = 0;
 };
 
 /// \brief Morsel-parallel hash aggregation: thread-local partials, then a

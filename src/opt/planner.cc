@@ -140,6 +140,12 @@ exec::ChainFactory MorselClones(LeafFactory leaf) {
   };
 }
 
+/// Group-id chunks per thread of a parallel sandwich. More chunks than
+/// threads let ParallelUnion's window (num_threads + 1 chunks) hold a few
+/// chunks' output instead of the whole join's; each chunk costs another
+/// chain of scans and a sandwich operator, so the multiple stays small.
+constexpr size_t kChunksPerThread = 8;
+
 /// Contiguous chunk of the ascending distinct-group-id universe.
 struct GidSpan {
   int64_t lo = 0;
@@ -484,8 +490,9 @@ Status PlannerImpl::PrepareInput(JoinInput* in) {
 // A sandwich operator built by `make` over `inputs`, all grouped alike.
 // When every input is a grouped scan chain with clone support, clone i
 // runs `make` over each input's clone restricted to the i-th chunk of the
-// first input's group ids: partitions never straddle chunks, and the
-// ParallelUnion concatenates the chunk outputs in order, so ids ascend.
+// first input's group ids (kChunksPerThread chunks per thread, at most one
+// per group id): partitions never straddle chunks, and the ParallelUnion
+// emits the chunk outputs in order, so ids ascend.
 exec::OperatorPtr PlannerImpl::Sandwich(const std::string& what,
                                         std::vector<SubPlan*> inputs,
                                         SandwichMaker make) {
@@ -499,8 +506,9 @@ exec::OperatorPtr PlannerImpl::Sandwich(const std::string& what,
     for (SubPlan* p : inputs) ops.push_back(std::move(p->op));
     return make(std::move(ops));
   }
+  size_t threads = static_cast<size_t>(opts_.num_threads);
   std::vector<GidSpan> spans =
-      ChunkGids(*first.leaf_gids, static_cast<size_t>(opts_.num_threads));
+      ChunkGids(*first.leaf_gids, kChunksPerThread * threads);
   std::vector<LeafFactory> leaves;
   for (SubPlan* p : inputs) leaves.push_back(p->leaf_factory);
   exec::ChainFactory factory =
@@ -515,8 +523,8 @@ exec::OperatorPtr PlannerImpl::Sandwich(const std::string& what,
     return make(std::move(ops));
   };
   Note("parallel " + what + " x" + std::to_string(spans.size()));
-  return std::make_unique<exec::ParallelUnion>(std::move(factory),
-                                               spans.size(), opts_.scheduler);
+  return std::make_unique<exec::ParallelUnion>(
+      std::move(factory), spans.size(), threads, opts_.scheduler);
 }
 
 Result<SubPlan> PlannerImpl::CompileScan(
@@ -771,9 +779,9 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
     exec::OperatorPtr build = std::move(r.op);
     if (r.leaf_factory && r.leaf_gids == nullptr &&
         r.leaf_rows >= kMinParallelBuildRows) {
+      size_t n = static_cast<size_t>(opts_.num_threads);
       build = std::make_unique<exec::ParallelUnion>(
-          MorselClones(r.leaf_factory),
-          static_cast<size_t>(opts_.num_threads), opts_.scheduler);
+          MorselClones(r.leaf_factory), n, n, opts_.scheduler);
       Note("parallel hash join build x" + std::to_string(opts_.num_threads));
     }
     out.op = std::make_unique<exec::ParallelHashJoin>(

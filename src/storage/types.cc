@@ -101,7 +101,8 @@ void CivilFromDays(int32_t z, int* year, int* month, int* day) {
 std::string DateToString(int32_t days) {
   int y, m, d;
   CivilFromDays(days, &y, &m, &d);
-  char buf[16];
+  // Room for three full-range ints ("-2147483648") and two dashes.
+  char buf[3 * 11 + 2 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

@@ -650,7 +650,7 @@ TEST(ProbeBatchTest, MatchesRowAtATimeReference) {
               return OperatorPtr(std::make_unique<VectorSource>(
                   BuildSideSchema(), std::move(share)));
             },
-            /*num_chains=*/2, &scheduler);
+            /*num_chains=*/2, /*num_threads=*/2, &scheduler);
         ExecContext ctx(nullptr);
         TrackedMemory tracked(ctx.memory(), "test build");
         ASSERT_TRUE(

@@ -327,7 +327,7 @@ TEST(ParallelLifecycleTest, FailingCloneSurfacesErrorAndSchedulerSurvives) {
   common::TaskScheduler scheduler(3);
   {
     ExecContext ctx(nullptr);
-    ParallelUnion u(MixedFactory(&t, morsels, 2), 4, &scheduler);
+    ParallelUnion u(MixedFactory(&t, morsels, 2), 4, 4, &scheduler);
     auto result = CollectAll(&u, &ctx);
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.status().ToString().find("injected probe failure"),
@@ -337,7 +337,7 @@ TEST(ParallelLifecycleTest, FailingCloneSurfacesErrorAndSchedulerSurvives) {
   }
   // Same scheduler, healthy clones: runs to completion.
   ExecContext ctx(nullptr);
-  ParallelUnion u(MixedFactory(&t, morsels, 99), 4, &scheduler);
+  ParallelUnion u(MixedFactory(&t, morsels, 99), 4, 4, &scheduler);
   auto result = CollectAll(&u, &ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().num_rows, t.num_rows());

@@ -162,7 +162,7 @@ Batch RunParallel(const TestInput& in, JoinType type, size_t clones,
   ParallelHashJoin join(
       source(in.probe, in.probe_schema), clones,
       std::make_unique<ParallelUnion>(source(in.build, in.build_schema),
-                                      clones, scheduler),
+                                      clones, clones, scheduler),
       in.probe_keys, in.build_keys, type, scheduler);
   return CollectAll(&join, &ctx).ValueOrDie();
 }

@@ -268,7 +268,7 @@ TEST(ParallelUnionTest, ConcatenatesChunkOutputsInOrder) {
       MakeRowMorsels(t.num_rows(), 128, 512));
   common::TaskScheduler scheduler(3);
   ExecContext ctx(nullptr);
-  ParallelUnion u(ScanFactory(&t, morsels, {"k"}), 4, &scheduler);
+  ParallelUnion u(ScanFactory(&t, morsels, {"k"}), 4, 4, &scheduler);
   Batch all = CollectAll(&u, &ctx).ValueOrDie();
   EXPECT_EQ(all.num_rows, t.num_rows());
   // Chunk order: clone 0's first batch starts at row 0.

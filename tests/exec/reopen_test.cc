@@ -202,7 +202,8 @@ TEST(ReopenTest, ParallelHashJoinReopensAfterBudgetUnwind) {
     SCOPED_TRACE(union_build ? "union build" : "serial build");
     OperatorPtr build =
         union_build ? OperatorPtr(std::make_unique<ParallelUnion>(
-                          probe_factory, /*num_chains=*/2, &scheduler))
+                          probe_factory, /*num_chains=*/2, /*num_threads=*/2,
+                          &scheduler))
                     : StridedKeys(256, 0, 1);
     ParallelHashJoin join(probe_factory, /*num_clones=*/2, std::move(build),
                           {"k"}, {"k"}, JoinType::kInner, &scheduler);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -97,19 +98,38 @@ TEST(TpchMemoryBudgetTest, BdccQueriesNeverCrashUnderTinyBudget) {
   }
 }
 
+// Plain hash plans, and BDCC Q9 and Q21, whose parallel sandwich joins park
+// finished chunks in ParallelUnion's window. Besides the one-byte budget,
+// the BDCC queries get half of their uncapped peak, so a denial can land
+// while chunks are running or parked; either way every byte drains.
 TEST(TpchMemoryBudgetTest, ParallelPlansRespectTheBudget) {
-  for (int q : {1, 3, 9}) {
+  const std::pair<opt::Scheme, int> cases[] = {
+      {opt::Scheme::kPlain, 1}, {opt::Scheme::kPlain, 3},
+      {opt::Scheme::kPlain, 9}, {opt::Scheme::kBdcc, 9},
+      {opt::Scheme::kBdcc, 21}};
+  for (auto [scheme, q] : cases) {
+    SCOPED_TRACE("Q" + std::to_string(q) + " on " + opt::SchemeName(scheme));
     exec::ExecContext exec_ctx(nullptr);
-    auto capped = RunQuery(&exec_ctx, opt::Scheme::kPlain, q, /*memory_limit=*/1,
+    auto capped = RunQuery(&exec_ctx, scheme, q, /*memory_limit=*/1,
                       /*num_threads=*/4);
-    ASSERT_FALSE(capped.ok()) << "Q" << q;
+    ASSERT_FALSE(capped.ok());
     EXPECT_TRUE(capped.status().IsResourceExhausted())
-        << "Q" << q << ": " << capped.status().ToString();
-    EXPECT_EQ(exec_ctx.memory()->current_bytes(), 0u) << "Q" << q;
-    auto uncapped = RunQuery(&exec_ctx, opt::Scheme::kPlain, q,
+        << capped.status().ToString();
+    EXPECT_EQ(exec_ctx.memory()->current_bytes(), 0u);
+    auto uncapped = RunQuery(&exec_ctx, scheme, q,
                         /*memory_limit=*/0, /*num_threads=*/4);
-    ASSERT_TRUE(uncapped.ok()) << "Q" << q << ": "
-                               << uncapped.status().ToString();
+    ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+    if (scheme != opt::Scheme::kBdcc) continue;
+    const uint64_t half_peak = exec_ctx.memory()->peak_bytes() / 2;
+    for (int round = 0; round < 3; ++round) {
+      exec::ExecContext mid_ctx(nullptr);
+      auto mid = RunQuery(&mid_ctx, scheme, q, half_peak, /*num_threads=*/4);
+      if (!mid.ok()) {
+        EXPECT_TRUE(mid.status().IsResourceExhausted())
+            << mid.status().ToString();
+      }
+      EXPECT_EQ(mid_ctx.memory()->current_bytes(), 0u) << "round " << round;
+    }
   }
 }
 
@@ -135,22 +155,32 @@ TEST(TpchCancelTest, CancelledQueryStopsReleasesAndRearms) {
 // Cancellation raced from another thread mid-query: whichever side wins the
 // query either completes or returns Cancelled — and in both cases tracked
 // memory drains and the process stays healthy.
+// BDCC Q9 and Q21 run parallel sandwich joins, so a cancel can also land
+// while ParallelUnion holds parked chunks.
 TEST(TpchCancelTest, MidFlightCancelIsCleanEitherWay) {
-  for (int round = 0; round < 4; ++round) {
-    exec::ExecContext exec_ctx(nullptr);
-    std::thread canceller([&exec_ctx, round] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
-      exec_ctx.control()->RequestCancel();
-    });
-    auto result = RunQuery(&exec_ctx, opt::Scheme::kPlain, 9, /*memory_limit=*/0,
-                      /*num_threads=*/4);
-    canceller.join();
-    if (!result.ok()) {
-      EXPECT_TRUE(result.status().IsCancelled())
-          << result.status().ToString();
-      EXPECT_GE(exec_ctx.stats()->morsels_cancelled, 1u);
+  const std::pair<opt::Scheme, int> cases[] = {{opt::Scheme::kPlain, 9},
+                                               {opt::Scheme::kBdcc, 9},
+                                               {opt::Scheme::kBdcc, 21}};
+  for (auto [scheme, q] : cases) {
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE("Q" + std::to_string(q) + " on " +
+                   opt::SchemeName(scheme) + " round " +
+                   std::to_string(round));
+      exec::ExecContext exec_ctx(nullptr);
+      std::thread canceller([&exec_ctx, round] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
+        exec_ctx.control()->RequestCancel();
+      });
+      auto result = RunQuery(&exec_ctx, scheme, q, /*memory_limit=*/0,
+                        /*num_threads=*/4);
+      canceller.join();
+      if (!result.ok()) {
+        EXPECT_TRUE(result.status().IsCancelled())
+            << result.status().ToString();
+        EXPECT_GE(exec_ctx.stats()->morsels_cancelled, 1u);
+      }
+      EXPECT_EQ(exec_ctx.memory()->current_bytes(), 0u);
     }
-    EXPECT_EQ(exec_ctx.memory()->current_bytes(), 0u) << "round " << round;
   }
 }
 
