@@ -1,8 +1,8 @@
 #include "exec/aggregate.h"
 
+#include <algorithm>
+#include <memory>
 #include <type_traits>
-
-#include "exec/hash_table.h"
 
 namespace bdcc {
 namespace exec {
@@ -44,46 +44,26 @@ void FoldMinMax(bool is_min, const T* values, const uint8_t* nulls,
   }
 }
 
-// Hash of a (group, value) pair: the group is multiplied by an odd
-// constant first, so one value in neighbouring groups lands apart.
-inline uint64_t PairHash(uint32_t group, int64_t value) {
-  return HashKey64(static_cast<uint64_t>(value) ^
-                   (uint64_t{group} * 0x9e3779b97f4a7c15ull));
+// Appends (group, value) for every non-NULL row to the pending pairs: room
+// for every row first, trimmed to the rows appended.
+template <typename T>
+void AppendPairs(const T* values, const uint8_t* nulls, const uint32_t* groups,
+                 size_t n, std::vector<int64_t>* pending_values,
+                 std::vector<uint32_t>* pending_groups) {
+  size_t at = pending_values->size();
+  pending_values->resize(at + n);
+  pending_groups->resize(at + n);
+  int64_t* value_out = pending_values->data();
+  uint32_t* group_out = pending_groups->data();
+  FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
+    value_out[at] = static_cast<int64_t>(x);
+    group_out[at++] = g;
+  });
+  pending_values->resize(at);
+  pending_groups->resize(at);
 }
 
 }  // namespace
-
-bool AggregatorCore::DistinctSet::Insert(uint32_t group, int64_t value) {
-  if (slots.empty()) Rehash(kMinSlots);
-  size_t i = PairHash(group, value) & mask;
-  for (;; i = (i + 1) & mask) {
-    const Slot& s = slots[i];
-    if (s.group == kEmptyGroup) break;
-    if (s.value == value && s.group == group) return false;
-  }
-  // Miss: keep the load at or below 3/4, then claim the first empty slot on
-  // the pair's (possibly re-homed) probe path.
-  if ((size + 1) * 4 > slots.size() * 3) {
-    Rehash(slots.size() * 2);
-    i = PairHash(group, value) & mask;
-    while (slots[i].group != kEmptyGroup) i = (i + 1) & mask;
-  }
-  slots[i] = Slot{value, group, 0};
-  ++size;
-  return true;
-}
-
-void AggregatorCore::DistinctSet::Rehash(size_t capacity) {
-  std::vector<Slot> old = std::move(slots);
-  slots.assign(capacity, Slot{0, kEmptyGroup, 0});
-  mask = capacity - 1;
-  for (const Slot& s : old) {
-    if (s.group == kEmptyGroup) continue;
-    size_t i = PairHash(s.group, s.value) & mask;
-    while (slots[i].group != kEmptyGroup) i = (i + 1) & mask;
-    slots[i] = s;
-  }
-}
 
 Status AggregatorCore::Bind(const Schema& input, std::vector<AggSpec> specs) {
   specs_ = std::move(specs);
@@ -228,13 +208,11 @@ Status AggregatorCore::Update(const Batch& batch,
           }
           break;
         }
-        case AggKind::kCountDistinct: {
-          int64_t* count = st.count.data();
-          FoldRows(values, nulls, groups, n, [&](uint32_t g, T x) {
-            if (st.distinct.Insert(g, static_cast<int64_t>(x))) ++count[g];
-          });
+        case AggKind::kCountDistinct:
+          AppendPairs(values, nulls, groups, n, &st.pending_values,
+                      &st.pending_groups);
+          MaybeSeal(&st);
           break;
-        }
         case AggKind::kCountStar:
           break;  // handled above
       }
@@ -248,6 +226,7 @@ void AggregatorCore::EmitRange(size_t begin, size_t end,
   for (size_t s = 0; s < specs_.size(); ++s) {
     const AggSpec& spec = specs_[s];
     const State& st = states_[s];
+    BDCC_CHECK(st.pending_values.empty());  // COUNT(DISTINCT): sealed
     ColumnVector v(output_fields_[s].type);
     v.Reserve(end - begin);
     for (size_t g = begin; g < end; ++g) {
@@ -288,23 +267,55 @@ void AggregatorCore::EmitRange(size_t begin, size_t end,
   }
 }
 
-void AggregatorCore::SealForMerge() {
-  for (State& st : states_) {
-    if (st.distinct.size == 0) continue;
-    // Counting sort by group: the count lane already holds each run length.
-    std::vector<size_t> next(num_groups_);
-    size_t offset = 0;
-    for (size_t g = 0; g < num_groups_; ++g) {
-      next[g] = offset;
-      offset += static_cast<size_t>(st.count[g]);
-    }
-    st.distinct_by_group.resize(offset);
-    for (const DistinctSet::Slot& slot : st.distinct.slots) {
-      if (slot.group == DistinctSet::kEmptyGroup) continue;
-      st.distinct_by_group[next[slot.group]++] = slot.value;
-    }
-    st.distinct = DistinctSet{};
+void AggregatorCore::Seal() {
+  for (State& st : states_) SealState(&st);
+}
+
+void AggregatorCore::MaybeSeal(State* st) {
+  if (st->pending_values.size() >=
+      std::max(kMinSealPairs, st->distinct_by_group.size())) {
+    SealState(st);
   }
+}
+
+void AggregatorCore::SealState(State* st) {
+  const size_t pending = st->pending_values.size();
+  if (pending == 0) return;
+  // Counting sort of the pending values by group: end[g] starts as the
+  // start of g's slice and ends as its end (the start of g + 1's).
+  const size_t groups = num_groups_;
+  std::vector<size_t> end(groups + 1, 0);
+  for (uint32_t g : st->pending_groups) ++end[g + 1];
+  for (size_t g = 0; g < groups; ++g) end[g + 1] += end[g];
+  std::vector<int64_t> by_group(pending);
+  for (size_t i = 0; i < pending; ++i) {
+    by_group[end[st->pending_groups[i]]++] = st->pending_values[i];
+  }
+  // Each group's sealed run and its sorted, deduplicated new values unite
+  // into its new run.
+  std::unique_ptr<int64_t[]> merged(
+      new int64_t[st->distinct_by_group.size() + pending]);
+  const int64_t* run = st->distinct_by_group.data();
+  int64_t* out = merged.get();
+  for (size_t g = 0, begin = 0; g < groups; begin = end[g++]) {
+    const int64_t* run_end = run + st->count[g];
+    int64_t* fresh = by_group.data() + begin;
+    int64_t* fresh_end = by_group.data() + end[g];
+    int64_t* next = out;
+    if (fresh == fresh_end) {
+      next = std::copy(run, run_end, out);
+    } else {
+      std::sort(fresh, fresh_end);
+      fresh_end = std::unique(fresh, fresh_end);
+      next = std::set_union(run, run_end, fresh, fresh_end, out);
+    }
+    st->count[g] = next - out;
+    out = next;
+    run = run_end;
+  }
+  st->distinct_by_group.assign(merged.get(), out);
+  st->pending_values.clear();
+  st->pending_groups.clear();
 }
 
 void AggregatorCore::MergeFrom(const AggregatorCore& other,
@@ -315,22 +326,22 @@ void AggregatorCore::MergeFrom(const AggregatorCore& other,
     State& st = states_[s];
     const State& os = other.states_[s];
     if (specs_[s].kind == AggKind::kCountDistinct) {
-      // Counts are not additive: re-insert other's values under their
-      // mapped groups and count the fresh ones. Group g's values are the
-      // next os.count[g] of the sealed array.
-      BDCC_CHECK(os.distinct.size == 0);  // other is sealed
+      // Counts are not additive: other's values join this core's pending
+      // pairs under their mapped groups, and the next seal drops repeats.
+      // Group g's values are the next os.count[g] of the sealed runs.
+      BDCC_CHECK(os.pending_values.empty());  // other is sealed
       if (os.distinct_by_group.empty()) continue;
       const int64_t* run = os.distinct_by_group.data();
       for (size_t g = 0; g < other.num_groups_; ++g) {
         const int64_t* end = run + os.count[g];
         uint32_t m = group_map[g];
         if (m != kSkipGroup) {  // else partition-sliced merge: not ours
-          for (; run != end; ++run) {
-            if (st.distinct.Insert(m, *run)) ++st.count[m];
-          }
+          st.pending_values.insert(st.pending_values.end(), run, end);
+          st.pending_groups.insert(st.pending_groups.end(), end - run, m);
         }
         run = end;
       }
+      MaybeSeal(&st);
       continue;
     }
     for (size_t g = 0; g < other.num_groups_; ++g) {
@@ -385,8 +396,9 @@ uint64_t AggregatorCore::MemoryBytes() const {
     total += st.sum_f64.capacity() * 8 + st.sum_i64.capacity() * 8 +
              st.count.capacity() * 8 + st.minmax_f64.capacity() * 8 +
              st.minmax_i64.capacity() * 8 + st.has_value.capacity() +
-             st.distinct.slots.capacity() * sizeof(DistinctSet::Slot) +
-             st.distinct_by_group.capacity() * 8;
+             st.distinct_by_group.capacity() * 8 +
+             st.pending_values.capacity() * 8 +
+             st.pending_groups.capacity() * 4;
   }
   return total;
 }
@@ -400,6 +412,7 @@ void AggregatorCore::KeepOnlyLastGroup() {
   if (num_groups_ <= 1) return;  // the only group already is group 0
   const uint32_t last = static_cast<uint32_t>(num_groups_ - 1);
   for (State& st : states_) {
+    SealState(&st);
     auto keep = [last](auto& lane) {
       if (lane.empty()) return;
       lane[0] = std::move(lane[last]);
@@ -411,14 +424,9 @@ void AggregatorCore::KeepOnlyLastGroup() {
     keep(st.minmax_f64);
     keep(st.minmax_i64);
     keep(st.has_value);
-    if (st.distinct.size == 0) continue;
-    // The last group opened in the batch just folded (group 0 is the run
-    // carried in), so rebuilding from its pairs costs that batch's rows.
-    DistinctSet kept;
-    for (const DistinctSet::Slot& slot : st.distinct.slots) {
-      if (slot.group == last) kept.Insert(0, slot.value);
-    }
-    st.distinct = std::move(kept);
+    // The last group's run is the tail of the sealed runs.
+    std::vector<int64_t>& runs = st.distinct_by_group;
+    if (!runs.empty()) runs.erase(runs.begin(), runs.end() - st.count[0]);
   }
   num_groups_ = 1;
 }

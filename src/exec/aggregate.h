@@ -67,7 +67,8 @@ class AggregatorCore {
   Status Update(const Batch& batch, const std::vector<uint32_t>& group_of_row);
 
   /// Append finalized values of groups [begin, end) to `out` (one
-  /// ColumnVector per spec, matching output_fields()).
+  /// ColumnVector per spec, matching output_fields()). COUNT(DISTINCT)
+  /// needs the core sealed (Seal).
   void EmitRange(size_t begin, size_t end,
                  std::vector<ColumnVector>* out) const;
 
@@ -75,17 +76,17 @@ class AggregatorCore {
   /// partition-sliced merges fold only the slice they own.
   static constexpr uint32_t kSkipGroup = 0xFFFFFFFFu;
 
-  /// Lay out every COUNT(DISTINCT) set as MergeFrom reads it: the set's
-  /// values in one array ordered by group, each group's run as long as its
-  /// count, so a partition-sliced merge skips a foreign group's values whole
-  /// instead of walking every pair. Call once no more Updates come; EmitRange
-  /// still works.
-  void SealForMerge();
+  /// Fold every pending COUNT(DISTINCT) pair into the sealed runs (see
+  /// State). EmitRange and MergeFrom (on `other`) read only sealed runs, so
+  /// the operators call this where their input ends; Update also seals
+  /// whenever a spec's pending pairs outgrow its sealed values.
+  void Seal();
 
   /// Fold `other`'s per-group states into this core: other's group g merges
   /// into this core's group `group_map[g]` (kSkipGroup entries are
   /// skipped). Both cores must be bound to the same specs, and `other`
-  /// sealed (SealForMerge). Used to combine thread-local partial aggregates
+  /// sealed. COUNT(DISTINCT) values arrive as pending pairs, so seal this
+  /// core before emitting. Used to combine thread-local partial aggregates
   /// after a morsel-parallel consume phase; read-only on `other`, so several
   /// targets may merge slices of one partial concurrently.
   void MergeFrom(const AggregatorCore& other,
@@ -101,43 +102,30 @@ class AggregatorCore {
   /// aggregation carries the open run across batch boundaries).
   void KeepOnlyLastGroup();
 
+  /// Pending pairs below which a spec never seals before its input ends.
+  static constexpr size_t kMinSealPairs = 8192;
+
  private:
-  /// Every distinct (group, value) pair of one COUNT(DISTINCT) spec in one
-  /// flat open-addressing array of 16-byte slots: power-of-two capacity,
-  /// linear probing from the low bits of HashKey64 over the pair, load at
-  /// most 3/4 (as DenseKeyMap). The group's count lane holds its size.
-  struct DistinctSet {
-    struct Slot {
-      int64_t value;
-      uint32_t group;  // kEmptyGroup = empty
-      uint32_t unused;
-    };
-    static constexpr uint32_t kEmptyGroup = kSkipGroup;
-    static constexpr size_t kMinSlots = 8;
-
-    /// Adds the pair; true when it was not in the set.
-    bool Insert(uint32_t group, int64_t value);
-    /// Re-home every pair into a `capacity`-slot array (power of two).
-    void Rehash(size_t capacity);
-
-    std::vector<Slot> slots;
-    size_t mask = 0;  // slots.size() - 1 once allocated
-    size_t size = 0;
-  };
-  static_assert(sizeof(DistinctSet::Slot) == 16, "slot layout");
-
   struct State {
     // One lane per group, per spec (indexed [spec][group]).
     std::vector<double> sum_f64;
     std::vector<int64_t> sum_i64;
-    std::vector<int64_t> count;  // COUNT(DISTINCT): the group's set size
+    std::vector<int64_t> count;  // COUNT(DISTINCT): the group's sealed run
     std::vector<double> minmax_f64;
     std::vector<int64_t> minmax_i64;
     std::vector<uint8_t> has_value;
-    DistinctSet distinct;
-    // After SealForMerge: the set's values, grouped by group.
+    // COUNT(DISTINCT): the sealed runs, one per group in group order, each
+    // sorted and free of repeats and as long as the group's count; and the
+    // (group, value) pairs folded in since the last seal, repeats included.
     std::vector<int64_t> distinct_by_group;
+    std::vector<int64_t> pending_values;
+    std::vector<uint32_t> pending_groups;
   };
+
+  /// Merge `st`'s pending pairs into its sealed runs.
+  void SealState(State* st);
+  /// Seal `st` once its pending pairs reach max(kMinSealPairs, sealed).
+  void MaybeSeal(State* st);
 
   std::vector<AggSpec> specs_;
   std::vector<TypeId> arg_types_;

@@ -97,6 +97,7 @@ Status HashAgg::ConsumeAll(ExecContext* ctx) {
     BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), MemoryBytes()));
   }
   if (group_cols_.empty()) core_.EnsureGroups(1);  // scalar agg: one row
+  core_.Seal();
   consumed_ = true;
   return Status::OK();
 }
@@ -129,11 +130,6 @@ std::vector<uint32_t> HashAgg::PartitionGroups(int bits) const {
     out[g] = static_cast<uint32_t>(h >> (64 - bits));
   }
   return out;
-}
-
-void HashAgg::SealForMerge() {
-  BDCC_CHECK(consumed_);
-  core_.SealForMerge();
 }
 
 Status HashAgg::MergePartialPartition(const HashAgg& other,

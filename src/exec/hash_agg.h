@@ -24,9 +24,10 @@ class HashAgg : public Operator {
   void Close(ExecContext* ctx) override;
 
   /// Drain the child and fold every batch into the aggregation state without
-  /// emitting (idempotent; Next calls it lazily). Distinct HashAgg instances
-  /// may run ConsumeAll concurrently on distinct ExecContexts — this is the
-  /// thread-local consume phase of morsel-parallel aggregation.
+  /// emitting, then seal it (idempotent; Next calls it lazily). Distinct
+  /// HashAgg instances may run ConsumeAll concurrently on distinct
+  /// ExecContexts — this is the thread-local consume phase of
+  /// morsel-parallel aggregation.
   Status ConsumeAll(ExecContext* ctx);
 
   /// Bind as a child-less aggregate over batches of `input`: the caller
@@ -60,11 +61,13 @@ class HashAgg : public Operator {
   /// dictionaries. out[g] = partition of group g.
   std::vector<uint32_t> PartitionGroups(int bits) const;
 
-  /// Lay out this consumed aggregate's state as MergePartialPartition reads
-  /// it (AggregatorCore::SealForMerge); no batch is folded in afterwards.
-  void SealForMerge();
+  /// Fold every pending COUNT(DISTINCT) pair into the sealed runs
+  /// (AggregatorCore::Seal). ConsumeAll seals on its own; a child-less
+  /// aggregate is sealed by its feeder once its input or merges end, before
+  /// Next emits.
+  void Seal() { core_.Seal(); }
 
-  /// Fold only the groups of `other` (sealed: SealForMerge) whose
+  /// Fold only the groups of `other` (consumed, so sealed) whose
   /// part_of_group[g] == partition into this aggregate (a scalar aggregate
   /// folds its one group whatever the partition). Read-only on `other`:
   /// distinct targets may merge disjoint slices of one partial concurrently.

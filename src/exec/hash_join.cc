@@ -153,14 +153,18 @@ Result<Batch> HashJoinProber::ProbeBatch(const Batch& in, Batch scratch) const {
 }
 
 Status BuildHashTable(Operator* build, const std::vector<std::string>& keys,
-                      ExecContext* ctx, JoinHashTable* table,
+                      bool unique_keys, ExecContext* ctx, JoinHashTable* table,
                       TrackedMemory* tracked) {
   BDCC_RETURN_NOT_OK(build->Open(ctx));
-  BDCC_RETURN_NOT_OK(table->Init(build->schema(), keys));
+  BDCC_RETURN_NOT_OK(table->Init(build->schema(), keys, unique_keys));
   while (true) {
     BDCC_RETURN_NOT_OK(ctx->CheckLifecycle());
     BDCC_ASSIGN_OR_RETURN(Batch b, build->Next(ctx));
-    if (b.empty()) return Status::OK();
+    if (b.empty()) {
+      if (table->num_rows() == 0) return Status::OK();  // nothing to index
+      table->Finish();
+      return ctx->ChargeMemory(tracked, table->MemoryBytes());
+    }
     BDCC_RETURN_NOT_OK(table->AddBatch(b));
     build->Recycle(std::move(b));
     BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked, table->MemoryBytes()));
@@ -215,16 +219,19 @@ void HashJoinProbe::Close(ExecContext* ctx) {
 
 HashJoin::HashJoin(OperatorPtr left, OperatorPtr right,
                    std::vector<std::string> left_keys,
-                   std::vector<std::string> right_keys, JoinType type)
+                   std::vector<std::string> right_keys, JoinType type,
+                   bool unique_build_keys)
     : right_(std::move(right)),
       right_keys_(std::move(right_keys)),
+      unique_build_keys_(unique_build_keys),
       probe_(std::move(left), &table_, std::move(left_keys), type) {}
 
 Status HashJoin::Open(ExecContext* ctx) {
   BDCC_RETURN_NOT_OK(probe_.OpenProbe(ctx));
   tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");
   BDCC_RETURN_NOT_OK(
-      BuildHashTable(right_.get(), right_keys_, ctx, &table_, tracked_.get()));
+      BuildHashTable(right_.get(), right_keys_, unique_build_keys_, ctx,
+                     &table_, tracked_.get()));
   return probe_.Bind();
 }
 

@@ -85,12 +85,14 @@ class HashJoinProber {
   mutable ColumnVector staged_;
 };
 
-/// Open `build`, initialise `table` over its schema and `keys`, and drain
-/// it into the table, charging the table's bytes to `tracked` after every
-/// batch: the one hash-join build, shared by HashJoin and ParallelHashJoin
-/// (whose parallel build side is a ParallelUnion of scan clones).
+/// Open `build`, initialise `table` over its schema and `keys` (see
+/// JoinHashTable::Init for `unique_keys`), drain it into the table and
+/// index it (Finish), charging the table's bytes to `tracked` after every
+/// batch and after the index: the one hash-join build, shared by HashJoin
+/// and ParallelHashJoin (whose parallel build side is a ParallelUnion of
+/// scan clones).
 Status BuildHashTable(Operator* build, const std::vector<std::string>& keys,
-                      ExecContext* ctx, JoinHashTable* table,
+                      bool unique_keys, ExecContext* ctx, JoinHashTable* table,
                       TrackedMemory* tracked);
 
 /// \brief Probe pipeline of a hash join: streams `probe` through one
@@ -131,9 +133,12 @@ class HashJoinProbe : public Operator {
 
 class HashJoin : public Operator {
  public:
+  /// `unique_build_keys`: the planner proved `right_keys` unique over the
+  /// right input, which only sizes the table (JoinHashTable::Init).
   HashJoin(OperatorPtr left, OperatorPtr right,
            std::vector<std::string> left_keys,
-           std::vector<std::string> right_keys, JoinType type);
+           std::vector<std::string> right_keys, JoinType type,
+           bool unique_build_keys = false);
 
   const Schema& schema() const override { return probe_.schema(); }
   Status Open(ExecContext* ctx) override;
@@ -144,6 +149,7 @@ class HashJoin : public Operator {
  private:
   OperatorPtr right_;
   std::vector<std::string> right_keys_;
+  bool unique_build_keys_;
   JoinHashTable table_;
   HashJoinProbe probe_;  // the left child against table_
   std::unique_ptr<TrackedMemory> tracked_;

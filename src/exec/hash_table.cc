@@ -124,7 +124,7 @@ uint32_t KeyEncoder::SlotOf(size_t k, const ColumnVector& col,
 
 void KeyEncoder::EncodeIntsImpl(const ColumnVector* const* cols,
                                 size_t num_rows, const uint32_t* sel,
-                                std::vector<int64_t>* keys,
+                                size_t base, std::vector<int64_t>* keys,
                                 std::vector<uint8_t>* valid) const {
   BDCC_CHECK(mode_ != Mode::kBytes);
   keys->resize(num_rows);
@@ -135,17 +135,17 @@ void KeyEncoder::EncodeIntsImpl(const ColumnVector* const* cols,
       if (col.type == TypeId::kInt64) {
         const int64_t* lane = col.i64_data();
         for (size_t i = 0; i < num_rows; ++i) {
-          (*keys)[i] = lane[sel != nullptr ? sel[i] : i];
+          (*keys)[i] = lane[sel != nullptr ? sel[i] : base + i];
         }
       } else {
         const int32_t* lane = col.i32_data();
         for (size_t i = 0; i < num_rows; ++i) {
-          (*keys)[i] = lane[sel != nullptr ? sel[i] : i];
+          (*keys)[i] = lane[sel != nullptr ? sel[i] : base + i];
         }
       }
       if (col.HasNulls()) {
         for (size_t i = 0; i < num_rows; ++i) {
-          if (col.nulls[sel != nullptr ? sel[i] : i]) (*valid)[i] = 0;
+          if (col.nulls[sel != nullptr ? sel[i] : base + i]) (*valid)[i] = 0;
         }
       }
       break;
@@ -153,7 +153,7 @@ void KeyEncoder::EncodeIntsImpl(const ColumnVector* const* cols,
     case Mode::kCode: {
       const ColumnVector& col = *cols[0];
       for (size_t i = 0; i < num_rows; ++i) {
-        size_t row = sel != nullptr ? sel[i] : i;
+        size_t row = sel != nullptr ? sel[i] : base + i;
         if (col.IsNull(row)) {
           (*valid)[i] = 0;
           (*keys)[i] = 0;
@@ -168,7 +168,7 @@ void KeyEncoder::EncodeIntsImpl(const ColumnVector* const* cols,
       const ColumnVector& c0 = *cols[0];
       const ColumnVector& c1 = *cols[1];
       for (size_t i = 0; i < num_rows; ++i) {
-        size_t row = sel != nullptr ? sel[i] : i;
+        size_t row = sel != nullptr ? sel[i] : base + i;
         if (c0.IsNull(row) || c1.IsNull(row)) {
           (*valid)[i] = 0;
           (*keys)[i] = 0;
@@ -228,12 +228,12 @@ bool KeyEncoder::AppendBytesRow(const ColumnVector* const* cols, size_t row,
 
 void KeyEncoder::EncodeBytesImpl(const ColumnVector* const* cols,
                                  size_t num_rows, const uint32_t* sel,
-                                 std::vector<std::string>* keys,
+                                 size_t base, std::vector<std::string>* keys,
                                  std::vector<uint8_t>* valid) const {
   keys->assign(num_rows, std::string());
   valid->assign(num_rows, 1);
   for (size_t i = 0; i < num_rows; ++i) {
-    size_t row = sel != nullptr ? sel[i] : i;
+    size_t row = sel != nullptr ? sel[i] : base + i;
     if (!AppendBytesRow(cols, row, &(*keys)[i])) (*valid)[i] = 0;
   }
 }
@@ -242,7 +242,8 @@ void KeyEncoder::EncodeBytesImpl(const ColumnVector* const* cols,
 // column pointers into a caller-provided stack buffer, falling back to the
 // heap only for improbably wide keys.
 const ColumnVector* const* KeyEncoder::GatherCols(
-    const Batch& batch, const ColumnVector* inline_buf[kInlineKeyCols],
+    const std::vector<ColumnVector>& columns,
+    const ColumnVector* inline_buf[kInlineKeyCols],
     std::vector<const ColumnVector*>* overflow) const {
   const ColumnVector** cols = inline_buf;
   if (indices_.size() > kInlineKeyCols) {
@@ -250,7 +251,7 @@ const ColumnVector* const* KeyEncoder::GatherCols(
     cols = overflow->data();
   }
   for (size_t k = 0; k < indices_.size(); ++k) {
-    cols[k] = &batch.columns[indices_[k]];
+    cols[k] = &columns[indices_[k]];
   }
   return cols;
 }
@@ -259,16 +260,38 @@ void KeyEncoder::EncodeInts(const Batch& batch, std::vector<int64_t>* keys,
                             std::vector<uint8_t>* valid) const {
   const ColumnVector* inline_buf[kInlineKeyCols];
   std::vector<const ColumnVector*> overflow;
-  EncodeIntsImpl(GatherCols(batch, inline_buf, &overflow), batch.num_rows,
-                 batch.has_sel() ? batch.sel.data() : nullptr, keys, valid);
+  EncodeIntsImpl(GatherCols(batch.columns, inline_buf, &overflow),
+                 batch.num_rows, batch.has_sel() ? batch.sel.data() : nullptr,
+                 0, keys, valid);
 }
 
 void KeyEncoder::EncodeBytes(const Batch& batch, std::vector<std::string>* keys,
                              std::vector<uint8_t>* valid) const {
   const ColumnVector* inline_buf[kInlineKeyCols];
   std::vector<const ColumnVector*> overflow;
-  EncodeBytesImpl(GatherCols(batch, inline_buf, &overflow), batch.num_rows,
-                  batch.has_sel() ? batch.sel.data() : nullptr, keys, valid);
+  EncodeBytesImpl(GatherCols(batch.columns, inline_buf, &overflow),
+                  batch.num_rows, batch.has_sel() ? batch.sel.data() : nullptr,
+                  0, keys, valid);
+}
+
+void KeyEncoder::EncodeIntsRows(const std::vector<ColumnVector>& columns,
+                                size_t begin, size_t n,
+                                std::vector<int64_t>* keys,
+                                std::vector<uint8_t>* valid) const {
+  const ColumnVector* inline_buf[kInlineKeyCols];
+  std::vector<const ColumnVector*> overflow;
+  EncodeIntsImpl(GatherCols(columns, inline_buf, &overflow), n, nullptr,
+                 begin, keys, valid);
+}
+
+void KeyEncoder::EncodeBytesRows(const std::vector<ColumnVector>& columns,
+                                 size_t begin, size_t n,
+                                 std::vector<std::string>* keys,
+                                 std::vector<uint8_t>* valid) const {
+  const ColumnVector* inline_buf[kInlineKeyCols];
+  std::vector<const ColumnVector*> overflow;
+  EncodeBytesImpl(GatherCols(columns, inline_buf, &overflow), n, nullptr,
+                  begin, keys, valid);
 }
 
 void KeyEncoder::EncodeIntsCols(const std::vector<ColumnVector>& key_cols,
@@ -276,7 +299,7 @@ void KeyEncoder::EncodeIntsCols(const std::vector<ColumnVector>& key_cols,
                                 std::vector<uint8_t>* valid) const {
   std::vector<const ColumnVector*> cols(key_cols.size());
   for (size_t k = 0; k < key_cols.size(); ++k) cols[k] = &key_cols[k];
-  EncodeIntsImpl(cols.data(), num_rows, nullptr, keys, valid);
+  EncodeIntsImpl(cols.data(), num_rows, nullptr, 0, keys, valid);
 }
 
 void KeyEncoder::EncodeBytesCols(const std::vector<ColumnVector>& key_cols,
@@ -285,7 +308,7 @@ void KeyEncoder::EncodeBytesCols(const std::vector<ColumnVector>& key_cols,
                                  std::vector<uint8_t>* valid) const {
   std::vector<const ColumnVector*> cols(key_cols.size());
   for (size_t k = 0; k < key_cols.size(); ++k) cols[k] = &key_cols[k];
-  EncodeBytesImpl(cols.data(), num_rows, nullptr, keys, valid);
+  EncodeBytesImpl(cols.data(), num_rows, nullptr, 0, keys, valid);
 }
 
 std::string KeyEncoder::EncodeBytesRow(const Batch& batch,
@@ -293,7 +316,7 @@ std::string KeyEncoder::EncodeBytesRow(const Batch& batch,
   const ColumnVector* inline_buf[kInlineKeyCols];
   std::vector<const ColumnVector*> overflow;
   std::string key;
-  AppendBytesRow(GatherCols(batch, inline_buf, &overflow),
+  AppendBytesRow(GatherCols(batch.columns, inline_buf, &overflow),
                  batch.RowAt(logical_row), &key);
   return key;
 }
@@ -462,6 +485,13 @@ void DenseKeyMap::Rehash(size_t capacity) {
   }
 }
 
+void DenseKeyMap::Reserve(size_t keys) {
+  if (keys == 0) return;
+  size_t capacity = std::max(slots_.size(), kMinSlots);
+  while (OverLoaded(keys, capacity)) capacity *= 2;
+  if (capacity != slots_.size()) Rehash(capacity);
+}
+
 int64_t DenseKeyMap::NullId(bool* out_inserted) {
   *out_inserted = null_id_ < 0;
   if (null_id_ < 0) null_id_ = NextId();
@@ -496,9 +526,11 @@ uint64_t HashKeyBytes(std::string_view s) {
 }
 
 Status JoinHashTable::Init(const Schema& build_schema,
-                           const std::vector<std::string>& key_cols) {
+                           const std::vector<std::string>& key_cols,
+                           bool unique_keys) {
   schema_ = build_schema;
   BDCC_RETURN_NOT_OK(encoder_.Bind(build_schema, key_cols));
+  unique_keys_ = unique_keys;
   columns_.clear();
   for (const Field& f : build_schema.fields()) columns_.emplace_back(f.type);
   Clear();
@@ -519,41 +551,55 @@ Status JoinHashTable::AddBatch(const Batch& batch) {
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].AppendGather(batch.columns[c], rows, batch.num_rows);
   }
-  // Index rows under their keys; NULL keys never match.
-  auto link_all = [&](const auto& keys, const std::vector<uint8_t>& valid) {
-    for (size_t r = 0; r < batch.num_rows; ++r) {
-      uint32_t row = static_cast<uint32_t>(num_rows_++);
-      int64_t id = -1;
-      bool inserted = false;
-      if (valid[r]) id = key_ids_.FindOrInsert(keys[r], &inserted);
-      if (!chained_) {
-        if (inserted) continue;  // a fresh key's id is its row
-        ChainRowsSoFar(row);
-      }
-      if (id < 0) {
-        next_.push_back(kEnd);
-        continue;
-      }
-      if (static_cast<size_t>(id) >= heads_.size()) {
-        heads_.resize(id + 1, kEnd);
-      }
-      next_.push_back(heads_[id]);
-      heads_[id] = row;
-    }
-  };
-  std::vector<uint8_t> valid;
-  if (encoder_.int_path()) {
-    std::vector<int64_t> keys;
-    encoder_.EncodeInts(batch, &keys, &valid);
-    link_all(keys, valid);
-  } else {
-    std::vector<std::string> keys;
-    encoder_.EncodeBytes(batch, &keys, &valid);
-    link_all(keys, valid);
-  }
+  num_rows_ += batch.num_rows;
   column_bytes_ = 0;
   for (const ColumnVector& c : columns_) column_bytes_ += ColumnVectorBytes(c);
   return Status::OK();
+}
+
+template <typename Key>
+void JoinHashTable::LinkRows(const std::vector<Key>& keys,
+                             const std::vector<uint8_t>& valid) {
+  // NULL keys never match.
+  for (size_t r = 0; r < keys.size(); ++r) {
+    uint32_t row = static_cast<uint32_t>(indexed_rows_++);
+    int64_t id = -1;
+    bool inserted = false;
+    if (valid[r]) id = key_ids_.FindOrInsert(keys[r], &inserted);
+    if (!chained_) {
+      if (inserted) continue;  // a fresh key's id is its row
+      ChainRowsSoFar(row);
+    }
+    if (id < 0) {
+      next_.push_back(kEnd);
+      continue;
+    }
+    if (static_cast<size_t>(id) >= heads_.size()) {
+      heads_.resize(id + 1, kEnd);
+    }
+    next_.push_back(heads_[id]);
+    heads_[id] = row;
+  }
+}
+
+void JoinHashTable::Finish() {
+  if (indexed_rows_ == num_rows_) return;
+  // A proven-unique key gets its final slot array up front (a byte-path
+  // key has no int slots to reserve).
+  if (unique_keys_ && encoder_.int_path()) key_ids_.Reserve(num_rows_);
+  std::vector<uint8_t> valid;
+  std::vector<int64_t> int_keys;
+  std::vector<std::string> byte_keys;
+  while (indexed_rows_ < num_rows_) {
+    size_t n = std::min(kIndexSliceRows, num_rows_ - indexed_rows_);
+    if (encoder_.int_path()) {
+      encoder_.EncodeIntsRows(columns_, indexed_rows_, n, &int_keys, &valid);
+      LinkRows(int_keys, valid);
+    } else {
+      encoder_.EncodeBytesRows(columns_, indexed_rows_, n, &byte_keys, &valid);
+      LinkRows(byte_keys, valid);
+    }
+  }
 }
 
 void JoinHashTable::ChainRowsSoFar(uint32_t rows) {
@@ -581,6 +627,7 @@ void JoinHashTable::Clear() {
   }
   key_ids_ = DenseKeyMap();
   num_rows_ = 0;
+  indexed_rows_ = 0;
   chained_ = false;
   heads_ = std::vector<uint32_t>();
   next_ = std::vector<uint32_t>();

@@ -77,6 +77,14 @@ class KeyEncoder {
   /// tuples); `valid[i]`=0 marks rows with a NULL key column.
   void EncodeBytes(const Batch& batch, std::vector<std::string>* keys,
                    std::vector<uint8_t>* valid) const;
+  /// Encode rows [begin, begin + n) of `columns`, dense columns laid out as
+  /// the bound schema (a join table's materialized build columns).
+  void EncodeIntsRows(const std::vector<ColumnVector>& columns, size_t begin,
+                      size_t n, std::vector<int64_t>* keys,
+                      std::vector<uint8_t>* valid) const;
+  void EncodeBytesRows(const std::vector<ColumnVector>& columns, size_t begin,
+                       size_t n, std::vector<std::string>* keys,
+                       std::vector<uint8_t>* valid) const;
 
   /// Encode from explicit key columns (key_cols[k] is key k, dense, no
   /// selection) — used when merging partial aggregates, so the partial's
@@ -123,7 +131,8 @@ class KeyEncoder {
   static constexpr size_t kInlineKeyCols = 8;
 
   const ColumnVector* const* GatherCols(
-      const Batch& batch, const ColumnVector* inline_buf[kInlineKeyCols],
+      const std::vector<ColumnVector>& columns,
+      const ColumnVector* inline_buf[kInlineKeyCols],
       std::vector<const ColumnVector*>* overflow) const;
 
   const StringSpace& TargetSpace(size_t k) const {
@@ -138,11 +147,14 @@ class KeyEncoder {
   /// integer-backed, canonicalized code for strings).
   uint32_t SlotOf(size_t k, const ColumnVector& col, size_t row) const;
 
+  /// Key i comes from row sel[i], or from row base + i without `sel`.
   void EncodeIntsImpl(const ColumnVector* const* cols, size_t num_rows,
-                      const uint32_t* sel, std::vector<int64_t>* keys,
+                      const uint32_t* sel, size_t base,
+                      std::vector<int64_t>* keys,
                       std::vector<uint8_t>* valid) const;
   void EncodeBytesImpl(const ColumnVector* const* cols, size_t num_rows,
-                       const uint32_t* sel, std::vector<std::string>* keys,
+                       const uint32_t* sel, size_t base,
+                       std::vector<std::string>* keys,
                        std::vector<uint8_t>* valid) const;
   /// Append one row's tagged key bytes to `key`; returns false when a key
   /// column was NULL.
@@ -202,6 +214,9 @@ class DenseKeyMap {
   int64_t FindOrInsert(const std::string& key, bool* out_inserted);
   /// Dense id reserved for NULL keys (allocated on first use).
   int64_t NullId(bool* out_inserted);
+  /// Grow the int-key slot array to the capacity `keys` int keys reach by
+  /// inserting one at a time, so inserting up to that many never rehashes.
+  void Reserve(size_t keys);
 
   size_t size() const {
     return int_size_ + bytes_map_.size() + (null_id_ >= 0 ? 1 : 0);
@@ -272,23 +287,34 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
                                const std::function<void(size_t)>& on_new_group);
 
 /// \brief Materialized build side of a hash join: the build columns plus a
-/// key -> rows index. The DenseKeyMap gives a key's dense id. While every
-/// row has its own non-NULL key, ids are handed out in row order, so a
-/// key's id *is* its row and no chains exist. The first repeated or NULL
-/// key chains the rows so far (`heads_[r] = r`, `next_[r] = end`); from
-/// then on `heads_[id]` is the newest row with that key and `next_[row]`
-/// links to the next older one, so matches come newest first. Rows are
-/// copied in with one AppendGather per column per input batch.
+/// key -> rows index. AddBatch copies rows in with one AppendGather per
+/// column per input batch; Finish then indexes the rows added since the
+/// last Finish, encoding their keys from the copied columns a slice at a
+/// time. The DenseKeyMap gives a key's dense id. While every row has its
+/// own non-NULL key, ids are handed out in row order, so a key's id *is*
+/// its row and no chains exist. The first repeated or NULL key chains the
+/// rows so far (`heads_[r] = r`, `next_[r] = end`); from then on
+/// `heads_[id]` is the newest row with that key and `next_[row]` links to
+/// the next older one, so matches come newest first.
 ///
-/// The build is serial (Init + AddBatch); a parallel build side is a
-/// ParallelUnion of scan clones drained into one table (BuildHashTable).
+/// A table initialised with `unique_keys` (the planner proved the build
+/// keys unique) on an int-path key reserves a slot per row before it
+/// indexes, so its key map never rehashes. A wrong claim only costs slots:
+/// repeated keys still chain.
+///
+/// The build is serial (Init + AddBatch + Finish); a parallel build side is
+/// a ParallelUnion of scan clones drained into one table (BuildHashTable).
 /// A finished table is read-only, so any number of probers may share it.
 class JoinHashTable {
  public:
   Status Init(const Schema& build_schema,
-              const std::vector<std::string>& key_cols);
+              const std::vector<std::string>& key_cols,
+              bool unique_keys = false);
 
+  /// Copy `batch`'s logical rows in; probes see them after Finish.
   Status AddBatch(const Batch& batch);
+  /// Index the rows added since the last Finish under their keys.
+  void Finish();
 
   size_t num_rows() const { return num_rows_; }
   const Schema& schema() const { return schema_; }
@@ -321,6 +347,8 @@ class JoinHashTable {
   }
   /// True once a key repeated or was NULL (rows then chain under ids).
   bool chained() const { return chained_; }
+  /// Int-key slots of the key map (DenseKeyMap::slot_capacity).
+  size_t key_slot_capacity() const { return key_ids_.slot_capacity(); }
 
   /// Heap bytes held (columns + chains + key map) for memory accounting.
   uint64_t MemoryBytes() const;
@@ -330,14 +358,22 @@ class JoinHashTable {
 
  private:
   static constexpr uint32_t kEnd = 0xFFFFFFFFu;
+  /// Rows whose keys Finish encodes at once (ExecContext's batch size).
+  static constexpr size_t kIndexSliceRows = 2048;
 
   /// Chain rows [0, rows), each the only row of its key id.
   void ChainRowsSoFar(uint32_t rows);
+  /// Index the `keys.size()` rows from indexed_rows_ on.
+  template <typename Key>
+  void LinkRows(const std::vector<Key>& keys,
+                const std::vector<uint8_t>& valid);
 
   Schema schema_;
   KeyEncoder encoder_;
   DenseKeyMap key_ids_;
+  bool unique_keys_ = false;
   size_t num_rows_ = 0;
+  size_t indexed_rows_ = 0;  // rows [0, indexed_rows_) are linked
   bool chained_ = false;
   // Only once chained_: per key id the first row in its chain, per row the
   // next row with the same key.

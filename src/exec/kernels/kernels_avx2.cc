@@ -168,7 +168,12 @@ void GatherScatterF64Avx2(const double* src, const uint32_t* sel, size_t n,
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    __m256d g = _mm256_i32gather_pd(src, idx, 8);
+    // The masked form with a zeroed source and every lane enabled loads the
+    // same values; the unmasked intrinsic reads an uninitialized source
+    // register, which GCC 12 flags (-Wmaybe-uninitialized).
+    __m256d g = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), src, idx,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
     _mm256_storeu_pd(dst + i, g);
   }
   for (; i < n; ++i) dst[i] = src[sel[i]];

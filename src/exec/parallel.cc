@@ -249,7 +249,7 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
     total_groups += partials_[i]->num_groups();
   }
 
-  // Radix-partitioned merge: seal every partial and hash-partition its
+  // Radix-partitioned merge: hash-partition every (sealed) partial's
   // groups by key value, then fold each partition with an independent task
   // into its own merge-only aggregate. Each task reads the (now immutable)
   // partials and writes only its own merger — no shared mutable state, no
@@ -265,7 +265,6 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
   size_t num_partitions = size_t{1} << bits;
   std::vector<std::vector<uint32_t>> part_of(partials_.size());
   scheduler_->ParallelFor(partials_.size(), [&](size_t i) {
-    partials_[i]->SealForMerge();
     part_of[i] = bits == 0 ? std::vector<uint32_t>(partials_[i]->num_groups())
                            : partials_[i]->PartitionGroups(bits);
   });
@@ -306,6 +305,7 @@ Status ParallelHashAgg::MergeAll(ExecContext* ctx) {
               return s;
             }
           }
+          mergers_[p]->Seal();
           Status charge = merger_mem_[p]->TrySet(mergers_[p]->MemoryBytes());
           if (BDCC_UNLIKELY(!charge.ok())) {
             control->ReportError(charge);
@@ -350,9 +350,11 @@ ParallelHashJoin::ParallelHashJoin(ChainFactory probe_factory,
                                    std::vector<std::string> probe_keys,
                                    std::vector<std::string> build_keys,
                                    JoinType type,
-                                   common::TaskScheduler* scheduler)
+                                   common::TaskScheduler* scheduler,
+                                   bool unique_build_keys)
     : build_(std::move(build)),
       build_keys_(std::move(build_keys)),
+      unique_build_keys_(unique_build_keys),
       probes_(
           [this, probe_factory = std::move(probe_factory),
            probe_keys = std::move(probe_keys),
@@ -365,7 +367,8 @@ ParallelHashJoin::ParallelHashJoin(ChainFactory probe_factory,
 
 Status ParallelHashJoin::Open(ExecContext* ctx) {
   tracked_ = std::make_unique<TrackedMemory>(ctx->memory(), "hash-join build");
-  BDCC_RETURN_NOT_OK(BuildHashTable(build_.get(), build_keys_, ctx, &table_,
+  BDCC_RETURN_NOT_OK(BuildHashTable(build_.get(), build_keys_,
+                                    unique_build_keys_, ctx, &table_,
                                     tracked_.get()));
   return probes_.Open(ctx);
 }

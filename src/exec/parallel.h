@@ -152,10 +152,12 @@ class ParallelHashAgg : public Operator {
 /// against the shared read-only table.
 class ParallelHashJoin : public Operator {
  public:
+  /// `unique_build_keys` as for HashJoin.
   ParallelHashJoin(ChainFactory probe_factory, size_t num_clones,
                    OperatorPtr build, std::vector<std::string> probe_keys,
                    std::vector<std::string> build_keys, JoinType type,
-                   common::TaskScheduler* scheduler = nullptr);
+                   common::TaskScheduler* scheduler = nullptr,
+                   bool unique_build_keys = false);
 
   const Schema& schema() const override { return probes_.schema(); }
   Status Open(ExecContext* ctx) override;
@@ -165,6 +167,7 @@ class ParallelHashJoin : public Operator {
  private:
   OperatorPtr build_;
   std::vector<std::string> build_keys_;
+  bool unique_build_keys_;
   JoinHashTable table_;
   std::unique_ptr<TrackedMemory> tracked_;
   ParallelUnion probes_;  // HashJoinProbe clones against table_

@@ -23,6 +23,7 @@ Status SandwichAgg::Open(ExecContext* ctx) {
 }
 
 Status SandwichAgg::DrainPartition(ExecContext* ctx) {
+  agg_.Seal();
   while (true) {
     BDCC_ASSIGN_OR_RETURN(Batch out, agg_.Next(ctx));
     if (out.empty()) break;

@@ -6,19 +6,21 @@ namespace exec {
 SandwichHashJoin::SandwichHashJoin(OperatorPtr left, OperatorPtr right,
                                    std::vector<std::string> left_keys,
                                    std::vector<std::string> right_keys,
-                                   JoinType type)
+                                   JoinType type, bool unique_build_keys)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      type_(type) {}
+      type_(type),
+      unique_build_keys_(unique_build_keys) {}
 
 Status SandwichHashJoin::Open(ExecContext* ctx) {
   BDCC_RETURN_NOT_OK(left_->Open(ctx));
   BDCC_RETURN_NOT_OK(right_->Open(ctx));
   tracked_ =
       std::make_unique<TrackedMemory>(ctx->memory(), "sandwich-join build");
-  BDCC_RETURN_NOT_OK(table_.Init(right_->schema(), right_keys_));
+  BDCC_RETURN_NOT_OK(
+      table_.Init(right_->schema(), right_keys_, unique_build_keys_));
   // Per-group builds alternate with probes on this one thread, so sharing
   // the build encoder's canonical string space is race-free; Clear() keeps
   // that encoder, so the binding survives every group rebuild.
@@ -71,6 +73,8 @@ Status SandwichHashJoin::LoadRightGroupUpTo(int64_t target, ExecContext* ctx) {
     BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
     if (!right_done_) BDCC_RETURN_NOT_OK(PullRight(ctx));
   }
+  table_.Finish();
+  BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), table_.MemoryBytes()));
   current_group_ = group;
   ctx->stats()->sandwich_partitions += 1;
   return Status::OK();

@@ -26,9 +26,11 @@ namespace exec {
 /// Open; each group rebuild clears and refills the table in place.
 class SandwichHashJoin : public Operator {
  public:
+  /// `unique_build_keys` as for HashJoin: each group's table is sized once.
   SandwichHashJoin(OperatorPtr left, OperatorPtr right,
                    std::vector<std::string> left_keys,
-                   std::vector<std::string> right_keys, JoinType type);
+                   std::vector<std::string> right_keys, JoinType type,
+                   bool unique_build_keys = false);
 
   const Schema& schema() const override { return prober_.schema(); }
   Status Open(ExecContext* ctx) override;
@@ -46,6 +48,7 @@ class SandwichHashJoin : public Operator {
   OperatorPtr left_, right_;
   std::vector<std::string> left_keys_, right_keys_;
   JoinType type_;
+  bool unique_build_keys_;
 
   JoinHashTable table_;
   HashJoinProber prober_;

@@ -45,6 +45,7 @@ void StreamAgg::FlushCurrentGroup() {
     pending_[k].AppendInterning(current_key_row_[k], 0);
   }
   std::vector<ColumnVector> agg_out;
+  core_.Seal();
   core_.EmitRange(0, 1, &agg_out);
   for (size_t a = 0; a < agg_out.size(); ++a) {
     pending_[current_key_row_.size() + a].AppendFrom(agg_out[a], 0);
@@ -128,6 +129,7 @@ Result<Batch> StreamAgg::Next(ExecContext* ctx) {
         }
       }
       std::vector<ColumnVector> agg_out;
+      core_.Seal();
       core_.EmitRange(0, emitted, &agg_out);
       for (size_t a = 0; a < agg_out.size(); ++a) {
         for (size_t g = 0; g < emitted; ++g) {

@@ -73,6 +73,67 @@ std::vector<exec::ScanSegment> GroupSegments(
   return out;
 }
 
+std::vector<std::vector<std::string>> UniqueKeys(
+    const NodePtr& node, const catalog::Catalog& catalog) {
+  std::vector<std::vector<std::string>> out;
+  switch (node->kind) {
+    case NodeKind::kScan: {
+      auto def = catalog.GetTable(node->scan.table);
+      const std::vector<std::string>& cols = node->scan.columns;
+      if (!def.ok() || def.value()->primary_key.empty()) return out;
+      const std::vector<std::string>& pk = def.value()->primary_key;
+      for (const std::string& c : pk) {
+        if (std::find(cols.begin(), cols.end(), c) == cols.end()) return out;
+      }
+      out.push_back(pk);
+      return out;
+    }
+    case NodeKind::kAggregate:
+      out.push_back(node->agg.group_cols);
+      return out;
+    case NodeKind::kProject:
+      for (const std::vector<std::string>& key :
+           UniqueKeys(node->children[0], catalog)) {
+        std::vector<std::string> renamed;
+        for (const std::string& c : key) {
+          for (const auto& [name, expr] : node->project.exprs) {
+            if (exec::ColumnRefName(expr) == c) {
+              renamed.push_back(name);
+              break;
+            }
+          }
+        }
+        if (renamed.size() == key.size()) out.push_back(std::move(renamed));
+      }
+      return out;
+    case NodeKind::kJoin: {
+      const JoinNode& jn = node->join;
+      bool at_most_one_match =
+          jn.type == exec::JoinType::kLeftSemi ||
+          jn.type == exec::JoinType::kLeftAnti ||
+          KeysUnique(node->children[1], jn.right_keys, catalog);
+      if (!at_most_one_match) return out;
+      return UniqueKeys(node->children[0], catalog);
+    }
+    case NodeKind::kFilter:
+    case NodeKind::kSort:
+    case NodeKind::kLimit:
+      return UniqueKeys(node->children[0], catalog);
+  }
+  return out;
+}
+
+bool KeysUnique(const NodePtr& node, const std::vector<std::string>& keys,
+                const catalog::Catalog& catalog) {
+  auto in_keys = [&](const std::string& c) {
+    return std::find(keys.begin(), keys.end(), c) != keys.end();
+  };
+  for (const std::vector<std::string>& key : UniqueKeys(node, catalog)) {
+    if (std::all_of(key.begin(), key.end(), in_keys)) return true;
+  }
+  return false;
+}
+
 namespace {
 
 /// Drops the `shift` minor bits of the group tag so a (major..minor) grouped
@@ -746,6 +807,15 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
   }
   SubPlan& l = *left.plan;
   SubPlan& r = *right.plan;
+  const bool unique_build =
+      KeysUnique(right_l, jn.right_keys, db_.schema_catalog());
+  if (unique_build) {
+    std::string keys;
+    for (const std::string& k : jn.right_keys) {
+      keys += (keys.empty() ? "" : ",") + k;
+    }
+    Note("unique build keys " + Label(right_l) + " [" + keys + "]");
+  }
   SubPlan out;
   out.grouped_base = l.grouped_base;
   out.grouping = l.grouping;
@@ -759,10 +829,11 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
          dims + "]" + (cascade ? " (cascade)" : ""));
     out.op = Sandwich(
         "sandwich join", {&l, &r},
-        [lk = jn.left_keys, rk = jn.right_keys,
-         type = jn.type](std::vector<exec::OperatorPtr> in) {
+        [lk = jn.left_keys, rk = jn.right_keys, type = jn.type,
+         unique_build](std::vector<exec::OperatorPtr> in) {
           return exec::OperatorPtr(std::make_unique<exec::SandwichHashJoin>(
-              std::move(in[0]), std::move(in[1]), lk, rk, type));
+              std::move(in[0]), std::move(in[1]), lk, rk, type,
+              unique_build));
         });
     return out;
   }
@@ -787,11 +858,11 @@ Result<SubPlan> PlannerImpl::CompileJoin(const NodePtr& node) {
     out.op = std::make_unique<exec::ParallelHashJoin>(
         MorselClones(l.leaf_factory),
         static_cast<size_t>(opts_.num_threads), std::move(build), jn.left_keys,
-        jn.right_keys, jn.type, opts_.scheduler);
+        jn.right_keys, jn.type, opts_.scheduler, unique_build);
   } else {
     out.op = std::make_unique<exec::HashJoin>(std::move(l.op), std::move(r.op),
                                               jn.left_keys, jn.right_keys,
-                                              jn.type);
+                                              jn.type, unique_build);
   }
   return out;
 }

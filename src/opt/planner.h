@@ -86,6 +86,21 @@ std::vector<exec::ScanSegment> GroupSegments(
     const BdccTable& table, const std::vector<TableRanges>& parts,
     const std::vector<GroupSpec>& grouping = {});
 
+/// Column sets on which `node`'s output rows are proven unique: no two rows
+/// agree on every column of a set (an empty set: at most one row). The
+/// rule: a scan covering its table's primary key is unique on it; an
+/// aggregate on its group columns; a projection on the renamed columns of
+/// its input's sets; a semi or anti join, and a join whose right side is
+/// unique on its join keys, on the left side's sets; filters, sorts and
+/// limits on their input's. Hash joins use it only to size their build
+/// table, so a missed proof costs rehashes and a wrong one memory.
+std::vector<std::vector<std::string>> UniqueKeys(
+    const NodePtr& node, const catalog::Catalog& catalog);
+
+/// True when some UniqueKeys(node) set lies within `keys`.
+bool KeysUnique(const NodePtr& node, const std::vector<std::string>& keys,
+                const catalog::Catalog& catalog);
+
 /// Compile `plan` for `db`.
 Result<CompiledQuery> Compile(const NodePtr& plan, const PhysicalDb& db,
                               const PlannerOptions& options = {});

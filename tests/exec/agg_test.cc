@@ -459,7 +459,7 @@ TEST(AggTest, UpdateMatchesSequentialLoop) {
   }
 }
 
-// ---- COUNT(DISTINCT) on one flat (group, value) set per spec ----
+// ---- COUNT(DISTINCT) as sealed sorted runs per spec ----
 
 Schema DistinctSchema() {
   return Schema({{"v", TypeId::kInt64}, {"w", TypeId::kInt32}});
@@ -541,7 +541,7 @@ struct DistinctRef {
   }
 };
 
-// Every group of `core` emits the reference's counts.
+// Every group of `core` (sealed) emits the reference's counts.
 void ExpectDistinctMatches(const AggregatorCore& core, const DistinctRef& ref,
                            size_t num_groups, const std::string& what) {
   std::vector<ColumnVector> out;
@@ -564,27 +564,69 @@ TEST(AggTest, CountDistinctMatchesPairSetReference) {
     AggregatorCore core;
     ASSERT_TRUE(core.Bind(DistinctSchema(), DistinctSpecs()).ok());
     DistinctRef ref;
-    uint64_t last_bytes = core.MemoryBytes();
-    // 40 batches: v's set grows from 8 slots past 2^15 (a dozen doublings).
+    // 40 batches: v's pending pairs pass the 8192-pair floor and then its
+    // sealed values, so Update seals on its own between the explicit seals.
     for (int b = 0; b < 40; ++b) {
       DistinctInput in = MakeDistinctInput(&rng, 1000, kGroups);
       core.EnsureGroups(kGroups);
       ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
       ref.Add(in);
       if (b % 8 == 7) {
+        core.Seal();
         ExpectDistinctMatches(core, ref, kGroups,
                               "seed " + std::to_string(seed) + " batch " +
                                   std::to_string(b));
       }
-      // Slots are charged at 16 bytes each, at most 3/4 full.
+      // Every distinct pair is held sealed (8 bytes) or pending (12 bytes).
       uint64_t pairs = ref.v_pairs.size() + ref.w_pairs.size();
-      EXPECT_GE(core.MemoryBytes(), pairs * 16 * 4 / 3);
-      EXPECT_GE(core.MemoryBytes(), last_bytes);
-      last_bytes = core.MemoryBytes();
+      EXPECT_GE(core.MemoryBytes(), pairs * 8);
     }
     EXPECT_GT(ref.v_pairs.size(), size_t{20000});
+    core.Seal();
     ExpectDistinctMatches(core, ref, kGroups, "final");
   }
+}
+
+TEST(AggTest, CountDistinctDuplicateHeavyInputStaysNearItsDistinctPairs) {
+  // 300 batches of 1000 rows over 200 groups and 16 values per spec: at
+  // most 3200 distinct pairs per spec under 300,000 rows. Pending pairs seal
+  // once they reach max(8192, sealed values), so the state tracks the
+  // distinct pairs plus the floor, not the rows.
+  Rng rng(41);
+  constexpr uint32_t kGroups = 200;
+  constexpr size_t kRows = 1000;
+  AggregatorCore core;
+  ASSERT_TRUE(core.Bind(DistinctSchema(), DistinctSpecs()).ok());
+  core.EnsureGroups(kGroups);
+  DistinctRef ref;
+  uint64_t peak = 0;
+  for (int b = 0; b < 300; ++b) {
+    DistinctInput in;
+    ColumnVector v(TypeId::kInt64), w(TypeId::kInt32);
+    for (size_t r = 0; r < kRows; ++r) {
+      v.i64.push_back(rng.Uniform(0, 15) * 1000003);
+      w.i32.push_back(static_cast<int32_t>(rng.Uniform(-8, 7)));
+      in.groups.push_back(static_cast<uint32_t>(rng.Uniform(0, kGroups - 1)));
+    }
+    in.batch.columns = {std::move(v), std::move(w)};
+    in.batch.num_rows = kRows;
+    ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
+    ref.Add(in);
+    // Per spec: sealed runs at 8 B a value, and at most the floor (or the
+    // sealed values) plus one batch of pending pairs at 12 B each, in
+    // buffers that at most double; then the three count lanes.
+    uint64_t pairs = ref.v_pairs.size() + ref.w_pairs.size();
+    uint64_t bound =
+        32 * (pairs + 2 * (AggregatorCore::kMinSealPairs + kRows)) +
+        3 * kGroups * 8;
+    ASSERT_LE(core.MemoryBytes(), bound) << "batch " << b;
+    peak = std::max(peak, core.MemoryBytes());
+  }
+  EXPECT_EQ(ref.v_pairs.size(), size_t{16} * kGroups);
+  // Unsealed, the pending pairs alone would take 12 B per row and spec.
+  EXPECT_LT(peak * 10, uint64_t{300} * kRows * 12 * 2);
+  core.Seal();
+  ExpectDistinctMatches(core, ref, kGroups, "duplicate-heavy");
 }
 
 // Partial cores over the same groups, as the morsel-parallel consume phase
@@ -650,8 +692,8 @@ TEST(AggTest, CountDistinctMergeFromSlicedGroupMaps) {
   if (HasFatalFailure()) return;
   std::vector<std::vector<ColumnVector>> before(partials.cores.size());
   for (size_t i = 0; i < partials.cores.size(); ++i) {
+    partials.cores[i].Seal();
     partials.cores[i].EmitRange(0, kGroups, &before[i]);
-    partials.cores[i].SealForMerge();
   }
   for (uint32_t part = 0; part < kParts; ++part) {
     uint32_t owned;
@@ -662,10 +704,11 @@ TEST(AggTest, CountDistinctMergeFromSlicedGroupMaps) {
     for (const AggregatorCore& partial : partials.cores) {
       target.MergeFrom(partial, map);
     }
+    target.Seal();
     ExpectSliceMatches(target, map, partials.ref,
                        "part " + std::to_string(part));
   }
-  // Sealing keeps the partials' counts, and MergeFrom is read-only on them.
+  // MergeFrom is read-only on the sealed partials.
   for (size_t i = 0; i < partials.cores.size(); ++i) {
     std::vector<ColumnVector> after;
     partials.cores[i].EmitRange(0, kGroups, &after);
@@ -683,7 +726,7 @@ TEST(ParallelCountDistinctMergeTest, FourThreadsMergeSlicesOfSharedPartials) {
   DistinctPartials partials;
   MakeDistinctPartials(23, 3, kGroups, &partials);
   if (HasFatalFailure()) return;
-  for (AggregatorCore& partial : partials.cores) partial.SealForMerge();
+  for (AggregatorCore& partial : partials.cores) partial.Seal();
   std::vector<AggregatorCore> targets(kParts);
   std::vector<std::vector<uint32_t>> maps(kParts);
   for (uint32_t part = 0; part < kParts; ++part) {
@@ -698,6 +741,7 @@ TEST(ParallelCountDistinctMergeTest, FourThreadsMergeSlicesOfSharedPartials) {
       for (const AggregatorCore& partial : partials.cores) {
         targets[part].MergeFrom(partial, maps[part]);
       }
+      targets[part].Seal();
     });
   }
   for (std::thread& t : threads) t.join();
@@ -733,7 +777,12 @@ TEST(AggTest, CountDistinctKeepOnlyLastGroupAndReset) {
     core.EnsureGroups(run + 1);
     ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
     run_ref.Add(in);
-    ExpectDistinctMatches(core, run_ref, run + 1,
+    // Odd batches check a sealed copy, so KeepOnlyLastGroup meets pending
+    // pairs and seals them itself.
+    AggregatorCore sealed = core;
+    AggregatorCore& checked = b % 2 == 0 ? core : sealed;
+    checked.Seal();
+    ExpectDistinctMatches(checked, run_ref, run + 1,
                           "batch " + std::to_string(b));
     if (run == 0) continue;  // StreamAgg keeps a lone open run as is
     runs_checked += run;
@@ -761,6 +810,7 @@ TEST(AggTest, CountDistinctKeepOnlyLastGroupAndReset) {
   ASSERT_TRUE(core.Update(in.batch, in.groups).ok());
   DistinctRef fresh;
   fresh.Add(in);
+  core.Seal();
   ExpectDistinctMatches(core, fresh, 20, "after Reset");
 }
 

@@ -422,6 +422,7 @@ TEST(JoinHashTableTest, ChainsDuplicates) {
   ASSERT_TRUE(table.Init(MakeSchema(), {"i"}).ok());
   ASSERT_TRUE(table.AddBatch(MakeBatch()).ok());
   ASSERT_TRUE(table.AddBatch(MakeBatch()).ok());
+  table.Finish();
   EXPECT_EQ(table.num_rows(), 6u);
   int matches_7 = 0, matches_9 = 0;
   table.ForEachMatch(int64_t{7}, [&](uint32_t) { ++matches_7; });
@@ -440,6 +441,7 @@ TEST(JoinHashTableTest, MaterializedColumnsPreserveValues) {
   JoinHashTable table;
   ASSERT_TRUE(table.Init(MakeSchema(), {"i"}).ok());
   ASSERT_TRUE(table.AddBatch(MakeBatch()).ok());
+  table.Finish();
   const std::vector<ColumnVector>& cols = table.columns();
   table.ForEachMatch(int64_t{9}, [&](uint32_t row) {
     EXPECT_EQ(cols[1].i64[row], 100);
@@ -507,9 +509,9 @@ Batch KeyRows(const std::vector<int64_t>& keys, int32_t first_row) {
   return b;
 }
 
-// Adds `batches` to `table` and checks, after each batch, that every key
-// (and an absent one) yields exactly its rows newest first, and whether the
-// table is chained yet.
+// Adds `batches` to `table`, indexing each (Finish), and checks after each
+// batch that every key (and an absent one) yields exactly its rows newest
+// first, and whether the table is chained yet.
 void ExpectTableMatchesRows(JoinHashTable* table,
                             const std::vector<std::vector<int64_t>>& batches,
                             const std::vector<bool>& chained_after,
@@ -519,6 +521,7 @@ void ExpectTableMatchesRows(JoinHashTable* table,
     ASSERT_TRUE(
         table->AddBatch(KeyRows(batches[b], static_cast<int32_t>(all.size())))
             .ok());
+    table->Finish();
     all.insert(all.end(), batches[b].begin(), batches[b].end());
     std::string at = what + " after batch " + std::to_string(b);
     ASSERT_EQ(table->num_rows(), all.size()) << at;
@@ -556,18 +559,111 @@ TEST(JoinHashTableTest, UniqueKeysStayUnchainedUntilARepeatOrNull) {
       {"repeat within the batch", {20, 21, 21, 21}, true},
       {"NULL in the middle", {20, kNullKey, 22, 23}, true},
   };
-  for (const Case& c : cases) {
+  // A table wrongly flagged unique only reserved slots: repeats and NULLs
+  // still chain, and every match still comes back.
+  for (bool unique : {false, true}) {
+    const std::string flag = unique ? " (flagged unique)" : "";
+    for (const Case& c : cases) {
+      JoinHashTable table;
+      ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}, unique).ok());
+      // A third batch after the switch keeps chaining rows and repeats.
+      ExpectTableMatchesRows(&table, {first, c.second, {13, 30, 20, 31}},
+                             {false, c.chained, true}, c.what + flag);
+    }
+    // A NULL key as the very first row chains at once.
     JoinHashTable table;
-    ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}).ok());
-    // A third batch after the switch keeps chaining rows and repeats.
-    ExpectTableMatchesRows(&table, {first, c.second, {13, 30, 20, 31}},
-                           {false, c.chained, true}, c.what);
+    ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}, unique).ok());
+    ExpectTableMatchesRows(&table, {{kNullKey, 1, 2}, {3, 1}}, {true, true},
+                           "NULL first" + flag);
   }
-  // A NULL key as the very first row chains at once.
+}
+
+TEST(JoinHashTableTest, OneFinishIndexesEveryBatchAddedSinceTheLast) {
+  // Rows added over several batches and indexed by one Finish (later
+  // batches in slices of more than one index pass) chain exactly as when
+  // each batch is indexed on its own.
+  Rng rng(77);
+  std::vector<std::vector<int64_t>> batches = {{5, 5, 9}};
+  for (size_t n : {1, 2500, 40, 3000}) {
+    std::vector<int64_t> keys;
+    for (size_t r = 0; r < n; ++r) {
+      keys.push_back(rng.Chance(0.02) ? kNullKey : rng.Uniform(0, 4000));
+    }
+    batches.push_back(std::move(keys));
+  }
+  JoinHashTable per_batch, at_end;
+  ASSERT_TRUE(per_batch.Init(KeyRowSchema(), {"k"}).ok());
+  ASSERT_TRUE(at_end.Init(KeyRowSchema(), {"k"}).ok());
+  ExpectTableMatchesRows(&per_batch, batches, {true, true, true, true, true},
+                         "per batch");
+  int32_t first_row = 0;
+  for (const std::vector<int64_t>& keys : batches) {
+    ASSERT_TRUE(at_end.AddBatch(KeyRows(keys, first_row)).ok());
+    first_row += static_cast<int32_t>(keys.size());
+  }
+  at_end.Finish();
+  ASSERT_EQ(at_end.num_rows(), per_batch.num_rows());
+  EXPECT_TRUE(at_end.chained());
+  for (int64_t key = -1; key <= 4001; ++key) {
+    std::vector<uint32_t> want, got;
+    per_batch.ForEachMatch(key, [&](uint32_t row) { want.push_back(row); });
+    at_end.ForEachMatch(key, [&](uint32_t row) { got.push_back(row); });
+    ASSERT_EQ(got, want) << "key " << key;
+  }
+  EXPECT_EQ(at_end.MemoryBytes(), per_batch.MemoryBytes());
+}
+
+TEST(JoinHashTableTest, UniqueIntBuildReservesRowByRowCapacityOnce) {
+  for (size_t rows : {1, 6, 7, 96, 97, 5000, 12289}) {
+    std::vector<int64_t> keys(rows);
+    for (size_t r = 0; r < rows; ++r) keys[r] = static_cast<int64_t>(r * 7919);
+    JoinHashTable grown, reserved;
+    ASSERT_TRUE(grown.Init(KeyRowSchema(), {"k"}).ok());
+    ASSERT_TRUE(reserved.Init(KeyRowSchema(), {"k"}, true).ok());
+    for (JoinHashTable* t : {&grown, &reserved}) {
+      ASSERT_TRUE(t->AddBatch(KeyRows(keys, 0)).ok());
+      t->Finish();
+    }
+    const std::string at = std::to_string(rows) + " rows";
+    EXPECT_EQ(reserved.key_slot_capacity(), grown.key_slot_capacity()) << at;
+    EXPECT_EQ(reserved.MemoryBytes(), grown.MemoryBytes()) << at;
+    EXPECT_FALSE(reserved.chained()) << at;
+    for (size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(reserved.FindId(keys[r]), static_cast<int64_t>(r)) << at;
+    }
+  }
+}
+
+TEST(JoinHashTableTest, UniqueBytePathBuildHoldsNoIntSlots) {
+  // (int32, float64) keys take the byte path: there are no int slots to
+  // reserve, whatever the planner proved.
+  Schema schema({{"k", TypeId::kInt32},
+                 {"f", TypeId::kFloat64},
+                 {"p", TypeId::kInt32}});
+  Batch b;
+  ColumnVector k(TypeId::kInt32), f(TypeId::kFloat64), p(TypeId::kInt32);
+  for (int32_t r = 0; r < 300; ++r) {
+    k.i32.push_back(r / 3);
+    f.f64.push_back(0.5 * (r % 3));
+    p.i32.push_back(r);
+  }
+  b.columns = {std::move(k), std::move(f), std::move(p)};
+  b.num_rows = 300;
   JoinHashTable table;
-  ASSERT_TRUE(table.Init(KeyRowSchema(), {"k"}).ok());
-  ExpectTableMatchesRows(&table, {{kNullKey, 1, 2}, {3, 1}}, {true, true},
-                         "NULL first");
+  ASSERT_TRUE(table.Init(schema, {"k", "f"}, true).ok());
+  ASSERT_FALSE(table.encoder().int_path());
+  ASSERT_TRUE(table.AddBatch(b).ok());
+  table.Finish();
+  EXPECT_EQ(table.key_slot_capacity(), 0u);
+  EXPECT_FALSE(table.chained());
+  std::vector<std::string> keys;
+  std::vector<uint8_t> valid;
+  table.encoder().EncodeBytes(b, &keys, &valid);
+  for (size_t r = 0; r < keys.size(); ++r) {
+    std::vector<uint32_t> rows;
+    table.ForEachMatch(keys[r], [&](uint32_t row) { rows.push_back(row); });
+    ASSERT_EQ(rows, std::vector<uint32_t>{static_cast<uint32_t>(r)});
+  }
 }
 
 TEST(JoinHashTableTest, ClearAndRefillAsSandwichGroups) {
@@ -591,12 +687,14 @@ TEST(JoinHashTableTest, UniqueBuildKeepsNoChains) {
   JoinHashTable unique;
   ASSERT_TRUE(unique.Init(KeyRowSchema(), {"k"}).ok());
   ASSERT_TRUE(unique.AddBatch(KeyRows(keys, 0)).ok());
+  unique.Finish();
   ASSERT_FALSE(unique.chained());
   // The same rows plus one repeat, which chains them all.
   JoinHashTable chained;
   ASSERT_TRUE(chained.Init(KeyRowSchema(), {"k"}).ok());
   ASSERT_TRUE(chained.AddBatch(KeyRows(keys, 0)).ok());
   ASSERT_TRUE(chained.AddBatch(KeyRows({keys[0]}, kRows)).ok());
+  chained.Finish();
   ASSERT_TRUE(chained.chained());
 
   DenseKeyMap key_map;

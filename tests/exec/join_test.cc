@@ -654,11 +654,14 @@ TEST(ProbeBatchTest, MatchesRowAtATimeReference) {
         ExecContext ctx(nullptr);
         TrackedMemory tracked(ctx.memory(), "test build");
         ASSERT_TRUE(
-            BuildHashTable(&clones, build_keys, &ctx, &table, &tracked).ok());
+            BuildHashTable(&clones, build_keys, /*unique_keys=*/false, &ctx,
+                           &table, &tracked)
+                .ok());
         clones.Close(&ctx);
       } else {
         ASSERT_TRUE(table.Init(BuildSideSchema(), build_keys).ok());
         for (const Batch& b : build) ASSERT_TRUE(table.AddBatch(b).ok());
+        table.Finish();
       }
       for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
                             JoinType::kLeftSemi, JoinType::kLeftAnti}) {

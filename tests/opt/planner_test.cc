@@ -274,6 +274,60 @@ INSTANTIATE_TEST_SUITE_P(OtherQueries, PlannerAblationTest,
                          ::testing::Values(1, 2, 6, 7, 8, 9, 11, 12, 14, 15,
                                            16, 17, 19, 20, 22));
 
+TEST_F(PlannerTest, UniqueKeysFollowKeysGroupsRenamesAndJoins) {
+  const catalog::Catalog& cat = db_->bdcc().schema_catalog();
+  NodePtr orders = LScan("ORDERS", {"o_orderkey", "o_custkey"});
+  NodePtr lineitem =
+      LScan("LINEITEM", {"l_orderkey", "l_linenumber", "l_suppkey"});
+  // A scan covering its primary key, also behind a filter.
+  EXPECT_TRUE(KeysUnique(orders, {"o_orderkey"}, cat));
+  EXPECT_TRUE(KeysUnique(LFilter(orders, Col("o_custkey")),
+                         {"o_custkey", "o_orderkey"}, cat));
+  EXPECT_FALSE(KeysUnique(orders, {"o_custkey"}, cat));
+  EXPECT_TRUE(KeysUnique(lineitem, {"l_linenumber", "l_orderkey"}, cat));
+  EXPECT_FALSE(KeysUnique(lineitem, {"l_orderkey"}, cat));
+  EXPECT_TRUE(UniqueKeys(LScan("ORDERS", {"o_custkey"}), cat).empty());
+  // PARTSUPP's key is (ps_partkey, ps_suppkey): ps_partkey alone repeats.
+  NodePtr partsupp = LScan("PARTSUPP", {"ps_partkey", "ps_suppkey"});
+  EXPECT_FALSE(KeysUnique(partsupp, {"ps_partkey"}, cat));
+  EXPECT_TRUE(KeysUnique(partsupp, {"ps_partkey", "ps_suppkey"}, cat));
+  // An aggregate on its group columns; a scalar one on anything.
+  NodePtr by_order =
+      LAgg(lineitem, {"l_orderkey"}, {exec::AggCountStar("n")});
+  EXPECT_TRUE(KeysUnique(by_order, {"l_orderkey"}, cat));
+  EXPECT_FALSE(KeysUnique(by_order, {"n"}, cat));
+  EXPECT_TRUE(
+      KeysUnique(LAgg(lineitem, {}, {exec::AggCountStar("n")}), {"n"}, cat));
+  // A projection renames the key; dropping or computing it loses it.
+  NodePtr renamed =
+      LProject(orders, {{"ok", Col("o_orderkey")}, {"ck", Col("o_custkey")}});
+  EXPECT_TRUE(KeysUnique(renamed, {"ok"}, cat));
+  EXPECT_FALSE(KeysUnique(renamed, {"ck"}, cat));
+  EXPECT_FALSE(KeysUnique(
+      LProject(orders, {{"ck", Col("o_custkey")}}), {"ck"}, cat));
+  // A semi or anti join keeps the left side's keys; so does a join whose
+  // right side is unique on its keys, but not one whose right side repeats.
+  for (JoinType type : {JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    EXPECT_TRUE(KeysUnique(LJoin(orders, lineitem, type, {"o_orderkey"},
+                                 {"l_orderkey"}),
+                           {"o_orderkey"}, cat));
+  }
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    EXPECT_TRUE(KeysUnique(LJoin(lineitem, orders, type, {"l_orderkey"},
+                                 {"o_orderkey"}, "FK_L_O"),
+                           {"l_orderkey", "l_linenumber"}, cat));
+    EXPECT_FALSE(KeysUnique(LJoin(orders, lineitem, type, {"o_orderkey"},
+                                  {"l_orderkey"}),
+                            {"o_orderkey"}, cat));
+  }
+}
+
+TEST_F(PlannerTest, UniqueBuildKeysNotedForPrimaryKeyBuilds) {
+  // Q12 under plain: LINEITEM probes a build on ORDERS' primary key.
+  EXPECT_TRUE(HasNote(NotesFor(12, db_->plain()),
+                      "unique build keys ORDERS [o_orderkey]"));
+}
+
 TEST_F(PlannerTest, PushdownAnalysisRespectsAntiJoinBoundaries) {
   // A restriction must not propagate across an anti join's boundary.
   NodePtr cust = LScan("CUSTOMER", {"c_custkey", "c_nationkey"});
