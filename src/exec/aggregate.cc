@@ -268,7 +268,11 @@ void AggregatorCore::EmitRange(size_t begin, size_t end,
 }
 
 void AggregatorCore::Seal() {
-  for (State& st : states_) SealState(&st);
+  for (State& st : states_) {
+    SealState(&st);
+    st.pending_values = std::vector<int64_t>();
+    st.pending_groups = std::vector<uint32_t>();
+  }
 }
 
 void AggregatorCore::MaybeSeal(State* st) {

@@ -77,9 +77,10 @@ class AggregatorCore {
   static constexpr uint32_t kSkipGroup = 0xFFFFFFFFu;
 
   /// Fold every pending COUNT(DISTINCT) pair into the sealed runs (see
-  /// State). EmitRange and MergeFrom (on `other`) read only sealed runs, so
-  /// the operators call this where their input ends; Update also seals
-  /// whenever a spec's pending pairs outgrow its sealed values.
+  /// State) and free the pending buffers. EmitRange and MergeFrom (on
+  /// `other`) read only sealed runs, so the operators call this where their
+  /// input ends; Update also seals, keeping the buffers, whenever a spec's
+  /// pending pairs outgrow its sealed values.
   void Seal();
 
   /// Fold `other`'s per-group states into this core: other's group g merges

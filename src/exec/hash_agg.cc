@@ -97,9 +97,10 @@ Status HashAgg::ConsumeAll(ExecContext* ctx) {
     BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), MemoryBytes()));
   }
   if (group_cols_.empty()) core_.EnsureGroups(1);  // scalar agg: one row
-  core_.Seal();
+  Seal();
   consumed_ = true;
-  return Status::OK();
+  // The seal folded the last pending pairs into the sealed runs.
+  return ctx->ChargeMemory(tracked_.get(), MemoryBytes());
 }
 
 std::vector<uint32_t> HashAgg::PartitionGroups(int bits) const {

@@ -530,7 +530,9 @@ Status JoinHashTable::Init(const Schema& build_schema,
                            bool unique_keys) {
   schema_ = build_schema;
   BDCC_RETURN_NOT_OK(encoder_.Bind(build_schema, key_cols));
-  unique_keys_ = unique_keys;
+  // Only a proven-unique int-path key has slots to reserve (a byte-path key
+  // has none), so only such a table waits for Finish to index.
+  reserve_slots_ = unique_keys && encoder_.int_path();
   columns_.clear();
   for (const Field& f : build_schema.fields()) columns_.emplace_back(f.type);
   Clear();
@@ -554,6 +556,9 @@ Status JoinHashTable::AddBatch(const Batch& batch) {
   num_rows_ += batch.num_rows;
   column_bytes_ = 0;
   for (const ColumnVector& c : columns_) column_bytes_ += ColumnVectorBytes(c);
+  // Index the rows while they are still in cache, unless Finish reserves
+  // the key map for the whole build first.
+  if (!reserve_slots_) Finish();
   return Status::OK();
 }
 
@@ -584,9 +589,8 @@ void JoinHashTable::LinkRows(const std::vector<Key>& keys,
 
 void JoinHashTable::Finish() {
   if (indexed_rows_ == num_rows_) return;
-  // A proven-unique key gets its final slot array up front (a byte-path
-  // key has no int slots to reserve).
-  if (unique_keys_ && encoder_.int_path()) key_ids_.Reserve(num_rows_);
+  // A proven-unique key gets its final slot array up front.
+  if (reserve_slots_) key_ids_.Reserve(num_rows_);
   std::vector<uint8_t> valid;
   std::vector<int64_t> int_keys;
   std::vector<std::string> byte_keys;

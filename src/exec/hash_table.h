@@ -288,19 +288,20 @@ void EncodeAndAssignGroupsCols(const KeyEncoder& encoder,
 
 /// \brief Materialized build side of a hash join: the build columns plus a
 /// key -> rows index. AddBatch copies rows in with one AppendGather per
-/// column per input batch; Finish then indexes the rows added since the
-/// last Finish, encoding their keys from the copied columns a slice at a
-/// time. The DenseKeyMap gives a key's dense id. While every row has its
-/// own non-NULL key, ids are handed out in row order, so a key's id *is*
-/// its row and no chains exist. The first repeated or NULL key chains the
-/// rows so far (`heads_[r] = r`, `next_[r] = end`); from then on
-/// `heads_[id]` is the newest row with that key and `next_[row]` links to
-/// the next older one, so matches come newest first.
+/// column per input batch, then indexes them (Finish) while they are still
+/// in cache; Finish indexes the rows added since the last Finish, encoding
+/// their keys from the copied columns a slice at a time. The DenseKeyMap
+/// gives a key's dense id. While every row has its own non-NULL key, ids
+/// are handed out in row order, so a key's id *is* its row and no chains
+/// exist. The first repeated or NULL key chains the rows so far
+/// (`heads_[r] = r`, `next_[r] = end`); from then on `heads_[id]` is the
+/// newest row with that key and `next_[row]` links to the next older one,
+/// so matches come newest first.
 ///
 /// A table initialised with `unique_keys` (the planner proved the build
-/// keys unique) on an int-path key reserves a slot per row before it
-/// indexes, so its key map never rehashes. A wrong claim only costs slots:
-/// repeated keys still chain.
+/// keys unique) on an int-path key leaves indexing to the caller's Finish,
+/// which reserves a slot per row first, so its key map never rehashes. A
+/// wrong claim only costs slots: repeated keys still chain.
 ///
 /// The build is serial (Init + AddBatch + Finish); a parallel build side is
 /// a ParallelUnion of scan clones drained into one table (BuildHashTable).
@@ -311,7 +312,8 @@ class JoinHashTable {
               const std::vector<std::string>& key_cols,
               bool unique_keys = false);
 
-  /// Copy `batch`'s logical rows in; probes see them after Finish.
+  /// Copy `batch`'s logical rows in (and index them, unless the table
+  /// reserves on Finish); probes see them after Finish.
   Status AddBatch(const Batch& batch);
   /// Index the rows added since the last Finish under their keys.
   void Finish();
@@ -371,7 +373,7 @@ class JoinHashTable {
   Schema schema_;
   KeyEncoder encoder_;
   DenseKeyMap key_ids_;
-  bool unique_keys_ = false;
+  bool reserve_slots_ = false;  // proven-unique int-path key
   size_t num_rows_ = 0;
   size_t indexed_rows_ = 0;  // rows [0, indexed_rows_) are linked
   bool chained_ = false;

@@ -24,6 +24,7 @@ Status SandwichAgg::Open(ExecContext* ctx) {
 
 Status SandwichAgg::DrainPartition(ExecContext* ctx) {
   agg_.Seal();
+  BDCC_RETURN_NOT_OK(ctx->ChargeMemory(tracked_.get(), agg_.MemoryBytes()));
   while (true) {
     BDCC_ASSIGN_OR_RETURN(Batch out, agg_.Next(ctx));
     if (out.empty()) break;

@@ -124,6 +124,43 @@ TEST(HashAggTest, CountDistinct) {
   EXPECT_EQ(out.columns[0].i64[0], 2);
 }
 
+// One batch of `n` rows with keys 0..n-1, all in sandwich partition 0.
+Batch DistinctKeys(int32_t n) {
+  std::vector<int32_t> keys(n);
+  for (int32_t i = 0; i < n; ++i) keys[i] = i;
+  return B(keys, std::vector<double>(n, 1.0), 0);
+}
+
+TEST(HashAggTest, CountDistinctChargesItsLastSeal) {
+  // Too few pairs to seal on their own: ConsumeAll's seal moves them into
+  // the sealed runs, and the operator's charge must follow.
+  ExecContext ctx(nullptr);
+  HashAgg agg(Src({DistinctKeys(1000)}), {},
+              {AggCountDistinct(Col("k"), "cd")});
+  ASSERT_TRUE(agg.Open(&ctx).ok());
+  Batch out = agg.Next(&ctx).ValueOrDie();
+  EXPECT_EQ(out.columns[0].i64[0], 1000);
+  EXPECT_EQ(ctx.memory()->current_bytes(), agg.MemoryBytes());
+  agg.Close(&ctx);
+}
+
+TEST(SandwichAggTest, CountDistinctChargesEachPartitionsSeal) {
+  // One group (every v is 1.0) of 1000 distinct keys.
+  std::vector<AggSpec> specs = {AggCountDistinct(Col("k"), "cd")};
+  ExecContext ctx(nullptr);
+  // The partition's state once sealed, as the sandwich charges it at drain.
+  HashAgg sealed(nullptr, {"v"}, specs);
+  ASSERT_TRUE(sealed.BindChildless(S()).ok());
+  ASSERT_TRUE(sealed.Consume(DistinctKeys(1000)).ok());
+  sealed.Seal();
+  SandwichAgg agg(Src({DistinctKeys(1000)}), {"v"}, specs);
+  ASSERT_TRUE(agg.Open(&ctx).ok());
+  Batch out = agg.Next(&ctx).ValueOrDie();
+  EXPECT_EQ(out.columns[1].i64[0], 1000);
+  EXPECT_EQ(ctx.memory()->current_bytes(), sealed.MemoryBytes());
+  agg.Close(&ctx);
+}
+
 TEST(StreamAggTest, SortedRunsAcrossBatches) {
   ExecContext ctx(nullptr);
   StreamAgg agg(Src({B({1, 1, 2}, {1, 2, 3}), B({2, 2}, {4, 5}),

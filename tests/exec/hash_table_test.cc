@@ -581,7 +581,8 @@ TEST(JoinHashTableTest, UniqueKeysStayUnchainedUntilARepeatOrNull) {
 TEST(JoinHashTableTest, OneFinishIndexesEveryBatchAddedSinceTheLast) {
   // Rows added over several batches and indexed by one Finish (later
   // batches in slices of more than one index pass) chain exactly as when
-  // each batch is indexed on its own.
+  // each batch is indexed on its own. Only a table flagged unique defers
+  // its index to Finish; this one is flagged wrongly.
   Rng rng(77);
   std::vector<std::vector<int64_t>> batches = {{5, 5, 9}};
   for (size_t n : {1, 2500, 40, 3000}) {
@@ -593,7 +594,7 @@ TEST(JoinHashTableTest, OneFinishIndexesEveryBatchAddedSinceTheLast) {
   }
   JoinHashTable per_batch, at_end;
   ASSERT_TRUE(per_batch.Init(KeyRowSchema(), {"k"}).ok());
-  ASSERT_TRUE(at_end.Init(KeyRowSchema(), {"k"}).ok());
+  ASSERT_TRUE(at_end.Init(KeyRowSchema(), {"k"}, true).ok());
   ExpectTableMatchesRows(&per_batch, batches, {true, true, true, true, true},
                          "per batch");
   int32_t first_row = 0;
@@ -601,6 +602,7 @@ TEST(JoinHashTableTest, OneFinishIndexesEveryBatchAddedSinceTheLast) {
     ASSERT_TRUE(at_end.AddBatch(KeyRows(keys, first_row)).ok());
     first_row += static_cast<int32_t>(keys.size());
   }
+  ASSERT_FALSE(at_end.chained());  // nothing indexed yet
   at_end.Finish();
   ASSERT_EQ(at_end.num_rows(), per_batch.num_rows());
   EXPECT_TRUE(at_end.chained());
@@ -610,7 +612,16 @@ TEST(JoinHashTableTest, OneFinishIndexesEveryBatchAddedSinceTheLast) {
     at_end.ForEachMatch(key, [&](uint32_t row) { got.push_back(row); });
     ASSERT_EQ(got, want) << "key " << key;
   }
-  EXPECT_EQ(at_end.MemoryBytes(), per_batch.MemoryBytes());
+  // The same columns and chains; the wrong claim only reserved a slot per
+  // row instead of per key.
+  DenseKeyMap reserved;
+  reserved.Reserve(at_end.num_rows());
+  EXPECT_EQ(at_end.key_slot_capacity(), reserved.slot_capacity());
+  EXPECT_GT(at_end.key_slot_capacity(), per_batch.key_slot_capacity());
+  auto without_slots = [](const JoinHashTable& t) {
+    return t.MemoryBytes() - t.key_slot_capacity() * DenseKeyMap::kSlotBytes;
+  };
+  EXPECT_EQ(without_slots(at_end), without_slots(per_batch));
 }
 
 TEST(JoinHashTableTest, UniqueIntBuildReservesRowByRowCapacityOnce) {
